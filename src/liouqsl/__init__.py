@@ -27,6 +27,7 @@ from .lindblad import (
     LiouvillianParts,
     apply_dissipator,
     build_liouvillian,
+    commutator_superop,
     kraus_from_lindblad_step,
     kraus_to_superop,
 )

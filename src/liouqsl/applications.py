@@ -13,15 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.linalg import expm
 
-from .exceptions import (
-    NumericalConsistencyError,
-    QuadratureError,
-    ValidationError,
-)
-from .evolve import propagate_expm
-from .lindblad import LindbladSpec, build_liouvillian
+from .exceptions import NumericalConsistencyError, ValidationError
+from .evolve import _expm_steps, propagate_expm
+from .lindblad import LindbladSpec, build_liouvillian, commutator_superop
 from .liouville import (
     liouville_angle,
     normalize_state,
@@ -29,6 +24,7 @@ from .liouville import (
     vectorize,
 )
 from .qsl import (
+    _odd_grid,
     complete_basis,
     mt_bound,
     nonclassical_speed,
@@ -82,8 +78,7 @@ def sff(channel, hamiltonian, beta, t):
 def _nc_integral(trace, liouvillian, basis):
     if basis is None:
         basis = complete_basis(trace.normalized[0])
-    L = np.asarray(liouvillian, dtype=complex)
-    nc = np.array([nonclassical_speed(L, basis, s) for s in trace.normalized])
+    nc = nonclassical_speed(liouvillian, basis, trace.normalized)
     return float(simpson(nc, x=trace.times))
 
 
@@ -140,8 +135,7 @@ def krylov_build(hamiltonian, rho0, times):
     if t.ndim != 1 or t.size < 1 or np.any(np.diff(t) <= 0):
         raise ValidationError("times must be a strictly increasing 1-D grid")
     d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-    lh = np.kron(eye, h) - np.kron(h.T, eye)
+    lh = commutator_superop(h)
     validate_density_matrix(rho0)
     v0 = normalize_state(np.asarray(rho0, dtype=complex)).vector
 
@@ -165,19 +159,8 @@ def krylov_build(hamiltonian, rho0, times):
         cols.append(r / b)
     basis = np.column_stack(cols)
 
-    dts = np.diff(t)
-    vecs = [v0]
-    if t.size > 1 and np.allclose(dts, dts[0], rtol=1e-12, atol=1e-15):
-        step = expm(-1j * lh * dts[0])
-        v = v0
-        for _ in range(t.size - 1):
-            v = step @ v
-            vecs.append(v)
-    else:
-        for tk in t[1:]:
-            vecs.append(expm(-1j * lh * tk) @ v0)
     phases = (-1j) ** np.arange(basis.shape[1])
-    amps = np.array([phases * (basis.conj().T @ v) for v in vecs])
+    amps = (_expm_steps(-1j * lh, v0, t) @ basis.conj()) * phases
     norms = np.sum(np.abs(amps) ** 2, axis=1)
     if np.abs(norms - 1.0).max() > 1e-10:
         raise NumericalConsistencyError(
@@ -376,8 +359,7 @@ def _mpemba_column(alpha, gamma, n, horizon, points):
     trace = propagate_expm(L, superposition_state(alpha), times)
     eta = speed_efficiency(trace, L)
     delta = float(horizon) - mt_bound(trace, L)
-    thetas = np.array([liouville_angle(rho_ss, rho) for rho in trace.states])
-    return eta, delta, thetas
+    return eta, delta, liouville_angle(rho_ss, trace.states)
 
 
 def mpemba_report(alphas, gamma, n, horizon, points=2001, jobs=1):
@@ -391,10 +373,7 @@ def mpemba_report(alphas, gamma, n, horizon, points=2001, jobs=1):
     processes with deterministic ordering.
     """
     alphas = np.asarray(alphas, dtype=float)
-    if points < 3 or points % 2 == 0:
-        raise QuadratureError(
-            f"sweep grid must be odd with at least 3 points, got {points}"
-        )
+    _odd_grid(points)
     times = np.linspace(0.0, float(horizon), points)
     args = [(float(a), gamma, n, horizon, points) for a in alphas]
     if jobs > 1 and alphas.size > 1:

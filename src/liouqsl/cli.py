@@ -10,7 +10,7 @@ line naming the command and the failing quantity.
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -23,7 +23,7 @@ from .applications import (
 )
 from .evolve import IntegratorConfig, propagate_expm, propagate_ode
 from .exceptions import NumericalConsistencyError, ValidationError
-from .lindblad import build_liouvillian
+from .lindblad import build_liouvillian, commutator_superop
 from .liouville import vectorize
 from .optimal import (
     GeodesicSpec,
@@ -66,7 +66,6 @@ class ScenarioConfig:
     gamma: float = 0.01
     n: float = 0.0
     beta: float = 0.0
-    seed: int = 0
     jobs: int = 1
     out: str = "./out"
     method: str = "expm"
@@ -118,22 +117,13 @@ def _trace_rows(trace, dump_states):
         raise NumericalConsistencyError("trace speeds were never filled")
     d = trace.dim
     header = ["t", "purity", "overlap", "speed"]
+    columns = [trace.times, trace.purities, trace.overlap_with_initial, trace.speeds]
     if dump_states:
         header += [f"re_{i}{j}" for i in range(d) for j in range(d)]
         header += [f"im_{i}{j}" for i in range(d) for j in range(d)]
-    rows = []
-    for k in range(len(trace)):
-        row = [
-            trace.times[k],
-            trace.purities[k],
-            trace.overlap_with_initial[k],
-            trace.speeds[k],
-        ]
-        if dump_states:
-            row += list(trace.states[k].real.ravel())
-            row += list(trace.states[k].imag.ravel())
-        rows.append(row)
-    return header, rows
+        flat = trace.states.reshape(len(trace), d * d)
+        columns += list(flat.real.T) + list(flat.imag.T)
+    return header, np.column_stack(columns)
 
 
 def _cmd_evolve(cfg):
@@ -235,27 +225,18 @@ def _cmd_krylov(cfg):
     rho_beta = coherent_gibbs_state(hamiltonian, cfg.beta)
     times = _grid(cfg)
     kd = krylov_build(hamiltonian, rho0, times)
-    d = hamiltonian.shape[0]
-    eye = np.eye(d, dtype=complex)
-    lh = np.kron(eye, hamiltonian) - np.kron(hamiltonian.T, eye)
-    L = -1j * lh
+    L = -1j * commutator_superop(hamiltonian)
     trace = propagate_expm(L, rho0, times)
     basis = complete_basis(trace.normalized[0])
-    nc = np.array([nonclassical_speed(L, basis, s) for s in trace.normalized])
+    nc = nonclassical_speed(L, basis, trace.normalized)
     rhs = np.concatenate([[0.0], cumulative_trapezoid(nc, times)])
     if kd.dimension > 1:
         lhs = np.arcsin(np.clip(kd.complexity / (2.0 * kd.ladder_norm), -1.0, 1.0))
     else:
         lhs = np.zeros_like(times)
-    vbeta = vectorize(rho_beta)
     sff_trace = trace if cfg.rho0_path is None else propagate_expm(L, rho_beta, times)
-    sff_vals = np.array(
-        [float(np.real(np.vdot(vbeta, vectorize(rho)))) for rho in sff_trace.states]
-    )
-    rows = [
-        [times[k], kd.complexity[k], sff_vals[k], lhs[k], rhs[k]]
-        for k in range(times.size)
-    ]
+    sff_vals = np.real(vectorize(sff_trace.states) @ vectorize(rho_beta).conj())
+    rows = np.column_stack([times, kd.complexity, sff_vals, lhs, rhs])
     write_csv(
         os.path.join(cfg.out, "krylov.csv"),
         ["t", "c_k", "sff", "bound_lhs", "bound_rhs"],
@@ -299,7 +280,6 @@ def run(cfg):
 def _add_common(sub):
     sub.add_argument("--out", default="./out", help="output directory")
     sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--points", type=int, default=2001)
     sub.add_argument("--t-max", type=float, default=10.0, dest="t_max")
 
@@ -359,35 +339,16 @@ def _parser():
 
 
 def _config_from_args(args):
-    fields = {}
-    for key in (
-        "command",
-        "spec_path",
-        "rho0_path",
-        "rho_perp_path",
-        "h_path",
-        "t_max",
-        "points",
-        "alpha",
-        "gamma",
-        "n",
-        "beta",
-        "seed",
-        "jobs",
-        "out",
-        "method",
-        "dump_states",
-    ):
-        if hasattr(args, key):
-            fields[key] = getattr(args, key)
+    names = {f.name for f in fields(ScenarioConfig)} - {"alphas"}
+    config = {k: v for k, v in vars(args).items() if k in names}
     if hasattr(args, "alphas"):
         try:
-            fields["alphas"] = tuple(
+            config["alphas"] = tuple(
                 float(a) for a in str(args.alphas).split(",") if a.strip()
             )
         except ValueError as exc:
             raise ValidationError(f"bad --alphas value {args.alphas!r}") from exc
-    return ScenarioConfig(**fields)
+    return ScenarioConfig(**config)
 
 
 def main(argv=None):

@@ -1,11 +1,21 @@
 """Trajectory propagation and trajectory-level speed evaluation.
 
-Propagators return an EvolutionTrace carrying, per grid point, the state,
-its purity, the unit Liouville vector, and the overlap with the initial
-unit vector. The speed column stays empty until a generator is supplied
-(see the qsl module). Two derivative-free speed routes live here as well:
-a central-difference evaluation on the stored trace and a Kraus-family
-route that never touches the generator.
+Propagators return an EvolutionTrace: stacked arrays over the T grid
+points, not a list of per-point objects. For states of dimension d it
+holds
+
+    times                  (T,)
+    states                 (T, d, d)  validated, re-Hermitized states
+    purities               (T,)       tr rho^2, also normalized.purity
+    normalized.vector      (T, d^2)   unit Liouville vectors v_k
+    overlap_with_initial   (T,)       Re(v_0|v_k)
+    speeds                 (T,)       None until a generator is supplied
+
+trace.normalized[k] and trace.states[k] give the k-th point, and the
+speed functionals of the qsl module take trace.normalized whole. Two
+derivative-free speed routes live here as well: a central-difference
+evaluation on the stored trace and a Kraus-family route that never
+touches the generator.
 """
 
 from dataclasses import dataclass
@@ -16,6 +26,8 @@ from scipy.linalg import expm
 from .exceptions import NumericalConsistencyError, ValidationError
 from .lindblad import build_liouvillian, kraus_to_superop
 from .liouville import (
+    NormalizedState,
+    devectorize,
     normalize_state,
     rehermitize,
     validate_density_matrix,
@@ -35,20 +47,23 @@ __all__ = [
 ]
 
 _NORM_CAP = 1e12
+# Steps between exact restarts v_k = exp(L t_k) v_0 on a uniform grid, so
+# that round-off from repeated exp(L dt) products cannot build up.
+_REANCHOR_STEPS = 1024
 
 
 @dataclass
 class EvolutionTrace:
-    """Per-point record of a propagated trajectory.
+    """Stacked record of a propagated trajectory (layout in the module docstring).
 
     speeds is None until filled (qsl.average_speed does this); all other
-    arrays are aligned with times.
+    arrays are aligned with times along their first axis.
     """
 
     times: np.ndarray
-    states: list
+    states: np.ndarray
     purities: np.ndarray
-    normalized: list
+    normalized: NormalizedState
     overlap_with_initial: np.ndarray
     speeds: np.ndarray = None
 
@@ -57,7 +72,7 @@ class EvolutionTrace:
 
     @property
     def dim(self):
-        return self.states[0].shape[0]
+        return self.states.shape[-1]
 
 
 @dataclass
@@ -86,68 +101,74 @@ def _check_grid(times):
 
 
 def build_trace(times, states, trace_tol=1e-12, eig_floor=-1e-10):
-    """Assemble an EvolutionTrace from raw states, validating each one."""
+    """Assemble an EvolutionTrace from T raw states, validating each one."""
     t = _check_grid(times)
-    if len(states) != t.size:
-        raise ValidationError("states and times have different lengths")
-    cleaned = []
-    for tk, rho in zip(t, states):
-        rho = rehermitize(np.asarray(rho, dtype=complex))
-        try:
-            validate_density_matrix(rho, trace_tol=trace_tol, eig_floor=eig_floor)
-        except ValidationError as exc:
-            raise ValidationError(f"state at t={tk:g}: {exc}") from exc
-        cleaned.append(rho)
-    normalized = [normalize_state(rho) for rho in cleaned]
-    purities = np.array([s.purity for s in normalized])
-    v0 = normalized[0].vector
-    overlaps = np.array([np.real(np.vdot(v0, s.vector)) for s in normalized])
+    rhos = np.asarray(states, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[0] != t.size or rhos.shape[1] != rhos.shape[2]:
+        raise ValidationError(f"states of shape {rhos.shape} do not match the grid")
+    rhos = rehermitize(rhos)
+    try:
+        validate_density_matrix(rhos, trace_tol=trace_tol, eig_floor=eig_floor)
+    except ValidationError as exc:
+        raise ValidationError(f"state at t={t[exc.index]:g}: {exc}") from exc
+    normalized = normalize_state(rhos)
+    overlaps = np.real(normalized.vector @ normalized.vector[0].conj())
     if abs(overlaps[0] - 1.0) > 1e-12:
         raise NumericalConsistencyError(
             f"initial self-overlap {overlaps[0]} deviates from 1"
         )
     return EvolutionTrace(
         times=t,
-        states=cleaned,
-        purities=purities,
+        states=rhos,
+        purities=normalized.purity,
         normalized=normalized,
         overlap_with_initial=overlaps,
     )
 
 
+def _expm_steps(generator, v0, times):
+    """Stack of exp(G (t_k - t_0)) v0 over the grid, shape (T, n).
+
+    On a uniform grid exp(G dt) is computed once and applied repeatedly,
+    restarting from an exact exp(G (t_k - t_0)) v0 every _REANCHOR_STEPS
+    steps; otherwise each output time gets its own exponential.
+    """
+    out = np.empty((times.size, v0.size), dtype=complex)
+    out[0] = v0
+    dts = np.diff(times)
+    uniform = times.size > 1 and np.allclose(dts, dts[0], rtol=1e-12, atol=1e-15)
+    step = expm(generator * dts[0]) if uniform else None
+    for k in range(1, times.size):
+        if uniform and k % _REANCHOR_STEPS:
+            out[k] = step @ out[k - 1]
+        else:
+            out[k] = expm(generator * (times[k] - times[0])) @ v0
+    return out
+
+
 def propagate_expm(liouvillian, rho0, times):
     """Exact propagation states[k] = unvec(exp(L t_k) vec(rho0)).
 
-    On a uniform grid exp(L dt) is computed once and applied repeatedly;
-    otherwise each output time gets its own exponential.
+    On a uniform grid exp(L dt) is computed once and applied repeatedly,
+    with an exact restart every 1024 steps; otherwise each output time
+    gets its own exponential.
     """
     t = _check_grid(times)
     if abs(t[0]) > 1e-12:
         raise ValidationError("propagate_expm expects times[0] = 0")
     L = np.asarray(liouvillian, dtype=complex)
     validate_density_matrix(rho0)
-    v = vectorize(np.asarray(rho0, dtype=complex))
+    v = vectorize(rho0)
     if L.shape != (v.size, v.size):
         raise ValidationError(
             f"generator shape {L.shape} does not act on dim {v.size} vectors"
         )
-    dts = np.diff(t)
-    vecs = [v]
-    if np.allclose(dts, dts[0], rtol=1e-12, atol=1e-15):
-        step = expm(L * dts[0])
-        for _ in range(t.size - 1):
-            v = step @ v
-            vecs.append(v)
-    else:
-        for tk in t[1:]:
-            vecs.append(expm(L * tk) @ vecs[0])
-    states = []
-    for tk, vk in zip(t, vecs):
-        norm = np.linalg.norm(vk)
-        if not np.isfinite(norm) or norm > _NORM_CAP:
-            raise NumericalConsistencyError(f"state norm overflow at t={tk:g}")
-        states.append(vk.reshape((int(np.sqrt(vk.size)),) * 2, order="F"))
-    return build_trace(t, states)
+    vecs = _expm_steps(L, v, t)
+    bounded = np.linalg.norm(vecs, axis=1) <= _NORM_CAP
+    if not bounded.all():
+        first = t[np.argmin(bounded)]
+        raise NumericalConsistencyError(f"state norm overflow at t={first:g}")
+    return build_trace(t, devectorize(vecs))
 
 
 def propagate_ode(spec, rho0, times, cfg=None):
@@ -191,10 +212,8 @@ def propagate_ode(spec, rho0, times, cfg=None):
         )
         if not sol.success:
             raise NumericalConsistencyError(f"adaptive integration failed: {sol.message}")
-        vecs = list(sol.y.T)
-    d = int(np.sqrt(v0.size))
-    states = [v.reshape((d, d), order="F") for v in vecs]
-    return build_trace(t, states, trace_tol=1e-8, eig_floor=-1e-8)
+        vecs = sol.y.T
+    return build_trace(t, devectorize(vecs), trace_tol=1e-8, eig_floor=-1e-8)
 
 
 def normalized_rhs(liouvillian, state):
@@ -235,9 +254,7 @@ def generic_speed(trace, k):
     """
     if not 1 <= k <= len(trace) - 2:
         raise ValidationError(f"index {k} is not an interior grid point")
-    vp = trace.normalized[k + 1].vector
-    vm = trace.normalized[k - 1].vector
-    v = trace.normalized[k].vector
+    vm, v, vp = trace.normalized.vector[k - 1 : k + 2]
     dv = (vp - vm) / (trace.times[k + 1] - trace.times[k - 1])
     var = np.real(np.vdot(dv, dv)) - abs(np.vdot(v, dv)) ** 2
     return np.sqrt(max(var, 0.0))

@@ -24,6 +24,7 @@ from .liouville import sandwich_superop
 __all__ = [
     "LindbladSpec",
     "LiouvillianParts",
+    "commutator_superop",
     "build_liouvillian",
     "apply_dissipator",
     "KrausSet",
@@ -86,12 +87,18 @@ class LiouvillianParts:
     irreversible: np.ndarray
 
 
+def commutator_superop(hamiltonian):
+    """Supermatrix 1 kron H - H^T kron 1 of X -> [H, X]."""
+    h = np.asarray(hamiltonian, dtype=complex)
+    eye = np.eye(h.shape[0], dtype=complex)
+    return np.kron(eye, h) - np.kron(h.T, eye)
+
+
 def build_liouvillian(spec):
     """Assemble the LiouvillianParts of a LindbladSpec."""
     d = spec.dim
     eye = np.eye(d, dtype=complex)
-    h = spec.hamiltonian
-    lh = np.kron(eye, h) - np.kron(h.T, eye)
+    lh = commutator_superop(spec.hamiltonian)
     ld = np.zeros((d * d, d * d), dtype=complex)
     for rate, op in spec.jumps:
         opdop = op.conj().T @ op

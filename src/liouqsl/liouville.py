@@ -10,6 +10,10 @@ superoperators in this package are assembled.
 Density matrices enter most formulas through the normalized vector
 |rho~) = |rho)/sqrt(tr rho^2), whose projector P = |rho~)(rho~| carries
 expectation values tr(O P) = (rho~|O|rho~) of superoperators O.
+
+Vectorization, validation, normalization, angles and variances act on
+the last one (vectors) or two (matrices) axes, so a (T, d, d) stack of
+states along a trajectory goes through the same code as a single state.
 """
 
 from dataclasses import dataclass
@@ -34,20 +38,20 @@ __all__ = [
 
 
 def vectorize(operator):
-    """Column-stack a square operator into a Liouville vector."""
+    """Column-stack a square operator (or a stack of them) into Liouville vectors."""
     a = np.asarray(operator, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return a.ravel(order="F")
+    return np.swapaxes(a, -1, -2).reshape(a.shape[:-2] + (-1,))
 
 
 def devectorize(vector):
-    """Inverse of vectorize; the length must be a perfect square."""
-    v = np.asarray(vector, dtype=complex).ravel()
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise DimensionError(f"length {v.size} is not a perfect square")
-    return v.reshape((d, d), order="F")
+    """Inverse of vectorize along the last axis; its length must be a square."""
+    v = np.asarray(vector, dtype=complex)
+    d = int(round(np.sqrt(v.shape[-1])))
+    if d * d != v.shape[-1]:
+        raise DimensionError(f"length {v.shape[-1]} is not a perfect square")
+    return np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
 
 
 def inner(a, b):
@@ -66,28 +70,38 @@ def inner(a, b):
 def rehermitize(matrix):
     """Average a matrix with its adjoint; removes round-off skew."""
     m = np.asarray(matrix, dtype=complex)
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
 def validate_density_matrix(rho, trace_tol=1e-10, herm_tol=1e-10, eig_floor=-1e-10):
-    """Check the structural requirements on a density matrix.
+    """Check the structural requirements on a density matrix or a stack of them.
 
     Raises ValidationError when the trace deviates from one beyond
     trace_tol, hermiticity is violated beyond herm_tol, or the smallest
-    eigenvalue of the Hermitian part lies below eig_floor.
+    eigenvalue of the Hermitian part lies below eig_floor. For a stack
+    the error describes the first failing state, and its index attribute
+    holds that state's flat index over the leading axes.
     """
     r = np.asarray(rho, dtype=complex)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {r.shape}")
-    tr = np.trace(r)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    herm_defect = np.abs(r - r.conj().T).max()
-    if herm_defect > herm_tol:
-        raise ValidationError(f"hermiticity defect {herm_defect:.3e}")
-    lowest = np.linalg.eigvalsh(rehermitize(r)).min()
-    if lowest < eig_floor:
-        raise ValidationError(f"negative eigenvalue {lowest:.3e}")
+    r = r.reshape((-1,) + r.shape[-2:])
+    trace_ok = np.abs(np.trace(r, axis1=1, axis2=2) - 1.0) <= trace_tol
+    herm_ok = np.abs(r - np.swapaxes(r, 1, 2).conj()).max(axis=(1, 2)) <= herm_tol
+    lowest = np.linalg.eigvalsh(rehermitize(r)).min(axis=1)
+    ok = trace_ok & herm_ok & (lowest >= eig_floor)
+    if ok.all():
+        return
+    k = int(np.argmin(ok))
+    if not trace_ok[k]:
+        message = f"trace deviates from 1 by {abs(np.trace(r[k]) - 1.0):.3e}"
+    elif not herm_ok[k]:
+        message = f"hermiticity defect {np.abs(r[k] - r[k].conj().T).max():.3e}"
+    else:
+        message = f"negative eigenvalue {lowest[k]:.3e}"
+    err = ValidationError(message)
+    err.index = k
+    raise err
 
 
 @dataclass
@@ -95,47 +109,59 @@ class NormalizedState:
     """Unit Liouville vector of a state together with its purity.
 
     vector is |rho~) = vec(rho)/sqrt(tr rho^2) and purity is tr(rho^2)
-    of the state it came from.
+    of the state it came from. A stack of states has vector of shape
+    (..., d^2) and purity of shape (...); indexing it with [k] gives the
+    k-th state.
     """
 
     vector: np.ndarray
     purity: float
 
+    def __getitem__(self, k):
+        return NormalizedState(vector=self.vector[k], purity=self.purity[k])
+
     @property
     def dim(self):
-        return int(round(np.sqrt(self.vector.size)))
+        return int(round(np.sqrt(self.vector.shape[-1])))
 
     def projector(self):
         """The rank-one superoperator |rho~)(rho~|."""
         return np.outer(self.vector, self.vector.conj())
 
 
+def _dot(a, b):
+    """Row-wise inner product (a|b) over the last axis."""
+    return np.einsum("...i,...i->...", a.conj(), b)
+
+
 def normalize_state(rho):
-    """Build the NormalizedState of a density matrix."""
+    """Build the NormalizedState of a density matrix or a stack of them."""
     v = vectorize(rho)
-    purity = float(np.vdot(v, v).real)
-    if not np.isfinite(purity) or purity <= 0.0:
+    purity = _dot(v, v).real
+    if not np.all(np.isfinite(purity) & (purity > 0.0)):
         raise ValidationError("state has non-positive purity")
-    return NormalizedState(vector=v / np.sqrt(purity), purity=purity)
+    return NormalizedState(vector=v / np.sqrt(purity)[..., None], purity=purity)
 
 
 def liouville_angle(rho_a, rho_b):
     """Angle between two states in Liouville space.
 
-    Theta = arccos[ tr(rho_a rho_b) / sqrt(tr rho_a^2 tr rho_b^2) ],
-    clamped into [-1, 1] before the arccos. Symmetric in its arguments
-    and zero iff the states coincide up to normalization.
+    Theta = arccos[ (rho_a|rho_b) / sqrt((rho_a|rho_a)(rho_b|rho_b)) ],
+    which is tr(rho_a rho_b)/sqrt(tr rho_a^2 tr rho_b^2) for Hermitian
+    states, clamped into [-1, 1] before the arccos. Symmetric in its
+    arguments and zero iff the states coincide up to normalization.
+    Stacks of states broadcast against each other and give an array.
     """
-    a = np.asarray(rho_a, dtype=complex)
-    b = np.asarray(rho_b, dtype=complex)
-    if a.shape != b.shape:
+    a = vectorize(rho_a)
+    b = vectorize(rho_b)
+    if a.shape[-1] != b.shape[-1]:
         raise DimensionError("states of different dimension")
-    pa = np.trace(a @ a).real
-    pb = np.trace(b @ b).real
-    if pa <= 0.0 or pb <= 0.0:
+    pa = _dot(a, a).real
+    pb = _dot(b, b).real
+    if np.any(pa <= 0.0) or np.any(pb <= 0.0):
         raise ValidationError("state has non-positive purity")
-    overlap = np.trace(a @ b).real / np.sqrt(pa * pb)
-    return float(np.arccos(np.clip(overlap, -1.0, 1.0)))
+    overlap = _dot(a, b).real / np.sqrt(pa * pb)
+    return np.arccos(np.clip(overlap, -1.0, 1.0))
 
 
 def sandwich_superop(left, right):
@@ -166,18 +192,35 @@ def superop_expectation(superop, state):
     return complex(np.vdot(v, o @ v))
 
 
+def _apply(superop, vectors):
+    """O v for each vector along the leading axes.
+
+    A single (n, n) superoperator acts on a (..., n) stack through one
+    matrix product; a (..., n, n) stack acts vector by vector.
+    """
+    if superop.ndim == 2:
+        return vectors @ superop.T
+    return np.matmul(superop, vectors[..., None])[..., 0]
+
+
+def _variance(v, ov, floor):
+    value = _dot(ov, ov).real - np.abs(_dot(v, ov)) ** 2
+    low = np.min(value)
+    if low < floor:
+        raise NumericalConsistencyError(f"variance {low:.3e} below floor {floor:.1e}")
+    return np.maximum(value, 0.0)
+
+
 def superop_variance(superop, state, floor=-1e-10):
     """Variance tr(O^+ O P) - tr(O^+ P) tr(O P) of a superoperator.
 
-    Equals ||O v||^2 - |(v|O|v)|^2 for the unit vector v. Small negative
-    round-off is clamped to zero; values below floor raise.
+    Equals ||O v||^2 - |(v|O|v)|^2 for the unit vector v; a stacked state
+    (and optionally a matching stack of superoperators) gives one value
+    per state. Small negative round-off is clamped to zero; values below
+    floor raise.
     """
     v = _as_vector(state)
     o = np.asarray(superop, dtype=complex)
-    if o.shape != (v.size, v.size):
+    if o.shape[-2:] != (v.shape[-1],) * 2:
         raise DimensionError("superoperator does not match the state dimension")
-    ov = o @ v
-    value = float(np.vdot(ov, ov).real - abs(np.vdot(v, ov)) ** 2)
-    if value < floor:
-        raise NumericalConsistencyError(f"variance {value:.3e} below floor {floor:.1e}")
-    return max(value, 0.0)
+    return _variance(v, _apply(o, v), floor)

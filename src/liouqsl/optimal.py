@@ -147,9 +147,7 @@ def relative_purity(rho0, trace):
     """tr(rho0 rho_t)/tr(rho0^2) at each grid point."""
     r0 = np.asarray(rho0, dtype=complex)
     p0 = np.real(np.trace(r0 @ r0))
-    return np.array(
-        [np.real(np.trace(r0 @ rho)) / p0 for rho in trace.states]
-    )
+    return np.real(np.einsum("ij,tji->t", r0, trace.states)) / p0
 
 
 def physicality_check(rho0, trace):
@@ -160,9 +158,5 @@ def physicality_check(rho0, trace):
     rho0's share of the mixture.
     """
     r0 = np.asarray(rho0, dtype=complex)
-    weights = relative_purity(rho0, trace)
-    flags = []
-    for w, rho in zip(weights, trace.states):
-        rest = rho - w * r0
-        flags.append(bool(np.linalg.eigvalsh(rest).min() >= -1e-10))
-    return np.array(flags)
+    rest = trace.states - relative_purity(rho0, trace)[:, None, None] * r0
+    return np.linalg.eigvalsh(rest).min(axis=1) >= -1e-10

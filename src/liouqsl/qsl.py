@@ -10,6 +10,10 @@ non-classical remainder, a Wootters-style length of the basis amplitude
 moduli, and the exact-time relation length / averaged non-classical
 speed. The basis is anchored at the initial state and never re-derived
 along the trajectory.
+
+The per-state functionals (speed, non-classical speed, classical part,
+exact uncertainty) take a single NormalizedState or a stacked one, such
+as trace.normalized, and then return one value per state.
 """
 
 import warnings
@@ -24,7 +28,7 @@ from .exceptions import (
     NumericalConsistencyError,
     QuadratureError,
 )
-from .liouville import liouville_angle, superop_variance
+from .liouville import _apply, _dot, _variance, liouville_angle, superop_variance
 
 __all__ = [
     "QslReport",
@@ -97,24 +101,37 @@ class BasisSet:
         return self.vectors.shape[1]
 
     def amplitudes(self, vector):
-        """Components (a_i|v) of a Liouville vector in this basis."""
-        return self.vectors.conj().T @ vector
+        """Components (a_i|v) of a Liouville vector, or of each row of a stack."""
+        return vector @ self.vectors.conj()
 
 
 def _check_superop(superop, state):
     m = np.asarray(superop, dtype=complex)
-    if m.shape != (state.vector.size, state.vector.size):
-        raise DimensionError(
-            f"superoperator shape {m.shape} does not act on dim {state.vector.size}"
-        )
+    n = state.vector.shape[-1]
+    if m.shape[-2:] != (n, n):
+        raise DimensionError(f"superoperator shape {m.shape} does not act on dim {n}")
     return m
 
 
-def _provider(liouvillian):
+def _generator(liouvillian, times):
+    """(L, L at times[0]); L is one matrix, or a (T, n, n) stack for a callable."""
     if callable(liouvillian):
-        return liouvillian
+        stack = np.array([liouvillian(t) for t in times], dtype=complex)
+        return stack, stack[0]
     m = np.asarray(liouvillian, dtype=complex)
-    return lambda _t: m
+    return m, m
+
+
+def _time_average(values, times):
+    return float(simpson(values, x=times) / (times[-1] - times[0]))
+
+
+def _odd_grid(n):
+    """Raise QuadratureError unless n points suit composite Simpson quadrature."""
+    if n < 3 or n % 2 == 0:
+        raise QuadratureError(
+            f"Simpson quadrature needs an odd grid of at least 3 points, got {n}"
+        )
 
 
 def _bound_ratio(numerator, denominator):
@@ -129,7 +146,7 @@ def _bound_ratio(numerator, denominator):
 
 def speed(liouvillian, state):
     """Evolution speed sqrt(tr(L†L P) - tr(L† P) tr(L P))."""
-    return float(np.sqrt(superop_variance(_check_superop(liouvillian, state), state)))
+    return np.sqrt(superop_variance(_check_superop(liouvillian, state), state))
 
 
 def speed_matrix_form(rho, rhodot):
@@ -167,24 +184,15 @@ def speed_decomposition(parts, state):
     return float(var_h), float(var_d), float(cross)
 
 
-def _odd_grid(trace):
-    n = len(trace)
-    if n < 3 or n % 2 == 0:
-        raise QuadratureError(
-            f"Simpson quadrature needs an odd grid of at least 3 points, got {n}"
-        )
-
-
 def average_speed(trace, liouvillian):
-    """Simpson time average of the speed; fills trace.speeds as a side effect."""
-    _odd_grid(trace)
-    prov = _provider(liouvillian)
-    speeds = np.array(
-        [speed(prov(t), s) for t, s in zip(trace.times, trace.normalized)]
-    )
-    trace.speeds = speeds
-    span = trace.times[-1] - trace.times[0]
-    return float(simpson(speeds, x=trace.times) / span)
+    """Simpson time average of the speed; fills trace.speeds as a side effect.
+
+    liouvillian is a matrix, or a callable t -> matrix for a generator
+    that changes in time.
+    """
+    _odd_grid(len(trace))
+    trace.speeds = speed(_generator(liouvillian, trace.times)[0], trace.normalized)
+    return _time_average(trace.speeds, trace.times)
 
 
 def mt_bound(trace, liouvillian):
@@ -198,26 +206,23 @@ def operator_norm(superop):
     return float(np.linalg.norm(np.asarray(superop, dtype=complex), 2))
 
 
-def opnorm_bound(liouvillian, theta):
-    """Angle divided by the operator norm of the generator."""
+def _norm_bound(theta, norm):
     theta = float(theta)
     if theta < _ANGLE_FLOOR:
         return 0.0
-    norm = operator_norm(liouvillian)
     if norm <= 0.0:
         raise NumericalConsistencyError("zero generator with a finite angle")
     return theta / norm
+
+
+def opnorm_bound(liouvillian, theta):
+    """Angle divided by the operator norm of the generator."""
+    return _norm_bound(theta, operator_norm(liouvillian))
 
 
 def hsnorm_bound(liouvillian, theta):
     """Angle divided by the Hilbert-Schmidt norm; never exceeds opnorm_bound."""
-    theta = float(theta)
-    if theta < _ANGLE_FLOOR:
-        return 0.0
-    norm = float(np.linalg.norm(np.asarray(liouvillian, dtype=complex)))
-    if norm <= 0.0:
-        raise NumericalConsistencyError("zero generator with a finite angle")
-    return theta / norm
+    return _norm_bound(theta, float(np.linalg.norm(liouvillian)))
 
 
 def complete_basis(state):
@@ -247,6 +252,33 @@ def complete_basis(state):
     return BasisSet(vectors=np.column_stack(cols))
 
 
+class _ClassicalSplit:
+    """Basis amplitudes of v and O v, populations and beta, per state.
+
+    Directions with population below 1e-14 are dropped: there keep is
+    False and beta_i = i Im((a_i|O v)(v|a_i)) / (a_i|P|a_i) is set to 0.
+    """
+
+    def __init__(self, superop, basis, state):
+        self.v = state.vector
+        self.ov = _apply(_check_superop(superop, state), self.v)
+        self.amps = basis.amplitudes(self.v)
+        self.oamps = basis.amplitudes(self.ov)
+        self.pops = np.abs(self.amps) ** 2
+        self.keep = self.pops >= _POP_FLOOR
+        self.beta = self.per_population(1j * np.imag(self.oamps * self.amps.conj()))
+
+    def per_population(self, x):
+        """x_i / pops_i on kept directions, 0 on dropped ones."""
+        return np.divide(x, self.pops, out=np.zeros_like(x), where=self.keep)
+
+    def nonclassical_speed(self):
+        var = _variance(self.v, self.ov, -1e-10)
+        mean = np.sum(self.beta * self.pops, axis=-1)
+        var_cl = np.sum(np.abs(self.beta) ** 2 * self.pops, axis=-1) - np.abs(mean) ** 2
+        return np.sqrt(np.maximum(var - var_cl, 0.0))
+
+
 def classical_part(liouvillian, basis, state):
     """Component of the generator diagonal in the basis.
 
@@ -255,16 +287,10 @@ def classical_part(liouvillian, basis, state):
     population below 1e-14 are dropped. The result is anti-Hermitian by
     construction; a detectable defect is reported, not assumed away.
     """
-    L = _check_superop(liouvillian, state)
-    v = state.vector
-    amps = basis.amplitudes(v)
-    lamps = basis.amplitudes(L @ v)
-    pops = np.abs(amps) ** 2
-    keep = pops >= _POP_FLOOR
-    beta = 1j * np.imag(lamps[keep] * amps[keep].conj()) / pops[keep]
-    cols = basis.vectors[:, keep]
-    out = (cols * beta) @ cols.conj().T
-    defect = np.abs(out + out.conj().T).max()
+    beta = _ClassicalSplit(liouvillian, basis, state).beta
+    cols = basis.vectors
+    out = (cols * beta[..., None, :]) @ cols.conj().T
+    defect = np.abs(out + np.swapaxes(out, -1, -2).conj()).max()
     if defect > 1e-12:
         warnings.warn(
             f"classical part anti-Hermiticity defect {defect:.3e}", RuntimeWarning
@@ -272,23 +298,9 @@ def classical_part(liouvillian, basis, state):
     return out
 
 
-def _classical_variance(superop, basis, state):
-    v = state.vector
-    amps = basis.amplitudes(v)
-    lamps = basis.amplitudes(superop @ v)
-    pops = np.abs(amps) ** 2
-    keep = pops >= _POP_FLOOR
-    beta = 1j * np.imag(lamps[keep] * amps[keep].conj()) / pops[keep]
-    mean = np.sum(beta * pops[keep])
-    return float(np.sum(np.abs(beta) ** 2 * pops[keep]) - abs(mean) ** 2)
-
-
 def nonclassical_speed(liouvillian, basis, state):
     """Speed of the non-diagonal remainder: sqrt(max(var - var_cl, 0))."""
-    L = _check_superop(liouvillian, state)
-    var = superop_variance(L, state)
-    var_cl = _classical_variance(L, basis, state)
-    return float(np.sqrt(max(var - var_cl, 0.0)))
+    return _ClassicalSplit(liouvillian, basis, state).nonclassical_speed()
 
 
 def exact_uncertainty(superop, basis, state):
@@ -298,21 +310,16 @@ def exact_uncertainty(superop, basis, state):
     with G = B P + P B† - P tr[(B + B†)P]; the product of the returned
     pair (delta, nonclassical deviation) equals one half identically.
     """
-    B = _check_superop(superop, state)
-    v = state.vector
-    amps = basis.amplitudes(v)
-    bamps = basis.amplitudes(B @ v)
-    pops = np.abs(amps) ** 2
-    keep = pops >= _POP_FLOOR
-    mean2 = 2.0 * np.real(np.vdot(v, B @ v))
-    diag = 2.0 * np.real(bamps[keep] * amps[keep].conj()) - pops[keep] * mean2
-    fisher = float(np.sum(diag**2 / pops[keep]))
-    scale = float(np.real(np.vdot(B @ v, B @ v)))
-    if fisher <= 1e-24 * max(scale, 1e-300):
+    split = _ClassicalSplit(superop, basis, state)
+    mean2 = 2.0 * np.real(_dot(split.v, split.ov))[..., None]
+    diag = 2.0 * np.real(split.oamps * split.amps.conj()) - split.pops * mean2
+    fisher = np.sum(split.per_population(diag**2), axis=-1)
+    scale = np.real(_dot(split.ov, split.ov))
+    if np.any(fisher <= 1e-24 * np.maximum(scale, 1e-300)):
         raise NumericalConsistencyError(
             "stationary populations; the sensitivity scale diverges"
         )
-    return fisher**-0.5, nonclassical_speed(B, basis, state)
+    return fisher**-0.5, split.nonclassical_speed()
 
 
 def _mod_derivative(mods, times):
@@ -356,10 +363,9 @@ def wootters_length(trace, basis, refine=10):
     are re-evaluated on a 10x refined local grid built by cubic
     interpolation of the complex amplitudes.
     """
-    _odd_grid(trace)
+    _odd_grid(len(trace))
     t = trace.times
-    vecs = np.column_stack([s.vector for s in trace.normalized])
-    amps = (basis.vectors.conj().T @ vecs).T
+    amps = basis.amplitudes(trace.normalized.vector)
     mods = np.abs(amps)
     jump = float(np.abs(np.diff(mods, axis=0)).max()) if len(t) > 1 else 0.0
     if jump > 0.1:
@@ -384,23 +390,16 @@ def wootters_length(trace, basis, refine=10):
 
 def exact_qsl(trace, liouvillian, basis=None):
     """Full bound-and-equality report for a recorded trajectory."""
-    span = float(trace.times[-1] - trace.times[0])
-    theta = liouville_angle(trace.states[0], trace.states[-1])
+    theta = float(liouville_angle(trace.states[0], trace.states[-1]))
     if basis is None:
         basis = complete_basis(trace.normalized[0])
-    prov = _provider(liouvillian)
-    avg = average_speed(trace, liouvillian)
-    nc = np.array(
-        [
-            nonclassical_speed(prov(t), basis, s)
-            for t, s in zip(trace.times, trace.normalized)
-        ]
-    )
-    avg_nc = float(simpson(nc, x=trace.times) / span)
+    L, l0 = _generator(liouvillian, trace.times)
+    avg = average_speed(trace, L)
+    avg_nc = _time_average(nonclassical_speed(L, basis, trace.normalized), trace.times)
     length = wootters_length(trace, basis)
-    l0 = prov(trace.times[0])
+    norm = operator_norm(l0)
     return QslReport(
-        T=span,
+        T=float(trace.times[-1] - trace.times[0]),
         theta=theta,
         wootters_length=length,
         avg_speed=avg,
@@ -408,19 +407,22 @@ def exact_qsl(trace, liouvillian, basis=None):
         bound_mt=_bound_ratio(theta, avg),
         bound_nc=_bound_ratio(theta, avg_nc),
         exact_time=_bound_ratio(length, avg_nc),
-        bound_opnorm=opnorm_bound(l0, theta),
+        bound_opnorm=_norm_bound(theta, norm),
         bound_hsnorm=hsnorm_bound(l0, theta),
-        efficiency=speed_efficiency(trace, liouvillian),
+        efficiency=_efficiency(avg, norm),
     )
+
+
+def _efficiency(avg, norm):
+    if norm <= 0.0:
+        raise NumericalConsistencyError("zero operator norm")
+    return float(avg / norm)
 
 
 def speed_efficiency(trace, liouvillian):
     """Average speed divided by the operator norm of the generator."""
-    avg = average_speed(trace, liouvillian)
-    norm = operator_norm(_provider(liouvillian)(trace.times[0]))
-    if norm <= 0.0:
-        raise NumericalConsistencyError("zero operator norm")
-    return float(avg / norm)
+    L, l0 = _generator(liouvillian, trace.times)
+    return _efficiency(average_speed(trace, L), operator_norm(l0))
 
 
 def uncertainty_product(a_superop, b_superop, state):

@@ -21,10 +21,10 @@ from .exceptions import (
     DefectiveGeneratorError,
     NonUniqueSteadyStateError,
     NumericalConsistencyError,
-    QuadratureError,
     ValidationError,
 )
 from .liouville import devectorize, rehermitize, vectorize
+from .qsl import _bound_ratio, _odd_grid
 
 __all__ = [
     "SpectralData",
@@ -199,10 +199,7 @@ def tqsl_from_modes(sd, rho0, horizon, points=2001):
     Returns 0 for a stationary initial state (all decay overlaps vanish).
     """
     _require_unique_zero(sd)
-    if points < 3 or points % 2 == 0:
-        raise QuadratureError(
-            f"mode-route averaging needs an odd grid of at least 3 points, got {points}"
-        )
+    _odd_grid(points)
     c = mode_overlaps(sd, rho0)
     if np.abs(c[1:]).max() < 1e-12:
         warnings.warn("stationary initial state; bound is trivially 0", RuntimeWarning)
@@ -213,12 +210,7 @@ def tqsl_from_modes(sd, rho0, horizon, points=2001):
     ts = np.linspace(0.0, float(horizon), points)
     speeds = np.array([tables.speed(t) for t in ts])
     avg = float(simpson(speeds, x=ts) / float(horizon))
-    theta = tables.angle(purity0, float(horizon))
-    if avg < 1e-14 * max(theta, 1.0):
-        if theta < 1e-12:
-            return 0.0
-        raise NumericalConsistencyError("zero average speed with a finite angle")
-    return theta / avg
+    return _bound_ratio(tables.angle(purity0, float(horizon)), avg)
 
 
 def _hermitian_from_params(x, d):

@@ -81,6 +81,19 @@ def test_build_trace_reports_failing_time():
     bad = np.diag([0.7, 0.7])
     with pytest.raises(ValidationError, match="t=1"):
         build_trace([0.0, 1.0], [rho, bad])
+    negative = np.diag([1.5, -0.5])
+    with pytest.raises(ValidationError, match=r"t=0\.5: negative eigenvalue"):
+        build_trace([0.0, 0.5, 1.0, 1.5], [rho, negative, rho, bad])
+
+
+def test_propagate_expm_long_uniform_grid_keeps_trace():
+    rng = philox(3)
+    spec = rand_spec(rng, 2)
+    rho0 = rand_rho(rng, 2)
+    L = lq.build_liouvillian(spec).full
+    trace = propagate_expm(L, rho0, np.linspace(0.0, 3.0, 40001))
+    drift = np.abs(np.trace(trace.states, axis1=1, axis2=2) - 1.0).max()
+    assert drift < 1e-12
 
 
 def test_ode_methods_agree_with_exponential():
