@@ -15,20 +15,21 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .exceptions import NumericalConsistencyError, ValidationError
-from .evolve import _expm_steps, propagate_expm
+from .evolve import EvolutionTrace, propagate_expm
 from .lindblad import LindbladSpec, build_liouvillian, commutator_superop
 from .liouville import (
     liouville_angle,
-    normalize_state,
     validate_density_matrix,
     vectorize,
 )
 from .qsl import (
+    _bound_ratio,
+    _efficiency,
     _odd_grid,
+    average_speed,
     complete_basis,
-    mt_bound,
     nonclassical_speed,
-    speed_efficiency,
+    operator_norm,
 )
 
 __all__ = [
@@ -101,7 +102,8 @@ class KrylovData:
 
     basis holds the orthonormal vectors |K_n)) as columns; amplitudes has
     one row per time with phi_n(t) = (-i)^n (K_n|rho_t~); complexity is
-    sum_n n |phi_n|² per time.
+    sum_n n |phi_n|² per time; trace is the propagated trajectory the
+    amplitudes were projected from.
     """
 
     basis: np.ndarray
@@ -109,6 +111,7 @@ class KrylovData:
     times: np.ndarray
     amplitudes: np.ndarray
     complexity: np.ndarray
+    trace: EvolutionTrace
 
     @property
     def dimension(self):
@@ -126,18 +129,16 @@ def krylov_build(hamiltonian, rho0, times):
     Runs the recursion on L_H = 1 kron H - H^T kron 1 from the unit
     vector of rho0 with full reorthogonalization, stopping when the
     off-diagonal coefficient falls below 1e-12; then propagates under
-    exp(-i L_H t) and projects onto the basis.
+    exp(-i L_H t) and projects onto the basis. times must start at 0, as
+    for propagate_expm.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     if np.abs(h - h.conj().T).max() > 1e-12:
         raise ValidationError("hamiltonian is not Hermitian")
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 1 or np.any(np.diff(t) <= 0):
-        raise ValidationError("times must be a strictly increasing 1-D grid")
     d = h.shape[0]
     lh = commutator_superop(h)
-    validate_density_matrix(rho0)
-    v0 = normalize_state(np.asarray(rho0, dtype=complex)).vector
+    trace = propagate_expm(-1j * lh, rho0, times)
+    v0 = trace.normalized.vector[0]
 
     cols = [v0]
     bs = []
@@ -160,7 +161,7 @@ def krylov_build(hamiltonian, rho0, times):
     basis = np.column_stack(cols)
 
     phases = (-1j) ** np.arange(basis.shape[1])
-    amps = (_expm_steps(-1j * lh, v0, t) @ basis.conj()) * phases
+    amps = (trace.normalized.vector @ basis.conj()) * phases
     norms = np.sum(np.abs(amps) ** 2, axis=1)
     if np.abs(norms - 1.0).max() > 1e-10:
         raise NumericalConsistencyError(
@@ -171,9 +172,10 @@ def krylov_build(hamiltonian, rho0, times):
     return KrylovData(
         basis=basis,
         lanczos_b=np.array(bs),
-        times=t,
+        times=trace.times,
         amplitudes=amps,
         complexity=complexity,
+        trace=trace,
     )
 
 
@@ -357,8 +359,10 @@ def _mpemba_column(alpha, gamma, n, horizon, points):
     )
     times = np.linspace(0.0, float(horizon), points)
     trace = propagate_expm(L, superposition_state(alpha), times)
-    eta = speed_efficiency(trace, L)
-    delta = float(horizon) - mt_bound(trace, L)
+    avg = average_speed(trace, L)
+    eta = _efficiency(avg, operator_norm(L))
+    theta = liouville_angle(trace.states[0], trace.states[-1])
+    delta = float(horizon) - _bound_ratio(theta, avg)
     return eta, delta, liouville_angle(rho_ss, trace.states)
 
 

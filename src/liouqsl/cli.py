@@ -218,15 +218,12 @@ def _cmd_mpemba(cfg):
 
 def _cmd_krylov(cfg):
     hamiltonian = _load_matrix(cfg.h_path)
-    if cfg.rho0_path:
-        rho0 = _load_matrix(cfg.rho0_path)
-    else:
-        rho0 = coherent_gibbs_state(hamiltonian, cfg.beta)
     rho_beta = coherent_gibbs_state(hamiltonian, cfg.beta)
+    rho0 = _load_matrix(cfg.rho0_path) if cfg.rho0_path else rho_beta
     times = _grid(cfg)
     kd = krylov_build(hamiltonian, rho0, times)
     L = -1j * commutator_superop(hamiltonian)
-    trace = propagate_expm(L, rho0, times)
+    trace = kd.trace
     basis = complete_basis(trace.normalized[0])
     nc = nonclassical_speed(L, basis, trace.normalized)
     rhs = np.concatenate([[0.0], cumulative_trapezoid(nc, times)])

@@ -11,6 +11,11 @@ moduli, and the exact-time relation length / averaged non-classical
 speed. The basis is anchored at the initial state and never re-derived
 along the trajectory.
 
+The length integrates the rate of change of the amplitude moduli, taken
+from the generator on the same basis amplitudes as the non-classical
+speed. The two integrands agree point by point, so the exact time
+recovers the horizon to rounding, not only to quadrature error.
+
 The per-state functionals (speed, non-classical speed, classical part,
 exact uncertainty) take a single NormalizedState or a stacked one, such
 as trace.normalized, and then return one value per state.
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from .exceptions import (
     DimensionError,
@@ -228,28 +232,31 @@ def hsnorm_bound(liouvillian, theta):
 def complete_basis(state):
     """Deterministic orthonormal completion seeded by the state vector.
 
-    Modified Gram-Schmidt over the state vector followed by the canonical
-    unit vectors, discarding candidates whose residual norm falls below
-    1e-8; each survivor is re-orthogonalized twice for a clean Gram matrix.
+    Gram-Schmidt over the state vector followed by the canonical unit
+    vectors, discarding candidates whose residual norm falls below 1e-8;
+    each candidate is projected twice against all accepted vectors at
+    once, for a clean Gram matrix.
     """
     v0 = state.vector
     n = v0.size
-    cols = [v0 / np.linalg.norm(v0)]
+    rows = np.empty((n, n), dtype=complex)
+    rows[0] = v0 / np.linalg.norm(v0)
+    k = 1
     for j in range(n):
-        cand = np.zeros(n, dtype=complex)
-        cand[j] = 1.0
-        for _ in range(2):
-            for q in cols:
-                cand = cand - q * np.vdot(q, cand)
+        q = rows[:k]
+        cand = -(q[:, j].conj() @ q)
+        cand[j] += 1.0
+        cand -= (q.conj() @ cand) @ q
         norm = np.linalg.norm(cand)
         if norm < 1e-8:
             continue
-        cols.append(cand / norm)
-        if len(cols) == n:
+        rows[k] = cand / norm
+        k += 1
+        if k == n:
             break
-    if len(cols) != n:
+    if k != n:
         raise NumericalConsistencyError("basis completion fell short of full dimension")
-    return BasisSet(vectors=np.column_stack(cols))
+    return BasisSet(vectors=rows.T)
 
 
 class _ClassicalSplit:
@@ -277,6 +284,18 @@ class _ClassicalSplit:
         mean = np.sum(self.beta * self.pops, axis=-1)
         var_cl = np.sum(np.abs(self.beta) ** 2 * self.pops, axis=-1) - np.abs(mean) ** 2
         return np.sqrt(np.maximum(var - var_cl, 0.0))
+
+    def wootters_speed(self):
+        """sqrt(sum_i (d|c_i|/dt)²) for the amplitudes c_i = (a_i|v) under v' = O v.
+
+        With c_i' = (a_i|O v) - Re(v|O v) c_i, d|c_i|/dt = Re(c_i* c_i')/|c_i|;
+        a dropped direction takes its one-sided limit |c_i'|. Equals the
+        non-classical speed point by point.
+        """
+        rate = self.oamps - np.real(_dot(self.v, self.ov))[..., None] * self.amps
+        kept = self.per_population(np.real(rate * self.amps.conj()) ** 2)
+        dropped = np.where(self.keep, 0.0, np.abs(rate) ** 2)
+        return np.sqrt(np.sum(kept + dropped, axis=-1))
 
 
 def classical_part(liouvillian, basis, state):
@@ -322,70 +341,19 @@ def exact_uncertainty(superop, basis, state):
     return fisher**-0.5, split.nonclassical_speed()
 
 
-def _mod_derivative(mods, times):
-    """Second-order derivative of each column, one-sided at the ends."""
-    out = np.empty_like(mods)
-    out[1:-1] = (mods[2:] - mods[:-2]) / (times[2:] - times[:-2])[:, None]
-    out[0] = (-3.0 * mods[0] + 4.0 * mods[1] - mods[2]) / (2.0 * (times[1] - times[0]))
-    out[-1] = (3.0 * mods[-1] - 4.0 * mods[-2] + mods[-3]) / (
-        2.0 * (times[-1] - times[-2])
-    )
-    return out
-
-
-def _kink_windows(mods, pad=2):
-    """Even-aligned index windows around slope breaks of the moduli."""
-    n = mods.shape[0]
-    slopes = np.diff(mods, axis=0)
-    mags = np.maximum(np.abs(slopes[1:]), np.abs(slopes[:-1]))
-    floor = 1e-12 * max(float(np.abs(slopes).max()), 1e-300)
-    bend = np.abs(slopes[1:] - slopes[:-1]) > 0.8 * mags
-    flip = slopes[1:] * slopes[:-1] < 0.0
-    marked = np.where(((bend | flip) & (mags > floor)).any(axis=1))[0] + 1
-    windows = []
-    for k in marked:
-        a = max(k - pad, 0)
-        b = min(k + pad, n - 1)
-        a -= a % 2
-        b = min(b + (b % 2), n - 1)
-        if windows and a <= windows[-1][1]:
-            windows[-1][1] = max(windows[-1][1], b)
-        else:
-            windows.append([a, b])
-    return windows
-
-
-def wootters_length(trace, basis, refine=10):
+def wootters_length(trace, liouvillian, basis):
     """Path length of the basis amplitude moduli along the trace.
 
-    Integrates sqrt(sum_i (d|c_i|/dt)²) with c_i = (a_i|rho_t~). A zero
-    crossing of c_i kinks its modulus, so windows flagged by slope breaks
-    are re-evaluated on a 10x refined local grid built by cubic
-    interpolation of the complex amplitudes.
+    Simpson integral of the Wootters speed sqrt(sum_i (d|c_i|/dt)²) with
+    c_i = (a_i|rho_t~). The speed comes exactly from the generator at each
+    grid point, not from differences of the moduli, so the only error left
+    is that of the quadrature, the same as for the averaged non-classical
+    speed. liouvillian is a matrix, or a callable t -> matrix.
     """
     _odd_grid(len(trace))
-    t = trace.times
-    amps = basis.amplitudes(trace.normalized.vector)
-    mods = np.abs(amps)
-    jump = float(np.abs(np.diff(mods, axis=0)).max()) if len(t) > 1 else 0.0
-    if jump > 0.1:
-        warnings.warn(
-            f"amplitude modulus jumps by {jump:.3f} between grid points; "
-            "the grid is too coarse for the length quadrature",
-            RuntimeWarning,
-        )
-    integrand = np.sqrt(np.sum(_mod_derivative(mods, t) ** 2, axis=1))
-    total = float(simpson(integrand, x=t))
-    for a, b in _kink_windows(mods):
-        lo, hi = max(a - 2, 0), min(b + 2, len(t) - 1)
-        spl_re = CubicSpline(t[lo : hi + 1], amps[lo : hi + 1].real, axis=0)
-        spl_im = CubicSpline(t[lo : hi + 1], amps[lo : hi + 1].imag, axis=0)
-        tf = np.linspace(t[a], t[b], (b - a) * refine + 1)
-        mf = np.abs(spl_re(tf) + 1j * spl_im(tf))
-        fine = float(simpson(np.sqrt(np.sum(_mod_derivative(mf, tf) ** 2, axis=1)), x=tf))
-        coarse = float(simpson(integrand[a : b + 1], x=t[a : b + 1]))
-        total += fine - coarse
-    return max(total, 0.0)
+    L = _generator(liouvillian, trace.times)[0]
+    speeds = _ClassicalSplit(L, basis, trace.normalized).wootters_speed()
+    return float(simpson(speeds, x=trace.times))
 
 
 def exact_qsl(trace, liouvillian, basis=None):
@@ -395,8 +363,9 @@ def exact_qsl(trace, liouvillian, basis=None):
         basis = complete_basis(trace.normalized[0])
     L, l0 = _generator(liouvillian, trace.times)
     avg = average_speed(trace, L)
-    avg_nc = _time_average(nonclassical_speed(L, basis, trace.normalized), trace.times)
-    length = wootters_length(trace, basis)
+    split = _ClassicalSplit(L, basis, trace.normalized)
+    avg_nc = _time_average(split.nonclassical_speed(), trace.times)
+    length = float(simpson(split.wootters_speed(), x=trace.times))
     norm = operator_norm(l0)
     return QslReport(
         T=float(trace.times[-1] - trace.times[0]),

@@ -73,8 +73,10 @@ def spectral_decompose(liouvillian):
 
     Left vectors come from the inverse of the right-eigenvector matrix,
     which enforces (l_i|r_j) = delta_ij up to the conditioning of that
-    inverse; the combined defect above 1e-4 marks the generator as
-    numerically defective.
+    inverse. The generator counts as numerically defective when the
+    biorthogonality defect plus the reconstruction defect relative to
+    max(1, max |L_ij|) exceeds 1e-4, so a rescaled generator is judged
+    alike.
     """
     L = np.asarray(liouvillian, dtype=complex)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -91,16 +93,16 @@ def spectral_decompose(liouvillian):
         ) from exc
     biorth = float(np.abs(inv @ vr - np.eye(w.size)).max())
     recon = float(np.abs((vr * w) @ inv - L).max())
-    condition = biorth + recon
-    if condition > 1e-4:
+    defect = biorth + recon / max(1.0, float(np.abs(L).max()))
+    if defect > 1e-4:
         raise DefectiveGeneratorError(
-            f"generator is numerically defective (defect {condition:.3e})"
+            f"generator is numerically defective (defect {defect:.3e})"
         )
     return SpectralData(
         eigenvalues=w,
         right_vectors=vr,
         left_vectors=inv.conj().T,
-        condition=condition,
+        condition=biorth + recon,
     )
 
 

@@ -196,7 +196,7 @@ def test_criterion_03_exact_time_recovery(random_family):
     for e in entries:
         report = e["report"]
         worst = max(worst, abs(report.T - report.exact_time) / report.T)
-    assert worst < 1e-4
+    assert worst < 1e-10
     assert build < 60.0
     print("ACCEPTANCE 3: PASS")
 
@@ -207,7 +207,7 @@ def test_criterion_04_saturating_dynamics(optimal_family):
         report = e["report"]
         assert 0.999 <= report.bound_mt / report.T <= 1.001
         assert np.all(np.diff(e["weights"]) < 0.0)
-        assert abs(report.wootters_length - report.theta) < 1e-6
+        assert abs(report.wootters_length - report.theta) < 1e-10
         assert np.all(e["physical"])
     assert build < 10.0
     print("ACCEPTANCE 4: PASS")

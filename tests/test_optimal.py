@@ -153,5 +153,5 @@ def test_mt_bound_saturates_on_the_generated_path():
     trace = lq.propagate_expm(L, zero, np.linspace(0.0, horizon, 2001))
     report = lq.exact_qsl(trace, L)
     assert abs(report.bound_mt / report.T - 1.0) < 1e-9
-    assert abs(report.wootters_length - report.theta) < 1e-6
-    assert abs(report.exact_time / report.T - 1.0) < 1e-6
+    assert abs(report.wootters_length - report.theta) < 1e-10
+    assert abs(report.exact_time / report.T - 1.0) < 1e-10

@@ -10,7 +10,7 @@ from liouqsl.exceptions import (
 )
 from liouqsl.qsl import BasisSet
 
-from conftest import philox, rand_rho, rand_spec
+from conftest import philox, rand_pure, rand_rho, rand_spec
 
 
 def _ad_trace(alpha=0.6, gamma=0.1, n=0.0, horizon=5.0, points=201):
@@ -128,6 +128,8 @@ def test_complete_basis_orthonormal():
         gram = basis.vectors.conj().T @ basis.vectors
         assert np.abs(gram - np.eye(d * d)).max() < 1e-12
         assert np.abs(basis.vectors[:, 0] - s.vector).max() < 1e-12
+    ground = lq.normalize_state(np.diag([1.0, 0.0]).astype(complex))
+    assert np.array_equal(lq.complete_basis(ground).vectors, np.eye(4))
 
 
 def test_basis_set_rejects_skew_columns():
@@ -201,17 +203,21 @@ def test_wootters_length_dominates_angle():
     for alpha in (0.4, 0.7, 0.9):
         L, trace = _ad_trace(alpha=alpha, points=401)
         basis = lq.complete_basis(trace.normalized[0])
-        length = lq.wootters_length(trace, basis)
+        length = lq.wootters_length(trace, L, basis)
         theta = lq.liouville_angle(trace.states[0], trace.states[-1])
         assert length >= theta - 1e-9
 
 
-def test_wootters_length_refinement_stable_on_smooth_path():
-    L, trace = _ad_trace(points=401)
-    basis = lq.complete_basis(trace.normalized[0])
-    a = lq.wootters_length(trace, basis, refine=1)
-    b = lq.wootters_length(trace, basis, refine=10)
-    assert abs(a - b) < 1e-8
+def test_wootters_length_matches_fine_grid_reference():
+    rng = philox(9)
+    L = lq.build_liouvillian(rand_spec(rng, 2)).full
+    rho0 = rand_rho(rng, 2)
+    lengths = []
+    for points in (2001, 40001):
+        trace = lq.propagate_expm(L, rho0, np.linspace(0.0, 10.0, points))
+        basis = lq.complete_basis(trace.normalized[0])
+        lengths.append(lq.wootters_length(trace, L, basis))
+    assert abs(lengths[0] - lengths[1]) / lengths[1] < 1e-10
 
 
 def test_wootters_length_handles_modulus_kinks():
@@ -222,20 +228,9 @@ def test_wootters_length_handles_modulus_kinks():
     coarse = lq.propagate_expm(L, rho0, np.linspace(0.0, 3.0, 201))
     fine = lq.propagate_expm(L, rho0, np.linspace(0.0, 3.0, 2001))
     basis = lq.complete_basis(coarse.normalized[0])
-    a = lq.wootters_length(coarse, basis)
-    b = lq.wootters_length(fine, basis)
+    a = lq.wootters_length(coarse, L, basis)
+    b = lq.wootters_length(fine, L, basis)
     assert abs(a - b) < 1e-3
-
-
-def test_wootters_length_warns_on_coarse_grid():
-    h = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    spec = lq.LindbladSpec(hamiltonian=h)
-    L = lq.build_liouvillian(spec).full
-    rho0 = lq.superposition_state(1.0 / np.sqrt(2.0))
-    trace = lq.propagate_expm(L, rho0, np.linspace(0.0, 3.0, 5))
-    basis = lq.complete_basis(trace.normalized[0])
-    with pytest.warns(RuntimeWarning, match="too coarse"):
-        lq.wootters_length(trace, basis)
 
 
 def test_exact_qsl_recovers_the_horizon():
@@ -246,7 +241,21 @@ def test_exact_qsl_recovers_the_horizon():
         L = lq.build_liouvillian(spec).full
         trace = lq.propagate_expm(L, rho0, np.linspace(0.0, horizon, 2001))
         report = lq.exact_qsl(trace, L)
-        assert abs(report.T - report.exact_time) / report.T < 1e-4
+        assert abs(report.T - report.exact_time) / report.T < 1e-10
+
+
+def test_exact_qsl_recovers_the_horizon_on_random_specs():
+    rng = philox(62)
+    worst = 0.0
+    for k in range(12):
+        d = 2 + k % 5
+        spec = rand_spec(rng, d)
+        rho0 = rand_pure(rng, d) if k % 2 else rand_rho(rng, d)
+        L = lq.build_liouvillian(spec).full
+        trace = lq.propagate_expm(L, rho0, np.linspace(0.0, 2.0, 201))
+        report = lq.exact_qsl(trace, L)
+        worst = max(worst, abs(report.exact_time - report.T) / report.T)
+    assert worst < 1e-10
 
 
 def test_exact_qsl_report_consistency():

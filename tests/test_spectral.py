@@ -69,6 +69,13 @@ def test_defective_generator_raises():
         lq.spectral_decompose(jordan)
 
 
+def test_defect_threshold_scales_with_the_generator():
+    L = lq.build_liouvillian(rand_spec(philox(5), 2)).full
+    base = lq.spectral_decompose(L).eigenvalues
+    scaled = lq.spectral_decompose(1e12 * L).eigenvalues
+    assert np.abs(scaled - 1e12 * base).max() < 1e-9 * np.abs(1e12 * base).max()
+
+
 def test_steady_state_thermal_qubit():
     for n in (0.0, 0.5, 2.0):
         spec = lq.amplitude_damping_spec(0.01, n)
