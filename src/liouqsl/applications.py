@@ -347,49 +347,34 @@ class MpembaReport:
         }
 
 
-def _mpemba_column_star(args):
-    return _mpemba_column(*args)
-
-
-def _mpemba_column(alpha, gamma, n, horizon, points):
-    spec = amplitude_damping_spec(gamma, n)
-    L = build_liouvillian(spec).full
-    rho_ss = np.diag([(n + 1.0) / (2.0 * n + 1.0), n / (2.0 * n + 1.0)]).astype(
-        complex
-    )
-    times = np.linspace(0.0, float(horizon), points)
-    trace = propagate_expm(L, superposition_state(alpha), times)
-    avg = average_speed(trace, L)
-    eta = _efficiency(avg, operator_norm(L))
-    theta = liouville_angle(trace.states[0], trace.states[-1])
-    delta = float(horizon) - _bound_ratio(theta, avg)
-    return eta, delta, liouville_angle(rho_ss, trace.states)
-
-
-def mpemba_report(alphas, gamma, n, horizon, points=2001, jobs=1):
+def mpemba_report(alphas, gamma, n, horizon, points=2001):
     """Sweep initial superpositions of the damped qubit.
 
     For each alpha: propagate, record eta (averaged speed over operator
     norm), the angle to the steady state per time, and the offset
     delta = T - theta/averaged-speed. Crossings of the theta curves for
     different alphas signal faster relaxation from farther states. The
-    per-alpha columns are independent; jobs > 1 computes them in worker
-    processes with deterministic ordering.
+    generator, its norm, the steady state and the grid are shared by
+    every alpha; theta_ss has one row per alpha.
     """
     alphas = np.asarray(alphas, dtype=float)
     _odd_grid(points)
     times = np.linspace(0.0, float(horizon), points)
-    args = [(float(a), gamma, n, horizon, points) for a in alphas]
-    if jobs > 1 and alphas.size > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, alphas.size)) as pool:
-            columns = list(pool.map(_mpemba_column_star, args))
-    else:
-        columns = [_mpemba_column(*a) for a in args]
-    eta = np.array([c[0] for c in columns])
-    delta = np.array([c[1] for c in columns])
-    theta_ss = np.array([c[2] for c in columns])
+    L = build_liouvillian(amplitude_damping_spec(gamma, n)).full
+    norm = operator_norm(L)
+    rho_ss = np.diag([(n + 1.0) / (2.0 * n + 1.0), n / (2.0 * n + 1.0)]).astype(
+        complex
+    )
+    eta = np.empty(alphas.size)
+    delta = np.empty(alphas.size)
+    theta_ss = np.empty((alphas.size, points))
+    for i, alpha in enumerate(alphas):
+        trace = propagate_expm(L, superposition_state(alpha), times)
+        avg = average_speed(trace, L)
+        eta[i] = _efficiency(avg, norm)
+        theta = liouville_angle(trace.states[0], trace.states[-1])
+        delta[i] = float(horizon) - _bound_ratio(theta, avg)
+        theta_ss[i] = liouville_angle(rho_ss, trace.states)
     crossings = []
     for i in range(alphas.size):
         for j in range(i + 1, alphas.size):

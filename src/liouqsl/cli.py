@@ -66,7 +66,6 @@ class ScenarioConfig:
     gamma: float = 0.01
     n: float = 0.0
     beta: float = 0.0
-    jobs: int = 1
     out: str = "./out"
     method: str = "expm"
     dump_states: bool = False
@@ -78,8 +77,6 @@ class ScenarioConfig:
             raise ValidationError(
                 f"points must be odd and at least 3, got {self.points}"
             )
-        if self.jobs < 1:
-            raise ValidationError("jobs must be at least 1")
         if self.method not in _METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
 
@@ -198,15 +195,17 @@ def _cmd_optimal(cfg):
 
 
 def _cmd_mpemba(cfg):
-    report = mpemba_report(
-        cfg.alphas, cfg.gamma, cfg.n, cfg.t_max, cfg.points, jobs=cfg.jobs
+    report = mpemba_report(cfg.alphas, cfg.gamma, cfg.n, cfg.t_max, cfg.points)
+    per_alpha = report.times.size
+    rows = np.column_stack(
+        [
+            np.repeat(report.alphas, per_alpha),
+            np.tile(report.times, report.alphas.size),
+            np.repeat(report.eta, per_alpha),
+            report.theta_ss.ravel(),
+            np.repeat(report.delta, per_alpha),
+        ]
     )
-    rows = []
-    for i, alpha in enumerate(report.alphas):
-        for k, t in enumerate(report.times):
-            rows.append(
-                [alpha, t, report.eta[i], report.theta_ss[i, k], report.delta[i]]
-            )
     write_csv(
         os.path.join(cfg.out, "mpemba.csv"),
         ["alpha", "t", "eta", "theta_ss", "delta"],
@@ -276,7 +275,9 @@ def run(cfg):
 
 def _add_common(sub):
     sub.add_argument("--out", default="./out", help="output directory")
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sub.add_argument(
+        "--jobs", type=int, help="accepted and ignored; every command runs serially"
+    )
     sub.add_argument("--points", type=int, default=2001)
     sub.add_argument("--t-max", type=float, default=10.0, dest="t_max")
 

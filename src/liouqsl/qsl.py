@@ -260,7 +260,7 @@ def complete_basis(state):
 
 
 class _ClassicalSplit:
-    """Basis amplitudes of v and O v, populations and beta, per state.
+    """Basis amplitudes of v and O v, populations, variance and beta, per state.
 
     Directions with population below 1e-14 are dropped: there keep is
     False and beta_i = i Im((a_i|O v)(v|a_i)) / (a_i|P|a_i) is set to 0.
@@ -272,6 +272,7 @@ class _ClassicalSplit:
         self.amps = basis.amplitudes(self.v)
         self.oamps = basis.amplitudes(self.ov)
         self.pops = np.abs(self.amps) ** 2
+        self.var = _variance(self.v, self.ov, -1e-10)
         self.keep = self.pops >= _POP_FLOOR
         self.beta = self.per_population(1j * np.imag(self.oamps * self.amps.conj()))
 
@@ -280,10 +281,9 @@ class _ClassicalSplit:
         return np.divide(x, self.pops, out=np.zeros_like(x), where=self.keep)
 
     def nonclassical_speed(self):
-        var = _variance(self.v, self.ov, -1e-10)
         mean = np.sum(self.beta * self.pops, axis=-1)
         var_cl = np.sum(np.abs(self.beta) ** 2 * self.pops, axis=-1) - np.abs(mean) ** 2
-        return np.sqrt(np.maximum(var - var_cl, 0.0))
+        return np.sqrt(np.maximum(self.var - var_cl, 0.0))
 
     def wootters_speed(self):
         """sqrt(sum_i (d|c_i|/dt)²) for the amplitudes c_i = (a_i|v) under v' = O v.
@@ -361,9 +361,11 @@ def exact_qsl(trace, liouvillian, basis=None):
     theta = float(liouville_angle(trace.states[0], trace.states[-1]))
     if basis is None:
         basis = complete_basis(trace.normalized[0])
+    _odd_grid(len(trace))
     L, l0 = _generator(liouvillian, trace.times)
-    avg = average_speed(trace, L)
     split = _ClassicalSplit(L, basis, trace.normalized)
+    trace.speeds = np.sqrt(split.var)
+    avg = _time_average(trace.speeds, trace.times)
     avg_nc = _time_average(split.nonclassical_speed(), trace.times)
     length = float(simpson(split.wootters_speed(), x=trace.times))
     norm = operator_norm(l0)

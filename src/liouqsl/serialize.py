@@ -102,22 +102,21 @@ def dump_json(doc, path):
         fh.write("\n")
 
 
+_FLOAT_FORMAT = "%.17g"
+
+
 def format_float(x):
     """Render a float with 17 significant digits."""
-    return f"{float(x):.17g}"
+    return _FLOAT_FORMAT % float(x)
 
 
 def write_csv(path, header, rows):
-    """Write rows of floats under a header line.
-
-    Non-float cells (e.g. an alpha label already formatted) pass through
-    str(); everything numeric gets the 17-digit treatment.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [
-                format_float(c) if isinstance(c, (int, float, np.floating)) else str(c)
-                for c in row
-            ]
-            fh.write(",".join(cells) + "\n")
+    """Write a 2-D array of floats under a header line, 17 digits per cell."""
+    np.savetxt(
+        path,
+        np.asarray(rows, dtype=float),
+        fmt=_FLOAT_FORMAT,
+        delimiter=",",
+        header=",".join(header),
+        comments="",
+    )

@@ -154,22 +154,28 @@ class _ModeTables:
         )
         self.s = np.array([np.trace(self.rho_ss @ m) for m in decay])
 
+    def weights(self, t):
+        """exp(lambda_i t) c_i; one row per time for an array of times."""
+        return np.exp(np.multiply.outer(t, self.lam)) * self.c
+
+    def gram_form(self, x, y):
+        """Re sum_ij conj(x_i) gram_ij y_j, one value per row of x and y."""
+        return np.real(np.sum(x.conj() * (y @ self.gram.T), axis=-1))
+
     def modulus_squared(self, t):
-        w = np.exp(self.lam * t) * self.c
-        return self.p_ss + 2.0 * np.real(np.sum(w * self.s)) + np.real(
-            np.vdot(w, self.gram @ w)
-        )
+        w = self.weights(t)
+        return self.p_ss + 2.0 * np.real(w @ self.s) + self.gram_form(w, w)
 
     def speed(self, t):
-        w = np.exp(self.lam * t) * self.c
+        w = self.weights(t)
         lw = self.lam * w
-        a = np.real(np.vdot(lw, self.gram @ lw))
-        b = np.real(np.sum(lw * self.s) + np.vdot(w, self.gram @ lw))
+        a = self.gram_form(lw, lw)
+        b = np.real(lw @ self.s) + self.gram_form(w, lw)
         d = self.modulus_squared(t)
-        return float(np.sqrt(max(a / d - (b / d) ** 2, 0.0)))
+        return np.sqrt(np.maximum(a / d - (b / d) ** 2, 0.0))
 
     def angle(self, purity0, t):
-        w = np.exp(self.lam * t) * self.c
+        w = self.weights(t)
         num = (
             self.p_ss
             + np.sum(w * self.s)
@@ -183,7 +189,7 @@ class _ModeTables:
 def speed_from_modes(sd, c, t):
     """Evolution speed at time t from the mode sums alone."""
     _require_unique_zero(sd)
-    return _ModeTables(sd, np.asarray(c, dtype=complex)).speed(float(t))
+    return float(_ModeTables(sd, np.asarray(c, dtype=complex)).speed(float(t)))
 
 
 def angle_from_modes(sd, c, rho0, t):
@@ -210,7 +216,7 @@ def tqsl_from_modes(sd, rho0, horizon, points=2001):
     purity0 = float(np.real(np.trace(r0 @ r0)))
     tables = _ModeTables(sd, c)
     ts = np.linspace(0.0, float(horizon), points)
-    speeds = np.array([tables.speed(t) for t in ts])
+    speeds = tables.speed(ts)
     avg = float(simpson(speeds, x=ts) / float(horizon))
     return _bound_ratio(tables.angle(purity0, float(horizon)), avg)
 

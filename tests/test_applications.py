@@ -248,15 +248,6 @@ def test_mpemba_report_frozen_values():
     assert len(doc["crossings"]) == len(rep.crossing_times)
 
 
-def test_mpemba_report_parallel_agreement():
-    kwargs = dict(gamma=0.02, n=0.0, horizon=100.0, points=201)
-    serial = lq.mpemba_report((0.3, 0.8), jobs=1, **kwargs)
-    parallel = lq.mpemba_report((0.3, 0.8), jobs=2, **kwargs)
-    assert np.array_equal(serial.eta, parallel.eta)
-    assert np.array_equal(serial.theta_ss, parallel.theta_ss)
-    assert serial.crossing_times == parallel.crossing_times
-
-
 def test_mpemba_report_needs_odd_grid():
     with pytest.raises(QuadratureError):
         lq.mpemba_report((0.3, 0.8), 0.01, 0.0, 100.0, points=200)

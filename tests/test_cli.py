@@ -39,8 +39,6 @@ def test_scenario_config_validation():
     with pytest.raises(ValidationError):
         ScenarioConfig(command="evolve", points=100)
     with pytest.raises(ValidationError):
-        ScenarioConfig(command="evolve", jobs=0)
-    with pytest.raises(ValidationError):
         ScenarioConfig(command="evolve", method="euler")
 
 
@@ -216,16 +214,16 @@ def test_mpemba_command(tmp_path):
         "150",
         "--points",
         "301",
-        "--jobs",
-        "1",
-        "--out",
-        str(out),
     ]
-    assert main(args) == 0
+    assert main(args + ["--out", str(out), "--jobs", "2"]) == 0
+    assert main(args + ["--out", str(tmp_path / "no_jobs")]) == 0
+    text = (out / "mpemba.csv").read_bytes()
+    assert text == (tmp_path / "no_jobs" / "mpemba.csv").read_bytes()
     header, rows = _read_csv(out / "mpemba.csv")
     assert header == ["alpha", "t", "eta", "theta_ss", "delta"]
     assert rows.shape == (2 * 301, 5)
     assert set(np.unique(rows[:, 0])) == {0.3, 0.8}
+    assert np.array_equal(rows[:, 1], np.tile(np.linspace(0.0, 150.0, 301), 2))
     doc = json.loads((out / "crossings.json").read_text())
     assert isinstance(doc["crossings"], list)
     assert doc["gamma"] == 0.02

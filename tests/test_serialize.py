@@ -85,3 +85,7 @@ def test_write_csv(tmp_path):
     assert len(lines) == 3
     cells = lines[1].split(",")
     assert float(cells[1]) == np.pi
+    edge = [-0.0, 5e-324, 1e300, np.nan, np.inf, 7]
+    lq.write_csv(path, ["a", "b", "c", "d", "e", "f"], [edge])
+    lines = path.read_text().splitlines()
+    assert lines[1].split(",") == [f"{float(x):.17g}" for x in edge]
