@@ -12,7 +12,10 @@ holds
     speeds                 (T,)       None until a generator is supplied
 
 trace.normalized[k] and trace.states[k] give the k-th point, and the
-speed functionals of the qsl module take trace.normalized whole. Two
+speed functionals of the qsl module take trace.normalized whole.
+propagate_expm also takes a stack of A initial states (A, d, d) under one
+generator and grid: it steps them as one (A, d^2) block and returns a
+list of A such traces, one per initial state. Two
 derivative-free speed routes live here as well: a central-difference
 evaluation on the stored trace and a Kraus-family route that never
 touches the generator.
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .exceptions import NumericalConsistencyError, ValidationError
+from .exceptions import DimensionError, NumericalConsistencyError, ValidationError
 from .lindblad import build_liouvillian, kraus_to_superop
 from .liouville import (
     NormalizedState,
@@ -127,48 +130,69 @@ def build_trace(times, states, trace_tol=1e-12, eig_floor=-1e-10):
 
 
 def _expm_steps(generator, v0, times):
-    """Stack of exp(G (t_k - t_0)) v0 over the grid, shape (T, n).
+    """Stack of exp(G (t_k - t_0)) v0 over the grid, shape (T, ...) + v0.shape.
 
+    v0 is one vector (n,) or a block (..., n) of vectors stepped together.
     On a uniform grid exp(G dt) is computed once and applied repeatedly,
     restarting from an exact exp(G (t_k - t_0)) v0 every _REANCHOR_STEPS
-    steps; otherwise each output time gets its own exponential.
+    steps; otherwise each output time gets its own exponential. Rows are
+    multiplied from the right by the transposed exponential, which gives
+    the same bits as exp(G dt) @ v for a single vector.
     """
-    out = np.empty((times.size, v0.size), dtype=complex)
+    out = np.empty((times.size,) + v0.shape, dtype=complex)
     out[0] = v0
     dts = np.diff(times)
     uniform = times.size > 1 and np.allclose(dts, dts[0], rtol=1e-12, atol=1e-15)
-    step = expm(generator * dts[0]) if uniform else None
+    step_t = expm(generator * dts[0]).T if uniform else None
     for k in range(1, times.size):
         if uniform and k % _REANCHOR_STEPS:
-            out[k] = step @ out[k - 1]
+            out[k] = out[k - 1] @ step_t
         else:
-            out[k] = expm(generator * (times[k] - times[0])) @ v0
+            out[k] = v0 @ expm(generator * (times[k] - times[0])).T
     return out
 
 
 def propagate_expm(liouvillian, rho0, times):
     """Exact propagation states[k] = unvec(exp(L t_k) vec(rho0)).
 
-    On a uniform grid exp(L dt) is computed once and applied repeatedly,
-    with an exact restart every 1024 steps; otherwise each output time
-    gets its own exponential.
+    rho0 is one initial state (d, d), which gives one EvolutionTrace, or
+    a stack (A, d, d), which gives a list of A EvolutionTraces, one per
+    initial state and each laid out as for a single state. A stack is
+    validated and stepped as one (A, d^2) block; an invalid initial state
+    raises a ValidationError that names its index in the stack. On a
+    uniform grid exp(L dt) is computed once and applied repeatedly, with
+    an exact restart every 1024 steps; otherwise each output time gets
+    its own exponential.
     """
     t = _check_grid(times)
     if abs(t[0]) > 1e-12:
         raise ValidationError("propagate_expm expects times[0] = 0")
     L = np.asarray(liouvillian, dtype=complex)
-    validate_density_matrix(rho0)
-    v = vectorize(rho0)
-    if L.shape != (v.size, v.size):
+    rho = np.asarray(rho0, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
+        raise DimensionError(
+            f"expected a (d, d) state or an (A, d, d) stack, got shape {rho.shape}"
+        )
+    try:
+        validate_density_matrix(rho)
+    except ValidationError as exc:
+        if rho.ndim == 2:
+            raise
+        raise ValidationError(f"initial state {exc.index}: {exc}") from exc
+    v = vectorize(rho)
+    n = v.shape[-1]
+    if L.shape != (n, n):
         raise ValidationError(
-            f"generator shape {L.shape} does not act on dim {v.size} vectors"
+            f"generator shape {L.shape} does not act on dim {n} vectors"
         )
     vecs = _expm_steps(L, v, t)
-    bounded = np.linalg.norm(vecs, axis=1) <= _NORM_CAP
+    bounded = np.linalg.norm(vecs, axis=-1) <= _NORM_CAP
     if not bounded.all():
-        first = t[np.argmin(bounded)]
+        first = t[np.argmin(bounded.reshape(t.size, -1).all(axis=1))]
         raise NumericalConsistencyError(f"state norm overflow at t={first:g}")
-    return build_trace(t, devectorize(vecs))
+    if rho.ndim == 2:
+        return build_trace(t, devectorize(vecs))
+    return [build_trace(t, devectorize(vecs[:, a])) for a in range(rho.shape[0])]
 
 
 def propagate_ode(spec, rho0, times, cfg=None):

@@ -42,7 +42,7 @@ def vectorize(operator):
     a = np.asarray(operator, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return np.swapaxes(a, -1, -2).reshape(a.shape[:-2] + (-1,))
+    return np.swapaxes(a, -1, -2).reshape(a.shape[:-2] + (a.shape[-1] ** 2,))
 
 
 def devectorize(vector):

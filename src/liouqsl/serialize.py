@@ -111,12 +111,23 @@ def format_float(x):
 
 
 def write_csv(path, header, rows):
-    """Write a 2-D array of floats under a header line, 17 digits per cell."""
-    np.savetxt(
-        path,
-        np.asarray(rows, dtype=float),
-        fmt=_FLOAT_FORMAT,
-        delimiter=",",
-        header=",".join(header),
-        comments="",
-    )
+    """Write a 2-D array of floats under a header line, 17 digits per cell.
+
+    The bytes equal those of formatting every cell with "%.17g" and
+    joining cells with commas and rows with newlines. Each column is
+    formatted once per distinct value, compared by bit pattern so that
+    -0.0 and 0.0 stay apart, and the file is written in one call.
+    """
+    table = np.asarray(rows, dtype=float)
+    if table.ndim != 2:
+        raise ValidationError(f"expected a 2-D table of rows, got shape {table.shape}")
+    columns = []
+    for col in table.T:
+        keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        text = [_FLOAT_FORMAT % x for x in keys.view(float).tolist()]
+        text = np.array(text, dtype=object)
+        columns.append(text[inverse].tolist())
+    lines = [",".join(header)] if header else []
+    lines += map(",".join, zip(*columns))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines + [""]))

@@ -248,6 +248,19 @@ def test_mpemba_report_frozen_values():
     assert len(doc["crossings"]) == len(rep.crossing_times)
 
 
+def test_mpemba_sweep_rows_match_single_alpha_sweeps():
+    alphas = (0.2, 0.45, 0.7, 0.95)
+    horizon = 300.0
+    sweep = lq.mpemba_report(alphas, 0.01, 0.3, horizon, points=2001)
+    for i, alpha in enumerate(alphas):
+        one = lq.mpemba_report((alpha,), 0.01, 0.3, horizon, points=2001)
+        assert abs(sweep.eta[i] - one.eta[0]) <= 1e-13
+        assert np.abs(sweep.theta_ss[i] - one.theta_ss[0]).max() <= 1e-13
+        # delta = T - theta/avg cancels a bound ratio close to T, so its
+        # round-off is relative to that ratio, not to delta.
+        assert_allclose(horizon - sweep.delta[i], horizon - one.delta[0], rtol=1e-13)
+
+
 def test_mpemba_report_needs_odd_grid():
     with pytest.raises(QuadratureError):
         lq.mpemba_report((0.3, 0.8), 0.01, 0.0, 100.0, points=200)

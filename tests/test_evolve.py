@@ -72,8 +72,9 @@ def test_propagate_expm_grid_validation():
 
 def test_propagate_expm_norm_overflow():
     L = 3.0 * np.eye(4, dtype=complex)
-    with pytest.raises(NumericalConsistencyError):
-        propagate_expm(L, np.eye(2) / 2.0, np.linspace(0.0, 12.0, 13))
+    for rho0 in (np.eye(2) / 2.0, np.array([np.eye(2) / 2.0, np.diag([1.0, 0.0])])):
+        with pytest.raises(NumericalConsistencyError, match="t=10"):
+            propagate_expm(L, rho0, np.linspace(0.0, 12.0, 13))
 
 
 def test_build_trace_reports_failing_time():
@@ -94,6 +95,39 @@ def test_propagate_expm_long_uniform_grid_keeps_trace():
     trace = propagate_expm(L, rho0, np.linspace(0.0, 3.0, 40001))
     drift = np.abs(np.trace(trace.states, axis1=1, axis2=2) - 1.0).max()
     assert drift < 1e-12
+
+
+def _close(got, ref, rtol=1e-13):
+    return np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+def test_propagate_expm_stack_matches_single_calls():
+    rng = philox(44)
+    grids = (
+        np.linspace(0.0, 3.0, 2049),
+        np.concatenate([np.linspace(0.0, 1.0, 21), [1.3, 2.0, 2.05, 3.5]]),
+    )
+    for d in (2, 3, 4):
+        L = lq.build_liouvillian(rand_spec(rng, d)).full
+        for count in (1, 3, 5):
+            stack = np.array([rand_rho(rng, d) for _ in range(count)])
+            for times in grids:
+                traces = propagate_expm(L, stack, times)
+                assert len(traces) == count
+                for rho0, got in zip(stack, traces):
+                    ref = propagate_expm(L, rho0, times)
+                    assert got.states.shape == ref.states.shape
+                    assert _close(got.states, ref.states)
+                    assert _close(got.normalized.vector, ref.normalized.vector)
+                    assert _close(got.overlap_with_initial, ref.overlap_with_initial)
+
+
+def test_propagate_expm_stack_names_the_invalid_state():
+    rng = philox(45)
+    L = lq.build_liouvillian(rand_spec(rng, 2)).full
+    stack = np.array([rand_rho(rng, 2), rand_rho(rng, 2), np.diag([1.5, -0.5])])
+    with pytest.raises(ValidationError, match="initial state 2: negative eigenvalue"):
+        propagate_expm(L, stack, np.linspace(0.0, 1.0, 5))
 
 
 def test_ode_methods_agree_with_exponential():

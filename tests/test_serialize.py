@@ -89,3 +89,48 @@ def test_write_csv(tmp_path):
     lq.write_csv(path, ["a", "b", "c", "d", "e", "f"], [edge])
     lines = path.read_text().splitlines()
     assert lines[1].split(",") == [f"{float(x):.17g}" for x in edge]
+
+
+def _reference_csv(header, rows):
+    lines = [",".join(header)]
+    lines += [",".join("%.17g" % float(x) for x in row) for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+class _CountingFormat(str):
+    calls = 0
+
+    def __mod__(self, value):
+        _CountingFormat.calls += 1
+        return str.__mod__(self, value)
+
+
+def test_write_csv_matches_per_cell_reference(tmp_path, monkeypatch):
+    rng = philox(35)
+    zeros = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0]
+    specials = [np.nan, np.inf, np.nan, -np.inf, np.inf, np.nan]
+    ints = [7, 7, -3, 0, 7, 12]
+    small = [5e-324, -5e-324, 1e300, 5e-324, -1e-300, 1e300]
+    edge = [list(row) for row in zip(zeros, specials, ints, small)]
+    times = np.linspace(0.0, 300.0, 2001)
+    alphas, eta, delta = rng.uniform(size=(3, 8))
+    mpemba = np.column_stack(
+        [
+            np.repeat(alphas, 2001),
+            np.tile(times, 8),
+            np.repeat(eta, 2001),
+            rng.uniform(0.0, 1.5, size=8 * 2001),
+            np.repeat(delta, 2001),
+        ]
+    )
+    path = tmp_path / "rows.csv"
+    for header, rows in ((list("abcd"), edge), (list("abcde"), mpemba)):
+        monkeypatch.setattr(lq.serialize, "_FLOAT_FORMAT", _CountingFormat("%.17g"))
+        _CountingFormat.calls = 0
+        lq.write_csv(path, header, rows)
+        assert path.read_bytes() == _reference_csv(header, rows)
+        table = np.asarray(rows, dtype=float)
+        distinct = sum(np.unique(col.view(np.int64)).size for col in table.T)
+        assert _CountingFormat.calls == distinct
+    with pytest.raises(ValidationError):
+        lq.write_csv(path, ["t"], [0.0, 1.0])
