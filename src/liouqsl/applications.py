@@ -12,7 +12,6 @@ speed, plus the complementary trade-off between the two.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .exceptions import NumericalConsistencyError, ValidationError
 from .evolve import EvolutionTrace, propagate_expm
@@ -26,6 +25,7 @@ from .qsl import (
     _bound_ratio,
     _efficiency,
     _odd_grid,
+    _simpson,
     average_speed,
     complete_basis,
     nonclassical_speed,
@@ -80,7 +80,7 @@ def _nc_integral(trace, liouvillian, basis):
     if basis is None:
         basis = complete_basis(trace.normalized[0])
     nc = nonclassical_speed(liouvillian, basis, trace.normalized)
-    return float(simpson(nc, x=trace.times))
+    return _simpson(nc, trace.times)
 
 
 def sff_bound_check(trace, liouvillian, basis=None):
@@ -359,6 +359,8 @@ def mpemba_report(alphas, gamma, n, horizon, points=2001):
     theta_ss has one row per alpha.
     """
     alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1 or alphas.size == 0:
+        raise ValidationError("alphas must be a non-empty list of amplitudes")
     _odd_grid(points)
     times = np.linspace(0.0, float(horizon), points)
     L = build_liouvillian(amplitude_damping_spec(gamma, n)).full
@@ -369,8 +371,7 @@ def mpemba_report(alphas, gamma, n, horizon, points=2001):
     eta = np.empty(alphas.size)
     delta = np.empty(alphas.size)
     theta_ss = np.empty((alphas.size, points))
-    # The reshape keeps an empty sweep a (0, 2, 2) stack.
-    rho0s = np.array([superposition_state(a) for a in alphas]).reshape(-1, 2, 2)
+    rho0s = np.array([superposition_state(a) for a in alphas])
     for i, trace in enumerate(propagate_expm(L, rho0s, times)):
         avg = average_speed(trace, L)
         eta[i] = _efficiency(avg, norm)

@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .applications import (
     coherent_gibbs_state,
@@ -31,7 +30,13 @@ from .optimal import (
     physicality_check,
     relative_purity,
 )
-from .qsl import average_speed, complete_basis, exact_qsl, nonclassical_speed
+from .qsl import (
+    _cumulative_trapezoid,
+    average_speed,
+    complete_basis,
+    exact_qsl,
+    nonclassical_speed,
+)
 from .serialize import (
     dump_json,
     load_spec,
@@ -225,7 +230,7 @@ def _cmd_krylov(cfg):
     trace = kd.trace
     basis = complete_basis(trace.normalized[0])
     nc = nonclassical_speed(L, basis, trace.normalized)
-    rhs = np.concatenate([[0.0], cumulative_trapezoid(nc, times)])
+    rhs = _cumulative_trapezoid(nc, times)
     if kd.dimension > 1:
         lhs = np.arcsin(np.clip(kd.complexity / (2.0 * kd.ladder_norm), -1.0, 1.0))
     else:

@@ -54,6 +54,28 @@ def devectorize(vector):
     return np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
 
 
+def _hermitian_basis(d):
+    """Unitary (d^2, d^2) matrix whose columns vectorize a basis of Hermitian matrices.
+
+    The columns are |i><i| for each i, then (|i><j| + |j><i|)/sqrt(2) and
+    i(|i><j| - |j><i|)/sqrt(2) for each i < j; they are orthonormal under
+    the trace inner product. A Hermitian operator has real coordinates
+    B^+ |A), and a Hermiticity-preserving superoperator S is a real matrix
+    B^+ S B.
+    """
+    n = d * d
+    rows, cols = np.triu_indices(d, 1)
+    upper, lower = d * cols + rows, d * rows + cols
+    sym = d + np.arange(rows.size)
+    anti = sym + rows.size
+    basis = np.zeros((n, n), dtype=complex)
+    basis[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+    basis[upper, sym] = basis[lower, sym] = np.sqrt(0.5)
+    basis[upper, anti] = 1j * np.sqrt(0.5)
+    basis[lower, anti] = -1j * np.sqrt(0.5)
+    return basis
+
+
 def inner(a, b):
     """Hilbert-Schmidt inner product (A|B) of two Liouville vectors.
 
@@ -143,12 +165,22 @@ def normalize_state(rho):
     return NormalizedState(vector=v / np.sqrt(purity)[..., None], purity=purity)
 
 
+def _unit_angle(a, b):
+    """Angle between unit Liouville vectors, 2 arcsin(|a - b|/2), over the last axis.
+
+    Equals arccos Re(a|b) but keeps full relative accuracy as the angle
+    goes to zero, where the cosine no longer resolves it.
+    """
+    return 2.0 * np.arcsin(np.minimum(0.5 * np.linalg.norm(a - b, axis=-1), 1.0))
+
+
 def liouville_angle(rho_a, rho_b):
     """Angle between two states in Liouville space.
 
-    Theta = arccos[ (rho_a|rho_b) / sqrt((rho_a|rho_a)(rho_b|rho_b)) ],
+    Theta = arccos[ Re(rho_a|rho_b) / sqrt((rho_a|rho_a)(rho_b|rho_b)) ],
     which is tr(rho_a rho_b)/sqrt(tr rho_a^2 tr rho_b^2) for Hermitian
-    states, clamped into [-1, 1] before the arccos. Symmetric in its
+    states, evaluated as the chord form _unit_angle of the two unit
+    vectors so that small angles stay accurate. Symmetric in its
     arguments and zero iff the states coincide up to normalization.
     Stacks of states broadcast against each other and give an array.
     """
@@ -160,8 +192,7 @@ def liouville_angle(rho_a, rho_b):
     pb = _dot(b, b).real
     if np.any(pa <= 0.0) or np.any(pb <= 0.0):
         raise ValidationError("state has non-positive purity")
-    overlap = _dot(a, b).real / np.sqrt(pa * pb)
-    return np.arccos(np.clip(overlap, -1.0, 1.0))
+    return _unit_angle(a / np.sqrt(pa)[..., None], b / np.sqrt(pb)[..., None])
 
 
 def sandwich_superop(left, right):

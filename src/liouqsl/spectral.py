@@ -13,9 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import expm
-from scipy.optimize import minimize
 
 from .exceptions import (
     DefectiveGeneratorError,
@@ -23,8 +20,8 @@ from .exceptions import (
     NumericalConsistencyError,
     ValidationError,
 )
-from .liouville import devectorize, rehermitize, vectorize
-from .qsl import _bound_ratio, _odd_grid
+from .liouville import _unit_angle, devectorize, rehermitize, vectorize
+from .qsl import _bound_ratio, _odd_grid, _time_average
 
 __all__ = [
     "SpectralData",
@@ -144,6 +141,8 @@ class _ModeTables:
 
     def __init__(self, sd, c):
         mats = [devectorize(sd.right_vectors[:, j]) for j in range(sd.size)]
+        self.v_ss = c[0] * sd.right_vectors[:, 0]
+        self.decay_vectors = sd.right_vectors[:, 1:]
         self.rho_ss = c[0] * mats[0]
         self.p_ss = float(np.real(np.trace(self.rho_ss @ self.rho_ss)))
         self.lam = sd.eigenvalues[1:]
@@ -174,16 +173,11 @@ class _ModeTables:
         d = self.modulus_squared(t)
         return np.sqrt(np.maximum(a / d - (b / d) ** 2, 0.0))
 
-    def angle(self, purity0, t):
-        w = self.weights(t)
-        num = (
-            self.p_ss
-            + np.sum(w * self.s)
-            + np.sum(self.c.conj() * self.s.conj())
-            + self.c.conj() @ self.gram @ w
-        )
-        cosine = np.real(num) / np.sqrt(purity0 * self.modulus_squared(t))
-        return float(np.arccos(np.clip(cosine, -1.0, 1.0)))
+    def angle(self, rho0, t):
+        """Angle between rho0 and the time-t state summed from the modes."""
+        vt = self.v_ss + self.decay_vectors @ self.weights(t)
+        v0 = vectorize(rho0)
+        return float(_unit_angle(v0 / np.linalg.norm(v0), vt / np.linalg.norm(vt)))
 
 
 def speed_from_modes(sd, c, t):
@@ -195,10 +189,8 @@ def speed_from_modes(sd, c, t):
 def angle_from_modes(sd, c, rho0, t):
     """Angle between rho0 and the time-t state from the mode sums."""
     _require_unique_zero(sd)
-    r0 = np.asarray(rho0, dtype=complex)
-    purity0 = float(np.real(np.trace(r0 @ r0)))
     tables = _ModeTables(sd, np.asarray(c, dtype=complex))
-    return tables.angle(purity0, float(t))
+    return tables.angle(rho0, float(t))
 
 
 def tqsl_from_modes(sd, rho0, horizon, points=2001):
@@ -212,13 +204,10 @@ def tqsl_from_modes(sd, rho0, horizon, points=2001):
     if np.abs(c[1:]).max() < 1e-12:
         warnings.warn("stationary initial state; bound is trivially 0", RuntimeWarning)
         return 0.0
-    r0 = np.asarray(rho0, dtype=complex)
-    purity0 = float(np.real(np.trace(r0 @ r0)))
     tables = _ModeTables(sd, c)
     ts = np.linspace(0.0, float(horizon), points)
-    speeds = tables.speed(ts)
-    avg = float(simpson(speeds, x=ts) / float(horizon))
-    return _bound_ratio(tables.angle(purity0, float(horizon)), avg)
+    avg = _time_average(tables.speed(ts), ts)
+    return _bound_ratio(tables.angle(rho0, float(horizon)), avg)
 
 
 def _hermitian_from_params(x, d):
@@ -248,6 +237,9 @@ def mode_elimination_search(sd, rho0, kill_set, seed=0, restarts=8):
         raise ValidationError(
             f"kill set must name decay modes in [1, {sd.size - 1}], got {kill}"
         )
+    from scipy.linalg import expm
+    from scipy.optimize import minimize
+
     rows = sd.left_vectors[:, kill].conj().T
 
     def residual(u):

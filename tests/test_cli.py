@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -273,6 +276,12 @@ def test_cli_validation_failures(ad_spec_path, tmp_path, capsys):
     assert rc == 1
     assert "error=validation" in capsys.readouterr().err
 
+    out = tmp_path / "sweep"
+    rc = main(["mpemba", "--alphas", ",", "--points", "21", "--out", str(out)])
+    assert rc == 1
+    assert "command=mpemba error=validation" in capsys.readouterr().err
+    assert not (out / "mpemba.csv").exists()
+
 
 def test_cli_requires_rho0_beyond_qubits(tmp_path, capsys):
     rng = philox(91)
@@ -292,3 +301,43 @@ def test_cli_numerical_failure(tmp_path, capsys):
     rc = main(["spectral", "--spec", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "command=spectral error=numerical" in capsys.readouterr().err
+
+
+_NO_SCIPY_SESSION = """
+import sys
+import numpy as np
+import liouqsl as lq
+from liouqsl.cli import main
+
+out = sys.argv[1]
+spec = out + "/spec.json"
+h = out + "/h.json"
+lq.dump_json(lq.spec_to_json(lq.amplitude_damping_spec(0.05, 0.2)), spec)
+lq.dump_json(lq.matrix_to_json(np.diag([0.0, 0.5, 1.3]) + 0.2 * np.eye(3, k=1)
+                               + 0.2 * np.eye(3, k=-1)), h)
+common = ["--points", "101", "--out", out]
+runs = [
+    ["validate", "--spec", spec],
+    ["spectral", "--spec", spec],
+    ["qsl-report", "--spec", spec, "--alpha", "0.7", "--t-max", "40"],
+    ["mpemba", "--alphas", "0.3,0.8", "--t-max", "100"],
+    ["krylov", "--h", h, "--beta", "0.5", "--t-max", "5"],
+]
+for argv in runs:
+    assert main(argv + common) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lq.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SESSION, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

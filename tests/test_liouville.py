@@ -91,6 +91,16 @@ def test_liouville_angle_reference_values():
     assert abs(lq.liouville_angle(zero, mixed) - np.pi / 4.0) < 1e-12
 
 
+def test_liouville_angle_resolves_small_angles():
+    # Pure states a rotation phi apart: |rho_a - rho_b|_HS = sqrt(2) sin(phi).
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    for phi in (1e-12, 1e-9, 1e-6, 1e-3, 0.3):
+        psi = np.array([np.cos(phi), np.sin(phi)], dtype=complex)
+        expected = 2.0 * np.arcsin(np.sin(phi) / np.sqrt(2.0))
+        got = lq.liouville_angle(zero, np.outer(psi, psi.conj()))
+        assert abs(got - expected) <= 1e-12 * expected
+
+
 def test_liouville_angle_symmetric():
     rng = philox(16)
     a = rand_rho(rng, 3)

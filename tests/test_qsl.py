@@ -105,6 +105,40 @@ def test_bounds_vanish_for_stationary_trajectory():
     assert report.wootters_length < 1e-12
 
 
+def test_bound_chain_holds_at_small_horizons():
+    # The angle comes from unit vectors whose entries carry rounding of a few
+    # eps, so it may exceed the integrated speed by that much: 1e-14 in angle.
+    L = lq.build_liouvillian(lq.amplitude_damping_spec(0.05, 0.2)).full
+    rho0 = lq.superposition_state(0.7)
+    for horizon in 10.0 ** np.arange(-8, 3):
+        trace = lq.propagate_expm(L, rho0, np.linspace(0.0, horizon, 201))
+        report = lq.exact_qsl(trace, L)
+        assert report.bound_mt <= report.bound_nc * (1.0 + 1e-12)
+        assert report.bound_nc <= report.T + 1e-14 / report.avg_nc_speed
+        if horizon <= 1e-4:
+            # to first order in T the trajectory is a geodesic
+            assert report.bound_mt >= report.T * (1.0 - 1e-6)
+
+
+def test_simpson_and_cumulative_trapezoid_match_scipy():
+    from scipy.integrate import cumulative_trapezoid, simpson
+
+    from liouqsl.qsl import _cumulative_trapezoid, _simpson
+
+    rng = philox(63)
+    for n in (3, 5, 41, 2001, 40001):
+        uniform = np.linspace(0.0, 3.0, n)
+        random = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))])
+        for x in (uniform, random):
+            y = np.cos(3.0 * x) * np.exp(-0.2 * x) + rng.normal(scale=0.1, size=n)
+            assert _simpson(y, x) == simpson(y, x=x)
+            assert np.array_equal(
+                _cumulative_trapezoid(y, x), cumulative_trapezoid(y, x, initial=0.0)
+            )
+    with pytest.raises(QuadratureError):
+        _simpson(np.ones(4), np.arange(4.0))
+
+
 def test_operator_norm_and_norm_bounds():
     rng = philox(53)
     L = lq.build_liouvillian(rand_spec(rng, 2)).full

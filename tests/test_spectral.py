@@ -125,6 +125,19 @@ def test_mode_route_speed_and_angle():
         assert abs(lq.angle_from_modes(sd, c, rho0, t) - direct_angle) < 1e-10
 
 
+def test_mode_route_angle_at_short_times():
+    rng = philox(57)
+    L = lq.build_liouvillian(rand_spec(rng, 5)).full
+    sd = lq.spectral_decompose(L)
+    rho0 = rand_rho(rng, 5)
+    c = lq.mode_overlaps(sd, rho0)
+    assert lq.angle_from_modes(sd, c, rho0, 0.0) < 1e-14
+    for t in (1e-9, 1e-6):
+        trace = lq.propagate_expm(L, rho0, np.array([0.0, t]))
+        direct = lq.liouville_angle(rho0, trace.states[-1])
+        assert abs(lq.angle_from_modes(sd, c, rho0, t) - direct) < 1e-5 * direct
+
+
 def test_tqsl_from_modes_matches_direct_route():
     spec = lq.amplitude_damping_spec(0.05, 0.3)
     L = lq.build_liouvillian(spec).full
