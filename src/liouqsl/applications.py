@@ -86,13 +86,11 @@ def _nc_integral(trace, liouvillian, basis):
 def sff_bound_check(trace, liouvillian, basis=None):
     """Bound on the overlap decay of a trace started from a pure state.
 
-    lhs = arccos(overlap(T)/sqrt(purity_T)), rhs = integral of the
-    non-classical speed; lhs never exceeds rhs.
+    lhs = arccos(overlap(T)/sqrt(purity_T)), the Liouville angle between
+    the end states, evaluated so that small angles stay accurate; rhs =
+    integral of the non-classical speed; lhs never exceeds rhs.
     """
-    rho0 = trace.states[0]
-    rhoT = trace.states[-1]
-    overlap = float(np.real(np.trace(rho0 @ rhoT)))
-    lhs = float(np.arccos(np.clip(overlap / np.sqrt(trace.purities[-1]), -1.0, 1.0)))
+    lhs = float(liouville_angle(trace.states[0], trace.states[-1]))
     return lhs, _nc_integral(trace, liouvillian, basis)
 
 

@@ -20,28 +20,36 @@ a list of A such traces, one per initial state.
 propagate_expm writes a time-independent generator through its
 eigenmodes, L = R diag(lambda) R^-1, so the whole trajectory is one
 product V = (exp(t lambda) * c) R^T with c = R^-1 v_0, on any grid and
-for any block of initial states. It falls back to stepping with scipy's
-expm only where the eigenmodes are not to be trusted (see its docstring
-for the three routes). Two derivative-free speed routes live here as
-well: a central-difference evaluation on the stored trace and a
-Kraus-family route that never touches the generator.
+for any block of initial states. The eigensystem and the product are
+those of spectral.spectral_decompose and SpectralData.evolve, the same
+ones the spectral command and the mode-route formulas use, so
+propagation and the mode route agree by construction. It falls back to
+stepping with scipy's expm only where the eigenmodes are not to be
+trusted (see its docstring for the routes). Two derivative-free speed
+routes live here as well: a central-difference evaluation on the stored
+trace and a Kraus-family route that never touches the generator.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, NumericalConsistencyError, ValidationError
+from .exceptions import (
+    DefectiveGeneratorError,
+    DimensionError,
+    NumericalConsistencyError,
+    ValidationError,
+)
 from .lindblad import build_liouvillian, kraus_to_superop
 from .liouville import (
     NormalizedState,
-    _hermitian_basis,
     devectorize,
     normalize_state,
     rehermitize,
     validate_density_matrix,
     vectorize,
 )
+from .spectral import spectral_decompose
 
 __all__ = [
     "EvolutionTrace",
@@ -66,9 +74,6 @@ _REANCHOR_STEPS = 1024
 # 3e-14; 9e-14: 9e-14; 8e-13 falls back), while stepping stays below 2e-14.
 # Random d = 16 generators measure 5e-15 to 3e-14.
 _MODAL_DEFECT_MAX = 1e-13
-# Largest imaginary part of B^+ L B, relative to its largest entry, for which
-# L counts as Hermiticity-preserving; Lindblad generators measure about 1e-16.
-_REAL_FORM_TOL = 1e-14
 
 
 @dataclass
@@ -170,34 +175,19 @@ def build_trace(times, states, trace_tol=1e-12, eig_floor=-1e-10):
 def _modal_steps(generator, v0, times):
     """Stack of exp(G (t_k - t_0)) v0 through the eigenmodes of G, or None.
 
-    Shape (T,) + v0.shape, for one vector (n,) or a block (..., n). A
-    coherent G (1j G Hermitian) goes through eigh. A Hermiticity-preserving
-    G goes through eig of its real form B^+ G B in _hermitian_basis and the
-    inverse of that eigenvector matrix; None is returned for any other G,
-    or when the eigenvector matrix is singular or its biorthogonality
-    defect exceeds _MODAL_DEFECT_MAX.
+    Shape (T,) + v0.shape, for one vector (n,) or a block (..., n): the
+    mode sum of spectral_decompose's eigensystem at c = R^-1 v0. None is
+    returned when G is numerically defective, when it preserves no
+    Hermiticity (the "complex" route), or when the biorthogonality defect
+    of the eigenvector matrix exceeds _MODAL_DEFECT_MAX.
     """
-    hermitian = 1j * generator
-    if np.array_equal(hermitian, hermitian.conj().T):
-        energies, right = np.linalg.eigh(hermitian)
-        rates, left = -1j * energies, right.conj().T
-    else:
-        basis = _hermitian_basis(int(round(np.sqrt(v0.shape[-1]))))
-        real = basis.conj().T @ generator @ basis
-        if np.abs(real.imag).max() > _REAL_FORM_TOL * np.abs(real).max():
-            return None
-        rates, vectors = np.linalg.eig(real.real)
-        try:
-            inverse = np.linalg.inv(vectors)
-        except np.linalg.LinAlgError:
-            return None
-        if np.abs(inverse @ vectors - np.eye(rates.size)).max() > _MODAL_DEFECT_MAX:
-            return None
-        right, left = basis @ vectors, inverse @ basis.conj().T
-    phases = np.exp(np.multiply.outer(times - times[0], rates))
-    weights = phases.reshape((times.size,) + (1,) * (v0.ndim - 1) + rates.shape)
-    weights = weights * (v0 @ left.T)
-    return (weights.reshape(-1, rates.size) @ right.T).reshape(weights.shape)
+    try:
+        sd = spectral_decompose(generator)
+    except DefectiveGeneratorError:
+        return None
+    if sd.route == "complex" or sd.biorthogonality > _MODAL_DEFECT_MAX:
+        return None
+    return sd.evolve(sd.overlaps(v0), times - times[0])
 
 
 def _expm_steps(generator, v0, times):
@@ -235,20 +225,16 @@ def propagate_expm(liouvillian, rho0, times):
     validated and propagated as one (A, d^2) block; an invalid initial
     state raises a ValidationError that names its index in the stack.
 
-    Three routes, chosen from the generator; the first two give every
-    grid point at once as (exp(t lambda) * R^-1 v0) R^T with
-    L = R diag(lambda) R^-1:
-    - Hermitian: when 1j L is Hermitian (coherent dynamics, such as
-      -1j L_H), numpy's eigh gives a unitary R, so R^-1 = R^+;
-    - eigenmodes: when L preserves Hermiticity, as every Lindblad
-      generator does, numpy's eig of its real form in a basis of
-      Hermitian matrices gives R, and R^-1 comes from inv;
-    - stepping: for any other L, or when R is singular or its
-      biorthogonality defect max|R^-1 R - 1| exceeds 1e-13, as near an
-      exceptional point, scipy's expm is applied step by step on a
-      uniform grid (with an exact restart every 1024 steps) and per
-      point otherwise.
-    Only the stepping fallback imports scipy.
+    The eigensystem L = R diag(lambda) R^-1 comes from spectral_decompose:
+    eigh when 1j L is Hermitian (coherent dynamics, such as -1j L_H), and
+    eig of the real form in a basis of Hermitian matrices when L
+    preserves Hermiticity, as every Lindblad generator does. Either gives
+    every grid point at once as (exp(t lambda) * R^-1 v0) R^T
+    (SpectralData.evolve). For any other L, or when R is singular or its
+    biorthogonality defect max|R^-1 R - 1| exceeds 1e-13, as near an
+    exceptional point, scipy's expm is applied step by step on a uniform
+    grid (with an exact restart every 1024 steps) and per point
+    otherwise. Only that stepping fallback imports scipy.
     """
     t = _check_grid(times)
     if abs(t[0]) > 1e-12:

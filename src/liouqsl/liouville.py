@@ -223,17 +223,6 @@ def superop_expectation(superop, state):
     return complex(np.vdot(v, o @ v))
 
 
-def _apply(superop, vectors):
-    """O v for each vector along the leading axes.
-
-    A single (n, n) superoperator acts on a (..., n) stack through one
-    matrix product; a (..., n, n) stack acts vector by vector.
-    """
-    if superop.ndim == 2:
-        return vectors @ superop.T
-    return np.matmul(superop, vectors[..., None])[..., 0]
-
-
 def _variance(v, ov, floor):
     value = _dot(ov, ov).real - np.abs(_dot(v, ov)) ** 2
     low = np.min(value)
@@ -246,12 +235,11 @@ def superop_variance(superop, state, floor=-1e-10):
     """Variance tr(O^+ O P) - tr(O^+ P) tr(O P) of a superoperator.
 
     Equals ||O v||^2 - |(v|O|v)|^2 for the unit vector v; a stacked state
-    (and optionally a matching stack of superoperators) gives one value
-    per state. Small negative round-off is clamped to zero; values below
-    floor raise.
+    gives one value per state. Small negative round-off is clamped to
+    zero; values below floor raise.
     """
     v = _as_vector(state)
     o = np.asarray(superop, dtype=complex)
-    if o.shape[-2:] != (v.shape[-1],) * 2:
+    if o.shape != (v.shape[-1],) * 2:
         raise DimensionError("superoperator does not match the state dimension")
-    return _variance(v, _apply(o, v), floor)
+    return _variance(v, v @ o.T, floor)

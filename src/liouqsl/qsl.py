@@ -31,7 +31,7 @@ from .exceptions import (
     NumericalConsistencyError,
     QuadratureError,
 )
-from .liouville import _apply, _dot, _variance, liouville_angle, superop_variance
+from .liouville import _dot, _variance, liouville_angle, superop_variance
 
 __all__ = [
     "QslReport",
@@ -111,18 +111,9 @@ class BasisSet:
 def _check_superop(superop, state):
     m = np.asarray(superop, dtype=complex)
     n = state.vector.shape[-1]
-    if m.shape[-2:] != (n, n):
+    if m.shape != (n, n):
         raise DimensionError(f"superoperator shape {m.shape} does not act on dim {n}")
     return m
-
-
-def _generator(liouvillian, times):
-    """(L, L at times[0]); L is one matrix, or a (T, n, n) stack for a callable."""
-    if callable(liouvillian):
-        stack = np.array([liouvillian(t) for t in times], dtype=complex)
-        return stack, stack[0]
-    m = np.asarray(liouvillian, dtype=complex)
-    return m, m
 
 
 def _simpson(y, x):
@@ -221,13 +212,9 @@ def speed_decomposition(parts, state):
 
 
 def average_speed(trace, liouvillian):
-    """Simpson time average of the speed; fills trace.speeds as a side effect.
-
-    liouvillian is a matrix, or a callable t -> matrix for a generator
-    that changes in time.
-    """
+    """Simpson time average of the speed; fills trace.speeds as a side effect."""
     _odd_grid(len(trace))
-    trace.speeds = speed(_generator(liouvillian, trace.times)[0], trace.normalized)
+    trace.speeds = speed(liouvillian, trace.normalized)
     return _time_average(trace.speeds, trace.times)
 
 
@@ -300,7 +287,7 @@ class _ClassicalSplit:
 
     def __init__(self, superop, basis, state):
         self.v = state.vector
-        self.ov = _apply(_check_superop(superop, state), self.v)
+        self.ov = self.v @ _check_superop(superop, state).T
         self.amps = basis.amplitudes(self.v)
         self.oamps = basis.amplitudes(self.ov)
         self.pops = np.abs(self.amps) ** 2
@@ -380,11 +367,10 @@ def wootters_length(trace, liouvillian, basis):
     c_i = (a_i|rho_t~). The speed comes exactly from the generator at each
     grid point, not from differences of the moduli, so the only error left
     is that of the quadrature, the same as for the averaged non-classical
-    speed. liouvillian is a matrix, or a callable t -> matrix.
+    speed.
     """
     _odd_grid(len(trace))
-    L = _generator(liouvillian, trace.times)[0]
-    speeds = _ClassicalSplit(L, basis, trace.normalized).wootters_speed()
+    speeds = _ClassicalSplit(liouvillian, basis, trace.normalized).wootters_speed()
     return _simpson(speeds, trace.times)
 
 
@@ -394,13 +380,12 @@ def exact_qsl(trace, liouvillian, basis=None):
     if basis is None:
         basis = complete_basis(trace.normalized[0])
     _odd_grid(len(trace))
-    L, l0 = _generator(liouvillian, trace.times)
-    split = _ClassicalSplit(L, basis, trace.normalized)
+    split = _ClassicalSplit(liouvillian, basis, trace.normalized)
     trace.speeds = np.sqrt(split.var)
     avg = _time_average(trace.speeds, trace.times)
     avg_nc = _time_average(split.nonclassical_speed(), trace.times)
     length = _simpson(split.wootters_speed(), trace.times)
-    norm = operator_norm(l0)
+    norm = operator_norm(liouvillian)
     return QslReport(
         T=float(trace.times[-1] - trace.times[0]),
         theta=theta,
@@ -411,7 +396,7 @@ def exact_qsl(trace, liouvillian, basis=None):
         bound_nc=_bound_ratio(theta, avg_nc),
         exact_time=_bound_ratio(length, avg_nc),
         bound_opnorm=_norm_bound(theta, norm),
-        bound_hsnorm=hsnorm_bound(l0, theta),
+        bound_hsnorm=hsnorm_bound(liouvillian, theta),
         efficiency=_efficiency(avg, norm),
     )
 
@@ -424,8 +409,7 @@ def _efficiency(avg, norm):
 
 def speed_efficiency(trace, liouvillian):
     """Average speed divided by the operator norm of the generator."""
-    L, l0 = _generator(liouvillian, trace.times)
-    return _efficiency(average_speed(trace, L), operator_norm(l0))
+    return _efficiency(average_speed(trace, liouvillian), operator_norm(liouvillian))
 
 
 def uncertainty_product(a_superop, b_superop, state):

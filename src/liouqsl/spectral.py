@@ -1,14 +1,18 @@
 """Eigenmode analysis of time-independent generators.
 
 A diagonalizable generator decomposes as L = sum_i lambda_i |r_i))((l_i|
-with biorthonormal left/right eigenvectors. The initial state splits
-into a stationary component and decay modes weighted by c_i = (l_i|rho0);
-speed, angle to the initial state, and the resulting time bound then
-follow from closed mode sums without propagating anything. A local
-search over unitary rotations of the initial state can suppress chosen
-decay modes.
+with biorthonormal left/right eigenvectors. spectral_decompose is the one
+eigendecomposition of the package, and propagate_expm writes states
+through the same modes: the state at time t is the mode sum
+sum_i exp(lambda_i t) c_i |r_i)) with c_i = (l_i|rho0), formed by
+SpectralData.evolve. The initial state splits into a stationary
+component and decay modes; speed, angle to the initial state, and the
+resulting time bound then follow from that mode sum without stepping
+anything. A local search over unitary rotations of the initial state can
+suppress chosen decay modes.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -20,7 +24,14 @@ from .exceptions import (
     NumericalConsistencyError,
     ValidationError,
 )
-from .liouville import _unit_angle, devectorize, rehermitize, vectorize
+from .liouville import (
+    _dot,
+    _hermitian_basis,
+    _unit_angle,
+    devectorize,
+    rehermitize,
+    vectorize,
+)
 from .qsl import _bound_ratio, _odd_grid, _time_average
 
 __all__ = [
@@ -35,60 +46,106 @@ __all__ = [
 ]
 
 _GAP_TOL = 1e-10
+# Largest imaginary part of B^+ L B, relative to its largest entry, for which
+# L counts as Hermiticity-preserving; Lindblad generators measure about 1e-16.
+_REAL_FORM_TOL = 1e-14
 
 
 @dataclass
 class SpectralData:
     """Sorted eigensystem of a generator.
 
-    eigenvalues ascend in |Re lambda| with ties broken by Im lambda;
+    eigenvalues ascend in |Re lambda| with ties broken by Im lambda (a
+    real array when all of them are real, as numpy's eig returns them);
     right_vectors and left_vectors hold |r_i)) and |l_i)) as columns with
     (l_i|r_j) = delta_ij; condition is the measured biorthogonality plus
-    reconstruction defect.
+    reconstruction defect, and biorthogonality the first of the two. route
+    names how the eigensystem was computed (see spectral_decompose).
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     condition: float
+    biorthogonality: float
+    route: str
 
     @property
     def size(self):
         return self.eigenvalues.size
 
     def overlaps(self, vector):
-        """Coefficients (l_i|v) of a Liouville vector."""
-        return self.left_vectors.conj().T @ vector
+        """Coefficients (l_i|v) of a Liouville vector, or of each row of a block."""
+        return vector @ self.left_vectors.conj()
 
     def apply(self, vector):
         """L v evaluated through the mode decomposition."""
         return self.right_vectors @ (self.eigenvalues * self.overlaps(vector))
 
+    def evolve(self, c, t):
+        """Mode sums sum_i exp(lambda_i t) c_i |r_i)) at the times t.
+
+        c holds the coefficients of one vector (n,) or of a block (..., n);
+        the result has shape t.shape + c.shape. With c = overlaps(v0) it is
+        exp(L t) v0, one product (exp(t lambda) * c) R^T for every time.
+        """
+        t = np.asarray(t, dtype=float)
+        phases = np.exp(np.multiply.outer(t, self.eigenvalues))
+        phases = phases.reshape(t.shape + (1,) * (np.ndim(c) - 1) + (self.size,))
+        weights = phases * c
+        vectors = weights.reshape(-1, self.size) @ self.right_vectors.T
+        return vectors.reshape(weights.shape)
+
 
 def spectral_decompose(liouvillian):
     """Biorthonormal eigensystem with defect measurement.
 
-    Left vectors come from the inverse of the right-eigenvector matrix,
-    which enforces (l_i|r_j) = delta_ij up to the conditioning of that
-    inverse. The generator counts as numerically defective when the
-    biorthogonality defect plus the reconstruction defect relative to
-    max(1, max |L_ij|) exceeds 1e-4, so a rescaled generator is judged
-    alike.
+    Three routes, chosen from the generator and recorded in route:
+    - "hermitian": when 1j L is exactly Hermitian (coherent dynamics such
+      as -1j L_H), numpy's eigh gives a unitary R, so R^-1 = R^+;
+    - "real": when L preserves Hermiticity, as every Lindblad generator
+      does, numpy's eig of its real form B^+ L B in the basis B of
+      Hermitian matrices (liouville._hermitian_basis), with R^-1 from
+      inv. Real eigenvalues then belong to Hermitian eigenmatrices and
+      the others come in exactly conjugate pairs;
+    - "complex": numpy's eig of L itself, for any other square L.
+    biorthogonality is max|R^-1 R - 1| in the coordinates diagonalized.
+    The generator counts as numerically defective when that defect plus
+    the reconstruction defect relative to max(1, max |L_ij|) exceeds
+    1e-4, so a rescaled generator is judged alike.
     """
     L = np.asarray(liouvillian, dtype=complex)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValidationError(f"generator must be square, got shape {L.shape}")
-    w, vr = np.linalg.eig(L)
+    hermitian = 1j * L
+    basis = None
+    if np.array_equal(hermitian, hermitian.conj().T):
+        route = "hermitian"
+        energies, vectors = np.linalg.eigh(hermitian)
+        w, inverse = -1j * energies, vectors.conj().T
+    else:
+        matrix = L
+        d = math.isqrt(L.shape[0])
+        if d * d == L.shape[0]:
+            basis = _hermitian_basis(d)
+            real = basis.conj().T @ L @ basis
+            if np.abs(real.imag).max() <= _REAL_FORM_TOL * np.abs(real).max():
+                matrix = real.real
+            else:
+                basis = None
+        route = "complex" if basis is None else "real"
+        w, vectors = np.linalg.eig(matrix)
+        try:
+            inverse = np.linalg.inv(vectors)
+        except np.linalg.LinAlgError as exc:
+            raise DefectiveGeneratorError(
+                f"right-eigenvector matrix is singular: {exc}"
+            ) from exc
+    biorth = float(np.abs(inverse @ vectors - np.eye(w.size)).max())
+    if basis is not None:
+        vectors, inverse = basis @ vectors, inverse @ basis.conj().T
     order = np.lexsort((w.imag, np.abs(w.real)))
-    w = w[order]
-    vr = vr[:, order]
-    try:
-        inv = np.linalg.inv(vr)
-    except np.linalg.LinAlgError as exc:
-        raise DefectiveGeneratorError(
-            f"right-eigenvector matrix is singular: {exc}"
-        ) from exc
-    biorth = float(np.abs(inv @ vr - np.eye(w.size)).max())
+    w, vr, inv = w[order], vectors[:, order], inverse[order]
     recon = float(np.abs((vr * w) @ inv - L).max())
     defect = biorth + recon / max(1.0, float(np.abs(L).max()))
     if defect > 1e-4:
@@ -100,6 +157,8 @@ def spectral_decompose(liouvillian):
         right_vectors=vr,
         left_vectors=inv.conj().T,
         condition=biorth + recon,
+        biorthogonality=biorth,
+        route=route,
     )
 
 
@@ -136,61 +195,36 @@ def mode_overlaps(sd, rho0):
     return sd.overlaps(vectorize(np.asarray(rho0, dtype=complex)))
 
 
-class _ModeTables:
-    """Precomputed decay-mode sums shared by speed and angle formulas."""
+def _mode_speed(sd, c, t):
+    """Speed sqrt(|v'|^2/|v|^2 - (Re(v|v')/|v|^2)^2) of v = evolve(c, t).
 
-    def __init__(self, sd, c):
-        mats = [devectorize(sd.right_vectors[:, j]) for j in range(sd.size)]
-        self.v_ss = c[0] * sd.right_vectors[:, 0]
-        self.decay_vectors = sd.right_vectors[:, 1:]
-        self.rho_ss = c[0] * mats[0]
-        self.p_ss = float(np.real(np.trace(self.rho_ss @ self.rho_ss)))
-        self.lam = sd.eigenvalues[1:]
-        self.c = c[1:]
-        decay = mats[1:]
-        self.gram = np.array(
-            [[np.trace(a.conj().T @ b) for b in decay] for a in decay]
-        )
-        self.s = np.array([np.trace(self.rho_ss @ m) for m in decay])
+    The derivative v' = evolve(lambda * c, t) comes out of the same product.
+    """
+    both = sd.evolve(np.array([c, sd.eigenvalues * c]), t)
+    v, dv = both[..., 0, :], both[..., 1, :]
+    d = _dot(v, v).real
+    a = _dot(dv, dv).real
+    b = _dot(v, dv).real
+    return np.sqrt(np.maximum(a / d - (b / d) ** 2, 0.0))
 
-    def weights(self, t):
-        """exp(lambda_i t) c_i; one row per time for an array of times."""
-        return np.exp(np.multiply.outer(t, self.lam)) * self.c
 
-    def gram_form(self, x, y):
-        """Re sum_ij conj(x_i) gram_ij y_j, one value per row of x and y."""
-        return np.real(np.sum(x.conj() * (y @ self.gram.T), axis=-1))
-
-    def modulus_squared(self, t):
-        w = self.weights(t)
-        return self.p_ss + 2.0 * np.real(w @ self.s) + self.gram_form(w, w)
-
-    def speed(self, t):
-        w = self.weights(t)
-        lw = self.lam * w
-        a = self.gram_form(lw, lw)
-        b = np.real(lw @ self.s) + self.gram_form(w, lw)
-        d = self.modulus_squared(t)
-        return np.sqrt(np.maximum(a / d - (b / d) ** 2, 0.0))
-
-    def angle(self, rho0, t):
-        """Angle between rho0 and the time-t state summed from the modes."""
-        vt = self.v_ss + self.decay_vectors @ self.weights(t)
-        v0 = vectorize(rho0)
-        return float(_unit_angle(v0 / np.linalg.norm(v0), vt / np.linalg.norm(vt)))
+def _mode_angle(sd, c, rho0, t):
+    """Angle between rho0 and the mode sum at time t."""
+    vt = sd.evolve(c, t)
+    v0 = vectorize(rho0)
+    return float(_unit_angle(v0 / np.linalg.norm(v0), vt / np.linalg.norm(vt)))
 
 
 def speed_from_modes(sd, c, t):
     """Evolution speed at time t from the mode sums alone."""
     _require_unique_zero(sd)
-    return float(_ModeTables(sd, np.asarray(c, dtype=complex)).speed(float(t)))
+    return float(_mode_speed(sd, np.asarray(c, dtype=complex), float(t)))
 
 
 def angle_from_modes(sd, c, rho0, t):
     """Angle between rho0 and the time-t state from the mode sums."""
     _require_unique_zero(sd)
-    tables = _ModeTables(sd, np.asarray(c, dtype=complex))
-    return tables.angle(rho0, float(t))
+    return _mode_angle(sd, np.asarray(c, dtype=complex), rho0, float(t))
 
 
 def tqsl_from_modes(sd, rho0, horizon, points=2001):
@@ -204,10 +238,9 @@ def tqsl_from_modes(sd, rho0, horizon, points=2001):
     if np.abs(c[1:]).max() < 1e-12:
         warnings.warn("stationary initial state; bound is trivially 0", RuntimeWarning)
         return 0.0
-    tables = _ModeTables(sd, c)
     ts = np.linspace(0.0, float(horizon), points)
-    avg = _time_average(tables.speed(ts), ts)
-    return _bound_ratio(tables.angle(rho0, float(horizon)), avg)
+    avg = _time_average(_mode_speed(sd, c, ts), ts)
+    return _bound_ratio(_mode_angle(sd, c, rho0, float(horizon)), avg)
 
 
 def _hermitian_from_params(x, d):

@@ -162,6 +162,18 @@ def test_sff_bound_check():
         assert lhs <= rhs + 1e-8
 
 
+def test_sff_bound_check_at_small_horizons():
+    # An arccos of the overlap reads 0 at T = 1e-9 and exceeds the bound at
+    # T = 1e-5; the left-hand side is the Liouville angle, accurate there.
+    h = np.diag([0.0, 0.5, 1.3]) + 0.2 * (np.eye(3, k=1) + np.eye(3, k=-1))
+    L = -1j * lq.commutator_superop(h)
+    rho0 = lq.coherent_gibbs_state(h, 0.5)
+    for horizon in (1e-9, 1e-5):
+        trace = lq.propagate_expm(L, rho0, np.linspace(0.0, horizon, 101))
+        lhs, rhs = lq.sff_bound_check(trace, L)
+        assert 0.0 < lhs <= rhs
+
+
 def test_krylov_build_structure():
     rng = philox(83)
     h = rand_hermitian(rng, 3)

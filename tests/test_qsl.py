@@ -72,13 +72,6 @@ def test_average_speed_fills_trace():
     assert avg > 0.0
 
 
-def test_average_speed_callable_provider():
-    L, trace = _ad_trace(points=101)
-    a = lq.average_speed(trace, L)
-    b = lq.average_speed(trace, lambda _t: L)
-    assert abs(a - b) < 1e-14
-
-
 def test_average_speed_needs_odd_grid():
     L, trace = _ad_trace(points=101)
     even = lq.build_trace(trace.times[:100], trace.states[:100])

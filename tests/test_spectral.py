@@ -10,7 +10,7 @@ from liouqsl.exceptions import (
     ValidationError,
 )
 
-from conftest import philox, rand_rho, rand_spec
+from conftest import philox, rand_pure, rand_rho, rand_spec
 
 
 def test_decomposition_reconstructs_the_generator():
@@ -23,6 +23,23 @@ def test_decomposition_reconstructs_the_generator():
         assert sd.condition < 1e-8
         gram = sd.left_vectors.conj().T @ sd.right_vectors
         assert np.abs(gram - np.eye(sd.size)).max() < 1e-8
+
+
+def test_lindblad_eigensystem_is_that_of_a_real_form():
+    # A Hermiticity-preserving generator is diagonalized as a real matrix:
+    # complex eigenvalues come in exactly conjugate pairs, adjacent after
+    # the sort, and the stationary mode is an exactly Hermitian matrix.
+    rng = philox(76)
+    for d in (2, 3, 4, 5):
+        sd = lq.spectral_decompose(lq.build_liouvillian(rand_spec(rng, d)).full)
+        w = sd.eigenvalues
+        nonreal = np.flatnonzero(w.imag != 0.0)
+        assert nonreal.size % 2 == 0
+        first, second = nonreal[0::2], nonreal[1::2]
+        assert np.array_equal(second, first + 1)
+        assert np.array_equal(w[second], w[first].conj())
+        r0 = lq.devectorize(sd.right_vectors[:, 0])
+        assert np.array_equal(r0, r0.conj().T)
 
 
 def test_eigenpairs_satisfy_both_sides():
@@ -111,18 +128,27 @@ def test_mode_overlaps_resolve_the_state():
     assert np.abs(sd.right_vectors @ c - lq.vectorize(rho0)).max() < 1e-10
 
 
-def test_mode_route_speed_and_angle():
+def _mode_route_cases():
+    """The damped qubit, then random specs d = 2...6 from mixed and pure starts."""
     spec = lq.amplitude_damping_spec(0.05, 0.3)
-    L = lq.build_liouvillian(spec).full
-    sd = lq.spectral_decompose(L)
-    rho0 = lq.superposition_state(0.7)
-    c = lq.mode_overlaps(sd, rho0)
-    for t in (0.0, 2.0, 10.0, 40.0):
-        trace = lq.propagate_expm(L, rho0, np.array([0.0, max(t, 1e-12)]))
-        direct_speed = lq.speed(L, trace.normalized[-1])
-        assert abs(lq.speed_from_modes(sd, c, t) - direct_speed) < 1e-10
-        direct_angle = lq.liouville_angle(rho0, trace.states[-1])
-        assert abs(lq.angle_from_modes(sd, c, rho0, t) - direct_angle) < 1e-10
+    yield lq.build_liouvillian(spec).full, lq.superposition_state(0.7)
+    rng = philox(77)
+    for d in range(2, 7):
+        L = lq.build_liouvillian(rand_spec(rng, d)).full
+        yield L, rand_rho(rng, d)
+        yield L, rand_pure(rng, d)
+
+
+def test_mode_route_speed_and_angle():
+    for L, rho0 in _mode_route_cases():
+        sd = lq.spectral_decompose(L)
+        c = lq.mode_overlaps(sd, rho0)
+        for t in (0.0, 2.0, 10.0, 40.0):
+            trace = lq.propagate_expm(L, rho0, np.array([0.0, max(t, 1e-12)]))
+            direct_speed = lq.speed(L, trace.normalized[-1])
+            assert abs(lq.speed_from_modes(sd, c, t) - direct_speed) < 1e-10
+            direct_angle = lq.liouville_angle(rho0, trace.states[-1])
+            assert abs(lq.angle_from_modes(sd, c, rho0, t) - direct_angle) < 1e-10
 
 
 def test_mode_route_angle_at_short_times():
@@ -139,17 +165,15 @@ def test_mode_route_angle_at_short_times():
 
 
 def test_tqsl_from_modes_matches_direct_route():
-    spec = lq.amplitude_damping_spec(0.05, 0.3)
-    L = lq.build_liouvillian(spec).full
-    sd = lq.spectral_decompose(L)
-    rho0 = lq.superposition_state(0.7)
     horizon = 60.0
     points = 801
-    got = lq.tqsl_from_modes(sd, rho0, horizon, points=points)
-    trace = lq.propagate_expm(L, rho0, np.linspace(0.0, horizon, points))
-    theta = lq.liouville_angle(rho0, trace.states[-1])
-    direct = theta / lq.average_speed(trace, L)
-    assert abs(got - direct) < 1e-10
+    for L, rho0 in _mode_route_cases():
+        sd = lq.spectral_decompose(L)
+        got = lq.tqsl_from_modes(sd, rho0, horizon, points=points)
+        trace = lq.propagate_expm(L, rho0, np.linspace(0.0, horizon, points))
+        theta = lq.liouville_angle(rho0, trace.states[-1])
+        direct = theta / lq.average_speed(trace, L)
+        assert abs(got - direct) < 1e-10
     with pytest.raises(QuadratureError):
         lq.tqsl_from_modes(sd, rho0, horizon, points=100)
 
