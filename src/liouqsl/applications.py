@@ -6,7 +6,8 @@ speed, operator norm) are transcribed for the thermal amplitude-damping
 model with rate gamma and bath occupation n; they act as oracles for the
 numerical pipeline. The SFF and Krylov sections bound spectral-form-
 factor decay and complexity growth by the integrated non-classical
-speed, plus the complementary trade-off between the two.
+speed, plus the complementary trade-off between the two. Both checks
+return columns over the grid, which the krylov command writes as they are.
 """
 
 from dataclasses import dataclass
@@ -16,16 +17,12 @@ import numpy as np
 from .exceptions import NumericalConsistencyError, ValidationError
 from .evolve import EvolutionTrace, propagate_expm
 from .lindblad import LindbladSpec, build_liouvillian, commutator_superop
-from .liouville import (
-    liouville_angle,
-    validate_density_matrix,
-    vectorize,
-)
+from .liouville import liouville_angle, vectorize
 from .qsl import (
     _bound_ratio,
+    _cumulative_simpson,
     _efficiency,
     _odd_grid,
-    _simpson,
     average_speed,
     complete_basis,
     nonclassical_speed,
@@ -66,31 +63,31 @@ def coherent_gibbs_state(hamiltonian, beta):
     return np.outer(psi, psi.conj())
 
 
-def sff(channel, hamiltonian, beta, t):
-    """Overlap tr(rho_beta E_t(rho_beta)) for a channel supermatrix family."""
-    rho = coherent_gibbs_state(hamiltonian, beta)
-    out = channel(t) @ vectorize(rho)
-    d = rho.shape[0]
-    evolved = out.reshape((d, d), order="F")
-    validate_density_matrix(evolved, trace_tol=1e-8, eig_floor=-1e-8)
-    return float(np.real(np.trace(rho @ evolved)))
+def sff(trace):
+    """Re tr(rho_0 rho_t) at every grid point: from a pure rho_0, such as
+    coherent_gibbs_state, the spectral form factor of the channel family
+    behind the trace (any family fits through build_trace(times, states)).
+    """
+    vecs = vectorize(trace.states)
+    return np.real(vecs @ vecs[0].conj())
 
 
 def _nc_integral(trace, liouvillian, basis):
     if basis is None:
         basis = complete_basis(trace.normalized[0])
     nc = nonclassical_speed(liouvillian, basis, trace.normalized)
-    return _simpson(nc, trace.times)
+    return _cumulative_simpson(nc, trace.times)
 
 
 def sff_bound_check(trace, liouvillian, basis=None):
     """Bound on the overlap decay of a trace started from a pure state.
 
-    lhs = arccos(overlap(T)/sqrt(purity_T)), the Liouville angle between
-    the end states, evaluated so that small angles stay accurate; rhs =
-    integral of the non-classical speed; lhs never exceeds rhs.
+    Returns the columns (lhs, rhs) over the grid: lhs is the Liouville
+    angle between the initial and the current state, evaluated so that
+    small angles stay accurate, and rhs the running integral of the
+    non-classical speed; lhs never exceeds rhs.
     """
-    lhs = float(liouville_angle(trace.states[0], trace.states[-1]))
+    lhs = liouville_angle(trace.states[0], trace.states)
     return lhs, _nc_integral(trace, liouvillian, basis)
 
 
@@ -101,7 +98,8 @@ class KrylovData:
     basis holds the orthonormal vectors |K_n)) as columns; amplitudes has
     one row per time with phi_n(t) = (-i)^n (K_n|rho_t~); complexity is
     sum_n n |phi_n|² per time; trace is the propagated trajectory the
-    amplitudes were projected from.
+    amplitudes were projected from, and generator the -1j L_H it was
+    propagated under.
     """
 
     basis: np.ndarray
@@ -110,6 +108,7 @@ class KrylovData:
     amplitudes: np.ndarray
     complexity: np.ndarray
     trace: EvolutionTrace
+    generator: np.ndarray
 
     @property
     def dimension(self):
@@ -119,6 +118,11 @@ class KrylovData:
     def ladder_norm(self):
         """Operator norm of the index operator: the largest Krylov index."""
         return float(self.dimension - 1)
+
+    @property
+    def complexity_ratio(self):
+        """C_K/(2 norm) per time; 0 for a one-dimensional space, where C_K = 0."""
+        return self.complexity / (2.0 * max(self.ladder_norm, 1.0))
 
 
 def krylov_build(hamiltonian, rho0, times):
@@ -135,7 +139,8 @@ def krylov_build(hamiltonian, rho0, times):
         raise ValidationError("hamiltonian is not Hermitian")
     d = h.shape[0]
     lh = commutator_superop(h)
-    trace = propagate_expm(-1j * lh, rho0, times)
+    generator = -1j * lh
+    trace = propagate_expm(generator, rho0, times)
     v0 = trace.normalized.vector[0]
 
     cols = [v0]
@@ -174,6 +179,7 @@ def krylov_build(hamiltonian, rho0, times):
         amplitudes=amps,
         complexity=complexity,
         trace=trace,
+        generator=generator,
     )
 
 
@@ -185,34 +191,26 @@ def krylov_complexity(kd, t):
     return float(kd.complexity[k])
 
 
-def krylov_precursor_margins(kd, trace):
+def krylov_precursor_margins(kd):
     """Per-point slack of C_K²/(4 norm²) ≤ 1 - overlap²."""
-    if kd.dimension == 1:
-        return 1.0 - trace.overlap_with_initial**2
-    ck_term = (kd.complexity / (2.0 * kd.ladder_norm)) ** 2
-    return 1.0 - trace.overlap_with_initial**2 - ck_term
+    return 1.0 - kd.trace.overlap_with_initial**2 - kd.complexity_ratio**2
 
 
-def krylov_bound_check(kd, trace, liouvillian, basis=None):
+def krylov_bound_check(kd, basis=None):
     """Complexity-growth bound against the integrated non-classical speed.
 
-    lhs = arcsin(C_K(T)/(2 norm)), rhs = integral of the non-classical
-    speed; also verifies the pointwise precursor inequality feeding the
-    arcsin step.
+    Returns the columns (lhs, rhs) over the grid: lhs = arcsin(C_K/(2
+    norm)) and rhs the running integral of the non-classical speed along
+    kd.trace; also verifies the pointwise precursor inequality feeding
+    the arcsin step.
     """
-    if len(trace) != kd.times.size or np.abs(trace.times - kd.times).max() > 1e-9:
-        raise ValidationError("trace and Krylov data live on different grids")
-    margins = krylov_precursor_margins(kd, trace)
+    margins = krylov_precursor_margins(kd)
     if margins.min() < -1e-8:
         raise NumericalConsistencyError(
             f"precursor inequality violated by {-margins.min():.3e}"
         )
-    if kd.dimension == 1:
-        lhs = 0.0
-    else:
-        ratio = kd.complexity[-1] / (2.0 * kd.ladder_norm)
-        lhs = float(np.arcsin(np.clip(ratio, -1.0, 1.0)))
-    return lhs, _nc_integral(trace, liouvillian, basis)
+    lhs = np.arcsin(np.clip(kd.complexity_ratio, -1.0, 1.0))
+    return lhs, _nc_integral(kd.trace, kd.generator, basis)
 
 
 def tradeoff_check(kd, sff_values):
@@ -220,18 +218,15 @@ def tradeoff_check(kd, sff_values):
     vals = np.asarray(sff_values, dtype=float)
     if vals.shape != kd.times.shape:
         raise ValidationError("SFF values and Krylov grid have different lengths")
-    if kd.dimension == 1:
-        return float(np.max(vals**2))
-    ck_term = (kd.complexity / (2.0 * kd.ladder_norm)) ** 2
-    return float(np.max(ck_term + vals**2))
+    return float(np.max(kd.complexity_ratio**2 + vals**2))
 
 
 def amplitude_damping_spec(gamma, n):
     """Thermal damping qubit: H = 0, decay rate gamma(1+n), pumping gamma n."""
-    if gamma <= 0.0:
-        raise ValidationError("gamma must be positive")
-    if n < 0.0:
-        raise ValidationError("bath occupation n must be nonnegative")
+    if not 0.0 < gamma < np.inf:
+        raise ValidationError("gamma must be positive and finite")
+    if not 0.0 <= n < np.inf:
+        raise ValidationError("bath occupation n must be nonnegative and finite")
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     raise_ = lower.conj().T
     jumps = [(gamma * (1.0 + n), lower)]

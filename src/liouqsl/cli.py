@@ -16,13 +16,15 @@ import numpy as np
 
 from .applications import (
     coherent_gibbs_state,
+    krylov_bound_check,
     krylov_build,
     mpemba_report,
+    sff,
     superposition_state,
 )
 from .evolve import IntegratorConfig, propagate_expm, propagate_ode
 from .exceptions import NumericalConsistencyError, ValidationError
-from .lindblad import build_liouvillian, commutator_superop
+from .lindblad import build_liouvillian
 from .liouville import vectorize
 from .optimal import (
     GeodesicSpec,
@@ -30,14 +32,9 @@ from .optimal import (
     physicality_check,
     relative_purity,
 )
-from .qsl import (
-    _cumulative_trapezoid,
-    average_speed,
-    complete_basis,
-    exact_qsl,
-    nonclassical_speed,
-)
+from .qsl import average_speed, exact_qsl
 from .serialize import (
+    _read_json,
     dump_json,
     load_spec,
     matrix_from_json,
@@ -76,6 +73,9 @@ class ScenarioConfig:
     dump_states: bool = False
 
     def __post_init__(self):
+        for name in ("t_max", "gamma", "n", "beta", "alpha", "alphas"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"{name.replace('_', '-')} must be finite")
         if self.t_max <= 0.0:
             raise ValidationError("t-max must be positive")
         if self.points < 3 or self.points % 2 == 0:
@@ -91,16 +91,7 @@ def _grid(cfg):
 
 
 def _load_matrix(path):
-    import json
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read matrix file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return matrix_from_json(doc)
+    return matrix_from_json(_read_json(path, "matrix"))
 
 
 def _initial_state(cfg, spec):
@@ -224,20 +215,12 @@ def _cmd_krylov(cfg):
     hamiltonian = _load_matrix(cfg.h_path)
     rho_beta = coherent_gibbs_state(hamiltonian, cfg.beta)
     rho0 = _load_matrix(cfg.rho0_path) if cfg.rho0_path else rho_beta
-    times = _grid(cfg)
-    kd = krylov_build(hamiltonian, rho0, times)
-    L = -1j * commutator_superop(hamiltonian)
-    trace = kd.trace
-    basis = complete_basis(trace.normalized[0])
-    nc = nonclassical_speed(L, basis, trace.normalized)
-    rhs = _cumulative_trapezoid(nc, times)
-    if kd.dimension > 1:
-        lhs = np.arcsin(np.clip(kd.complexity / (2.0 * kd.ladder_norm), -1.0, 1.0))
-    else:
-        lhs = np.zeros_like(times)
-    sff_trace = trace if cfg.rho0_path is None else propagate_expm(L, rho_beta, times)
-    sff_vals = np.real(vectorize(sff_trace.states) @ vectorize(rho_beta).conj())
-    rows = np.column_stack([times, kd.complexity, sff_vals, lhs, rhs])
+    kd = krylov_build(hamiltonian, rho0, _grid(cfg))
+    lhs, rhs = krylov_bound_check(kd)
+    gibbs = kd.trace
+    if cfg.rho0_path:
+        gibbs = propagate_expm(kd.generator, rho_beta, kd.times)
+    rows = np.column_stack([kd.times, kd.complexity, sff(gibbs), lhs, rhs])
     write_csv(
         os.path.join(cfg.out, "krylov.csv"),
         ["t", "c_k", "sff", "bound_lhs", "bound_rhs"],
@@ -287,8 +270,15 @@ def _add_common(sub):
     sub.add_argument("--t-max", type=float, default=10.0, dest="t_max")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValidationError, so that they exit 1, not 2."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liouqsl",
         description="Speed limits for Lindblad dynamics in Liouville space",
     )
@@ -355,19 +345,19 @@ def _config_from_args(args):
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        cfg = _config_from_args(args)
-        return run(cfg)
+        return run(_config_from_args(_parser().parse_args(argv)))
     except ValidationError as exc:
         print(
-            f"liouqsl: command={args.command} error=validation detail={exc}",
+            f"liouqsl: command={command} error=validation detail={exc}",
             file=sys.stderr,
         )
         return 1
     except NumericalConsistencyError as exc:
         print(
-            f"liouqsl: command={args.command} error=numerical detail={exc}",
+            f"liouqsl: command={command} error=numerical detail={exc}",
             file=sys.stderr,
         )
         return 2

@@ -176,16 +176,16 @@ def _modal_steps(generator, v0, times):
     """Stack of exp(G (t_k - t_0)) v0 through the eigenmodes of G, or None.
 
     Shape (T,) + v0.shape, for one vector (n,) or a block (..., n): the
-    mode sum of spectral_decompose's eigensystem at c = R^-1 v0. None is
-    returned when G is numerically defective, when it preserves no
-    Hermiticity (the "complex" route), or when the biorthogonality defect
-    of the eigenvector matrix exceeds _MODAL_DEFECT_MAX.
+    mode sum of spectral_decompose's eigensystem at c = R^-1 v0, on any of
+    its routes. None is returned when G is numerically defective or when
+    the biorthogonality defect of the eigenvector matrix exceeds
+    _MODAL_DEFECT_MAX.
     """
     try:
         sd = spectral_decompose(generator)
     except DefectiveGeneratorError:
         return None
-    if sd.route == "complex" or sd.biorthogonality > _MODAL_DEFECT_MAX:
+    if sd.biorthogonality > _MODAL_DEFECT_MAX:
         return None
     return sd.evolve(sd.overlaps(v0), times - times[0])
 
@@ -228,12 +228,12 @@ def propagate_expm(liouvillian, rho0, times):
     The eigensystem L = R diag(lambda) R^-1 comes from spectral_decompose:
     eigh when 1j L is Hermitian (coherent dynamics, such as -1j L_H), and
     eig of the real form in a basis of Hermitian matrices when L
-    preserves Hermiticity, as every Lindblad generator does. Either gives
-    every grid point at once as (exp(t lambda) * R^-1 v0) R^T
-    (SpectralData.evolve). For any other L, or when R is singular or its
-    biorthogonality defect max|R^-1 R - 1| exceeds 1e-13, as near an
-    exceptional point, scipy's expm is applied step by step on a uniform
-    grid (with an exact restart every 1024 steps) and per point
+    preserves Hermiticity, as every Lindblad generator does, and eig of L
+    itself for any other L. Each gives every grid point at once as
+    (exp(t lambda) * R^-1 v0) R^T (SpectralData.evolve). When R is
+    singular or its biorthogonality defect max|R^-1 R - 1| exceeds 1e-13,
+    as near an exceptional point, scipy's expm is applied step by step on
+    a uniform grid (with an exact restart every 1024 steps) and per point
     otherwise. Only that stepping fallback imports scipy.
     """
     t = _check_grid(times)

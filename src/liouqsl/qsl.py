@@ -141,12 +141,23 @@ def _simpson(y, x):
     return float(np.sum(panels))
 
 
-def _cumulative_trapezoid(y, x):
-    """Running trapezoid integral of y over x, starting from 0 at x[0].
+def _cumulative_simpson(y, x):
+    """Running Simpson integral of y over an odd grid x, 0 at x[0].
 
-    The same values as scipy.integrate.cumulative_trapezoid with initial=0.
+    scipy.integrate.cumulative_simpson(y, x=x, initial=0) to the last bit:
+    intervals 2j and 2j + 1 take the parabola through points 2j to 2j + 2,
+    so at even indices the value is the composite Simpson sum.
     """
-    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+    _odd_grid(len(x))
+    halves = []
+    for f, h in ((y, np.diff(x)), (y[::-1], np.diff(x)[::-1])):
+        r = h[:-1] / (h[:-1] + h[1:])
+        q = r * (h[:-1] / h[1:])
+        weighted = (3 - r) * f[:-2] + (3 + q + r) * f[1:-1] - q * f[2:]
+        halves.append(h[:-1] / 6 * weighted)
+    parts = np.empty(len(x) - 1)
+    parts[0::2], parts[1::2] = halves[0][::2], halves[1][::-2]
+    return np.concatenate([[0.0], np.cumsum(parts)])
 
 
 def _time_average(values, times):

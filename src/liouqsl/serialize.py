@@ -83,16 +83,20 @@ def spec_from_json(doc):
     return LindbladSpec(hamiltonian=ham, jumps=jumps)
 
 
-def load_spec(path):
-    """Read a LindbladSpec from a JSON file."""
+def _read_json(path, what):
+    """Parse a JSON file; an unreadable file or bad JSON is a ValidationError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read spec file: {exc}") from exc
+        raise ValidationError(f"cannot read {what} file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return spec_from_json(doc)
+
+
+def load_spec(path):
+    """Read a LindbladSpec from a JSON file."""
+    return spec_from_json(_read_json(path, "spec"))
 
 
 def dump_json(doc, path):

@@ -35,6 +35,9 @@ def test_amplitude_damping_spec_structure():
         lq.amplitude_damping_spec(-0.1, 0.0)
     with pytest.raises(ValidationError):
         lq.amplitude_damping_spec(0.1, -0.5)
+    for gamma, n in ((np.nan, 0.0), (np.inf, 0.0), (0.1, np.nan), (0.1, np.inf)):
+        with pytest.raises(ValidationError):
+            lq.amplitude_damping_spec(gamma, n)
 
 
 def test_amplitude_damping_eigenvalues():
@@ -146,10 +149,14 @@ def test_sff_unitary_closed_form():
     energies = np.linalg.eigvalsh(h)
     weights = np.exp(-beta * (energies - energies.min()))
     probs = weights / weights.sum()
-    assert abs(lq.sff(channel, h, beta, 0.0) - 1.0) < 1e-12
-    for t in (0.5, 2.0, 7.0):
+    times = np.array([0.0, 0.5, 2.0, 7.0])
+    vbeta = lq.vectorize(lq.coherent_gibbs_state(h, beta))
+    states = [lq.devectorize(channel(t) @ vbeta) for t in times]
+    values = lq.sff(lq.build_trace(times, states))
+    assert abs(values[0] - 1.0) < 1e-12
+    for t, value in zip(times[1:], values[1:]):
         expected = abs(np.sum(probs * np.exp(-1j * energies * t))) ** 2
-        assert abs(lq.sff(channel, h, beta, t) - expected) < 1e-10
+        assert abs(value - expected) < 1e-10
 
 
 def test_sff_bound_check():
@@ -159,7 +166,8 @@ def test_sff_bound_check():
         rho0 = lq.coherent_gibbs_state(spec.hamiltonian, 0.5)
         trace = lq.propagate_expm(L, rho0, np.linspace(0.0, 4.0, 201))
         lhs, rhs = lq.sff_bound_check(trace, L)
-        assert lhs <= rhs + 1e-8
+        assert lhs.shape == rhs.shape == trace.times.shape
+        assert np.all(lhs <= rhs + 1e-8)
 
 
 def test_sff_bound_check_at_small_horizons():
@@ -171,7 +179,8 @@ def test_sff_bound_check_at_small_horizons():
     for horizon in (1e-9, 1e-5):
         trace = lq.propagate_expm(L, rho0, np.linspace(0.0, horizon, 101))
         lhs, rhs = lq.sff_bound_check(trace, L)
-        assert 0.0 < lhs <= rhs
+        assert lhs[0] == rhs[0] == 0.0
+        assert np.all(0.0 < lhs[1:]) and np.all(lhs <= rhs)
 
 
 def test_krylov_build_structure():
@@ -204,14 +213,12 @@ def test_krylov_bound_check():
         kd = lq.krylov_build(h, rho0, times)
         eye = np.eye(d, dtype=complex)
         L = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-        trace = lq.propagate_expm(L, rho0, times)
-        margins = lq.krylov_precursor_margins(kd, trace)
+        assert np.array_equal(kd.generator, L)
+        margins = lq.krylov_precursor_margins(kd)
         assert margins.min() > -1e-8
-        lhs, rhs = lq.krylov_bound_check(kd, trace, L)
-        assert lhs <= rhs + 1e-8
-        other = lq.propagate_expm(L, rho0, np.linspace(0.0, 1.0, 51))
-        with pytest.raises(ValidationError):
-            lq.krylov_bound_check(kd, other, L)
+        lhs, rhs = lq.krylov_bound_check(kd)
+        assert lhs.shape == rhs.shape == times.shape
+        assert np.all(lhs <= rhs + 1e-8)
 
 
 def test_krylov_commuting_initial_state():
@@ -220,11 +227,9 @@ def test_krylov_commuting_initial_state():
     kd = lq.krylov_build(h, np.eye(2) / 2.0, times)
     assert kd.dimension == 1
     assert np.abs(kd.complexity).max() == 0.0
-    eye = np.eye(2, dtype=complex)
-    L = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    trace = lq.propagate_expm(L, np.eye(2) / 2.0, times)
-    lhs, rhs = lq.krylov_bound_check(kd, trace, L)
-    assert lhs == 0.0 and rhs >= 0.0
+    assert np.all(kd.complexity_ratio == 0.0)
+    lhs, rhs = lq.krylov_bound_check(kd)
+    assert np.all(lhs == 0.0) and np.all(rhs >= 0.0)
 
 
 def test_tradeoff_check():

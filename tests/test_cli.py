@@ -11,7 +11,7 @@ import liouqsl as lq
 from liouqsl.cli import ScenarioConfig, main
 from liouqsl.exceptions import ValidationError
 
-from conftest import philox, rand_spec
+from conftest import philox, rand_rho, rand_spec
 
 
 @pytest.fixture
@@ -43,6 +43,12 @@ def test_scenario_config_validation():
         ScenarioConfig(command="evolve", points=100)
     with pytest.raises(ValidationError):
         ScenarioConfig(command="evolve", method="euler")
+    for field in ("t_max", "gamma", "n", "beta", "alpha"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                ScenarioConfig(command="evolve", **{field: value})
+    with pytest.raises(ValidationError):
+        ScenarioConfig(command="mpemba", alphas=(0.5, float("nan")))
 
 
 def test_validate_command(ad_spec_path, capsys):
@@ -248,16 +254,27 @@ def test_krylov_command(tmp_path):
         "2",
         "--points",
         "101",
-        "--out",
-        str(out),
     ]
-    assert main(args) == 0
+    assert main(args + ["--out", str(out)]) == 0
     header, rows = _read_csv(out / "krylov.csv")
     assert header == ["t", "c_k", "sff", "bound_lhs", "bound_rhs"]
     assert rows.shape == (101, 5)
     assert abs(rows[0, 1]) < 1e-10
     assert abs(rows[0, 2] - 1.0) < 1e-10
     assert np.all(rows[:, 3] <= rows[:, 4] + 1e-8)
+
+    # --rho0 moves the complexity and the bound; sff stays with rho_beta.
+    rho0_path = _write_matrix(tmp_path, "rho0.json", rand_rho(rng, 3))
+    assert main(args + ["--rho0", rho0_path, "--out", str(tmp_path / "rho0")]) == 0
+    _, mixed = _read_csv(tmp_path / "rho0" / "krylov.csv")
+    assert mixed.shape == (101, 5)
+    energies = np.linalg.eigvalsh(h)
+    weights = np.exp(-0.3 * (energies - energies.min()))
+    probs = weights / weights.sum()
+    expected = np.abs(np.exp(-1j * np.outer(mixed[:, 0], energies)) @ probs) ** 2
+    assert np.abs(mixed[:, 2] - expected).max() < 1e-10
+    assert np.all(mixed[1:, 1] != rows[1:, 1])
+    assert np.all(mixed[:, 3] <= mixed[:, 4] + 1e-8)
 
 
 def test_cli_validation_failures(ad_spec_path, tmp_path, capsys):
@@ -281,6 +298,27 @@ def test_cli_validation_failures(ad_spec_path, tmp_path, capsys):
     assert rc == 1
     assert "command=mpemba error=validation" in capsys.readouterr().err
     assert not (out / "mpemba.csv").exists()
+
+    # Usage errors and non-finite numbers are bad input too: exit 1.
+    out = str(tmp_path / "out")
+    for argv in (
+        ["evolve", "--spec", ad_spec_path, "--method", "euler"],
+        ["evolve", "--spec", ad_spec_path, "--points", "abc"],
+        ["krylov", "--beta", "0.5"],
+        ["qsl-report", "--spec", ad_spec_path, "--t-max", "nan"],
+        ["qsl-report", "--spec", ad_spec_path, "--t-max", "inf"],
+        ["mpemba", "--gamma", "nan", "--points", "21"],
+        ["mpemba", "--n", "inf", "--points", "21"],
+    ):
+        assert main(argv + ["--out", out]) == 1, argv
+        err = capsys.readouterr().err
+        assert f"liouqsl: command={argv[0]} error=validation detail=" in err, argv
+    for argv in (["no-such-command"], []):
+        assert main(argv) == 1
+        assert "command=None error=validation" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["krylov", "--help"])
+    assert exc.value.code == 0
 
 
 def test_cli_requires_rho0_beyond_qubits(tmp_path, capsys):

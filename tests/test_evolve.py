@@ -180,12 +180,16 @@ def test_coherent_generator_takes_the_hermitian_route(monkeypatch):
     assert np.abs(lq.vectorize(trace.states) - ref).max() < 1e-13
 
 
-def test_non_hermiticity_preserving_generator_is_stepped():
+def test_non_hermiticity_preserving_generator_takes_the_modes():
     rng = philox(48)
-    L = 0.1 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    v0 = lq.vectorize(np.eye(2) / 2.0)
-    times = np.linspace(0.0, 1.0, 11)
-    assert evolve._modal_steps(L, v0, times) is None
+    times = np.linspace(0.0, 2.0, 201)
+    for d in (2, 3, 4):
+        n = d * d
+        L = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
+        assert lq.spectral_decompose(L).route == "complex"
+        v0 = lq.vectorize(np.eye(d) / d)
+        modal = evolve._modal_steps(L, v0, times)
+        assert np.abs(modal - _per_point_reference(L, v0, times)).max() < 1e-13
 
 
 def test_propagate_expm_stack_matches_single_calls():

@@ -113,10 +113,10 @@ def test_bound_chain_holds_at_small_horizons():
             assert report.bound_mt >= report.T * (1.0 - 1e-6)
 
 
-def test_simpson_and_cumulative_trapezoid_match_scipy():
-    from scipy.integrate import cumulative_trapezoid, simpson
+def test_simpson_and_cumulative_simpson_match_scipy():
+    from scipy.integrate import cumulative_simpson, simpson
 
-    from liouqsl.qsl import _cumulative_trapezoid, _simpson
+    from liouqsl.qsl import _cumulative_simpson, _simpson
 
     rng = philox(63)
     for n in (3, 5, 41, 2001, 40001):
@@ -126,7 +126,7 @@ def test_simpson_and_cumulative_trapezoid_match_scipy():
             y = np.cos(3.0 * x) * np.exp(-0.2 * x) + rng.normal(scale=0.1, size=n)
             assert _simpson(y, x) == simpson(y, x=x)
             assert np.array_equal(
-                _cumulative_trapezoid(y, x), cumulative_trapezoid(y, x, initial=0.0)
+                _cumulative_simpson(y, x), cumulative_simpson(y, x=x, initial=0.0)
             )
     with pytest.raises(QuadratureError):
         _simpson(np.ones(4), np.arange(4.0))
