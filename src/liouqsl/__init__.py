@@ -43,14 +43,12 @@ from .serialize import (
 )
 from .evolve import (
     EvolutionTrace,
-    IntegratorConfig,
     build_trace,
     generic_speed,
     kraus_trajectory_speed,
     normalized_rhs,
     projector_rhs,
     propagate_expm,
-    propagate_ode,
 )
 from .qsl import (
     BasisSet,

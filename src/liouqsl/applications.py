@@ -22,7 +22,7 @@ from .qsl import (
     _bound_ratio,
     _cumulative_simpson,
     _efficiency,
-    _odd_grid,
+    _horizon_grid,
     average_speed,
     complete_basis,
     nonclassical_speed,
@@ -55,8 +55,8 @@ def coherent_gibbs_state(hamiltonian, beta):
     h = np.asarray(hamiltonian, dtype=complex)
     if np.abs(h - h.conj().T).max() > 1e-12:
         raise ValidationError("hamiltonian is not Hermitian")
-    if beta < 0.0:
-        raise ValidationError("beta must be nonnegative")
+    if not 0.0 <= beta < np.inf:
+        raise ValidationError("beta must be nonnegative and finite")
     energies, vectors = np.linalg.eigh(h)
     weights = np.exp(-0.5 * beta * (energies - energies.min()))
     psi = vectors @ (weights / np.linalg.norm(weights))
@@ -253,8 +253,8 @@ def amplitude_damping_closed_forms(alpha, gamma, n, t):
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha {alpha} outside [0, 1]")
-    if gamma <= 0.0 or n < 0.0 or t < 0.0:
-        raise ValidationError("need gamma > 0, n >= 0, t >= 0")
+    if not (0.0 < gamma < np.inf and 0.0 <= n < np.inf and 0.0 <= t < np.inf):
+        raise ValidationError("need finite gamma > 0, n >= 0, t >= 0")
     a2 = alpha * alpha
     m = 2.0 * n + 1.0
     eh = np.exp(0.5 * gamma * m * t)
@@ -354,8 +354,7 @@ def mpemba_report(alphas, gamma, n, horizon, points=2001):
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ValidationError("alphas must be a non-empty list of amplitudes")
-    _odd_grid(points)
-    times = np.linspace(0.0, float(horizon), points)
+    times = _horizon_grid(horizon, points)
     L = build_liouvillian(amplitude_damping_spec(gamma, n)).full
     norm = operator_norm(L)
     rho_ss = np.diag([(n + 1.0) / (2.0 * n + 1.0), n / (2.0 * n + 1.0)]).astype(
@@ -369,7 +368,7 @@ def mpemba_report(alphas, gamma, n, horizon, points=2001):
         avg = average_speed(trace, L)
         eta[i] = _efficiency(avg, norm)
         theta = liouville_angle(trace.states[0], trace.states[-1])
-        delta[i] = float(horizon) - _bound_ratio(theta, avg)
+        delta[i] = times[-1] - _bound_ratio(theta, avg)
         theta_ss[i] = liouville_angle(rho_ss, trace.states)
     crossings = []
     for i in range(alphas.size):

@@ -22,7 +22,7 @@ from .applications import (
     sff,
     superposition_state,
 )
-from .evolve import IntegratorConfig, propagate_expm, propagate_ode
+from .evolve import propagate_expm
 from .exceptions import NumericalConsistencyError, ValidationError
 from .lindblad import build_liouvillian
 from .liouville import vectorize
@@ -45,13 +45,6 @@ from .spectral import spectral_decompose, steady_state
 
 __all__ = ["ScenarioConfig", "run", "main"]
 
-_METHODS = {
-    "expm": "matrix_exponential",
-    "rk4": "rk4",
-    "rk45": "rk45_adaptive",
-}
-
-
 @dataclass
 class ScenarioConfig:
     """Everything a subcommand needs, already type-coerced."""
@@ -69,7 +62,6 @@ class ScenarioConfig:
     n: float = 0.0
     beta: float = 0.0
     out: str = "./out"
-    method: str = "expm"
     dump_states: bool = False
 
     def __post_init__(self):
@@ -82,8 +74,6 @@ class ScenarioConfig:
             raise ValidationError(
                 f"points must be odd and at least 3, got {self.points}"
             )
-        if self.method not in _METHODS:
-            raise ValidationError(f"unknown method {self.method!r}")
 
 
 def _grid(cfg):
@@ -122,14 +112,8 @@ def _trace_rows(trace, dump_states):
 def _cmd_evolve(cfg):
     spec = load_spec(cfg.spec_path)
     rho0 = _initial_state(cfg, spec)
-    times = _grid(cfg)
     L = build_liouvillian(spec).full
-    if cfg.method == "expm":
-        trace = propagate_expm(L, rho0, times)
-    else:
-        trace = propagate_ode(
-            spec, rho0, times, IntegratorConfig(method=_METHODS[cfg.method])
-        )
+    trace = propagate_expm(L, rho0, _grid(cfg))
     average_speed(trace, L)
     header, rows = _trace_rows(trace, cfg.dump_states)
     write_csv(os.path.join(cfg.out, "trace.csv"), header, rows)
@@ -262,16 +246,23 @@ def run(cfg):
 
 
 def _add_common(sub):
-    sub.add_argument("--out", default="./out", help="output directory")
+    sub.add_argument("--out", help="output directory")
     sub.add_argument(
         "--jobs", type=int, help="accepted and ignored; every command runs serially"
     )
-    sub.add_argument("--points", type=int, default=2001)
-    sub.add_argument("--t-max", type=float, default=10.0, dest="t_max")
+    sub.add_argument("--points", type=int)
+    sub.add_argument("--t-max", type=float, dest="t_max")
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors as ValidationError, so that they exit 1, not 2."""
+    """Raises usage errors as ValidationError, so that they exit 1, not 2.
+
+    Options that are not given stay off the namespace, so that every
+    default is declared once, in ScenarioConfig; subparsers inherit this.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")
@@ -286,15 +277,14 @@ def _parser():
 
     p = subs.add_parser("evolve", help="propagate a spec and dump the trace")
     p.add_argument("--spec", required=True, dest="spec_path")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--rho0", dest="rho0_path")
-    p.add_argument("--method", choices=sorted(_METHODS), default="expm")
     p.add_argument("--dump-states", action="store_true", dest="dump_states")
     _add_common(p)
 
     p = subs.add_parser("qsl-report", help="bound report for one trajectory")
     p.add_argument("--spec", required=True, dest="spec_path")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--rho0", dest="rho0_path")
     _add_common(p)
 
@@ -310,19 +300,15 @@ def _parser():
     _add_common(p)
 
     p = subs.add_parser("mpemba", help="relaxation sweep for the damped qubit")
-    p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--n", type=float, default=0.0)
-    p.add_argument(
-        "--alphas",
-        default="0.25,0.5,0.75,0.9",
-        help="comma-separated initial-state amplitudes",
-    )
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--n", type=float)
+    p.add_argument("--alphas", help="comma-separated initial-state amplitudes")
     _add_common(p)
 
     p = subs.add_parser("krylov", help="complexity and SFF columns")
     p.add_argument("--h", required=True, dest="h_path")
     p.add_argument("--rho0", dest="rho0_path")
-    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--beta", type=float)
     _add_common(p)
 
     p = subs.add_parser("validate", help="parse and sanity-check a spec")

@@ -1,8 +1,8 @@
 """Trajectory propagation and trajectory-level speed evaluation.
 
-Propagators return an EvolutionTrace: stacked arrays over the T grid
-points, not a list of per-point objects. For states of dimension d it
-holds
+propagate_expm is the package's only propagator. It returns an
+EvolutionTrace: stacked arrays over the T grid points, not a list of
+per-point objects. For states of dimension d it holds
 
     times                  (T,)
     states                 (T, d, d)  validated, re-Hermitized states
@@ -12,7 +12,9 @@ holds
     speeds                 (T,)       None until a generator is supplied
 
 trace.normalized[k] and trace.states[k] give the k-th point, and the
-speed functionals of the qsl module take trace.normalized whole.
+speed functionals of the qsl module take trace.normalized whole. States
+from any other channel family, such as a Kraus family, become a trace
+through build_trace(times, states).
 propagate_expm also takes a stack of A initial states (A, d, d) under one
 generator and grid: it propagates them as one (A, d^2) block and returns
 a list of A such traces, one per initial state.
@@ -40,7 +42,7 @@ from .exceptions import (
     NumericalConsistencyError,
     ValidationError,
 )
-from .lindblad import build_liouvillian, kraus_to_superop
+from .lindblad import kraus_to_superop
 from .liouville import (
     NormalizedState,
     devectorize,
@@ -53,10 +55,8 @@ from .spectral import spectral_decompose
 
 __all__ = [
     "EvolutionTrace",
-    "IntegratorConfig",
     "build_trace",
     "propagate_expm",
-    "propagate_ode",
     "normalized_rhs",
     "projector_rhs",
     "generic_speed",
@@ -99,26 +99,12 @@ class EvolutionTrace:
         return self.states.shape[-1]
 
 
-@dataclass
-class IntegratorConfig:
-    method: str = "rk45_adaptive"
-    step: float = None
-    rtol: float = 1e-10
-    atol: float = 1e-12
-
-    def __post_init__(self):
-        if self.method not in ("matrix_exponential", "rk4", "rk45_adaptive"):
-            raise ValidationError(f"unknown integrator method {self.method!r}")
-        if self.method == "rk45_adaptive" and (self.rtol <= 0 or self.atol <= 0):
-            raise ValidationError("adaptive integration needs positive rtol and atol")
-        if self.step is not None and self.step <= 0:
-            raise ValidationError("step must be positive")
-
-
 def _check_grid(times):
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValidationError("time grid must be 1-D with at least two points")
+    if not np.isfinite(t).all():
+        raise ValidationError("time grid must be finite")
     if np.any(np.diff(t) <= 0):
         raise ValidationError("time grid must be strictly increasing")
     return t
@@ -266,51 +252,6 @@ def propagate_expm(liouvillian, rho0, times):
         raise NumericalConsistencyError(f"state norm overflow at t={first:g}")
     # (T, ..., n) -> (..., T, d, d): one trajectory per initial state.
     return build_trace(t, devectorize(np.moveaxis(vecs, 0, -2)))
-
-
-def propagate_ode(spec, rho0, times, cfg=None):
-    """Integrate the vectorized master equation on the given grid.
-
-    rk4 takes fixed steps (cfg.step subdivides grid intervals when set);
-    rk45_adaptive delegates to scipy's embedded pair. Positivity floors
-    are relaxed to the integrator tolerance scale.
-    """
-    cfg = cfg or IntegratorConfig()
-    t = _check_grid(times)
-    validate_density_matrix(rho0)
-    L = build_liouvillian(spec).full
-    v0 = vectorize(np.asarray(rho0, dtype=complex))
-    if cfg.method == "matrix_exponential":
-        return propagate_expm(L, rho0, t)
-    if cfg.method == "rk4":
-        vecs = [v0]
-        v = v0
-        for a, b in zip(t[:-1], t[1:]):
-            nsub = 1 if cfg.step is None else max(1, int(np.ceil((b - a) / cfg.step)))
-            h = (b - a) / nsub
-            for _ in range(nsub):
-                k1 = L @ v
-                k2 = L @ (v + 0.5 * h * k1)
-                k3 = L @ (v + 0.5 * h * k2)
-                k4 = L @ (v + h * k3)
-                v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            vecs.append(v)
-    else:
-        from scipy.integrate import solve_ivp
-
-        sol = solve_ivp(
-            lambda _, y: L @ y,
-            (t[0], t[-1]),
-            v0,
-            t_eval=t,
-            method="RK45",
-            rtol=cfg.rtol,
-            atol=cfg.atol,
-        )
-        if not sol.success:
-            raise NumericalConsistencyError(f"adaptive integration failed: {sol.message}")
-        vecs = sol.y.T
-    return build_trace(t, devectorize(vecs), trace_tol=1e-8, eig_floor=-1e-8)
 
 
 def normalized_rhs(liouvillian, state):

@@ -47,8 +47,8 @@ class GeodesicSpec:
         if overlap > _TOL:
             raise ValidationError(f"endpoint overlap {overlap:.3e} exceeds {_TOL}")
         self.gamma = float(self.gamma)
-        if self.gamma <= 0.0:
-            raise ValidationError("gamma must be positive")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValidationError("gamma must be positive and finite")
         if self.unitary is None:
             self.unitary = connecting_unitary(self.rho0, self.rho0_perp)
         u = np.asarray(self.unitary, dtype=complex)

@@ -30,6 +30,7 @@ from .exceptions import (
     DimensionError,
     NumericalConsistencyError,
     QuadratureError,
+    ValidationError,
 )
 from .liouville import _dot, _variance, liouville_angle, superop_variance
 
@@ -119,7 +120,7 @@ def _check_superop(superop, state):
 def _simpson(y, x):
     """Composite Simpson integral of samples y on an odd, possibly non-uniform grid x.
 
-    A port of scipy.integrate.simpson for an odd number of points: each
+    A port of scipy's simpson for an odd number of points: each
     pair of intervals (h0, h1) gets the parabola through its three
     samples. Operations and their order follow scipy's, so the result is
     the same to the last bit.
@@ -144,7 +145,7 @@ def _simpson(y, x):
 def _cumulative_simpson(y, x):
     """Running Simpson integral of y over an odd grid x, 0 at x[0].
 
-    scipy.integrate.cumulative_simpson(y, x=x, initial=0) to the last bit:
+    scipy's cumulative_simpson(y, x=x, initial=0) to the last bit:
     intervals 2j and 2j + 1 take the parabola through points 2j to 2j + 2,
     so at even indices the value is the composite Simpson sum.
     """
@@ -170,6 +171,15 @@ def _odd_grid(n):
         raise QuadratureError(
             f"Simpson quadrature needs an odd grid of at least 3 points, got {n}"
         )
+
+
+def _horizon_grid(horizon, points):
+    """Uniform Simpson grid of points times on [0, horizon], horizon finite > 0."""
+    _odd_grid(points)
+    horizon = float(horizon)
+    if not 0.0 < horizon < np.inf:
+        raise ValidationError(f"horizon must be positive and finite, got {horizon}")
+    return np.linspace(0.0, horizon, points)
 
 
 def _bound_ratio(numerator, denominator):

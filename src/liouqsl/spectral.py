@@ -32,7 +32,7 @@ from .liouville import (
     rehermitize,
     vectorize,
 )
-from .qsl import _bound_ratio, _odd_grid, _time_average
+from .qsl import _bound_ratio, _horizon_grid, _time_average
 
 __all__ = [
     "SpectralData",
@@ -233,14 +233,13 @@ def tqsl_from_modes(sd, rho0, horizon, points=2001):
     Returns 0 for a stationary initial state (all decay overlaps vanish).
     """
     _require_unique_zero(sd)
-    _odd_grid(points)
+    ts = _horizon_grid(horizon, points)
     c = mode_overlaps(sd, rho0)
     if np.abs(c[1:]).max() < 1e-12:
         warnings.warn("stationary initial state; bound is trivially 0", RuntimeWarning)
         return 0.0
-    ts = np.linspace(0.0, float(horizon), points)
     avg = _time_average(_mode_speed(sd, c, ts), ts)
-    return _bound_ratio(_mode_angle(sd, c, rho0, float(horizon)), avg)
+    return _bound_ratio(_mode_angle(sd, c, rho0, ts[-1]), avg)
 
 
 def _hermitian_from_params(x, d):

@@ -107,6 +107,11 @@ def test_closed_form_limits():
         lq.amplitude_damping_closed_forms(1.2, 0.5, 0.0, 1.0)
     with pytest.raises(ValidationError):
         lq.amplitude_damping_closed_forms(0.5, 0.5, 0.0, -1.0)
+    nan, inf = float("nan"), float("inf")
+    for gamma, n, t in ((nan, 0.0, 1.0), (inf, 0.0, 1.0), (0.5, nan, 1.0),
+                        (0.5, inf, 1.0), (0.5, 0.0, nan), (0.5, 0.0, inf)):
+        with pytest.raises(ValidationError):
+            lq.amplitude_damping_closed_forms(0.5, gamma, n, t)
 
 
 def test_operator_norm_closed_form():
@@ -131,8 +136,9 @@ def test_coherent_gibbs_state():
     cold = lq.coherent_gibbs_state(h, 200.0)
     ground = vectors[:, 0]
     assert abs(np.real(ground.conj() @ cold @ ground) - 1.0) < 1e-8
-    with pytest.raises(ValidationError):
-        lq.coherent_gibbs_state(h, -1.0)
+    for beta in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            lq.coherent_gibbs_state(h, beta)
     with pytest.raises(ValidationError):
         lq.coherent_gibbs_state(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
@@ -202,6 +208,9 @@ def test_krylov_build_structure():
         lq.krylov_complexity(kd, 0.0123456)
     with pytest.raises(ValidationError):
         lq.krylov_build(np.array([[0.0, 1.0], [0.0, 0.0]]), rho0[:2, :2], times)
+    for bad in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValidationError, match="finite"):
+            lq.krylov_build(h, rho0, bad)
 
 
 def test_krylov_bound_check():
@@ -281,3 +290,9 @@ def test_mpemba_sweep_rows_match_single_alpha_sweeps():
 def test_mpemba_report_needs_odd_grid():
     with pytest.raises(QuadratureError):
         lq.mpemba_report((0.3, 0.8), 0.01, 0.0, 100.0, points=200)
+
+
+def test_mpemba_report_needs_finite_positive_horizon():
+    for horizon in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValidationError, match="horizon"):
+            lq.mpemba_report((0.3, 0.8), 0.01, 0.0, horizon, points=21)

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import liouqsl as lq
 from liouqsl.cli import ScenarioConfig, main
@@ -41,8 +42,6 @@ def test_scenario_config_validation():
         ScenarioConfig(command="evolve", t_max=-1.0)
     with pytest.raises(ValidationError):
         ScenarioConfig(command="evolve", points=100)
-    with pytest.raises(ValidationError):
-        ScenarioConfig(command="evolve", method="euler")
     for field in ("t_max", "gamma", "n", "beta", "alpha"):
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValidationError):
@@ -89,26 +88,32 @@ def test_evolve_command(ad_spec_path, tmp_path):
     assert (out / "trace.csv").read_bytes() == first
 
 
-def test_evolve_methods_agree(ad_spec_path, tmp_path):
-    results = {}
-    for method in ("expm", "rk45"):
-        out = tmp_path / method
-        args = [
-            "evolve",
-            "--spec",
-            ad_spec_path,
-            "--method",
-            method,
-            "--t-max",
-            "10",
-            "--points",
-            "51",
-            "--out",
-            str(out),
-        ]
-        assert main(args) == 0
-        results[method] = _read_csv(out / "trace.csv")[1]
-    assert np.abs(results["expm"] - results["rk45"]).max() < 1e-7
+def test_evolve_matches_direct_exponential(ad_spec_path, tmp_path):
+    out = tmp_path / "out"
+    args = [
+        "evolve",
+        "--spec",
+        ad_spec_path,
+        "--alpha",
+        "0.7",
+        "--t-max",
+        "10",
+        "--points",
+        "51",
+        "--out",
+        str(out),
+    ]
+    assert main(args) == 0
+    header, rows = _read_csv(out / "trace.csv")
+    L = lq.build_liouvillian(lq.amplitude_damping_spec(0.05, 0.2)).full
+    rho0 = lq.superposition_state(0.7)
+    v0 = lq.vectorize(rho0)
+    for k, t in enumerate(np.linspace(0.0, 10.0, 51)):
+        rho = lq.devectorize(expm(L * t) @ v0)
+        purity = np.trace(rho @ rho).real
+        overlap = np.trace(rho0 @ rho).real / np.sqrt(purity)
+        assert abs(rows[k, header.index("purity")] - purity) < 1e-12
+        assert abs(rows[k, header.index("overlap")] - overlap) < 1e-12
 
 
 def test_evolve_dump_states(ad_spec_path, tmp_path):
@@ -303,6 +308,7 @@ def test_cli_validation_failures(ad_spec_path, tmp_path, capsys):
     out = str(tmp_path / "out")
     for argv in (
         ["evolve", "--spec", ad_spec_path, "--method", "euler"],
+        ["evolve", "--spec", ad_spec_path, "--method", "rk45"],
         ["evolve", "--spec", ad_spec_path, "--points", "abc"],
         ["krylov", "--beta", "0.5"],
         ["qsl-report", "--spec", ad_spec_path, "--t-max", "nan"],
@@ -350,16 +356,22 @@ from liouqsl.cli import main
 out = sys.argv[1]
 spec = out + "/spec.json"
 h = out + "/h.json"
+r0 = out + "/r0.json"
+rp = out + "/rp.json"
 lq.dump_json(lq.spec_to_json(lq.amplitude_damping_spec(0.05, 0.2)), spec)
 lq.dump_json(lq.matrix_to_json(np.diag([0.0, 0.5, 1.3]) + 0.2 * np.eye(3, k=1)
                                + 0.2 * np.eye(3, k=-1)), h)
+lq.dump_json(lq.matrix_to_json(np.diag([1.0, 0.0])), r0)
+lq.dump_json(lq.matrix_to_json(np.diag([0.0, 1.0])), rp)
 common = ["--points", "101", "--out", out]
 runs = [
     ["validate", "--spec", spec],
+    ["evolve", "--spec", spec, "--alpha", "0.7", "--t-max", "40", "--dump-states"],
     ["spectral", "--spec", spec],
     ["qsl-report", "--spec", spec, "--alpha", "0.7", "--t-max", "40"],
     ["mpemba", "--alphas", "0.3,0.8", "--t-max", "100"],
     ["krylov", "--h", h, "--beta", "0.5", "--t-max", "5"],
+    ["optimal", "--rho0", r0, "--rho-perp", rp, "--gamma", "0.5", "--t-max", "5"],
 ]
 for argv in runs:
     assert main(argv + common) == 0, argv

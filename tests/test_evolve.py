@@ -6,14 +6,12 @@ from scipy.linalg import expm
 import liouqsl as lq
 from liouqsl import evolve
 from liouqsl.evolve import (
-    IntegratorConfig,
     build_trace,
     generic_speed,
     kraus_trajectory_speed,
     normalized_rhs,
     projector_rhs,
     propagate_expm,
-    propagate_ode,
 )
 from liouqsl.exceptions import NumericalConsistencyError, ValidationError
 
@@ -73,6 +71,11 @@ def test_propagate_expm_grid_validation():
         propagate_expm(L, rho0, np.array([0.0, 1.0, 1.0]))
     with pytest.raises(ValidationError):
         propagate_expm(np.zeros((9, 9)), rho0, np.linspace(0.0, 1.0, 5))
+    for times in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValidationError, match="finite"):
+            propagate_expm(L, rho0, times)
+        with pytest.raises(ValidationError, match="finite"):
+            build_trace(times, [rho0] * 3)
 
 
 def test_propagate_expm_norm_overflow():
@@ -245,32 +248,6 @@ def test_propagate_expm_stack_names_the_invalid_state():
     stack = np.array([rand_rho(rng, 2), rand_rho(rng, 2), np.diag([1.5, -0.5])])
     with pytest.raises(ValidationError, match="initial state 2: negative eigenvalue"):
         propagate_expm(L, stack, np.linspace(0.0, 1.0, 5))
-
-
-def test_ode_methods_agree_with_exponential():
-    rng = philox(43)
-    spec = rand_spec(rng, 2)
-    rho0 = rand_rho(rng, 2)
-    L = lq.build_liouvillian(spec).full
-    times = np.linspace(0.0, 2.0, 101)
-    ref = propagate_expm(L, rho0, times)
-    for cfg in (
-        IntegratorConfig(method="rk4", step=0.002),
-        IntegratorConfig(method="rk45_adaptive"),
-        IntegratorConfig(method="matrix_exponential"),
-    ):
-        trace = propagate_ode(spec, rho0, times, cfg)
-        dev = max(np.abs(a - b).max() for a, b in zip(ref.states, trace.states))
-        assert dev < 1e-8
-
-
-def test_integrator_config_validation():
-    with pytest.raises(ValidationError):
-        IntegratorConfig(method="euler")
-    with pytest.raises(ValidationError):
-        IntegratorConfig(method="rk4", step=-0.1)
-    with pytest.raises(ValidationError):
-        IntegratorConfig(method="rk45_adaptive", rtol=0.0)
 
 
 def test_normalized_rhs_properties():

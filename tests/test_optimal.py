@@ -44,8 +44,9 @@ def test_geodesic_spec_validation():
     plus = lq.superposition_state(1.0 / np.sqrt(2.0))
     with pytest.raises(ValidationError):
         lq.GeodesicSpec(rho0=zero, rho0_perp=plus, gamma=0.1)
-    with pytest.raises(ValidationError):
-        lq.GeodesicSpec(rho0=zero, rho0_perp=one, gamma=0.0)
+    for gamma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            lq.GeodesicSpec(rho0=zero, rho0_perp=one, gamma=gamma)
     with pytest.raises(ValidationError):
         lq.GeodesicSpec(rho0=zero, rho0_perp=one, gamma=0.1, unitary=np.diag([1.0, 1.0]))
 

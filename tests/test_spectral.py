@@ -176,6 +176,9 @@ def test_tqsl_from_modes_matches_direct_route():
         assert abs(got - direct) < 1e-10
     with pytest.raises(QuadratureError):
         lq.tqsl_from_modes(sd, rho0, horizon, points=100)
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValidationError, match="horizon"):
+            lq.tqsl_from_modes(sd, rho0, bad)
 
 
 def test_tqsl_from_modes_stationary_start():
