@@ -21,7 +21,6 @@ from .liouville import liouville_angle, vectorize
 from .qsl import (
     _bound_ratio,
     _cumulative_simpson,
-    _efficiency,
     _horizon_grid,
     average_speed,
     complete_basis,
@@ -366,7 +365,7 @@ def mpemba_report(alphas, gamma, n, horizon, points=2001):
     rho0s = np.array([superposition_state(a) for a in alphas])
     for i, trace in enumerate(propagate_expm(L, rho0s, times)):
         avg = average_speed(trace, L)
-        eta[i] = _efficiency(avg, norm)
+        eta[i] = _bound_ratio(avg, norm)
         theta = liouville_angle(trace.states[0], trace.states[-1])
         delta[i] = times[-1] - _bound_ratio(theta, avg)
         theta_ss[i] = liouville_angle(rho_ss, trace.states)

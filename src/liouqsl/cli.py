@@ -32,7 +32,7 @@ from .optimal import (
     physicality_check,
     relative_purity,
 )
-from .qsl import average_speed, exact_qsl
+from .qsl import exact_qsl, speed
 from .serialize import (
     _read_json,
     dump_json,
@@ -95,12 +95,11 @@ def _initial_state(cfg, spec):
     return superposition_state(cfg.alpha)
 
 
-def _trace_rows(trace, dump_states):
-    if trace.speeds is None:
-        raise NumericalConsistencyError("trace speeds were never filled")
+def _trace_rows(trace, liouvillian, dump_states):
     d = trace.dim
     header = ["t", "purity", "overlap", "speed"]
-    columns = [trace.times, trace.purities, trace.overlap_with_initial, trace.speeds]
+    speeds = speed(liouvillian, trace.normalized)
+    columns = [trace.times, trace.normalized.purity, trace.overlap_with_initial, speeds]
     if dump_states:
         header += [f"re_{i}{j}" for i in range(d) for j in range(d)]
         header += [f"im_{i}{j}" for i in range(d) for j in range(d)]
@@ -114,8 +113,7 @@ def _cmd_evolve(cfg):
     rho0 = _initial_state(cfg, spec)
     L = build_liouvillian(spec).full
     trace = propagate_expm(L, rho0, _grid(cfg))
-    average_speed(trace, L)
-    header, rows = _trace_rows(trace, cfg.dump_states)
+    header, rows = _trace_rows(trace, L, cfg.dump_states)
     write_csv(os.path.join(cfg.out, "trace.csv"), header, rows)
     return 0
 
@@ -169,7 +167,7 @@ def _cmd_optimal(cfg):
         "physical_at_all_points": bool(np.all(physical)),
     }
     dump_json(certificate, os.path.join(cfg.out, "certificate.json"))
-    header, rows = _trace_rows(trace, cfg.dump_states)
+    header, rows = _trace_rows(trace, L, cfg.dump_states)
     write_csv(os.path.join(cfg.out, "trace.csv"), header, rows)
     return 0
 

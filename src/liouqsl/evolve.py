@@ -6,13 +6,13 @@ per-point objects. For states of dimension d it holds
 
     times                  (T,)
     states                 (T, d, d)  validated, re-Hermitized states
-    purities               (T,)       tr rho^2, also normalized.purity
     normalized.vector      (T, d^2)   unit Liouville vectors v_k
+    normalized.purity      (T,)       tr rho^2
     overlap_with_initial   (T,)       Re(v_0|v_k)
-    speeds                 (T,)       None until a generator is supplied
 
 trace.normalized[k] and trace.states[k] give the k-th point, and the
-speed functionals of the qsl module take trace.normalized whole. States
+speed functionals of the qsl module take trace.normalized whole, so
+qsl.speed(L, trace.normalized) is the speed column. States
 from any other channel family, such as a Kraus family, become a trace
 through build_trace(times, states).
 propagate_expm also takes a stack of A initial states (A, d, d) under one
@@ -45,6 +45,8 @@ from .exceptions import (
 from .lindblad import kraus_to_superop
 from .liouville import (
     NormalizedState,
+    _apply,
+    _variance,
     devectorize,
     normalize_state,
     rehermitize,
@@ -80,16 +82,13 @@ _MODAL_DEFECT_MAX = 1e-13
 class EvolutionTrace:
     """Stacked record of a propagated trajectory (layout in the module docstring).
 
-    speeds is None until filled (qsl.average_speed does this); all other
-    arrays are aligned with times along their first axis.
+    All arrays are aligned with times along their first axis.
     """
 
     times: np.ndarray
     states: np.ndarray
-    purities: np.ndarray
     normalized: NormalizedState
     overlap_with_initial: np.ndarray
-    speeds: np.ndarray = None
 
     def __len__(self):
         return len(self.times)
@@ -110,8 +109,11 @@ def _check_grid(times):
     return t
 
 
-def build_trace(times, states, trace_tol=1e-12, eig_floor=-1e-10):
+def build_trace(times, states):
     """Assemble an EvolutionTrace from T raw states, validating each one.
+
+    Each state must have unit trace within 1e-12, tighter than the 1e-10
+    that validate_density_matrix allows an input state.
 
     states may also be a stack (A, T, d, d) of A trajectories on one grid:
     they are re-Hermitized, validated and normalized in one pass and give
@@ -128,7 +130,7 @@ def build_trace(times, states, trace_tol=1e-12, eig_floor=-1e-10):
         raise ValidationError(f"states of shape {rhos.shape} do not match the grid")
     rhos = rehermitize(rhos)
     try:
-        validate_density_matrix(rhos, trace_tol=trace_tol, eig_floor=eig_floor)
+        validate_density_matrix(rhos, trace_tol=1e-12)
     except ValidationError as exc:
         a, k = divmod(exc.index, t.size)
         where = f"state at t={t[k]:g}"
@@ -148,7 +150,6 @@ def build_trace(times, states, trace_tol=1e-12, eig_floor=-1e-10):
         return EvolutionTrace(
             times=t,
             states=rhos[a],
-            purities=normalized.purity[a],
             normalized=normalized[a],
             overlap_with_initial=overlaps[a],
         )
@@ -260,11 +261,7 @@ def normalized_rhs(liouvillian, state):
     Returns (L - e) v with e the symmetrized expectation
     (⟨v, Lv⟩ + ⟨v, L†v⟩)/2; Re⟨v, rhs⟩ vanishes identically.
     """
-    v = state.vector
-    L = np.asarray(liouvillian, dtype=complex)
-    if L.shape != (v.size, v.size):
-        raise ValidationError("generator and state dimensions disagree")
-    lv = L @ v
+    v, lv = _apply(liouvillian, state)
     e = np.real(np.vdot(v, lv))
     return lv - e * v
 
@@ -274,11 +271,7 @@ def projector_rhs(liouvillian, state):
 
     L P + P L† - P tr[(L + L†) P]; Hermitian and traceless.
     """
-    v = state.vector
-    L = np.asarray(liouvillian, dtype=complex)
-    if L.shape != (v.size, v.size):
-        raise ValidationError("generator and state dimensions disagree")
-    lv = L @ v
+    v, lv = _apply(liouvillian, state)
     lp = np.outer(lv, v.conj())
     e = 2.0 * np.real(np.vdot(v, lv))
     return lp + lp.conj().T - e * np.outer(v, v.conj())
@@ -294,8 +287,7 @@ def generic_speed(trace, k):
         raise ValidationError(f"index {k} is not an interior grid point")
     vm, v, vp = trace.normalized.vector[k - 1 : k + 2]
     dv = (vp - vm) / (trace.times[k + 1] - trace.times[k - 1])
-    var = np.real(np.vdot(dv, dv)) - abs(np.vdot(v, dv)) ** 2
-    return np.sqrt(max(var, 0.0))
+    return np.sqrt(_variance(v, dv))
 
 
 def kraus_trajectory_speed(ks_provider, rho0, t, h):
@@ -304,10 +296,12 @@ def kraus_trajectory_speed(ks_provider, rho0, t, h):
     Normalizes each supermatrix K_t so that K_t v0 is a unit vector,
     differentiates by central differences with step h, and evaluates
     sqrt(tr(dK† dK P0) - tr(dK† P_t dK P0)) with P0, P_t the projectors
-    onto the initial and current unit vectors.
+    onto the initial and current unit vectors v0, v_t. That equals
+    |dK v0|² - |(v_t|dK v0)|²: the speed of the unit vector v_t, whose
+    time derivative is dK v0.
     """
-    if h <= 0:
-        raise ValidationError("central-difference step must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValidationError("central-difference step must be positive and finite")
     s0 = normalize_state(np.asarray(rho0, dtype=complex))
     v0 = s0.vector
 
@@ -317,7 +311,4 @@ def kraus_trajectory_speed(ks_provider, rho0, t, h):
 
     dK = (normalized_super(t + h) - normalized_super(t - h)) / (2.0 * h)
     vt = normalized_super(t) @ v0
-    p0 = np.outer(v0, v0.conj())
-    pt = np.outer(vt, vt.conj())
-    var = np.trace(dK.conj().T @ dK @ p0) - np.trace(dK.conj().T @ pt @ dK @ p0)
-    return np.sqrt(max(np.real(var), 0.0))
+    return np.sqrt(_variance(vt, dK @ v0))

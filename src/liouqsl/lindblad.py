@@ -46,6 +46,8 @@ class LindbladSpec:
         h = np.asarray(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionError(f"hamiltonian must be square, got {h.shape}")
+        if not np.isfinite(h).all():
+            raise ValidationError("hamiltonian has non-finite entries")
         if np.abs(h - h.conj().T).max() > _HERM_TOL:
             raise ValidationError("hamiltonian is not Hermitian")
         self.hamiltonian = h
@@ -53,13 +55,15 @@ class LindbladSpec:
         cleaned = []
         for rate, op in self.jumps:
             rate = float(rate)
-            if rate < 0.0:
-                raise ValidationError(f"negative jump rate {rate}")
+            if not 0.0 <= rate < np.inf:
+                raise ValidationError(f"jump rate {rate} is not nonnegative and finite")
             op = np.asarray(op, dtype=complex)
             if op.shape != (d, d):
                 raise DimensionError(
                     f"jump operator shape {op.shape} does not match dim {d}"
                 )
+            if not np.isfinite(op).all():
+                raise ValidationError("jump operator has non-finite entries")
             cleaned.append((rate, op))
         if len(cleaned) > d * d - 1:
             raise ValidationError(
@@ -170,8 +174,8 @@ def kraus_from_lindblad_step(spec, dt):
     K_0 = 1 + (-iH - sum_k g_k L_k^+ L_k / 2) dt and K_k = sqrt(g_k dt) L_k.
     The completeness defect of the result is O(dt^2).
     """
-    if dt < 0.0:
-        raise ValidationError("negative time step")
+    if not 0.0 <= dt < np.inf:
+        raise ValidationError(f"time step {dt} is not nonnegative and finite")
     d = spec.dim
     drift = -1j * spec.hamiltonian.astype(complex)
     for rate, op in spec.jumps:

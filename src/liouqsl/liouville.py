@@ -95,12 +95,12 @@ def rehermitize(matrix):
     return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
-def validate_density_matrix(rho, trace_tol=1e-10, herm_tol=1e-10, eig_floor=-1e-10):
+def validate_density_matrix(rho, trace_tol=1e-10):
     """Check the structural requirements on a density matrix or a stack of them.
 
     Raises ValidationError when the trace deviates from one beyond
-    trace_tol, hermiticity is violated beyond herm_tol, or the smallest
-    eigenvalue of the Hermitian part lies below eig_floor. For a stack
+    trace_tol, hermiticity is violated beyond 1e-10, or the smallest
+    eigenvalue of the Hermitian part lies below -1e-10. For a stack
     the error describes the first failing state, and its index attribute
     holds that state's flat index over the leading axes.
     """
@@ -109,9 +109,9 @@ def validate_density_matrix(rho, trace_tol=1e-10, herm_tol=1e-10, eig_floor=-1e-
         raise DimensionError(f"expected a square matrix, got shape {r.shape}")
     r = r.reshape((-1,) + r.shape[-2:])
     trace_ok = np.abs(np.trace(r, axis1=1, axis2=2) - 1.0) <= trace_tol
-    herm_ok = np.abs(r - np.swapaxes(r, 1, 2).conj()).max(axis=(1, 2)) <= herm_tol
+    herm_ok = np.abs(r - np.swapaxes(r, 1, 2).conj()).max(axis=(1, 2)) <= 1e-10
     lowest = np.linalg.eigvalsh(rehermitize(r)).min(axis=1)
-    ok = trace_ok & herm_ok & (lowest >= eig_floor)
+    ok = trace_ok & herm_ok & (lowest >= -1e-10)
     if ok.all():
         return
     k = int(np.argmin(ok))
@@ -208,38 +208,40 @@ def sandwich_superop(left, right):
     return np.kron(r.T, l)
 
 
-def _as_vector(state):
+def _apply(superop, state):
+    """(v, O v) for the unit vector(s) v of a NormalizedState or an array."""
     if isinstance(state, NormalizedState):
-        return state.vector
-    return np.asarray(state, dtype=complex).ravel()
-
-
-def superop_expectation(superop, state):
-    """Expectation (rho~|O|rho~) = tr(O P) of a superoperator."""
-    v = _as_vector(state)
+        state = state.vector
+    v = np.asarray(state, dtype=complex)
     o = np.asarray(superop, dtype=complex)
-    if o.shape != (v.size, v.size):
-        raise DimensionError("superoperator does not match the state dimension")
-    return complex(np.vdot(v, o @ v))
+    n = v.shape[-1]
+    if o.shape != (n, n):
+        raise DimensionError(f"superoperator shape {o.shape} does not act on dim {n}")
+    return v, v @ o.T
 
 
-def _variance(v, ov, floor):
+def _variance(v, ov):
+    """|O v|^2 - |(v|O v)|^2 per unit vector v; the squared speed for O = L.
+
+    Round-off down to -1e-10 is clamped to zero; anything lower raises.
+    """
     value = _dot(ov, ov).real - np.abs(_dot(v, ov)) ** 2
     low = np.min(value)
-    if low < floor:
-        raise NumericalConsistencyError(f"variance {low:.3e} below floor {floor:.1e}")
+    if low < -1e-10:
+        raise NumericalConsistencyError(f"variance {low:.3e} below floor -1e-10")
     return np.maximum(value, 0.0)
 
 
-def superop_variance(superop, state, floor=-1e-10):
+def superop_expectation(superop, state):
+    """Expectation (rho~|O|rho~) = tr(O P) of a superoperator, per state."""
+    return _dot(*_apply(superop, state))
+
+
+def superop_variance(superop, state):
     """Variance tr(O^+ O P) - tr(O^+ P) tr(O P) of a superoperator.
 
     Equals ||O v||^2 - |(v|O|v)|^2 for the unit vector v; a stacked state
-    gives one value per state. Small negative round-off is clamped to
-    zero; values below floor raise.
+    gives one value per state. Negative round-off down to -1e-10 is
+    clamped to zero; a lower value raises NumericalConsistencyError.
     """
-    v = _as_vector(state)
-    o = np.asarray(superop, dtype=complex)
-    if o.shape != (v.shape[-1],) * 2:
-        raise DimensionError("superoperator does not match the state dimension")
-    return _variance(v, v @ o.T, floor)
+    return _variance(*_apply(superop, state))

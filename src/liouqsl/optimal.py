@@ -73,7 +73,10 @@ def geodesic_state(gs, weight):
 
 def mixing_schedule(gamma, times):
     """Weight of rho0 along the generated path: (1 + exp(-2 gamma t))/2."""
-    return 0.5 * (1.0 + np.exp(-2.0 * gamma * np.asarray(times, dtype=float)))
+    t = np.asarray(times, dtype=float)
+    if not (0.0 <= gamma < np.inf and np.all(0.0 <= t) and np.all(t < np.inf)):
+        raise ValidationError("gamma and times must be nonnegative and finite")
+    return 0.5 * (1.0 + np.exp(-2.0 * gamma * t))
 
 
 def optimal_liouvillian(gs):
@@ -128,8 +131,8 @@ def pure_optimal_liouvillian(psi, psi_perp, gamma):
     gamma (S* kron S - 1). S is unitary only on the two-dimensional span,
     so for d > 2 the generator is meaningful on states supported there.
     """
-    if gamma < 0.0:
-        raise ValidationError("gamma must be nonnegative")
+    if not 0.0 <= gamma < np.inf:
+        raise ValidationError("gamma must be nonnegative and finite")
     a = np.asarray(psi, dtype=complex).ravel()
     b = np.asarray(psi_perp, dtype=complex).ravel()
     if abs(np.linalg.norm(a) - 1.0) > _TOL or abs(np.linalg.norm(b) - 1.0) > _TOL:

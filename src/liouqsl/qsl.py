@@ -32,7 +32,7 @@ from .exceptions import (
     QuadratureError,
     ValidationError,
 )
-from .liouville import _dot, _variance, liouville_angle, superop_variance
+from .liouville import _apply, _dot, _variance, liouville_angle, vectorize
 
 __all__ = [
     "QslReport",
@@ -109,14 +109,6 @@ class BasisSet:
         return vector @ self.vectors.conj()
 
 
-def _check_superop(superop, state):
-    m = np.asarray(superop, dtype=complex)
-    n = state.vector.shape[-1]
-    if m.shape != (n, n):
-        raise DimensionError(f"superoperator shape {m.shape} does not act on dim {n}")
-    return m
-
-
 def _simpson(y, x):
     """Composite Simpson integral of samples y on an odd, possibly non-uniform grid x.
 
@@ -183,35 +175,38 @@ def _horizon_grid(horizon, points):
 
 
 def _bound_ratio(numerator, denominator):
+    """Every ratio of the bound chain: a distance or a speed over a speed or a norm.
+
+    A vanishing denominator gives 0 against a vanishing numerator, as for
+    a stationary state or a zero generator, and raises otherwise.
+    """
     if denominator < 1e-14 * max(numerator, 1.0):
         if numerator < _ANGLE_FLOOR:
             return 0.0
         raise NumericalConsistencyError(
-            f"vanishing average speed against a finite distance {numerator:.3e}"
+            f"vanishing speed or norm against a finite numerator {numerator:.3e}"
         )
     return float(numerator / denominator)
 
 
 def speed(liouvillian, state):
     """Evolution speed sqrt(tr(L†L P) - tr(L† P) tr(L P))."""
-    return np.sqrt(superop_variance(_check_superop(liouvillian, state), state))
+    return np.sqrt(_variance(*_apply(liouvillian, state)))
 
 
 def speed_matrix_form(rho, rhodot):
     """Speed from the state and its raw time derivative in matrix form.
 
-    sqrt(tr(drho† drho)/tr(rho²) - (tr(rho drho)/tr(rho²))²); identical
-    to the superoperator route once the unit-vector normalization is
-    expanded for an unnormalized state.
+    sqrt(tr(drho† drho)/tr(rho²) - |tr(rho drho)/tr(rho²)|²): both are
+    scaled by 1/sqrt(tr rho²), which makes rho a unit vector, and the
+    variance is that of the superoperator route.
     """
-    r = np.asarray(rho, dtype=complex)
-    rd = np.asarray(rhodot, dtype=complex)
-    purity = np.real(np.trace(r @ r))
-    if purity <= 0.0:
+    v = vectorize(rho)
+    purity = _dot(v, v).real
+    if not purity > 0.0:
         raise NumericalConsistencyError("state has non-positive purity")
-    second = np.real(np.trace(rd.conj().T @ rd)) / purity
-    first = np.real(np.trace(r @ rd)) / purity
-    return float(np.sqrt(max(second - first * first, 0.0)))
+    scale = 1.0 / np.sqrt(purity)
+    return float(np.sqrt(_variance(v * scale, vectorize(rhodot) * scale)))
 
 
 def speed_decomposition(parts, state):
@@ -221,22 +216,16 @@ def speed_decomposition(parts, state):
     cross = Re[i((v|L_H L_D|v) - (v|L_D† L_H|v))]; the three sum to the
     squared speed of the full generator on physical states.
     """
-    v = state.vector
-    lh = _check_superop(parts.hermitian_generator, state)
-    ld = _check_superop(parts.dissipative, state)
-    var_h = superop_variance(lh, state)
-    var_d = superop_variance(ld, state)
-    hv = lh @ v
-    dv = ld @ v
-    cross = np.real(1j * (np.vdot(hv, dv) - np.vdot(dv, hv)))
-    return float(var_h), float(var_d), float(cross)
+    v, hv = _apply(parts.hermitian_generator, state)
+    _, dv = _apply(parts.dissipative, state)
+    cross = np.real(1j * (_dot(hv, dv) - _dot(dv, hv)))
+    return float(_variance(v, hv)), float(_variance(v, dv)), float(cross)
 
 
 def average_speed(trace, liouvillian):
-    """Simpson time average of the speed; fills trace.speeds as a side effect."""
+    """Simpson time average of the speed along the trace."""
     _odd_grid(len(trace))
-    trace.speeds = speed(liouvillian, trace.normalized)
-    return _time_average(trace.speeds, trace.times)
+    return _time_average(speed(liouvillian, trace.normalized), trace.times)
 
 
 def mt_bound(trace, liouvillian):
@@ -250,23 +239,14 @@ def operator_norm(superop):
     return float(np.linalg.norm(np.asarray(superop, dtype=complex), 2))
 
 
-def _norm_bound(theta, norm):
-    theta = float(theta)
-    if theta < _ANGLE_FLOOR:
-        return 0.0
-    if norm <= 0.0:
-        raise NumericalConsistencyError("zero generator with a finite angle")
-    return theta / norm
-
-
 def opnorm_bound(liouvillian, theta):
     """Angle divided by the operator norm of the generator."""
-    return _norm_bound(theta, operator_norm(liouvillian))
+    return _bound_ratio(theta, operator_norm(liouvillian))
 
 
 def hsnorm_bound(liouvillian, theta):
     """Angle divided by the Hilbert-Schmidt norm; never exceeds opnorm_bound."""
-    return _norm_bound(theta, float(np.linalg.norm(liouvillian)))
+    return _bound_ratio(theta, float(np.linalg.norm(liouvillian)))
 
 
 def complete_basis(state):
@@ -307,12 +287,11 @@ class _ClassicalSplit:
     """
 
     def __init__(self, superop, basis, state):
-        self.v = state.vector
-        self.ov = self.v @ _check_superop(superop, state).T
+        self.v, self.ov = _apply(superop, state)
         self.amps = basis.amplitudes(self.v)
         self.oamps = basis.amplitudes(self.ov)
         self.pops = np.abs(self.amps) ** 2
-        self.var = _variance(self.v, self.ov, -1e-10)
+        self.var = _variance(self.v, self.ov)
         self.keep = self.pops >= _POP_FLOOR
         self.beta = self.per_population(1j * np.imag(self.oamps * self.amps.conj()))
 
@@ -402,8 +381,7 @@ def exact_qsl(trace, liouvillian, basis=None):
         basis = complete_basis(trace.normalized[0])
     _odd_grid(len(trace))
     split = _ClassicalSplit(liouvillian, basis, trace.normalized)
-    trace.speeds = np.sqrt(split.var)
-    avg = _time_average(trace.speeds, trace.times)
+    avg = _time_average(np.sqrt(split.var), trace.times)
     avg_nc = _time_average(split.nonclassical_speed(), trace.times)
     length = _simpson(split.wootters_speed(), trace.times)
     norm = operator_norm(liouvillian)
@@ -416,21 +394,15 @@ def exact_qsl(trace, liouvillian, basis=None):
         bound_mt=_bound_ratio(theta, avg),
         bound_nc=_bound_ratio(theta, avg_nc),
         exact_time=_bound_ratio(length, avg_nc),
-        bound_opnorm=_norm_bound(theta, norm),
+        bound_opnorm=_bound_ratio(theta, norm),
         bound_hsnorm=hsnorm_bound(liouvillian, theta),
-        efficiency=_efficiency(avg, norm),
+        efficiency=_bound_ratio(avg, norm),
     )
-
-
-def _efficiency(avg, norm):
-    if norm <= 0.0:
-        raise NumericalConsistencyError("zero operator norm")
-    return float(avg / norm)
 
 
 def speed_efficiency(trace, liouvillian):
     """Average speed divided by the operator norm of the generator."""
-    return _efficiency(average_speed(trace, liouvillian), operator_norm(liouvillian))
+    return _bound_ratio(average_speed(trace, liouvillian), operator_norm(liouvillian))
 
 
 def uncertainty_product(a_superop, b_superop, state):
@@ -439,11 +411,8 @@ def uncertainty_product(a_superop, b_superop, state):
     Returns (lhs, rhs) = ((ΔA)²(ΔB)², |tr(A†BP) - tr(A†P)tr(BP)|²) with
     P the projector onto the state vector; lhs ≥ rhs always.
     """
-    A = _check_superop(a_superop, state)
-    B = _check_superop(b_superop, state)
-    v = state.vector
-    av = A @ v
-    bv = B @ v
-    lhs = superop_variance(A, state) * superop_variance(B, state)
-    cov = np.vdot(av, bv) - np.conj(np.vdot(v, av)) * np.vdot(v, bv)
+    v, av = _apply(a_superop, state)
+    _, bv = _apply(b_superop, state)
+    lhs = _variance(v, av) * _variance(v, bv)
+    cov = _dot(av, bv) - np.conj(_dot(v, av)) * _dot(v, bv)
     return float(lhs), float(abs(cov) ** 2)

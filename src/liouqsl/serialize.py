@@ -50,6 +50,8 @@ def matrix_from_json(doc):
         raise ValidationError(
             f"matrix parts have shape {re.shape}/{im.shape}, expected ({d}, {d})"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValidationError("matrix has non-finite entries")
     return re + 1j * im
 
 

@@ -25,9 +25,9 @@ from .exceptions import (
     ValidationError,
 )
 from .liouville import (
-    _dot,
     _hermitian_basis,
     _unit_angle,
+    _variance,
     devectorize,
     rehermitize,
     vectorize,
@@ -196,16 +196,13 @@ def mode_overlaps(sd, rho0):
 
 
 def _mode_speed(sd, c, t):
-    """Speed sqrt(|v'|^2/|v|^2 - (Re(v|v')/|v|^2)^2) of v = evolve(c, t).
+    """Speed of v = evolve(c, t): _variance of v' = L v, both scaled so |v| = 1.
 
     The derivative v' = evolve(lambda * c, t) comes out of the same product.
     """
     both = sd.evolve(np.array([c, sd.eigenvalues * c]), t)
-    v, dv = both[..., 0, :], both[..., 1, :]
-    d = _dot(v, v).real
-    a = _dot(dv, dv).real
-    b = _dot(v, dv).real
-    return np.sqrt(np.maximum(a / d - (b / d) ** 2, 0.0))
+    both /= np.linalg.norm(both[..., :1, :], axis=-1, keepdims=True)
+    return np.sqrt(_variance(both[..., 0, :], both[..., 1, :]))
 
 
 def _mode_angle(sd, c, rho0, t):

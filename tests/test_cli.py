@@ -319,12 +319,50 @@ def test_cli_validation_failures(ad_spec_path, tmp_path, capsys):
         assert main(argv + ["--out", out]) == 1, argv
         err = capsys.readouterr().err
         assert f"liouqsl: command={argv[0]} error=validation detail=" in err, argv
+    # A NaN rate in a spec file or a NaN entry in a matrix file, too.
+    doc = lq.spec_to_json(lq.amplitude_damping_spec(0.05, 0.2))
+    doc["jumps"][0]["rate"] = float("nan")
+    nan_spec = str(tmp_path / "nan_rate.json")
+    lq.dump_json(doc, nan_spec)
+    h = np.diag([0.0, 0.5, 1.3])
+    h[0, 0] = np.nan
+    nan_h = _write_matrix(tmp_path, "nan_h.json", h)
+    nan_rho = _write_matrix(tmp_path, "nan_rho.json", np.diag([np.nan, 0.5]))
+    for argv in (
+        ["validate", "--spec", nan_spec],
+        ["spectral", "--spec", nan_spec],
+        ["evolve", "--spec", nan_spec, "--points", "21"],
+        ["qsl-report", "--spec", nan_spec, "--points", "21"],
+        ["qsl-report", "--spec", ad_spec_path, "--rho0", nan_rho, "--points", "21"],
+        ["krylov", "--h", nan_h, "--points", "21"],
+    ):
+        assert main(argv + ["--out", out]) == 1, argv
+        err = capsys.readouterr().err
+        assert f"liouqsl: command={argv[0]} error=validation detail=" in err, argv
     for argv in (["no-such-command"], []):
         assert main(argv) == 1
         assert "command=None error=validation" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["krylov", "--help"])
     assert exc.value.code == 0
+
+
+def test_zero_generator_gives_zero_report(tmp_path):
+    spec = lq.LindbladSpec(hamiltonian=np.zeros((2, 2)))
+    L = lq.build_liouvillian(spec).full
+    times = np.linspace(0.0, 2.0, 21)
+    report = lq.exact_qsl(lq.propagate_expm(L, lq.superposition_state(0.6), times), L)
+    doc = report.to_json()
+    assert doc.pop("T") == 2.0
+    assert all(value == 0.0 for value in doc.values()), doc
+    path = tmp_path / "zero.json"
+    lq.dump_json(lq.spec_to_json(spec), path)
+    out = tmp_path / "out"
+    argv = ["qsl-report", "--spec", str(path), "--points", "21", "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc.pop("T") == 10.0
+    assert all(value == 0.0 for value in doc.values()), doc
 
 
 def test_cli_requires_rho0_beyond_qubits(tmp_path, capsys):

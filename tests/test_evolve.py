@@ -53,11 +53,10 @@ def test_trace_columns():
     rho0 = rand_rho(rng, 2)
     L = lq.build_liouvillian(spec).full
     trace = propagate_expm(L, rho0, np.linspace(0.0, 1.0, 11))
-    assert trace.speeds is None
     assert abs(trace.overlap_with_initial[0] - 1.0) < 1e-12
     for k, rho in enumerate(trace.states):
         assert abs(np.trace(rho) - 1.0) < 1e-12
-        assert abs(trace.purities[k] - np.trace(rho @ rho).real) < 1e-12
+        assert abs(trace.normalized.purity[k] - np.trace(rho @ rho).real) < 1e-12
         got = np.real(np.vdot(trace.normalized[0].vector, trace.normalized[k].vector))
         assert abs(trace.overlap_with_initial[k] - got) < 1e-12
 
@@ -307,5 +306,6 @@ def test_kraus_trajectory_speed_matches_generator_route():
     trace = propagate_expm(L, rho0, np.array([0.0, t]))
     direct = lq.speed(L, trace.normalized[1])
     assert abs(kraus_trajectory_speed(family, rho0, t, 1e-6) - direct) < 1e-8
-    with pytest.raises(ValidationError):
-        kraus_trajectory_speed(family, rho0, t, 0.0)
+    for bad in (0.0, np.nan):
+        with pytest.raises(ValidationError):
+            kraus_trajectory_speed(family, rho0, t, bad)

@@ -19,6 +19,15 @@ def test_spec_validation():
         lq.LindbladSpec(hamiltonian=np.eye(2), jumps=[(0.5, np.eye(3))])
     with pytest.raises(ValidationError):
         lq.LindbladSpec(hamiltonian=np.eye(2), jumps=[(0.1, np.eye(2))] * 4)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            lq.LindbladSpec(hamiltonian=np.eye(2), jumps=[(bad, np.eye(2))])
+        m = np.eye(2)
+        m[0, 0] = bad
+        with pytest.raises(ValidationError):
+            lq.LindbladSpec(hamiltonian=m)
+        with pytest.raises(ValidationError):
+            lq.LindbladSpec(hamiltonian=np.eye(2), jumps=[(0.5, m)])
     spec = lq.LindbladSpec(hamiltonian=np.eye(3))
     assert spec.dim == 3 and spec.jumps == []
 
@@ -112,5 +121,6 @@ def test_kraus_from_lindblad_step_first_order():
     assert ks.completeness_defect < 10.0 * dt**2
     defect = np.abs(lq.kraus_to_superop(ks) - expm(L * dt)).max()
     assert defect < 10.0 * dt**2
-    with pytest.raises(ValidationError):
-        lq.kraus_from_lindblad_step(spec, -0.1)
+    for bad in (-0.1, np.nan):
+        with pytest.raises(ValidationError):
+            lq.kraus_from_lindblad_step(spec, bad)

@@ -25,6 +25,9 @@ def test_mixing_schedule_values():
     assert abs(lq.mixing_schedule(gamma, 1e4) - 0.5) < 1e-12
     vals = lq.mixing_schedule(gamma, np.linspace(0.0, 10.0, 11))
     assert np.all(np.diff(vals) < 0.0)
+    for gamma, t in ((np.nan, 1.0), (0.2, np.nan), (0.2, [0.0, np.inf])):
+        with pytest.raises(ValidationError):
+            lq.mixing_schedule(gamma, t)
 
 
 def test_geodesic_state_endpoints():
@@ -142,6 +145,9 @@ def test_pure_optimal_liouvillian_matches_geodesic_form():
         lq.pure_optimal_liouvillian(psi, psi, gamma)
     with pytest.raises(ValidationError):
         lq.pure_optimal_liouvillian(2.0 * psi, phi, gamma)
+    for bad in (-0.3, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            lq.pure_optimal_liouvillian(psi, phi, bad)
 
 
 def test_mt_bound_saturates_on_the_generated_path():

@@ -63,12 +63,17 @@ def test_speed_decomposition_sum_rule():
         assert abs(cross) <= 2.0 * np.sqrt(var_h * var_d) + 1e-12
 
 
-def test_average_speed_fills_trace():
+def test_average_speed_is_simpson_average_of_speed_column():
+    from scipy.integrate import simpson
+
     L, trace = _ad_trace()
     avg = lq.average_speed(trace, L)
-    assert trace.speeds is not None and trace.speeds.size == len(trace)
+    column = lq.speed(L, trace.normalized)
+    assert column.shape == trace.times.shape
     direct = np.array([lq.speed(L, s) for s in trace.normalized])
-    assert_allclose(trace.speeds, direct)
+    assert_allclose(column, direct)
+    horizon = trace.times[-1] - trace.times[0]
+    assert_allclose(avg, simpson(column, x=trace.times) / horizon, rtol=1e-14)
     assert avg > 0.0
 
 

@@ -25,6 +25,12 @@ def test_matrix_from_json_rejects_malformed():
         lq.matrix_from_json({"dim": 2, "re": [[0.0]], "im": [[0.0]]})
     with pytest.raises(ValidationError):
         lq.matrix_to_json(np.zeros((2, 3)))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for part in ("re", "im"):
+            doc = lq.matrix_to_json(np.eye(2))
+            doc[part][1][0] = bad
+            with pytest.raises(ValidationError):
+                lq.matrix_from_json(doc)
 
 
 def test_spec_round_trip():
