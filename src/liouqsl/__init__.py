@@ -11,7 +11,6 @@ from .exceptions import (
 from .liouville import (
     NormalizedState,
     devectorize,
-    inner,
     liouville_angle,
     normalize_state,
     rehermitize,
@@ -22,18 +21,14 @@ from .liouville import (
     vectorize,
 )
 from .lindblad import (
-    KrausSet,
     LindbladSpec,
     LiouvillianParts,
-    apply_dissipator,
     build_liouvillian,
     commutator_superop,
-    kraus_from_lindblad_step,
     kraus_to_superop,
 )
 from .serialize import (
     dump_json,
-    format_float,
     load_spec,
     matrix_from_json,
     matrix_to_json,
@@ -46,8 +41,6 @@ from .evolve import (
     build_trace,
     generic_speed,
     kraus_trajectory_speed,
-    normalized_rhs,
-    projector_rhs,
     propagate_expm,
 )
 from .qsl import (
@@ -58,26 +51,18 @@ from .qsl import (
     complete_basis,
     exact_qsl,
     exact_uncertainty,
-    hsnorm_bound,
-    mt_bound,
     nonclassical_speed,
     operator_norm,
-    opnorm_bound,
     speed,
     speed_decomposition,
-    speed_efficiency,
-    speed_matrix_form,
     uncertainty_product,
     wootters_length,
 )
 from .optimal import (
     GeodesicSpec,
     connecting_unitary,
-    geodesic_state,
-    mixing_schedule,
     optimal_liouvillian,
     physicality_check,
-    pure_optimal_liouvillian,
     relative_purity,
 )
 from .spectral import (
@@ -98,7 +83,6 @@ from .applications import (
     coherent_gibbs_state,
     krylov_bound_check,
     krylov_build,
-    krylov_complexity,
     krylov_precursor_margins,
     mpemba_report,
     sff,

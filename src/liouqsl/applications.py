@@ -16,7 +16,12 @@ import numpy as np
 
 from .exceptions import NumericalConsistencyError, ValidationError
 from .evolve import EvolutionTrace, propagate_expm
-from .lindblad import LindbladSpec, build_liouvillian, commutator_superop
+from .lindblad import (
+    LindbladSpec,
+    _checked_hamiltonian,
+    build_liouvillian,
+    commutator_superop,
+)
 from .liouville import liouville_angle, vectorize
 from .qsl import (
     _bound_ratio,
@@ -35,7 +40,6 @@ __all__ = [
     "sff",
     "sff_bound_check",
     "krylov_build",
-    "krylov_complexity",
     "krylov_bound_check",
     "krylov_precursor_margins",
     "tradeoff_check",
@@ -51,9 +55,7 @@ def coherent_gibbs_state(hamiltonian, beta):
 
     |psi> = Z^{-1/2} sum_n e^{-beta E_n / 2} |n>; returns the projector.
     """
-    h = np.asarray(hamiltonian, dtype=complex)
-    if np.abs(h - h.conj().T).max() > 1e-12:
-        raise ValidationError("hamiltonian is not Hermitian")
+    h = _checked_hamiltonian(hamiltonian)
     if not 0.0 <= beta < np.inf:
         raise ValidationError("beta must be nonnegative and finite")
     energies, vectors = np.linalg.eigh(h)
@@ -133,9 +135,7 @@ def krylov_build(hamiltonian, rho0, times):
     exp(-i L_H t) and projects onto the basis. times must start at 0, as
     for propagate_expm.
     """
-    h = np.asarray(hamiltonian, dtype=complex)
-    if np.abs(h - h.conj().T).max() > 1e-12:
-        raise ValidationError("hamiltonian is not Hermitian")
+    h = _checked_hamiltonian(hamiltonian)
     d = h.shape[0]
     lh = commutator_superop(h)
     generator = -1j * lh
@@ -180,14 +180,6 @@ def krylov_build(hamiltonian, rho0, times):
         trace=trace,
         generator=generator,
     )
-
-
-def krylov_complexity(kd, t):
-    """Mean Krylov index at a grid time."""
-    k = int(np.argmin(np.abs(kd.times - t)))
-    if abs(kd.times[k] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValidationError(f"time {t} is not on the Krylov grid")
-    return float(kd.complexity[k])
 
 
 def krylov_precursor_margins(kd):

@@ -45,7 +45,6 @@ from .exceptions import (
 from .lindblad import kraus_to_superop
 from .liouville import (
     NormalizedState,
-    _apply,
     _variance,
     devectorize,
     normalize_state,
@@ -59,8 +58,6 @@ __all__ = [
     "EvolutionTrace",
     "build_trace",
     "propagate_expm",
-    "normalized_rhs",
-    "projector_rhs",
     "generic_speed",
     "kraus_trajectory_speed",
 ]
@@ -253,28 +250,6 @@ def propagate_expm(liouvillian, rho0, times):
         raise NumericalConsistencyError(f"state norm overflow at t={first:g}")
     # (T, ..., n) -> (..., T, d, d): one trajectory per initial state.
     return build_trace(t, devectorize(np.moveaxis(vecs, 0, -2)))
-
-
-def normalized_rhs(liouvillian, state):
-    """Time derivative of the unit Liouville vector.
-
-    Returns (L - e) v with e the symmetrized expectation
-    (⟨v, Lv⟩ + ⟨v, L†v⟩)/2; Re⟨v, rhs⟩ vanishes identically.
-    """
-    v, lv = _apply(liouvillian, state)
-    e = np.real(np.vdot(v, lv))
-    return lv - e * v
-
-
-def projector_rhs(liouvillian, state):
-    """Time derivative of the rank-one projector onto the unit vector.
-
-    L P + P L† - P tr[(L + L†) P]; Hermitian and traceless.
-    """
-    v, lv = _apply(liouvillian, state)
-    lp = np.outer(lv, v.conj())
-    e = 2.0 * np.real(np.vdot(v, lv))
-    return lp + lp.conj().T - e * np.outer(v, v.conj())
 
 
 def generic_speed(trace, k):

@@ -26,13 +26,22 @@ __all__ = [
     "LiouvillianParts",
     "commutator_superop",
     "build_liouvillian",
-    "apply_dissipator",
-    "KrausSet",
     "kraus_to_superop",
-    "kraus_from_lindblad_step",
 ]
 
 _HERM_TOL = 1e-12
+
+
+def _checked_hamiltonian(hamiltonian):
+    """The Hamiltonian as a complex array if square, non-empty, finite, Hermitian."""
+    h = np.asarray(hamiltonian, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
+        raise DimensionError(f"hamiltonian must be square and non-empty, got {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValidationError("hamiltonian has non-finite entries")
+    if np.abs(h - h.conj().T).max() > _HERM_TOL:
+        raise ValidationError("hamiltonian is not Hermitian")
+    return h
 
 
 @dataclass
@@ -43,15 +52,8 @@ class LindbladSpec:
     jumps: list = field(default_factory=list)
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise DimensionError(f"hamiltonian must be square, got {h.shape}")
-        if not np.isfinite(h).all():
-            raise ValidationError("hamiltonian has non-finite entries")
-        if np.abs(h - h.conj().T).max() > _HERM_TOL:
-            raise ValidationError("hamiltonian is not Hermitian")
-        self.hamiltonian = h
-        d = h.shape[0]
+        self.hamiltonian = _checked_hamiltonian(self.hamiltonian)
+        d = self.dim
         cleaned = []
         for rate, op in self.jumps:
             rate = float(rate)
@@ -122,64 +124,11 @@ def build_liouvillian(spec):
     )
 
 
-def apply_dissipator(spec, rho):
-    """Dissipative part of drho/dt in matrix form.
-
-    Returns sum_k g_k (L_k rho L_k^+ - {L_k^+ L_k, rho}/2); agrees with
-    devectorize(dissipative @ vec(rho)).
-    """
-    r = np.asarray(rho, dtype=complex)
-    if r.shape != (spec.dim, spec.dim):
-        raise DimensionError("state does not match the spec dimension")
-    out = np.zeros_like(r)
-    for rate, op in spec.jumps:
-        opdop = op.conj().T @ op
-        out += rate * (op @ r @ op.conj().T - 0.5 * (opdop @ r + r @ opdop))
-    return out
-
-
-@dataclass
-class KrausSet:
-    """Kraus operators of a channel with their completeness defect.
-
-    completeness_defect = max |sum_i K_i^+ K_i - 1|; zero for an exactly
-    trace-preserving channel.
-    """
-
-    operators: list
-    completeness_defect: float = None
-
-    def __post_init__(self):
-        ops = [np.asarray(k, dtype=complex) for k in self.operators]
-        if not ops:
-            raise ValidationError("empty Kraus set")
-        d = ops[0].shape[0]
-        for k in ops:
-            if k.shape != (d, d):
-                raise DimensionError("Kraus operators of inconsistent shape")
-        self.operators = ops
-        acc = sum(k.conj().T @ k for k in ops)
-        self.completeness_defect = float(np.abs(acc - np.eye(d)).max())
-
-
 def kraus_to_superop(kraus):
-    """Supermatrix sum_i K_i* kron K_i of a Kraus set or operator list."""
-    ops = kraus.operators if isinstance(kraus, KrausSet) else list(kraus)
+    """Supermatrix sum_i K_i* kron K_i of a list of Kraus operators."""
+    ops = [np.asarray(k, dtype=complex) for k in kraus]
+    if not ops:
+        raise ValidationError("empty Kraus set")
+    if any(k.shape != ops[0].shape for k in ops):
+        raise DimensionError("Kraus operators of inconsistent shape")
     return sum(sandwich_superop(k, k.conj().T) for k in ops)
-
-
-def kraus_from_lindblad_step(spec, dt):
-    """First-order Kraus representation of exp(L dt).
-
-    K_0 = 1 + (-iH - sum_k g_k L_k^+ L_k / 2) dt and K_k = sqrt(g_k dt) L_k.
-    The completeness defect of the result is O(dt^2).
-    """
-    if not 0.0 <= dt < np.inf:
-        raise ValidationError(f"time step {dt} is not nonnegative and finite")
-    d = spec.dim
-    drift = -1j * spec.hamiltonian.astype(complex)
-    for rate, op in spec.jumps:
-        drift -= 0.5 * rate * (op.conj().T @ op)
-    ops = [np.eye(d, dtype=complex) + drift * dt]
-    ops += [np.sqrt(rate * dt) * op for rate, op in spec.jumps if rate > 0.0]
-    return KrausSet(operators=ops)

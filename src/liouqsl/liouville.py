@@ -25,7 +25,6 @@ from .exceptions import DimensionError, NumericalConsistencyError, ValidationErr
 __all__ = [
     "vectorize",
     "devectorize",
-    "inner",
     "rehermitize",
     "validate_density_matrix",
     "NormalizedState",
@@ -74,19 +73,6 @@ def _hermitian_basis(d):
     basis[upper, anti] = 1j * np.sqrt(0.5)
     basis[lower, anti] = -1j * np.sqrt(0.5)
     return basis
-
-
-def inner(a, b):
-    """Hilbert-Schmidt inner product (A|B) of two Liouville vectors.
-
-    The first argument is conjugated. Operator inputs are vectorized
-    first, so inner(A, B) = tr(A^+ B) either way.
-    """
-    av = vectorize(a) if np.ndim(a) == 2 else np.asarray(a, dtype=complex)
-    bv = vectorize(b) if np.ndim(b) == 2 else np.asarray(b, dtype=complex)
-    if av.shape != bv.shape:
-        raise DimensionError("vectors of different length")
-    return np.vdot(av, bv)
 
 
 def rehermitize(matrix):
@@ -141,14 +127,6 @@ class NormalizedState:
 
     def __getitem__(self, k):
         return NormalizedState(vector=self.vector[k], purity=self.purity[k])
-
-    @property
-    def dim(self):
-        return int(round(np.sqrt(self.vector.shape[-1])))
-
-    def projector(self):
-        """The rank-one superoperator |rho~)(rho~|."""
-        return np.outer(self.vector, self.vector.conj())
 
 
 def _dot(a, b):

@@ -17,11 +17,8 @@ from .liouville import validate_density_matrix, sandwich_superop
 
 __all__ = [
     "GeodesicSpec",
-    "geodesic_state",
-    "mixing_schedule",
     "optimal_liouvillian",
     "connecting_unitary",
-    "pure_optimal_liouvillian",
     "relative_purity",
     "physicality_check",
 ]
@@ -62,21 +59,6 @@ class GeodesicSpec:
     @property
     def dim(self):
         return self.rho0.shape[0]
-
-
-def geodesic_state(gs, weight):
-    """Convex mixture weight*rho0 + (1-weight)*rho0_perp."""
-    if not 0.0 <= weight <= 1.0:
-        raise ValidationError(f"mixing weight {weight} outside [0, 1]")
-    return weight * gs.rho0 + (1.0 - weight) * gs.rho0_perp
-
-
-def mixing_schedule(gamma, times):
-    """Weight of rho0 along the generated path: (1 + exp(-2 gamma t))/2."""
-    t = np.asarray(times, dtype=float)
-    if not (0.0 <= gamma < np.inf and np.all(0.0 <= t) and np.all(t < np.inf)):
-        raise ValidationError("gamma and times must be nonnegative and finite")
-    return 0.5 * (1.0 + np.exp(-2.0 * gamma * t))
 
 
 def optimal_liouvillian(gs):
@@ -121,28 +103,6 @@ def connecting_unitary(rho0, rho0_perp):
         + np.eye(a.shape[0], dtype=complex)
         - sa @ sa.conj().T
         - sb @ sb.conj().T
-    )
-
-
-def pure_optimal_liouvillian(psi, psi_perp, gamma):
-    """Generator for a pure orthogonal pair via the swap on their span.
-
-    Builds S = |psi><psi_perp| + |psi_perp><psi| and returns
-    gamma (S* kron S - 1). S is unitary only on the two-dimensional span,
-    so for d > 2 the generator is meaningful on states supported there.
-    """
-    if not 0.0 <= gamma < np.inf:
-        raise ValidationError("gamma must be nonnegative and finite")
-    a = np.asarray(psi, dtype=complex).ravel()
-    b = np.asarray(psi_perp, dtype=complex).ravel()
-    if abs(np.linalg.norm(a) - 1.0) > _TOL or abs(np.linalg.norm(b) - 1.0) > _TOL:
-        raise ValidationError("state vectors must be normalized")
-    if abs(np.vdot(a, b)) > _TOL:
-        raise ValidationError("state vectors are not orthogonal")
-    swap = np.outer(a, b.conj()) + np.outer(b, a.conj())
-    d = a.size
-    return gamma * (
-        sandwich_superop(swap, swap.conj().T) - np.eye(d * d, dtype=complex)
     )
 
 

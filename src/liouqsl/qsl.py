@@ -32,26 +32,21 @@ from .exceptions import (
     QuadratureError,
     ValidationError,
 )
-from .liouville import _apply, _dot, _variance, liouville_angle, vectorize
+from .liouville import _apply, _dot, _variance, liouville_angle
 
 __all__ = [
     "QslReport",
     "BasisSet",
     "speed",
-    "speed_matrix_form",
     "speed_decomposition",
     "average_speed",
-    "mt_bound",
     "operator_norm",
-    "opnorm_bound",
-    "hsnorm_bound",
     "complete_basis",
     "classical_part",
     "nonclassical_speed",
     "exact_uncertainty",
     "wootters_length",
     "exact_qsl",
-    "speed_efficiency",
     "uncertainty_product",
 ]
 
@@ -194,21 +189,6 @@ def speed(liouvillian, state):
     return np.sqrt(_variance(*_apply(liouvillian, state)))
 
 
-def speed_matrix_form(rho, rhodot):
-    """Speed from the state and its raw time derivative in matrix form.
-
-    sqrt(tr(drho† drho)/tr(rho²) - |tr(rho drho)/tr(rho²)|²): both are
-    scaled by 1/sqrt(tr rho²), which makes rho a unit vector, and the
-    variance is that of the superoperator route.
-    """
-    v = vectorize(rho)
-    purity = _dot(v, v).real
-    if not purity > 0.0:
-        raise NumericalConsistencyError("state has non-positive purity")
-    scale = 1.0 / np.sqrt(purity)
-    return float(np.sqrt(_variance(v * scale, vectorize(rhodot) * scale)))
-
-
 def speed_decomposition(parts, state):
     """Split the squared speed into unitary, dissipative, and cross terms.
 
@@ -228,25 +208,9 @@ def average_speed(trace, liouvillian):
     return _time_average(speed(liouvillian, trace.normalized), trace.times)
 
 
-def mt_bound(trace, liouvillian):
-    """Angle between endpoints divided by the average speed."""
-    theta = liouville_angle(trace.states[0], trace.states[-1])
-    return _bound_ratio(theta, average_speed(trace, liouvillian))
-
-
 def operator_norm(superop):
     """Largest singular value."""
     return float(np.linalg.norm(np.asarray(superop, dtype=complex), 2))
-
-
-def opnorm_bound(liouvillian, theta):
-    """Angle divided by the operator norm of the generator."""
-    return _bound_ratio(theta, operator_norm(liouvillian))
-
-
-def hsnorm_bound(liouvillian, theta):
-    """Angle divided by the Hilbert-Schmidt norm; never exceeds opnorm_bound."""
-    return _bound_ratio(theta, float(np.linalg.norm(liouvillian)))
 
 
 def complete_basis(state):
@@ -395,14 +359,9 @@ def exact_qsl(trace, liouvillian, basis=None):
         bound_nc=_bound_ratio(theta, avg_nc),
         exact_time=_bound_ratio(length, avg_nc),
         bound_opnorm=_bound_ratio(theta, norm),
-        bound_hsnorm=hsnorm_bound(liouvillian, theta),
+        bound_hsnorm=_bound_ratio(theta, float(np.linalg.norm(liouvillian))),
         efficiency=_bound_ratio(avg, norm),
     )
-
-
-def speed_efficiency(trace, liouvillian):
-    """Average speed divided by the operator norm of the generator."""
-    return _bound_ratio(average_speed(trace, liouvillian), operator_norm(liouvillian))
 
 
 def uncertainty_product(a_superop, b_superop, state):

@@ -21,7 +21,6 @@ __all__ = [
     "spec_from_json",
     "load_spec",
     "dump_json",
-    "format_float",
     "write_csv",
 ]
 
@@ -109,11 +108,6 @@ def dump_json(doc, path):
 
 
 _FLOAT_FORMAT = "%.17g"
-
-
-def format_float(x):
-    """Render a float with 17 significant digits."""
-    return _FLOAT_FORMAT % float(x)
 
 
 def write_csv(path, header, rows):

@@ -143,6 +143,14 @@ def test_coherent_gibbs_state():
         lq.coherent_gibbs_state(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
+def test_hamiltonian_with_a_nan_entry_is_rejected():
+    h = np.diag([np.nan, 0.5, 1.3])
+    with pytest.raises(ValidationError, match="non-finite"):
+        lq.coherent_gibbs_state(h, 0.5)
+    with pytest.raises(ValidationError, match="non-finite"):
+        lq.krylov_build(h, np.diag([1.0, 0.0, 0.0]), np.linspace(0.0, 1.0, 11))
+
+
 def test_sff_unitary_closed_form():
     rng = philox(81)
     h = rand_hermitian(rng, 3)
@@ -203,9 +211,6 @@ def test_krylov_build_structure():
     assert np.abs(norms - 1.0).max() < 1e-10
     assert kd.complexity[0] < 1e-12
     assert abs(kd.ladder_norm - (kd.dimension - 1)) == 0.0
-    assert abs(lq.krylov_complexity(kd, times[40]) - kd.complexity[40]) < 1e-15
-    with pytest.raises(ValidationError):
-        lq.krylov_complexity(kd, 0.0123456)
     with pytest.raises(ValidationError):
         lq.krylov_build(np.array([[0.0, 1.0], [0.0, 0.0]]), rho0[:2, :2], times)
     for bad in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):

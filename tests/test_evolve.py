@@ -9,8 +9,6 @@ from liouqsl.evolve import (
     build_trace,
     generic_speed,
     kraus_trajectory_speed,
-    normalized_rhs,
-    projector_rhs,
     propagate_expm,
 )
 from liouqsl.exceptions import NumericalConsistencyError, ValidationError
@@ -247,34 +245,6 @@ def test_propagate_expm_stack_names_the_invalid_state():
     stack = np.array([rand_rho(rng, 2), rand_rho(rng, 2), np.diag([1.5, -0.5])])
     with pytest.raises(ValidationError, match="initial state 2: negative eigenvalue"):
         propagate_expm(L, stack, np.linspace(0.0, 1.0, 5))
-
-
-def test_normalized_rhs_properties():
-    rng = philox(44)
-    spec = rand_spec(rng, 2)
-    L = lq.build_liouvillian(spec).full
-    trace = propagate_expm(L, rand_rho(rng, 2), np.linspace(0.0, 1.0, 11))
-    s = trace.normalized[5]
-    rhs = normalized_rhs(L, s)
-    assert abs(np.real(np.vdot(s.vector, rhs))) < 1e-12
-    ss = lq.steady_state(lq.spectral_decompose(L))
-    assert np.linalg.norm(normalized_rhs(L, lq.normalize_state(ss))) < 1e-10
-    with pytest.raises(ValidationError):
-        normalized_rhs(np.zeros((9, 9)), s)
-
-
-def test_projector_rhs_matches_finite_difference():
-    rng = philox(45)
-    spec = rand_spec(rng, 2)
-    L = lq.build_liouvillian(spec).full
-    h = 1e-3
-    trace = propagate_expm(L, rand_rho(rng, 2), np.linspace(0.0, 4.0 * h, 5))
-    s = trace.normalized[2]
-    rhs = projector_rhs(L, s)
-    assert abs(np.trace(rhs)) < 1e-12
-    assert np.abs(rhs - rhs.conj().T).max() < 1e-12
-    fd = (trace.normalized[3].projector() - trace.normalized[1].projector()) / (2.0 * h)
-    assert np.abs(fd - rhs).max() < 1e-4
 
 
 def test_generic_speed_matches_generator_route():

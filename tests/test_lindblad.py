@@ -9,6 +9,15 @@ from liouqsl.exceptions import DimensionError, ValidationError
 from conftest import philox, rand_rho, rand_spec
 
 
+def _apply_dissipator(spec, rho):
+    """sum_k g_k (L_k rho L_k^+ - {L_k^+ L_k, rho}/2) in matrix form."""
+    out = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for rate, op in spec.jumps:
+        opdop = op.conj().T @ op
+        out += rate * (op @ rho @ op.conj().T - 0.5 * (opdop @ rho + rho @ opdop))
+    return out
+
+
 def test_spec_validation():
     h = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValidationError):
@@ -28,6 +37,8 @@ def test_spec_validation():
             lq.LindbladSpec(hamiltonian=m)
         with pytest.raises(ValidationError):
             lq.LindbladSpec(hamiltonian=np.eye(2), jumps=[(0.5, m)])
+    with pytest.raises(DimensionError):
+        lq.LindbladSpec(hamiltonian=np.zeros((0, 0)))
     spec = lq.LindbladSpec(hamiltonian=np.eye(3))
     assert spec.dim == 3 and spec.jumps == []
 
@@ -39,7 +50,7 @@ def test_liouvillian_matches_matrix_action():
         parts = lq.build_liouvillian(spec)
         rho = rand_rho(rng, d)
         h = spec.hamiltonian
-        expected = -1j * (h @ rho - rho @ h) + lq.apply_dissipator(spec, rho)
+        expected = -1j * (h @ rho - rho @ h) + _apply_dissipator(spec, rho)
         got = lq.devectorize(parts.full @ lq.vectorize(rho))
         assert_allclose(got, expected, atol=1e-12)
 
@@ -50,7 +61,7 @@ def test_dissipator_superop_agreement():
     parts = lq.build_liouvillian(spec)
     rho = rand_rho(rng, 3)
     got = lq.devectorize(parts.dissipative @ lq.vectorize(rho))
-    assert_allclose(got, lq.apply_dissipator(spec, rho), atol=1e-12)
+    assert_allclose(got, _apply_dissipator(spec, rho), atol=1e-12)
 
 
 def test_liouvillian_split_identity():
@@ -92,13 +103,13 @@ def test_trace_preservation():
 def test_kraus_set_completeness():
     rng = philox(26)
     h = rand_spec(rng, 2).hamiltonian
-    u = expm(-1j * h)
-    ks = lq.KrausSet(operators=[u])
-    assert ks.completeness_defect < 1e-14
+    superop = lq.kraus_to_superop([expm(-1j * h)])
+    identity = lq.vectorize(np.eye(2)).conj()
+    assert np.abs(identity @ superop - identity).max() < 1e-14
     with pytest.raises(ValidationError):
-        lq.KrausSet(operators=[])
+        lq.kraus_to_superop([])
     with pytest.raises(DimensionError):
-        lq.KrausSet(operators=[np.eye(2), np.eye(3)])
+        lq.kraus_to_superop([np.eye(2), np.eye(3)])
 
 
 def test_kraus_to_superop_exact_damping_family():
@@ -111,16 +122,3 @@ def test_kraus_to_superop_exact_damping_family():
     L = lq.build_liouvillian(spec).full
     assert np.abs(lq.kraus_to_superop([k0, k1]) - expm(L * t)).max() < 1e-14
 
-
-def test_kraus_from_lindblad_step_first_order():
-    rng = philox(27)
-    spec = rand_spec(rng, 2)
-    L = lq.build_liouvillian(spec).full
-    dt = 1e-4
-    ks = lq.kraus_from_lindblad_step(spec, dt)
-    assert ks.completeness_defect < 10.0 * dt**2
-    defect = np.abs(lq.kraus_to_superop(ks) - expm(L * dt)).max()
-    assert defect < 10.0 * dt**2
-    for bad in (-0.1, np.nan):
-        with pytest.raises(ValidationError):
-            lq.kraus_from_lindblad_step(spec, bad)

@@ -20,6 +20,16 @@ def _ad_trace(alpha=0.6, gamma=0.1, n=0.0, horizon=5.0, points=201):
     return L, lq.propagate_expm(L, lq.superposition_state(alpha), times)
 
 
+def _speed_matrix_form(rho, rhodot):
+    """Speed of a Hermitian rho moving at rhodot, from traces of matrix products.
+
+    sqrt(tr(rhodot^+ rhodot)/tr rho^2 - |tr(rho rhodot)/tr rho^2|^2).
+    """
+    purity = np.trace(rho @ rho).real
+    mean = np.trace(rho @ rhodot) / purity
+    return np.sqrt(np.trace(rhodot.conj().T @ rhodot).real / purity - abs(mean) ** 2)
+
+
 def test_speed_agrees_with_matrix_form():
     rng = philox(50)
     for d in (2, 3):
@@ -28,7 +38,7 @@ def test_speed_agrees_with_matrix_form():
         rho = rand_rho(rng, d)
         rhodot = lq.devectorize(L @ lq.vectorize(rho))
         s = lq.normalize_state(rho)
-        assert abs(lq.speed(L, s) - lq.speed_matrix_form(rho, rhodot)) < 1e-12
+        assert abs(lq.speed(L, s) - _speed_matrix_form(rho, rhodot)) < 1e-12
 
 
 def test_speed_matrix_form_scale_invariant():
@@ -37,11 +47,9 @@ def test_speed_matrix_form_scale_invariant():
     L = lq.build_liouvillian(spec).full
     rho = rand_rho(rng, 2)
     rhodot = lq.devectorize(L @ lq.vectorize(rho))
-    a = lq.speed_matrix_form(rho, rhodot)
-    b = lq.speed_matrix_form(3.0 * rho, 3.0 * rhodot)
+    a = _speed_matrix_form(rho, rhodot)
+    b = _speed_matrix_form(3.0 * rho, 3.0 * rhodot)
     assert abs(a - b) < 1e-12
-    with pytest.raises(NumericalConsistencyError):
-        lq.speed_matrix_form(np.zeros((2, 2)), rhodot)
 
 
 def test_speed_vanishes_at_steady_state():
@@ -86,7 +94,7 @@ def test_average_speed_needs_odd_grid():
 
 def test_mt_bound_below_horizon():
     L, trace = _ad_trace(horizon=5.0)
-    assert lq.mt_bound(trace, L) <= 5.0
+    assert lq.exact_qsl(trace, L).bound_mt <= 5.0
 
 
 def test_bounds_vanish_for_stationary_trajectory():
@@ -94,7 +102,6 @@ def test_bounds_vanish_for_stationary_trajectory():
     L = lq.build_liouvillian(spec).full
     ss = lq.steady_state(lq.spectral_decompose(L))
     trace = lq.propagate_expm(L, ss, np.linspace(0.0, 2.0, 21))
-    assert lq.mt_bound(trace, L) == 0.0
     report = lq.exact_qsl(trace, L)
     assert report.theta == 0.0
     assert report.bound_mt == 0.0
@@ -138,17 +145,20 @@ def test_simpson_and_cumulative_simpson_match_scipy():
 
 
 def test_operator_norm_and_norm_bounds():
+    from liouqsl.qsl import _bound_ratio
+
     rng = philox(53)
     L = lq.build_liouvillian(rand_spec(rng, 2)).full
     assert abs(lq.operator_norm(L) - np.linalg.norm(L, 2)) < 1e-12
-    theta = 0.7
-    hs = lq.hsnorm_bound(L, theta)
-    op = lq.opnorm_bound(L, theta)
-    assert hs <= op
-    assert lq.opnorm_bound(L, 0.0) == 0.0
-    assert lq.hsnorm_bound(L, 0.0) == 0.0
+    trace = lq.propagate_expm(L, rand_rho(rng, 2), np.linspace(0.0, 2.0, 41))
+    report = lq.exact_qsl(trace, L)
+    assert report.bound_opnorm == report.theta / lq.operator_norm(L)
+    assert report.bound_hsnorm == report.theta / np.linalg.norm(L)
+    assert report.bound_hsnorm <= report.bound_opnorm
+    assert _bound_ratio(0.0, lq.operator_norm(L)) == 0.0
+    assert _bound_ratio(0.0, 0.0) == 0.0
     with pytest.raises(NumericalConsistencyError):
-        lq.opnorm_bound(np.zeros((4, 4)), theta)
+        _bound_ratio(0.7, lq.operator_norm(np.zeros((4, 4))))
 
 
 def test_complete_basis_orthonormal():
@@ -306,7 +316,7 @@ def test_exact_qsl_report_consistency():
 
 def test_speed_efficiency_bounded():
     L, trace = _ad_trace(points=201)
-    eta = lq.speed_efficiency(trace, L)
+    eta = lq.exact_qsl(trace, L).efficiency
     assert 0.0 < eta <= 1.0
     avg = lq.average_speed(trace, L)
     assert abs(eta - avg / lq.operator_norm(L)) < 1e-12

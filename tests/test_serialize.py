@@ -76,13 +76,6 @@ def test_dump_json_layout(tmp_path):
     assert json.loads(text) == {"a": [1.5, 2.5], "b": 1}
 
 
-def test_format_float_round_trips():
-    rng = philox(34)
-    for x in rng.normal(scale=1e3, size=50):
-        assert float(lq.format_float(x)) == x
-    assert float(lq.format_float(np.pi)) == np.pi
-
-
 def test_write_csv(tmp_path):
     path = tmp_path / "rows.csv"
     lq.write_csv(path, ["t", "x"], [[0.0, np.pi], [1.0, -1.0 / 3.0]])
