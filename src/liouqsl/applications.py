@@ -136,31 +136,35 @@ def krylov_build(hamiltonian, rho0, times):
     for propagate_expm.
     """
     h = _checked_hamiltonian(hamiltonian)
-    d = h.shape[0]
     lh = commutator_superop(h)
     generator = -1j * lh
     trace = propagate_expm(generator, rho0, times)
     v0 = trace.normalized.vector[0]
 
-    cols = [v0]
+    n = lh.shape[0]
+    cols = np.empty((n, n), dtype=complex)
+    conj = np.empty((n, n), dtype=complex)
+    cols[:, 0], conj[:, 0] = v0, v0.conj()
+    q = v0
     bs = []
     prev = np.zeros_like(v0)
     b_prev = 0.0
-    for _ in range(d * d - 1):
-        q = cols[-1]
+    for k in range(1, n):
         r = lh @ q - b_prev * prev
         r -= q * np.vdot(q, r)
-        qm = np.column_stack(cols)
+        # contiguous copies: a strided view would change BLAS's summation order
+        qm, qc = cols[:, :k].copy(), conj[:, :k].copy()
         for _ in range(2):
-            r -= qm @ (qm.conj().T @ r)
+            r -= qm @ (qc.T @ r)
         b = np.linalg.norm(r)
         if b < 1e-12:
             break
         bs.append(float(b))
         prev = q
         b_prev = b
-        cols.append(r / b)
-    basis = np.column_stack(cols)
+        q = r / b
+        cols[:, k], conj[:, k] = q, q.conj()
+    basis = cols[:, : len(bs) + 1].copy()
 
     phases = (-1j) ** np.arange(basis.shape[1])
     amps = (trace.normalized.vector @ basis.conj()) * phases

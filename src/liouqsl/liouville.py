@@ -84,27 +84,45 @@ def rehermitize(matrix):
 def validate_density_matrix(rho, trace_tol=1e-10):
     """Check the structural requirements on a density matrix or a stack of them.
 
-    Raises ValidationError when the trace deviates from one beyond
-    trace_tol, hermiticity is violated beyond 1e-10, or the smallest
-    eigenvalue of the Hermitian part lies below -1e-10. For a stack
-    the error describes the first failing state, and its index attribute
-    holds that state's flat index over the leading axes.
+    Raises ValidationError when an entry is not finite, the trace deviates
+    from one beyond trace_tol, hermiticity is violated beyond 1e-10, or the
+    smallest eigenvalue of the Hermitian part H lies below -1e-10. For a
+    stack the error describes the first failing state, and its index
+    attribute holds that state's flat index over the leading axes.
+
+    Positivity is decided by one stacked Cholesky factorization of
+    H + 1e-10 * 1, which succeeds iff every such eigenvalue is above the
+    floor; only when it fails are the eigenvalues computed, to find and
+    name the failing state.
     """
     r = np.asarray(rho, dtype=complex)
     if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {r.shape}")
-    r = r.reshape((-1,) + r.shape[-2:])
-    trace_ok = np.abs(np.trace(r, axis1=1, axis2=2) - 1.0) <= trace_tol
-    herm_ok = np.abs(r - np.swapaxes(r, 1, 2).conj()).max(axis=(1, 2)) <= 1e-10
-    lowest = np.linalg.eigvalsh(rehermitize(r)).min(axis=1)
-    ok = trace_ok & herm_ok & (lowest >= -1e-10)
+    d = r.shape[-1]
+    r = r.reshape((-1, d, d))
+    finite = np.isfinite(r).all(axis=(1, 2))
+    if not finite.all():
+        # check the rest with 1/d in its place, so an earlier failure is reported first
+        r = np.where(finite[:, None, None], r, np.eye(d) / d)
+    trace_defect = np.abs(np.trace(r, axis1=1, axis2=2) - 1.0)
+    skew = r - np.swapaxes(r, 1, 2).conj()
+    herm_defect = np.abs(skew).max(axis=(1, 2))
+    ok = finite & (trace_defect <= trace_tol) & (herm_defect <= 1e-10)
+    h = r - 0.5 * skew
+    try:
+        np.linalg.cholesky(h + 1e-10 * np.eye(d))
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh(h).min(axis=1)
+        ok &= lowest >= -1e-10
     if ok.all():
         return
     k = int(np.argmin(ok))
-    if not trace_ok[k]:
-        message = f"trace deviates from 1 by {abs(np.trace(r[k]) - 1.0):.3e}"
-    elif not herm_ok[k]:
-        message = f"hermiticity defect {np.abs(r[k] - r[k].conj().T).max():.3e}"
+    if not finite[k]:
+        message = "non-finite entry"
+    elif trace_defect[k] > trace_tol:
+        message = f"trace deviates from 1 by {trace_defect[k]:.3e}"
+    elif herm_defect[k] > 1e-10:
+        message = f"hermiticity defect {herm_defect[k]:.3e}"
     else:
         message = f"negative eigenvalue {lowest[k]:.3e}"
     err = ValidationError(message)

@@ -224,17 +224,20 @@ def complete_basis(state):
     v0 = state.vector
     n = v0.size
     rows = np.empty((n, n), dtype=complex)
+    conj = np.empty((n, n), dtype=complex)
     rows[0] = v0 / np.linalg.norm(v0)
+    conj[0] = rows[0].conj()
     k = 1
     for j in range(n):
         q = rows[:k]
         cand = -(q[:, j].conj() @ q)
         cand[j] += 1.0
-        cand -= (q.conj() @ cand) @ q
+        cand -= (conj[:k] @ cand) @ q
         norm = np.linalg.norm(cand)
         if norm < 1e-8:
             continue
         rows[k] = cand / norm
+        conj[k] = rows[k].conj()
         k += 1
         if k == n:
             break

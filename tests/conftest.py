@@ -33,3 +33,12 @@ def rand_pure(rng, dim):
 def rand_hermitian(rng, dim):
     h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (h + h.conj().T) / 2
+
+
+def rotated_state(rng, dim, lam):
+    """U diag(1 - lam, lam, 0, ...) U^+ for a random unitary U."""
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u, _ = np.linalg.qr(m)
+    p = np.zeros(dim)
+    p[:2] = 1.0 - lam, lam
+    return (u * p) @ u.conj().T

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 import liouqsl as lq
 from liouqsl.exceptions import QuadratureError, ValidationError
 
-from conftest import philox, rand_hermitian, rand_spec
+from conftest import philox, rand_hermitian, rand_pure, rand_spec
 
 MPEMBA_ETA = [
     0.33953878435580803,
@@ -216,6 +216,42 @@ def test_krylov_build_structure():
     for bad in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
         with pytest.raises(ValidationError, match="finite"):
             lq.krylov_build(h, rho0, bad)
+
+
+def _lanczos_oracle(lh, v0):
+    """The Lanczos loop as it was when it stacked a growing list of columns."""
+    cols = [v0]
+    bs = []
+    prev = np.zeros_like(v0)
+    b_prev = 0.0
+    for _ in range(v0.size - 1):
+        q = cols[-1]
+        r = lh @ q - b_prev * prev
+        r -= q * np.vdot(q, r)
+        qm = np.column_stack(cols)
+        for _ in range(2):
+            r -= qm @ (qm.conj().T @ r)
+        b = np.linalg.norm(r)
+        if b < 1e-12:
+            break
+        bs.append(float(b))
+        prev = q
+        b_prev = b
+        cols.append(r / b)
+    return np.column_stack(cols), np.array(bs)
+
+
+def test_krylov_basis_matches_the_plain_loop_bit_for_bit():
+    rng = philox(89)
+    times = np.linspace(0.0, 1.0, 11)
+    for d in (2, 3, 5, 8, 12):
+        h = rand_hermitian(rng, d)
+        starts = [lq.coherent_gibbs_state(h, 0.4), rand_pure(rng, d), np.diag(np.eye(d)[0])]
+        for rho0 in starts:
+            kd = lq.krylov_build(h, rho0, times)
+            basis, bs = _lanczos_oracle(lq.commutator_superop(h), kd.trace.normalized.vector[0])
+            assert np.array_equal(kd.basis, basis)
+            assert np.array_equal(kd.lanczos_b, bs)
 
 
 def test_krylov_bound_check():

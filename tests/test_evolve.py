@@ -13,7 +13,7 @@ from liouqsl.evolve import (
 )
 from liouqsl.exceptions import NumericalConsistencyError, ValidationError
 
-from conftest import philox, rand_rho, rand_spec
+from conftest import philox, rand_hermitian, rand_pure, rand_rho, rand_spec, rotated_state
 
 
 def _close(got, ref, rtol=1e-13):
@@ -237,6 +237,45 @@ def test_build_trace_stack_names_state_and_time():
     stack = [good, [rho, rho, bad], [rho, bad, rho]]
     with pytest.raises(ValidationError, match=r"initial state 1: state at t=2: trace"):
         build_trace([0.0, 1.0, 2.0], stack)
+
+
+def test_build_trace_names_a_planted_eigenvalue_at_its_time():
+    rng = philox(50)
+    times = np.linspace(0.0, 2.0, 2001)
+    for d in (2, 4, 16):
+        states = np.repeat(rotated_state(rng, d, 0.3)[None], times.size, axis=0)
+        states[1234] = rotated_state(rng, d, -5e-11)
+        assert len(build_trace(times, states)) == 2001
+        states[1500] = rotated_state(rng, d, -2e-10)
+        with pytest.raises(ValidationError, match=r"state at t=1\.5: negative eigenvalue"):
+            build_trace(times, states)
+
+
+def test_pure_krylov_trajectory_is_accepted():
+    rng = philox(51)
+    for d in (3, 6):
+        kd = lq.krylov_build(rand_hermitian(rng, d), rand_pure(rng, d), np.linspace(0.0, 5.0, 2001))
+        assert np.linalg.eigvalsh(kd.trace.states).min() < 0.0
+        lq.validate_density_matrix(kd.trace.states, trace_tol=1e-12)
+
+
+def test_valid_stack_is_validated_without_eigenvalues(monkeypatch):
+    rng = philox(52)
+    L = lq.build_liouvillian(rand_spec(rng, 4)).full
+    times = np.linspace(0.0, 3.0, 2001)
+    pure = propagate_expm(L, rand_pure(rng, 4), times).states
+    states = propagate_expm(L, rand_rho(rng, 4), times).states
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    lq.validate_density_matrix(pure, trace_tol=1e-12)
+    lq.validate_density_matrix(states, trace_tol=1e-12)
+    assert len(build_trace(times, states)) == 2001
+    states[7] = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        lq.validate_density_matrix(states)
 
 
 def test_propagate_expm_stack_names_the_invalid_state():

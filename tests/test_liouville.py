@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 import liouqsl as lq
 from liouqsl.exceptions import DimensionError, ValidationError
 
-from conftest import philox, rand_pure, rand_rho
+from conftest import philox, rand_pure, rand_rho, rotated_state
 
 
 def test_vectorize_column_order():
@@ -60,6 +60,55 @@ def test_validate_density_matrix_rejections():
         lq.validate_density_matrix(np.diag([1.5, -0.5]))
     with pytest.raises(DimensionError):
         lq.validate_density_matrix(np.zeros((2, 3)))
+
+
+def test_validate_density_matrix_floor_at_minus_1e_10():
+    rng = philox(16)
+    for d in (2, 4, 16):
+        with pytest.raises(ValidationError, match="negative eigenvalue -2.000e-10"):
+            lq.validate_density_matrix(rotated_state(rng, d, -2e-10))
+        lq.validate_density_matrix(rotated_state(rng, d, -5e-11))
+
+
+def _eigvalsh_verdicts(stack):
+    lowest = np.linalg.eigvalsh((stack + np.swapaxes(stack, 1, 2).conj()) / 2).min(axis=1)
+    return lowest >= -1e-10, np.abs(lowest + 1e-10) > 1e-13
+
+
+def test_validate_density_matrix_agrees_with_eigvalsh():
+    rng = philox(17)
+    for d in (2, 3, 5, 8):
+        states = [rand_rho(rng, d) for _ in range(20)] + [rand_pure(rng, d) for _ in range(20)]
+        states += [rotated_state(rng, d, lam) for lam in rng.uniform(-3e-10, 1e-10, 60)]
+        stack = np.array(states)
+        ok, clear = _eigvalsh_verdicts(stack)
+        assert clear.sum() >= 95 and 0 < ok.sum() < 100
+        for rho, accept in zip(stack[clear], ok[clear]):
+            if accept:
+                lq.validate_density_matrix(rho)
+            else:
+                with pytest.raises(ValidationError, match="negative eigenvalue"):
+                    lq.validate_density_matrix(rho)
+        with pytest.raises(ValidationError) as err:
+            lq.validate_density_matrix(stack[clear][None])
+        assert err.value.index == np.argmin(ok[clear])
+
+
+def test_validate_density_matrix_rejects_non_finite_entries():
+    rho = np.eye(2) / 2.0
+    for bad in (np.diag([np.inf, 0.0]), np.diag([np.nan, 1.0]), [[0.5, np.nan], [0.0, 0.5]]):
+        with pytest.raises(ValidationError, match="non-finite entry") as err:
+            lq.validate_density_matrix(bad)
+        assert err.value.index == 0
+    cases = (
+        ([rho, rho, np.diag([0.7, 0.7]), np.diag([np.inf, 0.0])], 2, "trace"),
+        ([rho, np.diag([np.inf, 0.0]), np.diag([1.5, -0.5])], 1, "non-finite entry"),
+        ([rho, rho, rho, np.full((2, 2), np.nan + 1j)], 3, "non-finite entry"),
+    )
+    for stack, index, match in cases:
+        with pytest.raises(ValidationError, match=match) as err:
+            lq.validate_density_matrix(stack)
+        assert err.value.index == index
 
 
 def test_normalize_state():

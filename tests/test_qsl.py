@@ -174,6 +174,36 @@ def test_complete_basis_orthonormal():
     assert np.array_equal(lq.complete_basis(ground).vectors, np.eye(4))
 
 
+def _gram_schmidt_oracle(v0):
+    """The completion loop as it was before the conjugate block was kept."""
+    n = v0.size
+    rows = np.empty((n, n), dtype=complex)
+    rows[0] = v0 / np.linalg.norm(v0)
+    k = 1
+    for j in range(n):
+        q = rows[:k]
+        cand = -(q[:, j].conj() @ q)
+        cand[j] += 1.0
+        cand -= (q.conj() @ cand) @ q
+        norm = np.linalg.norm(cand)
+        if norm < 1e-8:
+            continue
+        rows[k] = cand / norm
+        k += 1
+        if k == n:
+            break
+    return rows.T
+
+
+def test_complete_basis_matches_the_plain_loop_bit_for_bit():
+    rng = philox(59)
+    for d in (2, 3, 4, 7, 16):
+        states = [rand_rho(rng, d), rand_pure(rng, d), np.diag(np.eye(d)[0])]
+        for rho in states:
+            s = lq.normalize_state(rho)
+            assert np.array_equal(lq.complete_basis(s).vectors, _gram_schmidt_oracle(s.vector))
+
+
 def test_basis_set_rejects_skew_columns():
     m = np.eye(4, dtype=complex)
     m[0, 1] = 1e-3
