@@ -19,17 +19,15 @@ propagate_expm also takes a stack of A initial states (A, d, d) under one
 generator and grid: it propagates them as one (A, d^2) block and returns
 a list of A such traces, one per initial state.
 
-propagate_expm writes a time-independent generator through its
-eigenmodes, L = R diag(lambda) R^-1, so the whole trajectory is one
-product V = (exp(t lambda) * c) R^T with c = R^-1 v_0, on any grid and
-for any block of initial states. The eigensystem and the product are
-those of spectral.spectral_decompose and SpectralData.evolve, the same
-ones the spectral command and the mode-route formulas use, so
-propagation and the mode route agree by construction. It falls back to
-stepping with scipy's expm only where the eigenmodes are not to be
-trusted (see its docstring for the routes). Two derivative-free speed
-routes live here as well: a central-difference evaluation on the stored
-trace and a Kraus-family route that never touches the generator.
+propagate_expm writes a time-independent generator through the
+eigenmodes of spectral.spectral_decompose, the same ones the spectral
+command and the mode route use, so the two agree by construction. On
+any grid and for any block of initial states the whole trajectory is one
+product: for a Lindblad generator, a real one over one mode of each
+conjugate pair in Hermitian coordinates (SpectralData.evolve_hermitian).
+Two derivative-free speed routes live here as well: a central-difference
+evaluation on the stored trace and a Kraus-family route that never
+touches the generator.
 """
 
 from dataclasses import dataclass
@@ -45,6 +43,8 @@ from .exceptions import (
 from .lindblad import kraus_to_superop
 from .liouville import (
     NormalizedState,
+    _gather,
+    _real_part,
     _variance,
     devectorize,
     normalize_state,
@@ -127,7 +127,7 @@ def build_trace(times, states):
         raise ValidationError(f"states of shape {rhos.shape} do not match the grid")
     rhos = rehermitize(rhos)
     try:
-        validate_density_matrix(rhos, trace_tol=1e-12)
+        validate_density_matrix(rhos, trace_tol=1e-12, _hermitian=True)
     except ValidationError as exc:
         a, k = divmod(exc.index, t.size)
         where = f"state at t={t[k]:g}"
@@ -161,9 +161,10 @@ def _modal_steps(generator, v0, times):
 
     Shape (T,) + v0.shape, for one vector (n,) or a block (..., n): the
     mode sum of spectral_decompose's eigensystem at c = R^-1 v0, on any of
-    its routes. None is returned when G is numerically defective or when
-    the biorthogonality defect of the eigenvector matrix exceeds
-    _MODAL_DEFECT_MAX.
+    its routes, in real arithmetic (SpectralData.evolve_hermitian) on the
+    real route with Hermitian v0. None is returned when G is numerically
+    defective or when the biorthogonality defect of the eigenvector matrix
+    exceeds _MODAL_DEFECT_MAX.
     """
     try:
         sd = spectral_decompose(generator)
@@ -171,7 +172,9 @@ def _modal_steps(generator, v0, times):
         return None
     if sd.biorthogonality > _MODAL_DEFECT_MAX:
         return None
-    return sd.evolve(sd.overlaps(v0), times - times[0])
+    hermitian = sd.real_vectors is not None and _real_part(_gather(v0)) is not None
+    evolve = sd.evolve_hermitian if hermitian else sd.evolve
+    return evolve(sd.overlaps(v0), times - times[0])
 
 
 def _expm_steps(generator, v0, times):
@@ -209,13 +212,9 @@ def propagate_expm(liouvillian, rho0, times):
     validated and propagated as one (A, d^2) block; an invalid initial
     state raises a ValidationError that names its index in the stack.
 
-    The eigensystem L = R diag(lambda) R^-1 comes from spectral_decompose:
-    eigh when 1j L is Hermitian (coherent dynamics, such as -1j L_H), and
-    eig of the real form in a basis of Hermitian matrices when L
-    preserves Hermiticity, as every Lindblad generator does, and eig of L
-    itself for any other L. Each gives every grid point at once as
-    (exp(t lambda) * R^-1 v0) R^T (SpectralData.evolve). When R is
-    singular or its biorthogonality defect max|R^-1 R - 1| exceeds 1e-13,
+    Every grid point comes at once from the eigensystem L = R diag(lambda)
+    R^-1 of spectral_decompose, on any of its routes (_modal_steps). When R
+    is singular or its biorthogonality defect max|R^-1 R - 1| exceeds 1e-13,
     as near an exceptional point, scipy's expm is applied step by step on
     a uniform grid (with an exact restart every 1024 steps) and per point
     otherwise. Only that stepping fallback imports scipy.

@@ -89,8 +89,15 @@ class LiouvillianParts:
     full: np.ndarray
     hermitian_generator: np.ndarray
     dissipative: np.ndarray
-    reversible: np.ndarray
-    irreversible: np.ndarray
+
+    @property
+    def reversible(self):
+        ld = self.dissipative
+        return self.hermitian_generator + 0.5j * (ld - ld.conj().T)
+
+    @property
+    def irreversible(self):
+        return 0.5 * (self.dissipative + self.dissipative.conj().T)
 
 
 def commutator_superop(hamiltonian):
@@ -112,16 +119,7 @@ def build_liouvillian(spec):
             np.kron(op.conj(), op)
             - 0.5 * (np.kron(eye, opdop) + np.kron(opdop.T, eye))
         )
-    full = -1j * lh + ld
-    reversible = lh + 0.5j * (ld - ld.conj().T)
-    irreversible = 0.5 * (ld + ld.conj().T)
-    return LiouvillianParts(
-        full=full,
-        hermitian_generator=lh,
-        dissipative=ld,
-        reversible=reversible,
-        irreversible=irreversible,
-    )
+    return LiouvillianParts(full=-1j * lh + ld, hermitian_generator=lh, dissipative=ld)
 
 
 def kraus_to_superop(kraus):

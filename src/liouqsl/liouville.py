@@ -16,6 +16,8 @@ the last one (vectors) or two (matrices) axes, so a (T, d, d) stack of
 states along a trajectory goes through the same code as a single state.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,26 +55,47 @@ def devectorize(vector):
     return np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
 
 
-def _hermitian_basis(d):
-    """Unitary (d^2, d^2) matrix whose columns vectorize a basis of Hermitian matrices.
+@functools.lru_cache(maxsize=None)
+def _hermitian_index(n):
+    """Flat diagonal, upper, lower indices of d x d operators, n = d^2; else None.
 
-    The columns are |i><i| for each i, then (|i><j| + |j><i|)/sqrt(2) and
-    i(|i><j| - |j><i|)/sqrt(2) for each i < j; they are orthonormal under
-    the trace inner product. A Hermitian operator has real coordinates
-    B^+ |A), and a Hermiticity-preserving superoperator S is a real matrix
-    B^+ S B.
+    They fix the unitary basis B in which Hermitian matrices are real: |k><k|,
+    then (|i><j| + |j><i|)/sqrt(2) and then i(|i><j| - |j><i|)/sqrt(2), i < j.
     """
-    n = d * d
-    rows, cols = np.triu_indices(d, 1)
-    upper, lower = d * cols + rows, d * rows + cols
-    sym = d + np.arange(rows.size)
-    anti = sym + rows.size
-    basis = np.zeros((n, n), dtype=complex)
-    basis[np.arange(d) * (d + 1), np.arange(d)] = 1.0
-    basis[upper, sym] = basis[lower, sym] = np.sqrt(0.5)
-    basis[upper, anti] = 1j * np.sqrt(0.5)
-    basis[lower, anti] = -1j * np.sqrt(0.5)
-    return basis
+    d = math.isqrt(n)
+    if d * d == n:
+        rows, cols = np.triu_indices(d, 1)
+        return np.arange(d) * (d + 1), d * cols + rows, d * rows + cols
+
+
+def _gather(v, sign=-1):
+    """B^+ v (sign -1) or B^T v (sign +1) over the last axis of a complex v."""
+    diagonal, upper, lower = _hermitian_index(v.shape[-1])
+    a, b = (np.take(v, k, axis=-1) * np.sqrt(0.5) for k in (upper, lower))
+    x = np.concatenate([np.take(v, diagonal, axis=-1), a + b, a - b], axis=-1)
+    x[..., diagonal.size + upper.size :] *= sign * 1j
+    return x
+
+
+def _scatter(x, sign=1):
+    """B x (sign +1) or conj(B) x (sign -1) over the last axis; inverts _gather."""
+    index = _hermitian_index(x.shape[-1])
+    d, m = index[0].size, index[1].size
+    s, t = np.sqrt(0.5) * x[..., d : d + m], sign * 1j * np.sqrt(0.5) * x[..., d + m :]
+    v = np.concatenate([x[..., :d], s + t, s - t], axis=-1)
+    return np.take(v, np.argsort(np.concatenate(index)), axis=-1)
+
+
+def _real_part(a):
+    """Contiguous a.real if max |Im a| <= 1e-14 max |a| (real-form test), else None."""
+    if np.abs(a.imag).max(initial=0.0) <= 1e-14 * np.abs(a).max(initial=0.0):
+        return np.ascontiguousarray(a.real)
+
+
+def _real_form(superop):
+    """Real B^+ S B if S acts on d x d operators and preserves Hermiticity."""
+    if _hermitian_index(superop.shape[-1]) is not None:
+        return _real_part(_gather(_gather(superop, 1).T).T)
 
 
 def rehermitize(matrix):
@@ -81,7 +104,7 @@ def rehermitize(matrix):
     return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
-def validate_density_matrix(rho, trace_tol=1e-10):
+def validate_density_matrix(rho, trace_tol=1e-10, *, _hermitian=False):
     """Check the structural requirements on a density matrix or a stack of them.
 
     Raises ValidationError when an entry is not finite, the trace deviates
@@ -93,7 +116,7 @@ def validate_density_matrix(rho, trace_tol=1e-10):
     Positivity is decided by one stacked Cholesky factorization of
     H + 1e-10 * 1, which succeeds iff every such eigenvalue is above the
     floor; only when it fails are the eigenvalues computed, to find and
-    name the failing state.
+    name the failing state. _hermitian skips the skew of a re-Hermitized rho.
     """
     r = np.asarray(rho, dtype=complex)
     if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
@@ -105,10 +128,11 @@ def validate_density_matrix(rho, trace_tol=1e-10):
         # check the rest with 1/d in its place, so an earlier failure is reported first
         r = np.where(finite[:, None, None], r, np.eye(d) / d)
     trace_defect = np.abs(np.trace(r, axis1=1, axis2=2) - 1.0)
-    skew = r - np.swapaxes(r, 1, 2).conj()
-    herm_defect = np.abs(skew).max(axis=(1, 2))
+    h, herm_defect = r, np.zeros(r.shape[0])
+    if not _hermitian:
+        skew = r - np.swapaxes(r, 1, 2).conj()
+        h, herm_defect = r - 0.5 * skew, np.abs(skew).max(axis=(1, 2))
     ok = finite & (trace_defect <= trace_tol) & (herm_defect <= 1e-10)
-    h = r - 0.5 * skew
     try:
         np.linalg.cholesky(h + 1e-10 * np.eye(d))
     except np.linalg.LinAlgError:
@@ -184,9 +208,8 @@ def liouville_angle(rho_a, rho_b):
     b = vectorize(rho_b)
     if a.shape[-1] != b.shape[-1]:
         raise DimensionError("states of different dimension")
-    pa = _dot(a, a).real
-    pb = _dot(b, b).real
-    if np.any(pa <= 0.0) or np.any(pb <= 0.0):
+    pa, pb = _dot(a, a).real, _dot(b, b).real
+    if not np.all(np.isfinite(pa) & (pa > 0.0) & np.isfinite(pb) & (pb > 0.0)):
         raise ValidationError("state has non-positive purity")
     return _unit_angle(a / np.sqrt(pa)[..., None], b / np.sqrt(pb)[..., None])
 
@@ -204,8 +227,8 @@ def sandwich_superop(left, right):
     return np.kron(r.T, l)
 
 
-def _apply(superop, state):
-    """(v, O v) for the unit vector(s) v of a NormalizedState or an array."""
+def _operands(superop, state):
+    """Complex (v, O) for the unit vector(s) v of a NormalizedState or an array."""
     if isinstance(state, NormalizedState):
         state = state.vector
     v = np.asarray(state, dtype=complex)
@@ -213,6 +236,12 @@ def _apply(superop, state):
     n = v.shape[-1]
     if o.shape != (n, n):
         raise DimensionError(f"superoperator shape {o.shape} does not act on dim {n}")
+    return v, o
+
+
+def _apply(superop, state):
+    """(v, O v) for the unit vector(s) v of a NormalizedState or an array."""
+    v, o = _operands(superop, state)
     return v, v @ o.T
 
 

@@ -32,7 +32,8 @@ from .exceptions import (
     QuadratureError,
     ValidationError,
 )
-from .liouville import _apply, _dot, _variance, liouville_angle
+from .liouville import _apply, _dot, _gather, _operands, _real_form, _real_part
+from .liouville import _variance, liouville_angle
 
 __all__ = [
     "QslReport",
@@ -210,7 +211,7 @@ def average_speed(trace, liouvillian):
 
 def operator_norm(superop):
     """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(superop, dtype=complex), 2))
+    return float(np.linalg.norm(np.asarray(superop), 2))
 
 
 def complete_basis(state):
@@ -251,12 +252,21 @@ class _ClassicalSplit:
 
     Directions with population below 1e-14 are dropped: there keep is
     False and beta_i = i Im((a_i|O v)(v|a_i)) / (a_i|P|a_i) is set to 0.
+    For a real form O_r = B^+ O B and Hermitian v, v and O v are the real x = B^+ v
+    and x O_r^T, amplitudes come from one real product by M = B^T conj(A).
     """
 
     def __init__(self, superop, basis, state):
-        self.v, self.ov = _apply(superop, state)
-        self.amps = basis.amplitudes(self.v)
-        self.oamps = basis.amplitudes(self.ov)
+        v, o = _operands(superop, state)
+        self.real_form = _real_form(o)
+        x = None if self.real_form is None else _real_part(_gather(v))
+        if x is None:
+            self.v, self.ov = v, v @ o.T
+            self.amps, self.oamps = basis.amplitudes(v), basis.amplitudes(self.ov)
+        else:
+            self.v, self.ov = x, x @ self.real_form.T
+            m = np.ascontiguousarray(_gather(basis.vectors.conj().T, 1).T).view(float)
+            self.amps, self.oamps = (np.stack([x, self.ov]) @ m).view(complex)
         self.pops = np.abs(self.amps) ** 2
         self.var = _variance(self.v, self.ov)
         self.keep = self.pops >= _POP_FLOOR
@@ -351,7 +361,7 @@ def exact_qsl(trace, liouvillian, basis=None):
     avg = _time_average(np.sqrt(split.var), trace.times)
     avg_nc = _time_average(split.nonclassical_speed(), trace.times)
     length = _simpson(split.wootters_speed(), trace.times)
-    norm = operator_norm(liouvillian)
+    norm = operator_norm(liouvillian if split.real_form is None else split.real_form)
     return QslReport(
         T=float(trace.times[-1] - trace.times[0]),
         theta=theta,

@@ -5,14 +5,14 @@ with biorthonormal left/right eigenvectors. spectral_decompose is the one
 eigendecomposition of the package, and propagate_expm writes states
 through the same modes: the state at time t is the mode sum
 sum_i exp(lambda_i t) c_i |r_i)) with c_i = (l_i|rho0), formed by
-SpectralData.evolve. The initial state splits into a stationary
-component and decay modes; speed, angle to the initial state, and the
-resulting time bound then follow from that mode sum without stepping
-anything. A local search over unitary rotations of the initial state can
-suppress chosen decay modes.
+SpectralData.evolve, or for a Lindblad generator and Hermitian rho0 by
+the real product of SpectralData.evolve_hermitian. The initial state
+splits into a stationary component and decay modes; speed, angle to the
+initial state, and the resulting time bound then follow from that mode
+sum without stepping anything. A local search over unitary rotations of
+the initial state can suppress chosen decay modes.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -25,7 +25,8 @@ from .exceptions import (
     ValidationError,
 )
 from .liouville import (
-    _hermitian_basis,
+    _real_form,
+    _scatter,
     _unit_angle,
     _variance,
     devectorize,
@@ -46,9 +47,6 @@ __all__ = [
 ]
 
 _GAP_TOL = 1e-10
-# Largest imaginary part of B^+ L B, relative to its largest entry, for which
-# L counts as Hermiticity-preserving; Lindblad generators measure about 1e-16.
-_REAL_FORM_TOL = 1e-14
 
 
 @dataclass
@@ -60,7 +58,8 @@ class SpectralData:
     right_vectors and left_vectors hold |r_i)) and |l_i)) as columns with
     (l_i|r_j) = delta_ij; condition is the measured biorthogonality plus
     reconstruction defect, and biorthogonality the first of the two. route
-    names how the eigensystem was computed (see spectral_decompose).
+    names how the eigensystem was computed (see spectral_decompose); on
+    the "real" route real_vectors = B^+ right_vectors diagonalize B^+ L B.
     """
 
     eigenvalues: np.ndarray
@@ -69,6 +68,7 @@ class SpectralData:
     condition: float
     biorthogonality: float
     route: str
+    real_vectors: np.ndarray = None
 
     @property
     def size(self):
@@ -89,12 +89,30 @@ class SpectralData:
         the result has shape t.shape + c.shape. With c = overlaps(v0) it is
         exp(L t) v0, one product (exp(t lambda) * c) R^T for every time.
         """
-        t = np.asarray(t, dtype=float)
-        phases = np.exp(np.multiply.outer(t, self.eigenvalues))
-        phases = phases.reshape(t.shape + (1,) * (np.ndim(c) - 1) + (self.size,))
-        weights = phases * c
+        weights = self._phased(c, t)
         vectors = weights.reshape(-1, self.size) @ self.right_vectors.T
         return vectors.reshape(weights.shape)
+
+    def _phased(self, c, t, modes=slice(None)):
+        """Weights exp(lambda_i t) c_i of the given modes, shape t.shape + c.shape."""
+        t = np.asarray(t, dtype=float)
+        phases = np.exp(np.multiply.outer(t, self.eigenvalues[modes]))
+        return phases.reshape(t.shape + (1,) * (np.ndim(c) - 1) + (c.shape[-1],)) * c
+
+    def evolve_hermitian(self, c, t):
+        """evolve(c, t) for the coefficients c of Hermitian vectors; real route only.
+
+        2 Re of the sum over Im lambda > 0 plus the real modes, as one real product
+        with rows Re r_k (halved for a real mode) and -Im r_k of the real_vectors.
+        """
+        lead = np.flatnonzero(self.eigenvalues.imag >= 0.0)
+        pair = self.eigenvalues[lead].imag > 0.0
+        r = self.real_vectors[:, lead]
+        rows = np.concatenate([np.where(pair, 1.0, 0.5) * r.real, -r.imag[:, pair]], 1)
+        weights = self._phased(2.0 * c[..., lead], t, lead)
+        weights = np.concatenate([weights.real, weights.imag[..., pair]], axis=-1)
+        vectors = weights.reshape(-1, self.size) @ _scatter(rows.T).view(float)
+        return vectors.view(complex).reshape(weights.shape)
 
 
 def spectral_decompose(liouvillian):
@@ -105,9 +123,9 @@ def spectral_decompose(liouvillian):
       as -1j L_H), numpy's eigh gives a unitary R, so R^-1 = R^+;
     - "real": when L preserves Hermiticity, as every Lindblad generator
       does, numpy's eig of its real form B^+ L B in the basis B of
-      Hermitian matrices (liouville._hermitian_basis), with R^-1 from
-      inv. Real eigenvalues then belong to Hermitian eigenmatrices and
-      the others come in exactly conjugate pairs;
+      Hermitian matrices (liouville._real_form), kept as real_vectors, with
+      R^-1 from inv and B R, R^-1 B^+ by gathers. Real eigenvalues then belong
+      to Hermitian eigenmatrices, the others come in exactly conjugate pairs;
     - "complex": numpy's eig of L itself, for any other square L.
     biorthogonality is max|R^-1 R - 1| in the coordinates diagonalized.
     The generator counts as numerically defective when that defect plus
@@ -118,23 +136,15 @@ def spectral_decompose(liouvillian):
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValidationError(f"generator must be square, got shape {L.shape}")
     hermitian = 1j * L
-    basis = None
+    real = None
     if np.array_equal(hermitian, hermitian.conj().T):
         route = "hermitian"
         energies, vectors = np.linalg.eigh(hermitian)
         w, inverse = -1j * energies, vectors.conj().T
     else:
-        matrix = L
-        d = math.isqrt(L.shape[0])
-        if d * d == L.shape[0]:
-            basis = _hermitian_basis(d)
-            real = basis.conj().T @ L @ basis
-            if np.abs(real.imag).max() <= _REAL_FORM_TOL * np.abs(real).max():
-                matrix = real.real
-            else:
-                basis = None
-        route = "complex" if basis is None else "real"
-        w, vectors = np.linalg.eig(matrix)
+        real = _real_form(L)
+        route = "complex" if real is None else "real"
+        w, vectors = np.linalg.eig(L if real is None else real)
         try:
             inverse = np.linalg.inv(vectors)
         except np.linalg.LinAlgError as exc:
@@ -142,9 +152,10 @@ def spectral_decompose(liouvillian):
                 f"right-eigenvector matrix is singular: {exc}"
             ) from exc
     biorth = float(np.abs(inverse @ vectors - np.eye(w.size)).max())
-    if basis is not None:
-        vectors, inverse = basis @ vectors, inverse @ basis.conj().T
     order = np.lexsort((w.imag, np.abs(w.real)))
+    real_vectors = None if real is None else vectors[:, order]
+    if real is not None:
+        vectors, inverse = _scatter(vectors.T).T, _scatter(inverse, -1)
     w, vr, inv = w[order], vectors[:, order], inverse[order]
     recon = float(np.abs((vr * w) @ inv - L).max())
     defect = biorth + recon / max(1.0, float(np.abs(L).max()))
@@ -159,6 +170,7 @@ def spectral_decompose(liouvillian):
         condition=biorth + recon,
         biorthogonality=biorth,
         route=route,
+        real_vectors=real_vectors,
     )
 
 
@@ -239,20 +251,12 @@ def tqsl_from_modes(sd, rho0, horizon, points=2001):
     return _bound_ratio(_mode_angle(sd, c, rho0, ts[-1]), avg)
 
 
-def _hermitian_from_params(x, d):
-    a = np.zeros((d, d), dtype=complex)
-    a[np.diag_indices(d)] = x[:d]
-    iu = np.triu_indices(d, 1)
-    m = d * (d - 1) // 2
-    a[iu] = x[d : d + m] + 1j * x[d + m : d + 2 * m]
-    return a + np.triu(a, 1).conj().T
-
-
 def mode_elimination_search(sd, rho0, kill_set, seed=0, restarts=8):
     """Search for a unitary rotation of rho0 that empties chosen modes.
 
     Minimizes sum over the kill set of |(l_i|vec(U rho0 U+))|² over
-    U = exp(iA) with A Hermitian (d² real parameters), using a
+    U = exp(iA) with A Hermitian (d² real coordinates in the basis of
+    liouville._hermitian_index), using a
     quasi-Newton local optimizer from the identity plus random restarts.
     Returns (best U, residual); residual below 1e-8 counts as success,
     anything else is reported as found, not raised.
@@ -276,7 +280,7 @@ def mode_elimination_search(sd, rho0, kill_set, seed=0, restarts=8):
         return float(np.sum(np.abs(rows @ v) ** 2))
 
     def objective(x):
-        return residual(expm(1j * _hermitian_from_params(x, d)))
+        return residual(expm(1j * devectorize(_scatter(x))))
 
     best_u = np.eye(d, dtype=complex)
     best_r = residual(best_u)
@@ -287,7 +291,7 @@ def mode_elimination_search(sd, rho0, kill_set, seed=0, restarts=8):
         res = minimize(objective, x0, method="BFGS", options={"maxiter": 400})
         if res.fun < best_r:
             best_r = float(res.fun)
-            best_u = expm(1j * _hermitian_from_params(res.x, d))
+            best_u = expm(1j * devectorize(_scatter(res.x)))
         if best_r < 1e-14:
             break
     return best_u, best_r

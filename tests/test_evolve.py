@@ -180,6 +180,23 @@ def test_coherent_generator_takes_the_hermitian_route(monkeypatch):
     assert np.abs(lq.vectorize(trace.states) - ref).max() < 1e-13
 
 
+def test_hermitian_vectors_take_the_real_product():
+    # On the real route, Hermitian vectors go through one real product over
+    # half the conjugate pairs; any other vector keeps the complex mode sum.
+    rng = philox(49)
+    times = np.linspace(0.0, 2.0, 101)
+    for d in (2, 3, 5):
+        L = lq.build_liouvillian(rand_spec(rng, d)).full
+        sd = lq.spectral_decompose(L)
+        assert sd.route == "real"
+        hermitian = lq.vectorize(np.array([rand_rho(rng, d), rand_pure(rng, d)]))
+        modal = evolve._modal_steps(L, hermitian, times)
+        assert _close(modal, sd.evolve(sd.overlaps(hermitian), times))
+        v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        modal = evolve._modal_steps(L, v, times)
+        assert np.array_equal(modal, sd.evolve(sd.overlaps(v), times))
+
+
 def test_non_hermiticity_preserving_generator_takes_the_modes():
     rng = philox(48)
     times = np.linspace(0.0, 2.0, 201)

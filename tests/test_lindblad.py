@@ -73,6 +73,14 @@ def test_liouvillian_split_identity():
         assert np.abs(parts.reversible - parts.reversible.conj().T).max() < 1e-12
 
 
+def test_generator_splits_are_computed_on_access():
+    parts = lq.build_liouvillian(rand_spec(philox(24), 3))
+    assert set(vars(parts)) == {"full", "hermitian_generator", "dissipative"}
+    lh, ld = parts.hermitian_generator, parts.dissipative
+    assert np.array_equal(parts.reversible, lh + 0.5j * (ld - ld.conj().T))
+    assert np.array_equal(parts.irreversible, 0.5 * (ld + ld.conj().T))
+
+
 def test_hermitian_generator():
     rng = philox(23)
     spec = rand_spec(rng, 2)

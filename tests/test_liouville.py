@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import liouqsl as lq
 from liouqsl.exceptions import DimensionError, ValidationError
+from liouqsl.liouville import _gather, _real_form, _real_part, _scatter
 
 from conftest import philox, rand_pure, rand_rho, rotated_state
 
@@ -35,6 +36,54 @@ def test_sandwich_superop_action():
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         got = lq.sandwich_superop(l, r) @ lq.vectorize(x)
         assert_allclose(got, lq.vectorize(l @ x @ r), atol=1e-12)
+
+
+def _hermitian_basis(d):
+    """Dense unitary B whose columns vectorize the Hermitian basis of the gathers.
+
+    Columns |i><i|, then (|i><j| + |j><i|)/sqrt(2) and i(|i><j| - |j><i|)/sqrt(2)
+    for each i < j in row-major order.
+    """
+    n = d * d
+    rows, cols = np.triu_indices(d, 1)
+    upper, lower = d * cols + rows, d * rows + cols
+    sym = d + np.arange(rows.size)
+    anti = sym + rows.size
+    basis = np.zeros((n, n), dtype=complex)
+    basis[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+    basis[upper, sym] = basis[lower, sym] = np.sqrt(0.5)
+    basis[upper, anti] = 1j * np.sqrt(0.5)
+    basis[lower, anti] = -1j * np.sqrt(0.5)
+    return basis
+
+
+def test_gathers_equal_the_dense_products_with_the_hermitian_basis():
+    rng = philox(19)
+    for d in (1, 2, 3, 16):
+        n = d * d
+        b = _hermitian_basis(d)
+        assert np.abs(b.conj().T @ b - np.eye(n)).max() < 1e-15
+        s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        v = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+        assert_allclose(_gather(v), v @ b.conj(), rtol=0, atol=1e-14)
+        assert_allclose(_gather(v, 1), v @ b, rtol=0, atol=1e-14)
+        assert_allclose(_scatter(v), v @ b.T, rtol=0, atol=1e-14)
+        assert_allclose(_scatter(v, -1), v @ b.conj().T, rtol=0, atol=1e-14)
+        assert_allclose(_gather(_scatter(v)), v, rtol=0, atol=1e-14)
+        assert _real_form(s) is None
+        form = _gather(_gather(s, 1).T).T
+        assert_allclose(form, b.conj().T @ s @ b, rtol=0, atol=1e-13)
+        # Hermiticity-preserving: S(X) = K X K^+ + X^T has a real form.
+        k = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        swap = lq.vectorize(np.eye(n).reshape(n, d, d).transpose(0, 2, 1)).T
+        preserving = lq.sandwich_superop(k, k.conj().T) + swap
+        real = _real_form(preserving)
+        assert real.dtype == float and real.flags.c_contiguous
+        assert_allclose(real, (b.conj().T @ preserving @ b).real, rtol=0, atol=1e-13)
+        rho = rand_rho(rng, d) if d > 1 else np.ones((1, 1))
+        x = _real_part(_gather(lq.vectorize(rho)))
+        assert_allclose(x, (b.conj().T @ lq.vectorize(rho)).real, rtol=0, atol=1e-15)
+        assert _real_part(_gather(v)) is None
 
 
 def test_rehermitize():
@@ -111,6 +160,25 @@ def test_validate_density_matrix_rejects_non_finite_entries():
         assert err.value.index == index
 
 
+def test_validation_of_a_rehermitized_stack_skips_only_the_skew():
+    # build_trace's own stacks are re-Hermitized, so validation there forms no
+    # skew; every other check and message is that of the full validation.
+    rng = philox(14)
+    good = np.array([rand_rho(rng, 3) for _ in range(4)])
+    stacks = [good, good.copy(), good.copy()]
+    stacks[1][2] *= 1.01
+    stacks[2][3] = rotated_state(rng, 3, -1e-6)
+    stacks[1][3, 0, 0] = np.nan
+    lq.validate_density_matrix(lq.rehermitize(good), _hermitian=True)
+    for stack in map(lq.rehermitize, stacks[1:]):
+        with pytest.raises(ValidationError) as full:
+            lq.validate_density_matrix(stack)
+        with pytest.raises(ValidationError) as skipped:
+            lq.validate_density_matrix(stack, _hermitian=True)
+        assert str(skipped.value) == str(full.value)
+        assert skipped.value.index == full.value.index
+
+
 def test_normalize_state():
     rng = philox(15)
     rho = rand_rho(rng, 3)
@@ -151,6 +219,14 @@ def test_liouville_angle_unnormalized_insensitive():
     a = rand_rho(rng, 2)
     b = rand_rho(rng, 2)
     assert abs(lq.liouville_angle(2.0 * a, b) - lq.liouville_angle(a, b)) < 1e-12
+
+
+def test_liouville_angle_rejects_non_finite_states():
+    good = np.diag([0.6, 0.4]).astype(complex)
+    for bad in (np.diag([np.nan, 1.0]), np.diag([np.inf, 0.0])):
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(ValidationError, match="non-positive purity"):
+                lq.liouville_angle(*pair)
 
 
 def test_superop_expectation_and_variance():

@@ -8,7 +8,7 @@ from liouqsl.exceptions import (
     QuadratureError,
     ValidationError,
 )
-from liouqsl.qsl import BasisSet
+from liouqsl.qsl import BasisSet, _ClassicalSplit
 
 from conftest import philox, rand_pure, rand_rho, rand_spec
 
@@ -252,6 +252,44 @@ def test_exact_uncertainty_product_is_half():
     assert worst < 1e-9
 
 
+def _complex_split(superop, basis, v):
+    """Non-classical speed and delta from complex Liouville-space products alone."""
+    ov = v @ superop.T
+    amps, oamps = v @ basis.vectors.conj(), ov @ basis.vectors.conj()
+    pops = np.abs(amps) ** 2
+    keep = pops >= 1e-14
+    safe = np.where(keep, pops, 1.0)
+    mean = np.vdot(v, ov)
+    beta = np.where(keep, np.imag(oamps * amps.conj()) / safe, 0.0)
+    var_cl = np.sum(beta**2 * pops) - np.sum(beta * pops) ** 2
+    nc = np.sqrt(max(np.vdot(ov, ov).real - abs(mean) ** 2 - var_cl, 0.0))
+    diag = 2.0 * np.real(oamps * amps.conj()) - 2.0 * mean.real * pops
+    return nc, np.sum(np.where(keep, diag**2 / safe, 0.0)) ** -0.5
+
+
+def test_split_agrees_with_the_complex_formula_on_both_routes():
+    # Hermitian states under a Lindblad generator take real Hermitian
+    # coordinates; a non-Hermitian state vector, or a superoperator that does
+    # not preserve Hermiticity, keeps complex Liouville coordinates.
+    rng = philox(60)
+    for d in (2, 3, 4):
+        n = d * d
+        L = lq.build_liouvillian(rand_spec(rng, d)).full
+        skew = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        basis = lq.complete_basis(lq.normalize_state(rand_rho(rng, d)))
+        hermitian = lq.normalize_state(rand_rho(rng, d)).vector
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v /= np.linalg.norm(v)
+        cases = ((L, hermitian, True), (L, v, False), (skew, hermitian, False))
+        for superop, state, real in cases:
+            split = _ClassicalSplit(superop, basis, state)
+            assert np.isrealobj(split.v) == real
+            assert (split.real_form is None) == (superop is skew)
+            nc, delta = _complex_split(superop, basis, state)
+            assert_allclose(lq.nonclassical_speed(superop, basis, state), nc, rtol=1e-12)
+            assert_allclose(lq.exact_uncertainty(superop, basis, state), (delta, nc), rtol=1e-12)
+
+
 def test_exact_uncertainty_rejects_flat_populations():
     rng = philox(58)
     s = lq.normalize_state(rand_rho(rng, 2))
@@ -328,6 +366,31 @@ def test_exact_qsl_recovers_the_horizon_on_random_specs():
         report = lq.exact_qsl(trace, L)
         worst = max(worst, abs(report.exact_time - report.T) / report.T)
     assert worst < 1e-10
+
+
+def test_exact_qsl_frozen_d16_report():
+    # Recorded from the complex-coordinate implementation (dense products with
+    # the Hermitian basis); the real-coordinate one must reproduce it.
+    rng = philox(131)
+    L = lq.build_liouvillian(rand_spec(rng, 16)).full
+    trace = lq.propagate_expm(L, rand_rho(rng, 16), np.linspace(0.0, 3.0, 2001))
+    frozen = {
+        "T": 3.0,
+        "theta": 1.0053151282832566,
+        "wootters_length": 8.487941102316732,
+        "avg_speed": 3.8316075183438536,
+        "avg_nc_speed": 2.829313700772244,
+        "bound_mt": 0.26237424461412134,
+        "bound_nc": 0.35532119609390145,
+        "exact_time": 3.0,
+        "bound_opnorm": 0.07207686433567669,
+        "bound_hsnorm": 0.011343389208857186,
+        "efficiency": 0.27471013567540314,
+    }
+    report = lq.exact_qsl(trace, L).to_json()
+    assert report.keys() == frozen.keys()
+    for key, value in frozen.items():
+        assert_allclose(report[key], value, rtol=1e-13, err_msg=key)
 
 
 def test_exact_qsl_report_consistency():
