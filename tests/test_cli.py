@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 import liouqsl as lq
-from liouqsl.cli import ScenarioConfig, main
+from liouqsl.cli import ScenarioConfig, _parser, main
 from liouqsl.exceptions import ValidationError
 
 from conftest import philox, rand_rho, rand_spec
@@ -342,9 +344,76 @@ def test_cli_validation_failures(ad_spec_path, tmp_path, capsys):
     for argv in (["no-such-command"], []):
         assert main(argv) == 1
         assert "command=None error=validation" in capsys.readouterr().err
+
+
+def test_unusable_out_is_a_validation_error(ad_spec_path, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    taken = tmp_path / "taken"
+    (taken / "report.json").mkdir(parents=True)
+    argv = ["qsl-report", "--spec", ad_spec_path, "--points", "21", "--out"]
+    for out in (blocker, blocker / "sub", taken):
+        assert main(argv + [str(out)]) == 1, out
+        err = capsys.readouterr().err
+        assert err.startswith("liouqsl: command=qsl-report error=validation detail=")
+        assert str(out) in err and "Traceback" not in err
+
+
+# Every option of each command, plus --jobs 2.
+_FULL_ARGV = {
+    "evolve": ["--spec", "s", "--alpha", "0.3", "--rho0", "r", "--dump-states"],
+    "qsl-report": ["--spec", "s", "--alpha", "0.3", "--rho0", "r"],
+    "spectral": ["--spec", "s"],
+    "optimal": ["--rho0", "a", "--rho-perp", "b", "--gamma", "0.2", "--dump-states"],
+    "mpemba": ["--gamma", "0.1", "--n", "0.2", "--alphas", "0.3,0.8"],
+    "krylov": ["--h", "h", "--rho0", "r", "--beta", "0.5"],
+    "validate": ["--spec", "s"],
+}
+_HELP = {
+    "evolve": "propagate a spec and dump the trace",
+    "qsl-report": "bound report for one trajectory",
+    "spectral": "eigenmodes and steady state",
+    "optimal": "straight-line dynamics certificate",
+    "mpemba": "relaxation sweep for the damped qubit",
+    "krylov": "complexity and SFF columns",
+    "validate": "parse and sanity-check a spec",
+}
+
+
+def _choices(parser):
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(subs.choices)
+
+
+def test_one_command_parser_parses_like_the_full_parser():
+    assert _choices(_parser()) == list(_HELP)
+    # Building the other six subparsers is the cost the one-command parser saves.
+    assert _choices(_parser("qsl-report")) == ["qsl-report"]
+    common = ["--out", "o", "--jobs", "2", "--points", "5", "--t-max", "3"]
+    for command, options in _FULL_ARGV.items():
+        for argv in ([command] + options + common, [command] + options):
+            args = _parser(command).parse_args(argv)
+            assert args == _parser().parse_args(argv), argv
+        # Options not given stay off the namespace.
+        assert args.command == command and not {"out", "jobs"} & set(vars(args))
+
+
+def test_help_lists_every_command_and_each_command_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["krylov", "--help"])
+        main(["--help"])
     assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command, text in _HELP.items():
+        assert re.search(rf"^ +{re.escape(command)} +{re.escape(text)}$", out, re.M)
+    for command in _HELP:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: liouqsl {command} [-h]")
+        with pytest.raises(SystemExit):
+            _parser().parse_args([command, "--help"])
+        assert capsys.readouterr().out == out
 
 
 def test_zero_generator_gives_zero_report(tmp_path):

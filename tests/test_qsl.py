@@ -111,18 +111,28 @@ def test_bounds_vanish_for_stationary_trajectory():
 
 
 def test_bound_chain_holds_at_small_horizons():
-    # The angle comes from unit vectors whose entries carry rounding of a few
-    # eps, so it may exceed the integrated speed by that much: 1e-14 in angle.
-    L = lq.build_liouvillian(lq.amplitude_damping_spec(0.05, 0.2)).full
-    rho0 = lq.superposition_state(0.7)
-    for horizon in 10.0 ** np.arange(-8, 3):
-        trace = lq.propagate_expm(L, rho0, np.linspace(0.0, horizon, 201))
-        report = lq.exact_qsl(trace, L)
-        assert report.bound_mt <= report.bound_nc * (1.0 + 1e-12)
-        assert report.bound_nc <= report.T + 1e-14 / report.avg_nc_speed
-        if horizon <= 1e-4:
-            # to first order in T the trajectory is a geodesic
-            assert report.bound_mt >= report.T * (1.0 - 1e-6)
+    # The damped qubit, then seeded draws with d = 2-4 and pure or mixed starts.
+    cases = [(lq.amplitude_damping_spec(0.05, 0.2), lq.superposition_state(0.7))]
+    rng = philox(141)
+    for draw in range(12):
+        dim = 2 + draw % 3
+        start = rand_pure if draw % 2 == 0 else rand_rho
+        cases.append((rand_spec(rng, dim), start(rng, dim)))
+    for spec, rho0 in cases:
+        L = lq.build_liouvillian(spec).full
+        for horizon in 10.0 ** np.arange(-8, 3):
+            trace = lq.propagate_expm(L, rho0, np.linspace(0.0, horizon, 201))
+            report = lq.exact_qsl(trace, L)
+            assert report.bound_hsnorm <= report.bound_opnorm * (1.0 + 1e-12)
+            assert report.bound_opnorm <= report.bound_mt * (1.0 + 1e-12)
+            assert report.bound_mt <= report.bound_nc * (1.0 + 1e-12)
+            # The angle comes from unit vectors whose entries carry rounding of
+            # a few eps, so it may exceed the integrated speed by 1e-14.
+            assert report.bound_nc <= report.T + 1e-14 / report.avg_nc_speed
+            assert abs(report.exact_time - report.T) < 1e-10 * report.T
+            if horizon <= 1e-4:
+                # to first order in T the trajectory is a geodesic
+                assert report.bound_mt >= report.T * (1.0 - 1e-6)
 
 
 def test_simpson_and_cumulative_simpson_match_scipy():
