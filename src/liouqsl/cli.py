@@ -271,9 +271,10 @@ _COMMANDS = {
 def run(cfg):
     """Dispatch a validated config; returns the process exit code."""
     # An OSError can only come from --out: input files are read by _read_json,
-    # which raises ValidationError.
+    # which raises ValidationError. validate writes no artifact there.
     try:
-        os.makedirs(cfg.out, exist_ok=True)
+        if cfg.command != "validate":
+            os.makedirs(cfg.out, exist_ok=True)
         return _COMMANDS[cfg.command][0](cfg)
     except OSError as exc:
         raise ValidationError(f"cannot write to --out {cfg.out}: {exc}") from exc

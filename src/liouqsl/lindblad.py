@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionError, ValidationError
-from .liouville import sandwich_superop
+from .liouville import _kron, sandwich_superop
 
 __all__ = [
     "LindbladSpec",
@@ -104,7 +104,7 @@ def commutator_superop(hamiltonian):
     """Supermatrix 1 kron H - H^T kron 1 of X -> [H, X]."""
     h = np.asarray(hamiltonian, dtype=complex)
     eye = np.eye(h.shape[0], dtype=complex)
-    return np.kron(eye, h) - np.kron(h.T, eye)
+    return _kron(eye, h) - _kron(h.T, eye)
 
 
 def build_liouvillian(spec):
@@ -116,8 +116,7 @@ def build_liouvillian(spec):
     for rate, op in spec.jumps:
         opdop = op.conj().T @ op
         ld += rate * (
-            np.kron(op.conj(), op)
-            - 0.5 * (np.kron(eye, opdop) + np.kron(opdop.T, eye))
+            _kron(op.conj(), op) - 0.5 * (_kron(eye, opdop) + _kron(opdop.T, eye))
         )
     return LiouvillianParts(full=-1j * lh + ld, hermitian_generator=lh, dissipative=ld)
 

@@ -214,6 +214,12 @@ def liouville_angle(rho_a, rho_b):
     return _unit_angle(a / np.sqrt(pa)[..., None], b / np.sqrt(pb)[..., None])
 
 
+def _kron(a, b):
+    """a ⊗ b of square matrices by one broadcast; numpy's kron bit for bit."""
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+
+
 def sandwich_superop(left, right):
     """Superoperator of X -> left @ X @ right.
 
@@ -224,7 +230,7 @@ def sandwich_superop(left, right):
     r = np.asarray(right, dtype=complex)
     if l.shape != r.shape or l.ndim != 2 or l.shape[0] != l.shape[1]:
         raise DimensionError("factors must be square matrices of equal dimension")
-    return np.kron(r.T, l)
+    return _kron(r.T, l)
 
 
 def _operands(superop, state):

@@ -14,7 +14,9 @@ along the trajectory.
 The length integrates the rate of change of the amplitude moduli, taken
 from the generator on the same basis amplitudes as the non-classical
 speed. The two integrands agree point by point, so the exact time
-recovers the horizon to rounding, not only to quadrature error.
+recovers the horizon to rounding, not only to quadrature error. Both come
+from one pass over the states in row blocks of about 512 KB of
+temporaries, in real Hermitian coordinates where generator and states allow.
 
 The per-state functionals (speed, non-classical speed, classical part,
 exact uncertainty) take a single NormalizedState or a stacked one, such
@@ -52,6 +54,7 @@ __all__ = [
 ]
 
 _POP_FLOOR = 1e-14
+_BLOCK_BYTES = 1 << 19  # temporaries per row block of the classical split
 _ANGLE_FLOOR = 1e-12
 
 
@@ -248,50 +251,64 @@ def complete_basis(state):
 
 
 class _ClassicalSplit:
-    """Basis amplitudes of v and O v, populations, variance and beta, per state.
+    """Per-state columns of the split of a superoperator O in a fixed basis.
 
-    Directions with population below 1e-14 are dropped: there keep is
-    False and beta_i = i Im((a_i|O v)(v|a_i)) / (a_i|P|a_i) is set to 0.
-    For a real form O_r = B^+ O B and Hermitian v, v and O v are the real x = B^+ v
-    and x O_r^T, amplitudes come from one real product by M = B^T conj(A).
+    With c_i = (a_i|v), c'_i = (a_i|O v) and p_i = |c_i|², directions with
+    p_i < 1e-14 are dropped; beta_i = Im(c'_i c_i*)/p_i, 0 where dropped, and
+    g_i = Re(c'_i c_i*) - Re(v|O v) p_i = |c_i| d|c_i|/dt. Columns: var (squared
+    speed), nc, wootters = sqrt(sum_i (d|c_i|/dt)²), fisher = 4 sum_kept g_i²/p_i,
+    scale = |O v|², and beta on request. One pass fills them in row blocks of
+    about _BLOCK_BYTES of temporaries. For a real form O_r = B^+ O B and
+    Hermitian v, a block takes x = B^+ v, O v = x O_r^T and both amplitude sets
+    from one real product with M = B^T conj(A); if any block's x is not real,
+    the whole stack takes complex coordinates through the same reductions.
     """
 
-    def __init__(self, superop, basis, state):
+    def __init__(self, superop, basis, state, beta=False):
         v, o = _operands(superop, state)
+        lead, n = v.shape[:-1], v.shape[-1]
         self.real_form = _real_form(o)
-        x = None if self.real_form is None else _real_part(_gather(v))
-        if x is None:
-            self.v, self.ov = v, v @ o.T
-            self.amps, self.oamps = basis.amplitudes(v), basis.amplitudes(self.ov)
-        else:
-            self.v, self.ov = x, x @ self.real_form.T
-            m = np.ascontiguousarray(_gather(basis.vectors.conj().T, 1).T).view(float)
-            self.amps, self.oamps = (np.stack([x, self.ov]) @ m).view(complex)
-        self.pops = np.abs(self.amps) ** 2
-        self.var = _variance(self.v, self.ov)
-        self.keep = self.pops >= _POP_FLOOR
-        self.beta = self.per_population(1j * np.imag(self.oamps * self.amps.conj()))
+        self.beta = np.zeros(v.shape) if beta else None
+        self._pass(v.reshape(-1, n), basis, o, self.real_form is not None)
+        self.var, self.nc, self.wootters, self.fisher, self.scale = (
+            c.reshape(lead)[()] for c in self.columns
+        )
 
-    def per_population(self, x):
-        """x_i / pops_i on kept directions, 0 on dropped ones."""
-        return np.divide(x, self.pops, out=np.zeros_like(x), where=self.keep)
-
-    def nonclassical_speed(self):
-        mean = np.sum(self.beta * self.pops, axis=-1)
-        var_cl = np.sum(np.abs(self.beta) ** 2 * self.pops, axis=-1) - np.abs(mean) ** 2
-        return np.sqrt(np.maximum(self.var - var_cl, 0.0))
-
-    def wootters_speed(self):
-        """sqrt(sum_i (d|c_i|/dt)²) for the amplitudes c_i = (a_i|v) under v' = O v.
-
-        With c_i' = (a_i|O v) - Re(v|O v) c_i, d|c_i|/dt = Re(c_i* c_i')/|c_i|;
-        a dropped direction takes its one-sided limit |c_i'|. Equals the
-        non-classical speed point by point.
-        """
-        rate = self.oamps - np.real(_dot(self.v, self.ov))[..., None] * self.amps
-        kept = self.per_population(np.real(rate * self.amps.conj()) ** 2)
-        dropped = np.where(self.keep, 0.0, np.abs(rate) ** 2)
-        return np.sqrt(np.sum(kept + dropped, axis=-1))
+    def _pass(self, v, basis, o, real):
+        """Fill the columns block by block; all complex if a block's x is not real."""
+        (t, n), op, m = v.shape, o, basis.vectors.conj()
+        rows, self.real = max(1, _BLOCK_BYTES // (32 * n)), real
+        if real:
+            op, m = self.real_form, _gather(m.T, 1).T
+            m = np.stack([m.real, m.imag])
+        self.columns = np.empty((5, t))
+        for s in range(0, t, rows):
+            x = v[s : s + rows]
+            if real and (x := _real_part(_gather(x))) is None:
+                return self._pass(v, basis, o, False)
+            b, ox = len(x), x @ op.T
+            amps = np.concatenate([x, ox]) @ m
+            if not real:
+                amps = np.stack([amps.real, amps.imag])
+            (cr, dr), (ci, di) = amps.reshape(2, 2, b, n)
+            mean, var = np.real(_dot(x, ox)), _variance(x, ox)
+            pops = cr * cr + ci * ci
+            keep = pops >= _POP_FLOOR
+            inv = keep / np.maximum(pops, _POP_FLOOR)
+            beta = (di * cr - dr * ci) * inv
+            g = dr * cr + di * ci - mean[:, None] * pops
+            kept = np.einsum("ij,ij->i", g * inv, g)
+            bp = np.einsum("ij,ij->i", beta, pops)
+            var_cl = np.einsum("ij,ij->i", beta * beta, pops) - bp * bp
+            # a dropped direction takes the one-sided limit |c'_i - Re(v|O v) c_i|²
+            i, j = np.divmod(np.flatnonzero(~keep), n)
+            rate = dr[i, j] + 1j * di[i, j] - mean[i] * (cr[i, j] + 1j * ci[i, j])
+            dropped = np.bincount(i, np.abs(rate) ** 2, minlength=b)
+            nc = np.sqrt(np.maximum(var - var_cl, 0.0))
+            cols = var, nc, np.sqrt(kept + dropped), 4.0 * kept, np.real(_dot(ox, ox))
+            self.columns[:, s : s + b] = cols
+            if self.beta is not None:
+                self.beta.reshape(-1, n)[s : s + b] = beta
 
 
 def classical_part(liouvillian, basis, state):
@@ -302,9 +319,9 @@ def classical_part(liouvillian, basis, state):
     population below 1e-14 are dropped. The result is anti-Hermitian by
     construction; a detectable defect is reported, not assumed away.
     """
-    beta = _ClassicalSplit(liouvillian, basis, state).beta
+    beta = _ClassicalSplit(liouvillian, basis, state, beta=True).beta
     cols = basis.vectors
-    out = (cols * beta[..., None, :]) @ cols.conj().T
+    out = (cols * 1j * beta[..., None, :]) @ cols.conj().T
     defect = np.abs(out + np.swapaxes(out, -1, -2).conj()).max()
     if defect > 1e-12:
         warnings.warn(
@@ -315,7 +332,7 @@ def classical_part(liouvillian, basis, state):
 
 def nonclassical_speed(liouvillian, basis, state):
     """Speed of the non-diagonal remainder: sqrt(max(var - var_cl, 0))."""
-    return _ClassicalSplit(liouvillian, basis, state).nonclassical_speed()
+    return _ClassicalSplit(liouvillian, basis, state).nc
 
 
 def exact_uncertainty(superop, basis, state):
@@ -326,15 +343,11 @@ def exact_uncertainty(superop, basis, state):
     pair (delta, nonclassical deviation) equals one half identically.
     """
     split = _ClassicalSplit(superop, basis, state)
-    mean2 = 2.0 * np.real(_dot(split.v, split.ov))[..., None]
-    diag = 2.0 * np.real(split.oamps * split.amps.conj()) - split.pops * mean2
-    fisher = np.sum(split.per_population(diag**2), axis=-1)
-    scale = np.real(_dot(split.ov, split.ov))
-    if np.any(fisher <= 1e-24 * np.maximum(scale, 1e-300)):
+    if np.any(split.fisher <= 1e-24 * np.maximum(split.scale, 1e-300)):
         raise NumericalConsistencyError(
             "stationary populations; the sensitivity scale diverges"
         )
-    return fisher**-0.5, split.nonclassical_speed()
+    return split.fisher**-0.5, split.nc
 
 
 def wootters_length(trace, liouvillian, basis):
@@ -347,8 +360,8 @@ def wootters_length(trace, liouvillian, basis):
     speed.
     """
     _odd_grid(len(trace))
-    speeds = _ClassicalSplit(liouvillian, basis, trace.normalized).wootters_speed()
-    return _simpson(speeds, trace.times)
+    split = _ClassicalSplit(liouvillian, basis, trace.normalized)
+    return _simpson(split.wootters, trace.times)
 
 
 def exact_qsl(trace, liouvillian, basis=None):
@@ -359,8 +372,8 @@ def exact_qsl(trace, liouvillian, basis=None):
     _odd_grid(len(trace))
     split = _ClassicalSplit(liouvillian, basis, trace.normalized)
     avg = _time_average(np.sqrt(split.var), trace.times)
-    avg_nc = _time_average(split.nonclassical_speed(), trace.times)
-    length = _simpson(split.wootters_speed(), trace.times)
+    avg_nc = _time_average(split.nc, trace.times)
+    length = _simpson(split.wootters, trace.times)
     norm = operator_norm(liouvillian if split.real_form is None else split.real_form)
     return QslReport(
         T=float(trace.times[-1] - trace.times[0]),

@@ -359,6 +359,18 @@ def test_unusable_out_is_a_validation_error(ad_spec_path, tmp_path, capsys):
         assert str(out) in err and "Traceback" not in err
 
 
+def test_validate_leaves_out_alone(ad_spec_path, tmp_path, monkeypatch):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.chdir(empty)
+    assert main(["validate", "--spec", ad_spec_path]) == 0
+    assert list(empty.iterdir()) == []
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["validate", "--spec", ad_spec_path, "--out", str(blocker)]) == 0
+    assert blocker.read_text() == ""
+
+
 # Every option of each command, plus --jobs 2.
 _FULL_ARGV = {
     "evolve": ["--spec", "s", "--alpha", "0.3", "--rho0", "r", "--dump-states"],

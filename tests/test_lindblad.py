@@ -92,6 +92,25 @@ def test_hermitian_generator():
     assert np.abs(lh - lh.conj().T).max() < 1e-12
 
 
+def test_assembly_equals_the_kron_formula_bit_for_bit():
+    rng = philox(25)
+    specs = [lq.amplitude_damping_spec(0.05, 0.2)] + [rand_spec(rng, d) for d in (2, 3, 5)]
+    for spec in specs:
+        h, eye = spec.hamiltonian, np.eye(spec.dim, dtype=complex)
+        lh = np.kron(eye, h) - np.kron(h.T, eye)
+        ld = np.zeros_like(lh)
+        for rate, op in spec.jumps:
+            opdop = op.conj().T @ op
+            ld += rate * (
+                np.kron(op.conj(), op) - 0.5 * (np.kron(eye, opdop) + np.kron(opdop.T, eye))
+            )
+        parts = lq.build_liouvillian(spec)
+        assert np.array_equal(parts.hermitian_generator, lh)
+        assert np.array_equal(parts.dissipative, ld)
+        assert np.array_equal(parts.full, -1j * lh + ld)
+        assert np.array_equal(lq.sandwich_superop(h, opdop), np.kron(opdop.T, h))
+
+
 def test_no_jump_spec_is_unitary():
     rng = philox(24)
     spec = lq.LindbladSpec(hamiltonian=rand_spec(rng, 2).hamiltonian)

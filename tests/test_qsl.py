@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +10,7 @@ from liouqsl.exceptions import (
     QuadratureError,
     ValidationError,
 )
-from liouqsl.qsl import BasisSet, _ClassicalSplit
+from liouqsl.qsl import _BLOCK_BYTES, BasisSet, _ClassicalSplit
 
 from conftest import philox, rand_pure, rand_rho, rand_spec
 
@@ -263,18 +265,26 @@ def test_exact_uncertainty_product_is_half():
 
 
 def _complex_split(superop, basis, v):
-    """Non-classical speed and delta from complex Liouville-space products alone."""
+    """Columns of the split, per state, from whole-array complex products alone."""
     ov = v @ superop.T
     amps, oamps = v @ basis.vectors.conj(), ov @ basis.vectors.conj()
     pops = np.abs(amps) ** 2
     keep = pops >= 1e-14
     safe = np.where(keep, pops, 1.0)
-    mean = np.vdot(v, ov)
+    mean = np.sum(v.conj() * ov, axis=-1)
     beta = np.where(keep, np.imag(oamps * amps.conj()) / safe, 0.0)
-    var_cl = np.sum(beta**2 * pops) - np.sum(beta * pops) ** 2
-    nc = np.sqrt(max(np.vdot(ov, ov).real - abs(mean) ** 2 - var_cl, 0.0))
-    diag = 2.0 * np.real(oamps * amps.conj()) - 2.0 * mean.real * pops
-    return nc, np.sum(np.where(keep, diag**2 / safe, 0.0)) ** -0.5
+    var = np.sum(np.abs(ov) ** 2, axis=-1) - np.abs(mean) ** 2
+    var_cl = np.sum(beta**2 * pops, axis=-1) - np.sum(beta * pops, axis=-1) ** 2
+    rate = oamps - mean.real[..., None] * amps
+    kept = np.real(rate * amps.conj()) ** 2 / safe
+    diag = 2.0 * np.real(oamps * amps.conj()) - 2.0 * mean.real[..., None] * pops
+    return {
+        "var": var,
+        "nc": np.sqrt(np.maximum(var - var_cl, 0.0)),
+        "wootters": np.sqrt(np.sum(np.where(keep, kept, np.abs(rate) ** 2), axis=-1)),
+        "fisher": np.sum(np.where(keep, diag**2 / safe, 0.0), axis=-1),
+        "beta": beta,
+    }
 
 
 def test_split_agrees_with_the_complex_formula_on_both_routes():
@@ -293,11 +303,113 @@ def test_split_agrees_with_the_complex_formula_on_both_routes():
         cases = ((L, hermitian, True), (L, v, False), (skew, hermitian, False))
         for superop, state, real in cases:
             split = _ClassicalSplit(superop, basis, state)
-            assert np.isrealobj(split.v) == real
+            assert split.real == real
             assert (split.real_form is None) == (superop is skew)
-            nc, delta = _complex_split(superop, basis, state)
+            oracle = _complex_split(superop, basis, state)
+            nc, delta = oracle["nc"], oracle["fisher"] ** -0.5
             assert_allclose(lq.nonclassical_speed(superop, basis, state), nc, rtol=1e-12)
             assert_allclose(lq.exact_uncertainty(superop, basis, state), (delta, nc), rtol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def d16():
+    rng = philox(133)
+    L = lq.build_liouvillian(rand_spec(rng, 16)).full
+    trace = lq.propagate_expm(L, rand_rho(rng, 16), np.linspace(0.0, 3.0, 2001))
+    return L, trace, lq.complete_basis(trace.normalized[0])
+
+
+def _assert_split_matches_oracle(superop, basis, v, real):
+    split = _ClassicalSplit(superop, basis, v, beta=True)
+    assert split.real == real
+    oracle = _complex_split(superop, basis, v)
+    # beta_i is ill-conditioned where p_i is small, beta_i p_i = Im(c'_i c_i*) is not
+    pops = np.abs(basis.amplitudes(v)) ** 2
+    want = oracle.pop("beta") * pops
+    assert_allclose(split.beta * pops, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    for key, value in oracle.items():
+        # fisher is round-off where populations are stationary; exact_uncertainty
+        # treats it as zero below 1e-24 of its scale
+        atol = 1e-24 * value.max() if key == "fisher" else 0.0
+        assert_allclose(getattr(split, key), value, rtol=1e-12, atol=atol, err_msg=key)
+
+
+def _block_rows(n):
+    return _BLOCK_BYTES // (32 * n)
+
+
+def test_blocked_split_matches_the_whole_array_oracle(d16):
+    rng = philox(134)
+    L, trace = _ad_trace(points=2 * _block_rows(4) + 1)
+    cases = [(L, lq.complete_basis(trace.normalized[0]), trace.normalized.vector)]
+    L3 = lq.build_liouvillian(rand_spec(rng, 3)).full
+    short = lq.propagate_expm(L3, rand_rho(rng, 3), np.linspace(0.0, 1.0, 3))
+    cases.append((L3, lq.complete_basis(short.normalized[0]), short.normalized.vector))
+    L16, trace16, basis16 = d16
+    v16 = trace16.normalized.vector
+    assert len(v16) % _block_rows(256) != 0
+    cases += [(L16, basis16, v16[: 2 * _block_rows(256) + 1]), (L16, basis16, v16)]
+    for superop, basis, v in cases:
+        _assert_split_matches_oracle(superop, basis, v, True)
+
+
+def test_blocked_split_drops_directions_across_a_block_boundary():
+    rng = philox(135)
+    L = lq.build_liouvillian(rand_spec(rng, 8)).full
+    rows = _block_rows(64)
+    trace = lq.propagate_expm(L, rand_pure(rng, 8), np.linspace(0.0, 1.0, 2 * rows + 1))
+    v = trace.normalized.vector.copy()
+    v[rows - 2 : rows + 2] = v[0]  # the pure start again, on both sides of a boundary
+    basis = lq.complete_basis(trace.normalized[0])
+    dropped = np.abs(v @ basis.vectors.conj()) ** 2 < 1e-14
+    assert dropped[rows - 1].sum() == dropped[rows].sum() == 63
+    assert not dropped[rows + 2 :].any()
+    _assert_split_matches_oracle(L, basis, v, True)
+
+
+def test_blocked_split_takes_the_complex_route_for_the_whole_stack(d16):
+    rng = philox(136)
+    L, trace, basis = d16
+    v = trace.normalized.vector[: 2 * _block_rows(256) + 1].copy()
+    skew = rng.normal(size=L.shape) + 1j * rng.normal(size=L.shape)
+    _assert_split_matches_oracle(skew, basis, v, False)
+    # one non-Hermitian state in the last block sends every block to the complex route
+    v[-1] = rng.normal(size=v.shape[1]) + 1j * rng.normal(size=v.shape[1])
+    v[-1] /= np.linalg.norm(v[-1])
+    _assert_split_matches_oracle(L, basis, v, False)
+
+
+def test_exact_qsl_peak_memory_d16(d16):
+    L, trace, basis = d16
+    tracemalloc.start()
+    try:
+        lq.exact_qsl(trace, L, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_randomized_split_invariants():
+    # Seeded draws: d = 2-6, pure and mixed starts, horizons 1e-3 ... 1e1.
+    rng = philox(137)
+    for draw in range(10):
+        dim = 2 + draw % 5
+        start = rand_pure if draw % 2 == 0 else rand_rho
+        L = lq.build_liouvillian(rand_spec(rng, dim)).full
+        rho0 = start(rng, dim)
+        for horizon in 10.0 ** np.arange(-3, 2):
+            trace = lq.propagate_expm(L, rho0, np.linspace(0.0, horizon, 201))
+            basis = lq.complete_basis(trace.normalized[0])
+            split = _ClassicalSplit(L, basis, trace.normalized)
+            nc = lq.nonclassical_speed(L, basis, trace.normalized)
+            assert_allclose(split.wootters, nc, rtol=1e-10)
+            # delta * nc = 1/2 needs every population above the 1e-14 floor: a
+            # dropped direction leaves the Fisher sum but not nc
+            full = (np.abs(basis.amplitudes(trace.normalized.vector)) ** 2 >= 1e-14).all(1)
+            assert full.sum() >= 190
+            delta, nc = lq.exact_uncertainty(L, basis, trace.normalized[full])
+            assert np.abs(delta * nc - 0.5).max() < 1e-9
 
 
 def test_exact_uncertainty_rejects_flat_populations():
