@@ -61,12 +61,21 @@ def test_speed_vanishes_at_steady_state():
     assert lq.speed(L, lq.normalize_state(ss)) < 1e-12
 
 
-def test_speed_decomposition_sum_rule():
+def _sum_rule_cases():
+    """Two hand-picked draws, then seeded draws d = 2-6 from mixed and pure states."""
     rng = philox(52)
     for d in (2, 3):
-        spec = rand_spec(rng, d)
-        parts = lq.build_liouvillian(spec)
-        s = lq.normalize_state(rand_rho(rng, d))
+        yield lq.build_liouvillian(rand_spec(rng, d)), rand_rho(rng, d)
+    rng = philox(152)
+    for draw in range(20):
+        d = 2 + draw % 5
+        start = rand_pure if draw // 5 % 2 else rand_rho
+        yield lq.build_liouvillian(rand_spec(rng, d)), start(rng, d)
+
+
+def test_speed_decomposition_sum_rule():
+    for parts, rho in _sum_rule_cases():
+        s = lq.normalize_state(rho)
         var_h, var_d, cross = lq.speed_decomposition(parts, s)
         total = lq.speed(parts.full, s) ** 2
         assert abs(var_h + var_d + cross - total) < 1e-10

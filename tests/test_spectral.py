@@ -232,3 +232,87 @@ def test_mode_elimination_deterministic():
     u2, r2 = lq.mode_elimination_search(sd, rho0, [1, 2], seed=3)
     assert r1 == r2
     assert np.array_equal(u1, u2)
+
+
+def _phase_table_generators():
+    """A coherent, a Lindblad and a non-Hermiticity-preserving generator, d = 3.
+
+    The last is shifted by its largest Re lambda, so that every Re lambda <= 0
+    as for the other two.
+    """
+    rng = philox(80)
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    yield "hermitian", -1j * lq.commutator_superop((h + h.conj().T) / 2)
+    yield "real", lq.build_liouvillian(rand_spec(rng, 3)).full
+    x = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    yield "complex", x - np.linalg.eigvals(x).real.max() * np.eye(9)
+
+
+def _direct_weights(sd, c, t, modes=slice(None)):
+    phases = np.exp(np.multiply.outer(t, sd.eigenvalues[modes]))
+    return phases.reshape(np.shape(t) + (1,) * (c.ndim - 1) + (-1,)) * c
+
+
+def _phase_table_cases():
+    rng = philox(81)
+    for route, L in _phase_table_generators():
+        sd = lq.spectral_decompose(L)
+        assert sd.route == route
+        rhos = np.array([rand_rho(rng, 3), rand_pure(rng, 3)])
+        for v in (lq.vectorize(rhos[0]), lq.vectorize(rhos)):
+            yield sd, sd.overlaps(v)
+
+
+def test_phase_table_matches_the_direct_exponentials(monkeypatch):
+    # On a linspace grid the weights exp(lambda t) c come from an anchor x
+    # offset table; each may differ from the direct exponential by at most
+    # 8 eps (1 + max|lambda| t_max) max|c|, which the right vectors carry
+    # into a vector entry at most max_j sum_i |R_ji| times.
+    eps = np.finfo(float).eps
+    calls = []
+    exp = np.exp
+
+    def counted_exp(z):
+        calls.append(np.size(z))
+        return exp(z)
+
+    monkeypatch.setattr(np, "exp", counted_exp)
+    for sd, c in _phase_table_cases():
+        for points in (5, 201, 2001, 40001):
+            t = np.linspace(0.0, 20.0, points)
+            weight_tol = 8.0 * eps * (1.0 + np.abs(sd.eigenvalues).max() * 20.0)
+            tol = weight_tol * np.abs(c).max() * np.abs(sd.right_vectors).sum(1).max()
+            ref = _direct_weights(sd, c, t) @ sd.right_vectors.T
+            calls.clear()
+            got = sd.evolve(c, t)
+            assert sum(calls) <= 2 * (np.sqrt(points) + 1) * sd.size
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= tol
+            if sd.route == "real":
+                assert np.abs(sd.evolve_hermitian(c, t) - ref).max() <= tol
+                lead = np.flatnonzero(sd.eigenvalues.imag >= 0.0)
+                weights = sd._phased(2.0 * c[..., lead], t, lead)
+                direct = _direct_weights(sd, 2.0 * c[..., lead], t, lead)
+                assert np.abs(weights - direct).max() <= 2.0 * weight_tol * np.abs(c).max()
+
+
+def test_phase_table_leaves_other_grids_to_the_direct_exponentials():
+    # A grid that anchors and offsets do not reproduce, a 3-point grid and a
+    # scalar time keep exp(lambda t) c bit for bit.
+    uniform = np.linspace(0.0, 20.0, 201)
+    grids = [np.concatenate([np.linspace(0.0, 1.0, 21), [1.3, 2.0, 2.05, 3.5]])]
+    for k in (1, 14, 100, 200):
+        moved = uniform.copy()
+        moved[k] += 1e-13 * uniform[-1]
+        grids.append(moved)
+    grids += [np.linspace(0.0, 20.0, 3), 0.7]
+    for sd, c in _phase_table_cases():
+        lead = np.flatnonzero(sd.eigenvalues.imag >= 0.0)
+        for t in grids:
+            weights = _direct_weights(sd, c, t)
+            assert np.array_equal(sd._phased(c, t), weights)
+            assert np.array_equal(
+                sd._phased(c[..., lead], t, lead), _direct_weights(sd, c[..., lead], t, lead)
+            )
+            ref = weights.reshape(-1, sd.size) @ sd.right_vectors.T
+            assert np.array_equal(sd.evolve(c, t), ref.reshape(weights.shape))
