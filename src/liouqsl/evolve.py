@@ -9,6 +9,7 @@ per-point objects. For states of dimension d it holds
     normalized.vector      (T, d^2)   unit Liouville vectors v_k
     normalized.purity      (T,)       tr rho^2
     overlap_with_initial   (T,)       Re(v_0|v_k)
+    modes                             SpectralData of propagate_expm, else None
 
 trace.normalized[k] and trace.states[k] give the k-th point, and the
 speed functionals of the qsl module take trace.normalized whole, so
@@ -17,14 +18,14 @@ from any other channel family, such as a Kraus family, become a trace
 through build_trace(times, states).
 propagate_expm also takes a stack of A initial states (A, d, d) under one
 generator and grid: it propagates them as one (A, d^2) block and returns
-a list of A such traces, one per initial state.
+a list of A such traces, one per initial state, sharing one modes object.
 
 propagate_expm writes a time-independent generator through the
 eigenmodes of spectral.spectral_decompose, the same ones the spectral
 command and the mode route use, so the two agree by construction. On
 any grid and for any block of initial states the whole trajectory is one
-product: for a Lindblad generator, a real one over one mode of each
-conjugate pair in Hermitian coordinates (SpectralData.evolve_hermitian).
+product: for a Lindblad generator and Hermitian states, a real one over
+one mode of each conjugate pair, from W^-1 B^+ v0 (evolve_hermitian).
 Two derivative-free speed routes live here as well: a central-difference
 evaluation on the stored trace and a Kraus-family route that never
 touches the generator.
@@ -66,12 +67,11 @@ _NORM_CAP = 1e12
 # Steps between exact restarts v_k = exp(L t_k) v_0 on a uniform grid, so
 # that round-off from repeated exp(L dt) products cannot build up.
 _REANCHOR_STEPS = 1024
-# Largest biorthogonality defect max|R^-1 R - 1| of the eigenvector matrix
-# for which propagation goes through eigenmodes. Approaching the exceptional
-# point of a critically driven decaying qubit, the modal error relative to
-# the largest entry tracks the defect (defect 9e-15: error 9e-15; 6e-14:
-# 3e-14; 9e-14: 9e-14; 8e-13 falls back), while stepping stays below 2e-14.
-# Random d = 16 generators measure 5e-15 to 3e-14.
+# Largest biorthogonality defect (max|W^-1 W - 1| on the real route) for which
+# propagation takes the eigenmodes. The critically driven decaying qubit at drive
+# offsets 0, 1e-8, 1e-6, 1e-3 reads 5.4e-9, 6.2e-13, 1.6e-13 (rounding noise) and
+# 2.2e-15; modal error < 3e-15, stepping < 2e-14 of the largest entry. Random
+# d = 16 generators read 3e-15 to 6e-15.
 _MODAL_DEFECT_MAX = 1e-13
 
 
@@ -86,6 +86,7 @@ class EvolutionTrace:
     states: np.ndarray
     normalized: NormalizedState
     overlap_with_initial: np.ndarray
+    modes: object = None
 
     def __len__(self):
         return len(self.times)
@@ -106,7 +107,7 @@ def _check_grid(times):
     return t
 
 
-def build_trace(times, states):
+def build_trace(times, states, *, _modes=None):
     """Assemble an EvolutionTrace from T raw states, validating each one.
 
     Each state must have unit trace within 1e-12, tighter than the 1e-10
@@ -149,6 +150,7 @@ def build_trace(times, states):
             states=rhos[a],
             normalized=normalized[a],
             overlap_with_initial=overlaps[a],
+            modes=_modes,
         )
 
     if rhos.ndim == 3:
@@ -156,25 +158,24 @@ def build_trace(times, states):
     return [trace(a) for a in range(rhos.shape[0])]
 
 
-def _modal_steps(generator, v0, times):
-    """Stack of exp(G (t_k - t_0)) v0 through the eigenmodes of G, or None.
+def _modal_steps(generator, v0, times, sd=None):
+    """Stack of exp(G (t_k - t_0)) v0 through the eigenmodes sd of G, or None.
 
-    Shape (T,) + v0.shape, for one vector (n,) or a block (..., n): the
-    mode sum of spectral_decompose's eigensystem at c = R^-1 v0, on any of
-    its routes, in real arithmetic (SpectralData.evolve_hermitian) on the
-    real route with Hermitian v0. None is returned when G is numerically
-    defective or when the biorthogonality defect of the eigenvector matrix
-    exceeds _MODAL_DEFECT_MAX.
+    Shape (T,) + v0.shape, for one vector (n,) or a block (..., n): the mode
+    sum of sd = spectral_decompose(G) at c = R^-1 v0, or for a Hermitian v0
+    on the real route at c from W^-1 B^+ v0 through evolve_hermitian. None
+    if G is numerically defective or sd.biorthogonality > _MODAL_DEFECT_MAX.
     """
     try:
-        sd = spectral_decompose(generator)
+        sd = spectral_decompose(generator) if sd is None else sd
     except DefectiveGeneratorError:
         return None
     if sd.biorthogonality > _MODAL_DEFECT_MAX:
         return None
-    hermitian = sd.real_vectors is not None and _real_part(_gather(v0)) is not None
-    evolve = sd.evolve_hermitian if hermitian else sd.evolve
-    return evolve(sd.overlaps(v0), times - times[0])
+    x = None if sd.partner is None else _real_part(_gather(v0))
+    if x is None:
+        return sd.evolve(sd.overlaps(v0), times - times[0])
+    return sd.evolve_hermitian(sd.pair_coefficients(x @ sd.inverse.T), times - times[0])
 
 
 def _expm_steps(generator, v0, times):
@@ -213,11 +214,11 @@ def propagate_expm(liouvillian, rho0, times):
     state raises a ValidationError that names its index in the stack.
 
     Every grid point comes at once from the eigensystem L = R diag(lambda)
-    R^-1 of spectral_decompose, on any of its routes (_modal_steps). When R
-    is singular or its biorthogonality defect max|R^-1 R - 1| exceeds 1e-13,
-    as near an exceptional point, scipy's expm is applied step by step on
-    a uniform grid (with an exact restart every 1024 steps) and per point
-    otherwise. Only that stepping fallback imports scipy.
+    R^-1 of spectral_decompose (_modal_steps), kept as each trace's modes.
+    When R is singular or its biorthogonality defect (max|W^-1 W - 1| on the
+    real route) exceeds 1e-13, as near an exceptional point, scipy's expm
+    steps over a uniform grid (restarting exactly every 1024 steps), and
+    over any other grid per point. Only that fallback imports scipy.
     """
     t = _check_grid(times)
     if abs(t[0]) > 1e-12:
@@ -240,15 +241,19 @@ def propagate_expm(liouvillian, rho0, times):
         raise ValidationError(
             f"generator shape {L.shape} does not act on dim {n} vectors"
         )
-    vecs = _modal_steps(L, v, t)
+    try:
+        modes = spectral_decompose(L)
+    except DefectiveGeneratorError:
+        modes = None
+    vecs = None if modes is None else _modal_steps(L, v, t, modes)
     if vecs is None:
-        vecs = _expm_steps(L, v, t)
+        vecs, modes = _expm_steps(L, v, t), None
     bounded = np.linalg.norm(vecs, axis=-1) <= _NORM_CAP
     if not bounded.all():
         first = t[np.argmin(bounded.reshape(t.size, -1).all(axis=1))]
         raise NumericalConsistencyError(f"state norm overflow at t={first:g}")
     # (T, ..., n) -> (..., T, d, d): one trajectory per initial state.
-    return build_trace(t, devectorize(np.moveaxis(vecs, 0, -2)))
+    return build_trace(t, devectorize(np.moveaxis(vecs, 0, -2)), _modes=modes)
 
 
 def generic_speed(trace, k):

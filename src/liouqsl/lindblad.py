@@ -100,24 +100,30 @@ class LiouvillianParts:
         return 0.5 * (self.dissipative + self.dissipative.conj().T)
 
 
+def _add_identity_krons(out, left, right, scale):
+    """out += scale (1 kron left + right^T kron 1) on its nonzeros, bit for bit."""
+    d, eye = left.shape[0], np.eye(left.shape[0])
+    blocks = out.reshape(d, d, d, d)  # out[p, i, q, j]; einsum gives writable diagonals
+    first, second = np.einsum("pipj->pij", blocks), np.einsum("piqi->ipq", blocks)
+    second += scale * (right.T * (1.0 - eye))
+    first += scale * (left + eye * right.diagonal()[:, None, None])
+    return out
+
+
 def commutator_superop(hamiltonian):
     """Supermatrix 1 kron H - H^T kron 1 of X -> [H, X]."""
     h = np.asarray(hamiltonian, dtype=complex)
-    eye = np.eye(h.shape[0], dtype=complex)
-    return _kron(eye, h) - _kron(h.T, eye)
+    return _add_identity_krons(np.zeros((h.size, h.size), dtype=complex), h, -h, 1.0)
 
 
 def build_liouvillian(spec):
     """Assemble the LiouvillianParts of a LindbladSpec."""
     d = spec.dim
-    eye = np.eye(d, dtype=complex)
     lh = commutator_superop(spec.hamiltonian)
     ld = np.zeros((d * d, d * d), dtype=complex)
     for rate, op in spec.jumps:
         opdop = op.conj().T @ op
-        ld += rate * (
-            _kron(op.conj(), op) - 0.5 * (_kron(eye, opdop) + _kron(opdop.T, eye))
-        )
+        ld += rate * _add_identity_krons(_kron(op.conj(), op), opdop, opdop, -0.5)
     return LiouvillianParts(full=-1j * lh + ld, hermitian_generator=lh, dissipative=ld)
 
 

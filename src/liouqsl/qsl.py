@@ -258,16 +258,16 @@ class _ClassicalSplit:
     g_i = Re(c'_i c_i*) - Re(v|O v) p_i = |c_i| d|c_i|/dt. Columns: var (squared
     speed), nc, wootters = sqrt(sum_i (d|c_i|/dt)²), fisher = 4 sum_kept g_i²/p_i,
     scale = |O v|², and beta on request. One pass fills them in row blocks of
-    about _BLOCK_BYTES of temporaries. For a real form O_r = B^+ O B and
-    Hermitian v, a block takes x = B^+ v, O v = x O_r^T and both amplitude sets
-    from one real product with M = B^T conj(A); if any block's x is not real,
-    the whole stack takes complex coordinates through the same reductions.
+    about _BLOCK_BYTES of temporaries. With the real form O_r = B^+ O B (real_form,
+    or built here) and Hermitian v, a block takes x = B^+ v, O v = x O_r^T and both
+    amplitude sets from one real product with M = B^T conj(A); if any block's x is
+    not real, the whole stack takes complex coordinates through the same reductions.
     """
 
-    def __init__(self, superop, basis, state, beta=False):
+    def __init__(self, superop, basis, state, beta=False, real_form=None):
         v, o = _operands(superop, state)
         lead, n = v.shape[:-1], v.shape[-1]
-        self.real_form = _real_form(o)
+        self.real_form = _real_form(o) if real_form is None else real_form
         self.beta = np.zeros(v.shape) if beta else None
         self._pass(v.reshape(-1, n), basis, o, self.real_form is not None)
         self.var, self.nc, self.wootters, self.fisher, self.scale = (
@@ -370,12 +370,14 @@ def wootters_length(trace, liouvillian, basis):
 
 
 def exact_qsl(trace, liouvillian, basis=None):
-    """Full bound-and-equality report for a recorded trajectory."""
+    """Bound-and-equality report; takes B^+ L B from trace.modes if it decomposed L."""
     theta = float(liouville_angle(trace.states[0], trace.states[-1]))
     if basis is None:
         basis = complete_basis(trace.normalized[0])
     _odd_grid(len(trace))
-    split = _ClassicalSplit(liouvillian, basis, trace.normalized)
+    modes = trace.modes
+    real = modes.real_form if getattr(modes, "generator", None) is liouvillian else None
+    split = _ClassicalSplit(liouvillian, basis, trace.normalized, real_form=real)
     avg = _time_average(np.sqrt(split.var), trace.times)
     avg_nc = _time_average(split.nc, trace.times)
     length = _simpson(split.wootters, trace.times)

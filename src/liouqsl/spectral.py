@@ -2,21 +2,21 @@
 
 A diagonalizable generator decomposes as L = sum_i lambda_i |r_i))((l_i|
 with biorthonormal left/right eigenvectors. spectral_decompose is the one
-eigendecomposition of the package, and propagate_expm writes states
-through the same modes: the state at time t is the mode sum
-sum_i exp(lambda_i t) c_i |r_i)) with c_i = (l_i|rho0), formed by
-SpectralData.evolve, or for a Lindblad generator and Hermitian rho0 by
-the real product of SpectralData.evolve_hermitian. On a uniform grid of
-T points both take the phases exp(lambda_i t) from an anchor x offset
-table, about 2 sqrt(T) exponentials per mode instead of T, each weight
-within 8 eps (1 + max|lambda| t_max) max|c| of the direct one; any other
-grid keeps the direct exponentials bit for bit. The initial state
-splits into a stationary component and decay modes; speed, angle to the
-initial state, and the resulting time bound then follow from that mode
-sum without stepping anything. A local search over unitary rotations of
-the initial state can suppress chosen decay modes.
+eigendecomposition of the package; for a Lindblad generator it keeps the
+real pair matrix W of B^+ L B with its real inverse, and forms complex
+vectors only when they are read. propagate_expm writes states through the
+same modes: sum_i exp(lambda_i t) c_i |r_i)) with c_i = (l_i|rho0), by
+SpectralData.evolve, or by the real product of evolve_hermitian for a
+Lindblad generator and Hermitian rho0. On a uniform grid of T points both
+take exp(lambda_i t) from an anchor x offset table, about 2 sqrt(T)
+exponentials per mode instead of T, each weight within 8 eps (1 + max|lambda|
+t_max) max|c| of the direct one; other grids keep the direct exponentials
+bit for bit. Speed, angle and time bound follow from the mode sum without
+stepping, and a search over unitary rotations of the initial state can
+suppress chosen decay modes.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -57,22 +57,50 @@ _GAP_TOL = 1e-10
 class SpectralData:
     """Sorted eigensystem of a generator.
 
-    eigenvalues ascend in |Re lambda| with ties broken by Im lambda (a
-    real array when all of them are real, as numpy's eig returns them);
-    right_vectors and left_vectors hold |r_i)) and |l_i)) as columns with
-    (l_i|r_j) = delta_ij; condition is the measured biorthogonality plus
-    reconstruction defect, and biorthogonality the first of the two. route
-    names how the eigensystem was computed (see spectral_decompose); on
-    the "real" route real_vectors = B^+ right_vectors diagonalize B^+ L B.
+    eigenvalues ascend in |Re lambda|, ties by Im lambda (a real array when
+    all are real, as from numpy's eig). vectors and inverse are taken in the
+    coordinates diagonalized (W, W^-1 on the real route, with partner[i] the
+    mode conjugate to mode i); right_vectors and left_vectors hold |r_i)) and
+    |l_i)), (l_i|r_j) = delta_ij, formed when first read. condition and
+    biorthogonality are spectral_decompose's defects; real_form is B^+ L B
+    of generator, the array decomposed, on the real route.
     """
 
     eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    left_vectors: np.ndarray
+    vectors: np.ndarray
+    inverse: np.ndarray
     condition: float
     biorthogonality: float
     route: str
-    real_vectors: np.ndarray = None
+    generator: np.ndarray = None
+    real_form: np.ndarray = None
+    partner: np.ndarray = None
+
+    @functools.cached_property
+    def _pair_index(self):
+        """Columns of W holding Re r_i and s_i Im r_i, with s_i = sign Im lambda_i."""
+        s, i = np.sign(self.eigenvalues.imag), np.arange(self.size)
+        return np.where(s < 0, self.partner, i), np.where(s < 0, i, self.partner), s
+
+    @functools.cached_property
+    def right_vectors(self):
+        if self.partner is None:
+            return self.vectors
+        re, im, s = self._pair_index
+        r, pair = self.vectors[:, re].astype(complex), s != 0
+        r.imag[:, pair] = s[pair] * self.vectors[:, im[pair]]
+        return _scatter(r.T).T
+
+    @functools.cached_property
+    def left_vectors(self):
+        if self.partner is None:
+            return self.inverse.conj().T
+        return _scatter(self.pair_coefficients(self.inverse.T).T, -1).conj().T
+
+    def pair_coefficients(self, u):
+        """Mode coefficients R^-1 x from the pair coordinates u = W^-1 x, last axis."""
+        re, im, s = self._pair_index
+        return (u[..., re] - 1j * s * u[..., im]) * np.where(s, 0.5, 1.0)
 
     @property
     def size(self):
@@ -125,14 +153,14 @@ class SpectralData:
     def evolve_hermitian(self, c, t):
         """evolve(c, t) for the coefficients c of Hermitian vectors; real route only.
 
-        2 Re of the sum over Im lambda > 0 plus the real modes, as one real product
-        with rows Re r_k (halved for a real mode) and -Im r_k of the real_vectors.
+        2 Re of the sum over Im lambda > 0 plus the real modes, as one real
+        product whose rows Re r_k and -Im r_k are columns of W up to sign.
         """
-        lead = np.flatnonzero(self.eigenvalues.imag >= 0.0)
-        pair = self.eigenvalues[lead].imag > 0.0
-        r = self.real_vectors[:, lead]
-        rows = np.concatenate([np.where(pair, 1.0, 0.5) * r.real, -r.imag[:, pair]], 1)
-        weights = self._phased(2.0 * c[..., lead], t, lead)
+        (_, im, s), vec = self._pair_index, self.vectors
+        lead = np.flatnonzero(s >= 0)
+        pair = s[lead] > 0
+        rows = np.concatenate([vec[:, lead], -vec[:, im[lead][pair]]], 1)
+        weights = self._phased(np.where(pair, 2.0, 1.0) * c[..., lead], t, lead)
         weights = np.concatenate([weights.real, weights.imag[..., pair]], axis=-1)
         vectors = weights.reshape(-1, self.size) @ _scatter(rows.T).view(float)
         return vectors.view(complex).reshape(weights.shape)
@@ -145,22 +173,23 @@ def spectral_decompose(liouvillian):
     - "hermitian": when 1j L is exactly Hermitian (coherent dynamics such
       as -1j L_H), numpy's eigh gives a unitary R, so R^-1 = R^+;
     - "real": when L preserves Hermiticity, as every Lindblad generator
-      does, numpy's eig of its real form B^+ L B in the basis B of
-      Hermitian matrices (liouville._real_form), kept as real_vectors, with
-      R^-1 from inv and B R, R^-1 B^+ by gathers. Real eigenvalues then belong
-      to Hermitian eigenmatrices, the others come in exactly conjugate pairs;
+      does, numpy's eig of its real form B^+ L B in the basis B of Hermitian
+      matrices (liouville._real_form); complex eigenvalues come in exactly
+      conjugate pairs. The real matrix W holds Re r, and Im r in the column
+      of conj(r): B^+ L B = W D W^-1 with D = [[a, b], [-b, a]] on a +- ib;
     - "complex": numpy's eig of L itself, for any other square L.
-    biorthogonality is max|R^-1 R - 1| in the coordinates diagonalized.
-    The generator counts as numerically defective when that defect plus
-    the reconstruction defect relative to max(1, max |L_ij|) exceeds
-    1e-4, so a rescaled generator is judged alike.
+    condition is the biorthogonality max|R^-1 R - 1| plus max|R diag(lambda)
+    R^-1 - L|, both in the coordinates diagonalized (max|W^-1 W - 1| and
+    max|W D W^-1 - B^+ L B|, at least half the Liouville-space defect); L is
+    numerically defective when the first plus the second over max(1, max|L_ij|)
+    exceeds 1e-4, so a rescaled generator is judged alike.
     """
     L = np.asarray(liouvillian, dtype=complex)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValidationError(f"generator must be square, got shape {L.shape}")
-    hermitian = 1j * L
-    real = None
-    if np.array_equal(hermitian, hermitian.conj().T):
+    hermitian = None if L.diagonal().real.any() else 1j * L
+    real = partner = None
+    if hermitian is not None and np.array_equal(hermitian, hermitian.conj().T):
         route = "hermitian"
         energies, vectors = np.linalg.eigh(hermitian)
         w, inverse = -1j * energies, vectors.conj().T
@@ -168,6 +197,9 @@ def spectral_decompose(liouvillian):
         real = _real_form(L)
         route = "complex" if real is None else "real"
         w, vectors = np.linalg.eig(L if real is None else real)
+        if real is not None:
+            partner = np.arange(w.size) + np.sign(w.imag).astype(int)
+            vectors = np.where(w.imag < 0, -vectors.imag, vectors.real)
         try:
             inverse = np.linalg.inv(vectors)
         except np.linalg.LinAlgError as exc:
@@ -175,25 +207,20 @@ def spectral_decompose(liouvillian):
                 f"right-eigenvector matrix is singular: {exc}"
             ) from exc
     biorth = float(np.abs(inverse @ vectors - np.eye(w.size)).max())
-    order = np.lexsort((w.imag, np.abs(w.real)))
-    real_vectors = None if real is None else vectors[:, order]
+    target, scaled = (L, vectors * w) if real is None else (real, vectors * w.real)
     if real is not None:
-        vectors, inverse = _scatter(vectors.T).T, _scatter(inverse, -1)
-    w, vr, inv = w[order], vectors[:, order], inverse[order]
-    recon = float(np.abs((vr * w) @ inv - L).max())
+        scaled -= vectors[:, partner] * w.imag
+    recon = float(np.abs(scaled @ inverse - target).max())
     defect = biorth + recon / max(1.0, float(np.abs(L).max()))
     if defect > 1e-4:
         raise DefectiveGeneratorError(
             f"generator is numerically defective (defect {defect:.3e})"
         )
+    order = np.lexsort((w.imag, np.abs(w.real)))
+    partner = None if real is None else np.argsort(order)[partner[order]]
     return SpectralData(
-        eigenvalues=w,
-        right_vectors=vr,
-        left_vectors=inv.conj().T,
-        condition=biorth + recon,
-        biorthogonality=biorth,
-        route=route,
-        real_vectors=real_vectors,
+        w[order], vectors[:, order], inverse[order], biorth + recon, biorth, route,
+        generator=L, real_form=real, partner=partner,
     )
 
 

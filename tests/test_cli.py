@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 import liouqsl as lq
+from liouqsl import liouville, qsl, spectral
 from liouqsl.cli import ScenarioConfig, _parser, main
 from liouqsl.exceptions import ValidationError
 
@@ -171,6 +172,22 @@ def test_qsl_report_command(ad_spec_path, tmp_path):
     assert abs(doc["T"] - 40.0) < 1e-12
     assert doc["bound_hsnorm"] <= doc["bound_opnorm"] <= doc["bound_mt"]
     assert doc["bound_mt"] <= doc["bound_nc"] <= doc["T"] + 1e-8
+
+
+def test_qsl_report_builds_the_real_form_once(ad_spec_path, tmp_path, monkeypatch):
+    # The propagation's eigensystem hands B^+ L B on to the classical split.
+    calls = []
+    real_form = liouville._real_form
+
+    def counted(superop):
+        calls.append(superop.shape)
+        return real_form(superop)
+
+    for module in (spectral, qsl):
+        monkeypatch.setattr(module, "_real_form", counted)
+    args = ["qsl-report", "--spec", ad_spec_path, "--points", "401"]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    assert calls == [(4, 4)]
 
 
 def test_spectral_command(ad_spec_path, tmp_path):

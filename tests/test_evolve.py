@@ -197,6 +197,32 @@ def test_hermitian_vectors_take_the_real_product():
         assert np.array_equal(modal, sd.evolve(sd.overlaps(v), times))
 
 
+def test_hermitian_start_inverts_in_real_arithmetic(monkeypatch):
+    # A Hermitian start on the real route takes its coefficients from W^-1 B^+ v0:
+    # no complex matrix is inverted, and the trace carries the eigensystem.
+    inv = np.linalg.inv
+
+    def real_inv(a):
+        assert not np.iscomplexobj(a), "complex inverse on the real route"
+        return inv(a)
+
+    rng = philox(50)
+    times = np.linspace(0.0, 2.0, 101)
+    for d in (2, 3, 5):
+        L = lq.build_liouvillian(rand_spec(rng, d)).full
+        stack = np.array([rand_rho(rng, d), rand_pure(rng, d)])
+        monkeypatch.setattr(np.linalg, "inv", real_inv)
+        traces = propagate_expm(L, stack, times)
+        monkeypatch.undo()
+        ref = np.moveaxis(_per_point_reference(L, lq.vectorize(stack), times), 0, 1)
+        assert _close(lq.vectorize(np.array([t.states for t in traces])), ref)
+        assert traces[0].modes is traces[1].modes
+        assert traces[0].modes.route == "real" and traces[0].modes.generator is L
+    assert build_trace(times, traces[0].states).modes is None
+    stepped = propagate_expm(_critically_driven_decay(), np.diag([0.0, 1.0]), times)
+    assert stepped.modes is None
+
+
 def test_non_hermiticity_preserving_generator_takes_the_modes():
     rng = philox(48)
     times = np.linspace(0.0, 2.0, 201)

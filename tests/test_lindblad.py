@@ -94,7 +94,8 @@ def test_hermitian_generator():
 
 def test_assembly_equals_the_kron_formula_bit_for_bit():
     rng = philox(25)
-    specs = [lq.amplitude_damping_spec(0.05, 0.2)] + [rand_spec(rng, d) for d in (2, 3, 5)]
+    specs = [lq.amplitude_damping_spec(0.05, 0.2)]
+    specs += [rand_spec(rng, d) for d in (2, 3, 5, 16)]
     for spec in specs:
         h, eye = spec.hamiltonian, np.eye(spec.dim, dtype=complex)
         lh = np.kron(eye, h) - np.kron(h.T, eye)

@@ -15,7 +15,7 @@ from conftest import philox, rand_pure, rand_rho, rand_spec
 
 def test_decomposition_reconstructs_the_generator():
     rng = philox(70)
-    for d in (2, 3):
+    for d in (2, 3, 4, 6):
         L = lq.build_liouvillian(rand_spec(rng, d)).full
         sd = lq.spectral_decompose(L)
         recon = (sd.right_vectors * sd.eigenvalues) @ np.linalg.inv(sd.right_vectors)
@@ -23,6 +23,40 @@ def test_decomposition_reconstructs_the_generator():
         assert sd.condition < 1e-8
         gram = sd.left_vectors.conj().T @ sd.right_vectors
         assert np.abs(gram - np.eye(sd.size)).max() < 1e-8
+
+
+def test_condition_bounds_the_liouville_defect():
+    # condition is measured in the real form B^+ L B; B is unitary with two
+    # nonzeros per column, so in Liouville coordinates the reconstruction
+    # defect is at most twice that, plus the rounding of the product.
+    rng = philox(78)
+    dims = [d for d in (2, 3, 4, 5, 6) for _ in range(3)] + [16]
+    for d in dims:
+        L = lq.build_liouvillian(rand_spec(rng, d)).full
+        sd = lq.spectral_decompose(L)
+        assert sd.route == "real"
+        recon = (sd.right_vectors * sd.eigenvalues) @ sd.left_vectors.conj().T
+        assert np.abs(recon - L).max() <= 2.0 * sd.condition + 1e-14 * np.abs(L).max()
+
+
+def test_real_route_inverts_in_real_arithmetic(monkeypatch):
+    # The pair matrix W is inverted as a real matrix, and reading condition
+    # forms no complex vectors.
+    inv = np.linalg.inv
+
+    def real_inv(a):
+        assert not np.iscomplexobj(a), "complex inverse on the real route"
+        return inv(a)
+
+    rng = philox(79)
+    generators = [lq.build_liouvillian(rand_spec(rng, d)).full for d in (2, 3, 5)]
+    monkeypatch.setattr(np.linalg, "inv", real_inv)
+    for L in generators:
+        sd = lq.spectral_decompose(L)
+        assert sd.route == "real"
+        assert np.iscomplexobj(sd.eigenvalues)
+        assert sd.condition < 1e-12
+        assert "right_vectors" not in vars(sd) and "left_vectors" not in vars(sd)
 
 
 def test_lindblad_eigensystem_is_that_of_a_real_form():
