@@ -32,6 +32,7 @@ from .qsl import (
     nonclassical_speed,
     operator_norm,
 )
+from .spectral import spectral_decompose, steady_state
 
 __all__ = [
     "KrylovData",
@@ -342,9 +343,10 @@ def mpemba_report(alphas, gamma, n, horizon, points=2001):
     norm), the angle to the steady state per time, and the offset
     delta = T - theta/averaged-speed. Crossings of the theta curves for
     different alphas signal faster relaxation from farther states. The
-    generator, its norm, the steady state and the grid are shared by
-    every alpha, and all initial states are propagated as one block;
-    theta_ss has one row per alpha.
+    generator, its norm, the grid and the steady state, read from the
+    stationary mode of the propagation's eigensystem, are shared by every
+    alpha, and all initial states are propagated as one block; theta_ss has
+    one row per alpha.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0:
@@ -352,14 +354,13 @@ def mpemba_report(alphas, gamma, n, horizon, points=2001):
     times = _horizon_grid(horizon, points)
     L = build_liouvillian(amplitude_damping_spec(gamma, n)).full
     norm = operator_norm(L)
-    rho_ss = np.diag([(n + 1.0) / (2.0 * n + 1.0), n / (2.0 * n + 1.0)]).astype(
-        complex
-    )
     eta = np.empty(alphas.size)
     delta = np.empty(alphas.size)
     theta_ss = np.empty((alphas.size, points))
     rho0s = np.array([superposition_state(a) for a in alphas])
-    for i, trace in enumerate(propagate_expm(L, rho0s, times)):
+    traces = propagate_expm(L, rho0s, times)
+    rho_ss = steady_state(traces[0].modes or spectral_decompose(L))
+    for i, trace in enumerate(traces):
         avg = average_speed(trace, L)
         eta[i] = _bound_ratio(avg, norm)
         theta = liouville_angle(trace.states[0], trace.states[-1])

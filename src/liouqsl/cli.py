@@ -38,7 +38,7 @@ from .optimal import (
     physicality_check,
     relative_purity,
 )
-from .qsl import exact_qsl, speed
+from .qsl import _horizon_grid, exact_qsl, speed
 from .serialize import (
     _read_json,
     dump_json,
@@ -82,10 +82,6 @@ class ScenarioConfig:
             )
 
 
-def _grid(cfg):
-    return np.linspace(0.0, cfg.t_max, cfg.points)
-
-
 def _load_matrix(path):
     return matrix_from_json(_read_json(path, "matrix"))
 
@@ -118,7 +114,7 @@ def _cmd_evolve(cfg):
     spec = load_spec(cfg.spec_path)
     rho0 = _initial_state(cfg, spec)
     L = build_liouvillian(spec).full
-    trace = propagate_expm(L, rho0, _grid(cfg))
+    trace = propagate_expm(L, rho0, _horizon_grid(cfg.t_max, cfg.points))
     header, rows = _trace_rows(trace, L, cfg.dump_states)
     write_csv(os.path.join(cfg.out, "trace.csv"), header, rows)
     return 0
@@ -128,7 +124,7 @@ def _cmd_qsl_report(cfg):
     spec = load_spec(cfg.spec_path)
     rho0 = _initial_state(cfg, spec)
     L = build_liouvillian(spec).full
-    trace = propagate_expm(L, rho0, _grid(cfg))
+    trace = propagate_expm(L, rho0, _horizon_grid(cfg.t_max, cfg.points))
     report = exact_qsl(trace, L)
     dump_json(report.to_json(), os.path.join(cfg.out, "report.json"))
     return 0
@@ -158,7 +154,7 @@ def _cmd_optimal(cfg):
     rho_perp = _load_matrix(cfg.rho_perp_path)
     gs = GeodesicSpec(rho0=rho0, rho0_perp=rho_perp, gamma=cfg.gamma)
     L = optimal_liouvillian(gs)
-    trace = propagate_expm(L, gs.rho0, _grid(cfg))
+    trace = propagate_expm(L, gs.rho0, _horizon_grid(cfg.t_max, cfg.points))
     report = exact_qsl(trace, L)
     weights = relative_purity(gs.rho0, trace)
     physical = physicality_check(gs.rho0, trace)
@@ -203,7 +199,7 @@ def _cmd_krylov(cfg):
     hamiltonian = _load_matrix(cfg.h_path)
     rho_beta = coherent_gibbs_state(hamiltonian, cfg.beta)
     rho0 = _load_matrix(cfg.rho0_path) if cfg.rho0_path else rho_beta
-    kd = krylov_build(hamiltonian, rho0, _grid(cfg))
+    kd = krylov_build(hamiltonian, rho0, _horizon_grid(cfg.t_max, cfg.points))
     lhs, rhs = krylov_bound_check(kd)
     gibbs = kd.trace
     if cfg.rho0_path:

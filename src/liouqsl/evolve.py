@@ -24,8 +24,8 @@ propagate_expm writes a time-independent generator through the
 eigenmodes of spectral.spectral_decompose, the same ones the spectral
 command and the mode route use, so the two agree by construction. On
 any grid and for any block of initial states the whole trajectory is one
-product: for a Lindblad generator and Hermitian states, a real one over
-one mode of each conjugate pair, from W^-1 B^+ v0 (evolve_hermitian).
+product, SpectralData.propagate: for a Lindblad generator and Hermitian
+states, a real one over one mode of each conjugate pair, from W^-1 B^+ v0.
 Two derivative-free speed routes live here as well: a central-difference
 evaluation on the stored trace and a Kraus-family route that never
 touches the generator.
@@ -44,8 +44,6 @@ from .exceptions import (
 from .lindblad import kraus_to_superop
 from .liouville import (
     NormalizedState,
-    _gather,
-    _real_part,
     _variance,
     devectorize,
     normalize_state,
@@ -158,26 +156,6 @@ def build_trace(times, states, *, _modes=None):
     return [trace(a) for a in range(rhos.shape[0])]
 
 
-def _modal_steps(generator, v0, times, sd=None):
-    """Stack of exp(G (t_k - t_0)) v0 through the eigenmodes sd of G, or None.
-
-    Shape (T,) + v0.shape, for one vector (n,) or a block (..., n): the mode
-    sum of sd = spectral_decompose(G) at c = R^-1 v0, or for a Hermitian v0
-    on the real route at c from W^-1 B^+ v0 through evolve_hermitian. None
-    if G is numerically defective or sd.biorthogonality > _MODAL_DEFECT_MAX.
-    """
-    try:
-        sd = spectral_decompose(generator) if sd is None else sd
-    except DefectiveGeneratorError:
-        return None
-    if sd.biorthogonality > _MODAL_DEFECT_MAX:
-        return None
-    x = None if sd.partner is None else _real_part(_gather(v0))
-    if x is None:
-        return sd.evolve(sd.overlaps(v0), times - times[0])
-    return sd.evolve_hermitian(sd.pair_coefficients(x @ sd.inverse.T), times - times[0])
-
-
 def _expm_steps(generator, v0, times):
     """Stack of exp(G (t_k - t_0)) v0 over the grid, shape (T, ...) + v0.shape.
 
@@ -214,11 +192,12 @@ def propagate_expm(liouvillian, rho0, times):
     state raises a ValidationError that names its index in the stack.
 
     Every grid point comes at once from the eigensystem L = R diag(lambda)
-    R^-1 of spectral_decompose (_modal_steps), kept as each trace's modes.
-    When R is singular or its biorthogonality defect (max|W^-1 W - 1| on the
-    real route) exceeds 1e-13, as near an exceptional point, scipy's expm
-    steps over a uniform grid (restarting exactly every 1024 steps), and
-    over any other grid per point. Only that fallback imports scipy.
+    R^-1 of spectral_decompose (SpectralData.propagate), kept as each
+    trace's modes. When R is singular or its biorthogonality defect
+    (max|W^-1 W - 1| on the real route) exceeds 1e-13, as near an
+    exceptional point, scipy's expm steps over a uniform grid (restarting
+    exactly every 1024 steps), and over any other grid per point. Only that
+    fallback imports scipy.
     """
     t = _check_grid(times)
     if abs(t[0]) > 1e-12:
@@ -245,9 +224,10 @@ def propagate_expm(liouvillian, rho0, times):
         modes = spectral_decompose(L)
     except DefectiveGeneratorError:
         modes = None
-    vecs = None if modes is None else _modal_steps(L, v, t, modes)
-    if vecs is None:
+    if modes is None or modes.biorthogonality > _MODAL_DEFECT_MAX:
         vecs, modes = _expm_steps(L, v, t), None
+    else:
+        vecs = modes.propagate(v, t - t[0])
     bounded = np.linalg.norm(vecs, axis=-1) <= _NORM_CAP
     if not bounded.all():
         first = t[np.argmin(bounded.reshape(t.size, -1).all(axis=1))]

@@ -4,16 +4,17 @@ A diagonalizable generator decomposes as L = sum_i lambda_i |r_i))((l_i|
 with biorthonormal left/right eigenvectors. spectral_decompose is the one
 eigendecomposition of the package; for a Lindblad generator it keeps the
 real pair matrix W of B^+ L B with its real inverse, and forms complex
-vectors only when they are read. propagate_expm writes states through the
-same modes: sum_i exp(lambda_i t) c_i |r_i)) with c_i = (l_i|rho0), by
-SpectralData.evolve, or by the real product of evolve_hermitian for a
-Lindblad generator and Hermitian rho0. On a uniform grid of T points both
-take exp(lambda_i t) from an anchor x offset table, about 2 sqrt(T)
-exponentials per mode instead of T, each weight within 8 eps (1 + max|lambda|
-t_max) max|c| of the direct one; other grids keep the direct exponentials
-bit for bit. Speed, angle and time bound follow from the mode sum without
-stepping, and a search over unitary rotations of the initial state can
-suppress chosen decay modes.
+vectors only when they are read; steady_state reads the stationary column of
+W and forms none. SpectralData.propagate, behind propagate_expm, writes
+states through the same modes: sum_i exp(lambda_i t) c_i |r_i)) with
+c_i = (l_i|rho0), by SpectralData.evolve, or for a Lindblad generator and
+Hermitian rho0 by one real product from the pair coordinates W^-1 B^+ rho0.
+On a uniform grid of T points both take exp(lambda_i t) from an anchor x
+offset table, about 2 sqrt(T) exponentials per mode instead of T, each
+weight within 8 eps (1 + max|lambda| t_max) max|c| of the direct one; other
+grids keep the direct exponentials bit for bit. Speed, angle and time bound
+follow from the mode sum without stepping, and a search over unitary
+rotations of the initial state can suppress chosen decay modes.
 """
 
 import functools
@@ -29,7 +30,9 @@ from .exceptions import (
     ValidationError,
 )
 from .liouville import (
+    _gather,
     _real_form,
+    _real_part,
     _scatter,
     _unit_angle,
     _variance,
@@ -95,12 +98,9 @@ class SpectralData:
     def left_vectors(self):
         if self.partner is None:
             return self.inverse.conj().T
-        return _scatter(self.pair_coefficients(self.inverse.T).T, -1).conj().T
-
-    def pair_coefficients(self, u):
-        """Mode coefficients R^-1 x from the pair coordinates u = W^-1 x, last axis."""
-        re, im, s = self._pair_index
-        return (u[..., re] - 1j * s * u[..., im]) * np.where(s, 0.5, 1.0)
+        (re, im, s), u = self._pair_index, self.inverse.T
+        c = (u[:, re] - 1j * s * u[:, im]) * np.where(s, 0.5, 1.0)
+        return _scatter(c.T, -1).conj().T
 
     @property
     def size(self):
@@ -109,10 +109,6 @@ class SpectralData:
     def overlaps(self, vector):
         """Coefficients (l_i|v) of a Liouville vector, or of each row of a block."""
         return vector @ self.left_vectors.conj()
-
-    def apply(self, vector):
-        """L v evaluated through the mode decomposition."""
-        return self.right_vectors @ (self.eigenvalues * self.overlaps(vector))
 
     def evolve(self, c, t):
         """Mode sums sum_i exp(lambda_i t) c_i |r_i)) at the times t.
@@ -150,17 +146,27 @@ class SpectralData:
         phases = np.exp(np.multiply.outer(t, w))
         return phases.reshape(t.shape + shape) * c
 
-    def evolve_hermitian(self, c, t):
-        """evolve(c, t) for the coefficients c of Hermitian vectors; real route only.
+    def propagate(self, v0, t):
+        """exp(L t) v0 at the times t for one vector v0 (n,) or a block (..., n).
 
-        2 Re of the sum over Im lambda > 0 plus the real modes, as one real
-        product whose rows Re r_k and -Im r_k are columns of W up to sign.
+        The result has shape t.shape + v0.shape. A Hermitian v0 on the real
+        route takes its pair coordinates u = W^-1 B^+ v0 and one real product:
+        the real modes plus Re of the modes with Im lambda > 0, whose weights
+        u_k - i u_partner(k) are twice their coefficients c_k, over the rows
+        Re r_k and -Im r_k, columns of W up to sign. Any other v0 takes
+        evolve(overlaps(v0), t).
         """
-        (_, im, s), vec = self._pair_index, self.vectors
+        x = None if self.partner is None else _real_part(_gather(v0))
+        if x is None:
+            return self.evolve(self.overlaps(v0), t)
+        (_, im, s), u = self._pair_index, x @ self.inverse.T
         lead = np.flatnonzero(s >= 0)
         pair = s[lead] > 0
-        rows = np.concatenate([vec[:, lead], -vec[:, im[lead][pair]]], 1)
-        weights = self._phased(np.where(pair, 2.0, 1.0) * c[..., lead], t, lead)
+        partner = im[lead][pair]
+        c = u[..., lead] + 0j
+        c.imag[..., pair] = -u[..., partner]
+        rows = np.concatenate([self.vectors[:, lead], -self.vectors[:, partner]], 1)
+        weights = self._phased(c, t, lead)
         weights = np.concatenate([weights.real, weights.imag[..., pair]], axis=-1)
         vectors = weights.reshape(-1, self.size) @ _scatter(rows.T).view(float)
         return vectors.view(complex).reshape(weights.shape)
@@ -239,12 +245,13 @@ def _require_unique_zero(sd):
 def steady_state(sd):
     """Unit-trace Hermitian state spanning the zero mode."""
     _require_unique_zero(sd)
-    rho = rehermitize(devectorize(sd.right_vectors[:, 0]))
+    r0 = sd.vectors[:, 0] if sd.partner is None else _scatter(sd.vectors[:, 0])
+    rho = rehermitize(devectorize(r0))
     tr = float(np.trace(rho).real)
     if abs(tr) < 1e-12:
         raise NonUniqueSteadyStateError("stationary mode is traceless")
     rho = rho / tr
-    defect = float(np.linalg.norm(sd.apply(vectorize(rho))))
+    defect = float(np.linalg.norm(sd.generator @ vectorize(rho)))
     if defect > 1e-9:
         raise NumericalConsistencyError(
             f"steady-state residual {defect:.3e} exceeds 1e-9"

@@ -99,7 +99,7 @@ def test_propagate_expm_long_uniform_grid_keeps_trace(monkeypatch):
     L = lq.build_liouvillian(spec).full
     times = np.linspace(0.0, 3.0, 40001)
     modal = propagate_expm(L, rho0, times)
-    monkeypatch.setattr(evolve, "_modal_steps", lambda *args: None)
+    monkeypatch.setattr(evolve, "_MODAL_DEFECT_MAX", -1.0)
     stepped = propagate_expm(L, rho0, times)
     for trace in (modal, stepped):
         drift = np.abs(np.trace(trace.states, axis1=1, axis2=2) - 1.0).max()
@@ -132,7 +132,7 @@ def test_modal_route_is_no_less_accurate_than_stepping():
                 picks = np.unique(np.r_[np.arange(0, times.size, 64), times.size - 1])
                 ref = _per_point_reference(L, v0, times[picks])
                 scale = np.abs(ref).max()
-                modal = evolve._modal_steps(L, v0, times)
+                modal = lq.spectral_decompose(L).propagate(v0, times)
                 assert modal.shape == (times.size,) + v0.shape
                 modal_err = np.abs(modal[picks] - ref).max() / scale
                 step_err = np.abs(evolve._expm_steps(L, v0, times)[picks] - ref).max()
@@ -154,11 +154,11 @@ def test_defective_generator_falls_back_to_stepping():
     times = np.linspace(0.0, 20.0, 401)
     v0 = lq.vectorize(rho0)
     near = _critically_driven_decay(offset=1e-3)
-    assert evolve._modal_steps(near, v0, times) is not None
+    assert propagate_expm(near, rho0, times).modes is not None
     for offset in (0.0, 1e-8):
         L = _critically_driven_decay(offset=offset)
-        assert evolve._modal_steps(L, v0, times) is None
         trace = propagate_expm(L, rho0, times)
+        assert trace.modes is None
         ref = _per_point_reference(L, v0, times)
         assert np.abs(lq.vectorize(trace.states) - ref).max() < 1e-13
 
@@ -190,10 +190,10 @@ def test_hermitian_vectors_take_the_real_product():
         sd = lq.spectral_decompose(L)
         assert sd.route == "real"
         hermitian = lq.vectorize(np.array([rand_rho(rng, d), rand_pure(rng, d)]))
-        modal = evolve._modal_steps(L, hermitian, times)
+        modal = sd.propagate(hermitian, times)
         assert _close(modal, sd.evolve(sd.overlaps(hermitian), times))
         v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
-        modal = evolve._modal_steps(L, v, times)
+        modal = sd.propagate(v, times)
         assert np.array_equal(modal, sd.evolve(sd.overlaps(v), times))
 
 
@@ -229,9 +229,10 @@ def test_non_hermiticity_preserving_generator_takes_the_modes():
     for d in (2, 3, 4):
         n = d * d
         L = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
-        assert lq.spectral_decompose(L).route == "complex"
+        sd = lq.spectral_decompose(L)
+        assert sd.route == "complex"
         v0 = lq.vectorize(np.eye(d) / d)
-        modal = evolve._modal_steps(L, v0, times)
+        modal = sd.propagate(v0, times)
         assert np.abs(modal - _per_point_reference(L, v0, times)).max() < 1e-13
 
 

@@ -471,7 +471,7 @@ def test_wootters_length_handles_modulus_kinks():
     basis = lq.complete_basis(coarse.normalized[0])
     a = lq.wootters_length(coarse, L, basis)
     b = lq.wootters_length(fine, L, basis)
-    assert abs(a - b) < 1e-3
+    assert abs(a - b) < 1e-4
 
 
 def test_exact_qsl_recovers_the_horizon():

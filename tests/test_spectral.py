@@ -98,14 +98,6 @@ def test_eigenvalue_ordering():
         lq.spectral_decompose(np.zeros((3, 4)))
 
 
-def test_apply_matches_direct_action():
-    rng = philox(73)
-    L = lq.build_liouvillian(rand_spec(rng, 2)).full
-    sd = lq.spectral_decompose(L)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    assert np.abs(sd.apply(v) - L @ v).max() < 1e-10
-
-
 def test_defective_generator_raises():
     jordan = np.array(
         [
@@ -143,6 +135,19 @@ def test_steady_state_random_specs():
         ss = lq.steady_state(lq.spectral_decompose(L))
         lq.validate_density_matrix(ss)
         assert np.abs(L @ lq.vectorize(ss)).max() < 1e-9
+
+
+def test_steady_state_reads_the_stationary_column_of_w():
+    # On the real route steady_state takes the zero mode from W: it forms
+    # neither complex vector matrix and gives the state they give.
+    rng = philox(73)
+    for d in (2, 3, 4, 5, 6, 16):
+        sd = lq.spectral_decompose(lq.build_liouvillian(rand_spec(rng, d)).full)
+        assert sd.route == "real"
+        ss = lq.steady_state(sd)
+        assert "right_vectors" not in vars(sd) and "left_vectors" not in vars(sd)
+        rho = lq.rehermitize(lq.devectorize(sd.right_vectors[:, 0]))
+        assert np.array_equal(ss, rho / np.trace(rho).real)
 
 
 def test_degenerate_steady_space_raises():
@@ -294,7 +299,7 @@ def _phase_table_cases():
         assert sd.route == route
         rhos = np.array([rand_rho(rng, 3), rand_pure(rng, 3)])
         for v in (lq.vectorize(rhos[0]), lq.vectorize(rhos)):
-            yield sd, sd.overlaps(v)
+            yield sd, v, sd.overlaps(v)
 
 
 def test_phase_table_matches_the_direct_exponentials(monkeypatch):
@@ -311,7 +316,7 @@ def test_phase_table_matches_the_direct_exponentials(monkeypatch):
         return exp(z)
 
     monkeypatch.setattr(np, "exp", counted_exp)
-    for sd, c in _phase_table_cases():
+    for sd, v, c in _phase_table_cases():
         for points in (5, 201, 2001, 40001):
             t = np.linspace(0.0, 20.0, points)
             weight_tol = 8.0 * eps * (1.0 + np.abs(sd.eigenvalues).max() * 20.0)
@@ -323,7 +328,7 @@ def test_phase_table_matches_the_direct_exponentials(monkeypatch):
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= tol
             if sd.route == "real":
-                assert np.abs(sd.evolve_hermitian(c, t) - ref).max() <= tol
+                assert np.abs(sd.propagate(v, t) - ref).max() <= tol
                 lead = np.flatnonzero(sd.eigenvalues.imag >= 0.0)
                 weights = sd._phased(2.0 * c[..., lead], t, lead)
                 direct = _direct_weights(sd, 2.0 * c[..., lead], t, lead)
@@ -340,7 +345,7 @@ def test_phase_table_leaves_other_grids_to_the_direct_exponentials():
         moved[k] += 1e-13 * uniform[-1]
         grids.append(moved)
     grids += [np.linspace(0.0, 20.0, 3), 0.7]
-    for sd, c in _phase_table_cases():
+    for sd, _, c in _phase_table_cases():
         lead = np.flatnonzero(sd.eigenvalues.imag >= 0.0)
         for t in grids:
             weights = _direct_weights(sd, c, t)
