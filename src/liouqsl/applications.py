@@ -74,14 +74,13 @@ def sff(trace):
     return np.real(vecs @ vecs[0].conj())
 
 
-def _nc_integral(trace, liouvillian, basis):
-    if basis is None:
-        basis = complete_basis(trace.normalized[0])
+def _nc_integral(trace, liouvillian):
+    basis = complete_basis(trace.normalized[0])
     nc = nonclassical_speed(liouvillian, basis, trace.normalized)
     return _cumulative_simpson(nc, trace.times)
 
 
-def sff_bound_check(trace, liouvillian, basis=None):
+def sff_bound_check(trace, liouvillian):
     """Bound on the overlap decay of a trace started from a pure state.
 
     Returns the columns (lhs, rhs) over the grid: lhs is the Liouville
@@ -90,7 +89,7 @@ def sff_bound_check(trace, liouvillian, basis=None):
     non-classical speed; lhs never exceeds rhs.
     """
     lhs = liouville_angle(trace.states[0], trace.states)
-    return lhs, _nc_integral(trace, liouvillian, basis)
+    return lhs, _nc_integral(trace, liouvillian)
 
 
 @dataclass
@@ -192,7 +191,7 @@ def krylov_precursor_margins(kd):
     return 1.0 - kd.trace.overlap_with_initial**2 - kd.complexity_ratio**2
 
 
-def krylov_bound_check(kd, basis=None):
+def krylov_bound_check(kd):
     """Complexity-growth bound against the integrated non-classical speed.
 
     Returns the columns (lhs, rhs) over the grid: lhs = arcsin(C_K/(2
@@ -206,7 +205,7 @@ def krylov_bound_check(kd, basis=None):
             f"precursor inequality violated by {-margins.min():.3e}"
         )
     lhs = np.arcsin(np.clip(kd.complexity_ratio, -1.0, 1.0))
-    return lhs, _nc_integral(kd.trace, kd.generator, basis)
+    return lhs, _nc_integral(kd.trace, kd.generator)
 
 
 def tradeoff_check(kd, sff_values):
@@ -339,33 +338,27 @@ class MpembaReport:
 def mpemba_report(alphas, gamma, n, horizon, points=2001):
     """Sweep initial superpositions of the damped qubit.
 
-    For each alpha: propagate, record eta (averaged speed over operator
-    norm), the angle to the steady state per time, and the offset
-    delta = T - theta/averaged-speed. Crossings of the theta curves for
-    different alphas signal faster relaxation from farther states. The
-    generator, its norm, the grid and the steady state, read from the
-    stationary mode of the propagation's eigensystem, are shared by every
-    alpha, and all initial states are propagated as one block; theta_ss has
-    one row per alpha.
+    For each alpha: eta (averaged speed over operator norm), the angle to
+    the steady state per time, and the offset delta = T - theta/averaged-
+    speed. Crossings of the theta curves for different alphas signal faster
+    relaxation from farther states. All initial states are propagated as
+    one stack, so each quantity is one array expression over the stack axis;
+    the steady state is read from the stationary mode of the propagation's
+    eigensystem, and theta_ss has one row per alpha.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ValidationError("alphas must be a non-empty list of amplitudes")
     times = _horizon_grid(horizon, points)
     L = build_liouvillian(amplitude_damping_spec(gamma, n)).full
-    norm = operator_norm(L)
-    eta = np.empty(alphas.size)
-    delta = np.empty(alphas.size)
-    theta_ss = np.empty((alphas.size, points))
     rho0s = np.array([superposition_state(a) for a in alphas])
-    traces = propagate_expm(L, rho0s, times)
-    rho_ss = steady_state(traces[0].modes or spectral_decompose(L))
-    for i, trace in enumerate(traces):
-        avg = average_speed(trace, L)
-        eta[i] = _bound_ratio(avg, norm)
-        theta = liouville_angle(trace.states[0], trace.states[-1])
-        delta[i] = times[-1] - _bound_ratio(theta, avg)
-        theta_ss[i] = liouville_angle(rho_ss, trace.states)
+    trace = propagate_expm(L, rho0s, times)
+    rho_ss = steady_state(trace.modes or spectral_decompose(L))
+    avg = average_speed(trace, L)
+    eta = avg / operator_norm(L)
+    theta = liouville_angle(trace.states[:, 0], trace.states[:, -1])
+    delta = times[-1] - np.array([_bound_ratio(a, b) for a, b in zip(theta, avg)])
+    theta_ss = liouville_angle(rho_ss, trace.states)
     crossings = []
     for i in range(alphas.size):
         for j in range(i + 1, alphas.size):

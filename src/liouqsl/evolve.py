@@ -18,7 +18,8 @@ from any other channel family, such as a Kraus family, become a trace
 through build_trace(times, states).
 propagate_expm also takes a stack of A initial states (A, d, d) under one
 generator and grid: it propagates them as one (A, d^2) block and returns
-a list of A such traces, one per initial state, sharing one modes object.
+one trace, states (A, T, d, d) and each array with the same leading stack
+axis, so the time-averaged functionals give one value per initial state.
 
 propagate_expm writes a time-independent generator through the
 eigenmodes of spectral.spectral_decompose, the same ones the spectral
@@ -77,7 +78,8 @@ _MODAL_DEFECT_MAX = 1e-13
 class EvolutionTrace:
     """Stacked record of a propagated trajectory (layout in the module docstring).
 
-    All arrays are aligned with times along their first axis.
+    Arrays are aligned with times along the axis before the per-state axes,
+    after the leading stack axis of a stack of trajectories.
     """
 
     times: np.ndarray
@@ -113,8 +115,8 @@ def build_trace(times, states, *, _modes=None):
 
     states may also be a stack (A, T, d, d) of A trajectories on one grid:
     they are re-Hermitized, validated and normalized in one pass and give
-    a list of A traces. An invalid state is reported at its earliest time,
-    and for a stack in the first trajectory that holds one.
+    one trace with a leading stack axis. An invalid state is reported at its
+    earliest time, and for a stack in the first trajectory that holds one.
     """
     t = _check_grid(times)
     rhos = np.asarray(states, dtype=complex)
@@ -141,19 +143,13 @@ def build_trace(times, states, *, _modes=None):
         raise NumericalConsistencyError(
             f"initial self-overlap deviates from 1 by {worst:.3e}"
         )
-
-    def trace(a=Ellipsis):
-        return EvolutionTrace(
-            times=t,
-            states=rhos[a],
-            normalized=normalized[a],
-            overlap_with_initial=overlaps[a],
-            modes=_modes,
-        )
-
-    if rhos.ndim == 3:
-        return trace()
-    return [trace(a) for a in range(rhos.shape[0])]
+    return EvolutionTrace(
+        times=t,
+        states=rhos,
+        normalized=normalized,
+        overlap_with_initial=overlaps,
+        modes=_modes,
+    )
 
 
 def _expm_steps(generator, v0, times):
@@ -185,14 +181,14 @@ def _expm_steps(generator, v0, times):
 def propagate_expm(liouvillian, rho0, times):
     """Exact propagation states[k] = unvec(exp(L t_k) vec(rho0)).
 
-    rho0 is one initial state (d, d), which gives one EvolutionTrace, or
-    a stack (A, d, d), which gives a list of A EvolutionTraces, one per
-    initial state and each laid out as for a single state. A stack is
-    validated and propagated as one (A, d^2) block; an invalid initial
-    state raises a ValidationError that names its index in the stack.
+    rho0 is one initial state (d, d) or a stack (A, d, d); either gives
+    one EvolutionTrace, for a stack with a leading axis of length A on
+    every array. A stack is validated and propagated as one (A, d^2)
+    block; an invalid initial state raises a ValidationError that names
+    its index in the stack.
 
     Every grid point comes at once from the eigensystem L = R diag(lambda)
-    R^-1 of spectral_decompose (SpectralData.propagate), kept as each
+    R^-1 of spectral_decompose (SpectralData.propagate), kept as the
     trace's modes. When R is singular or its biorthogonality defect
     (max|W^-1 W - 1| on the real route) exceeds 1e-13, as near an
     exceptional point, scipy's expm steps over a uniform grid (restarting
@@ -232,19 +228,19 @@ def propagate_expm(liouvillian, rho0, times):
     if not bounded.all():
         first = t[np.argmin(bounded.reshape(t.size, -1).all(axis=1))]
         raise NumericalConsistencyError(f"state norm overflow at t={first:g}")
-    # (T, ..., n) -> (..., T, d, d): one trajectory per initial state.
+    # (T, ..., n) -> (..., T, d, d): the stack axis ahead of time.
     return build_trace(t, devectorize(np.moveaxis(vecs, 0, -2)), _modes=modes)
 
 
 def generic_speed(trace, k):
-    """Central-difference speed at interior grid point k.
+    """Central-difference speed at interior grid point k, per trajectory of a stack.
 
     sqrt(⟨dv/dt, dv/dt⟩ - |⟨v, dv/dt⟩|²) from the stored unit vectors;
     needs no generator, so it applies to arbitrary recorded dynamics.
     """
     if not 1 <= k <= len(trace) - 2:
         raise ValidationError(f"index {k} is not an interior grid point")
-    vm, v, vp = trace.normalized.vector[k - 1 : k + 2]
+    vm, v, vp = np.moveaxis(trace.normalized.vector[..., k - 1 : k + 2, :], -2, 0)
     dv = (vp - vm) / (trace.times[k + 1] - trace.times[k - 1])
     return np.sqrt(_variance(v, dv))
 

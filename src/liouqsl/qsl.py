@@ -109,12 +109,12 @@ class BasisSet:
 
 
 def _simpson(y, x):
-    """Composite Simpson integral of samples y on an odd, possibly non-uniform grid x.
+    """Composite Simpson integral over the last axis of y on an odd grid x.
 
     A port of scipy's simpson for an odd number of points: each
     pair of intervals (h0, h1) gets the parabola through its three
     samples. Operations and their order follow scipy's, so the result is
-    the same to the last bit.
+    the same to the last bit; a stack of rows gives one integral per row.
     """
     _odd_grid(len(x))
     h = np.diff(x)
@@ -125,12 +125,12 @@ def _simpson(y, x):
         hsum
         / 6.0
         * (
-            y[:-2:2] * (2.0 - 1.0 / ratio)
-            + y[1:-1:2] * (hsum * (hsum / (h0 * h1)))
-            + y[2::2] * (2.0 - ratio)
+            y[..., :-2:2] * (2.0 - 1.0 / ratio)
+            + y[..., 1:-1:2] * (hsum * (hsum / (h0 * h1)))
+            + y[..., 2::2] * (2.0 - ratio)
         )
     )
-    return float(np.sum(panels))
+    return np.sum(panels, axis=-1)
 
 
 def _cumulative_simpson(y, x):
@@ -207,7 +207,7 @@ def speed_decomposition(parts, state):
 
 
 def average_speed(trace, liouvillian):
-    """Simpson time average of the speed along the trace."""
+    """Simpson time average of the speed along the trace, per trajectory of a stack."""
     _odd_grid(len(trace))
     return _time_average(speed(liouvillian, trace.normalized), trace.times)
 

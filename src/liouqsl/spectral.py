@@ -231,20 +231,22 @@ def spectral_decompose(liouvillian):
 
 
 def _require_unique_zero(sd):
-    w = sd.eigenvalues
-    if abs(w[0]) > _GAP_TOL:
+    """Check for one zero mode within _GAP_TOL max(1, max|L_ij|); return that scale."""
+    w, scale = sd.eigenvalues, max(1.0, float(np.abs(sd.generator).max()))
+    if abs(w[0]) > _GAP_TOL * scale:
         raise NonUniqueSteadyStateError(
             f"no stationary mode: smallest eigenvalue {w[0]:.3e}"
         )
-    if w.size > 1 and abs(w[1].real) <= _GAP_TOL:
+    if w.size > 1 and abs(w[1].real) <= _GAP_TOL * scale:
         raise NonUniqueSteadyStateError(
             "stationary subspace is degenerate; no unique steady state"
         )
+    return scale
 
 
 def steady_state(sd):
-    """Unit-trace Hermitian state spanning the zero mode."""
-    _require_unique_zero(sd)
+    """Unit-trace Hermitian state spanning the zero mode; |L vec(rho)| <= 1e-9 scale."""
+    scale = _require_unique_zero(sd)
     r0 = sd.vectors[:, 0] if sd.partner is None else _scatter(sd.vectors[:, 0])
     rho = rehermitize(devectorize(r0))
     tr = float(np.trace(rho).real)
@@ -252,9 +254,9 @@ def steady_state(sd):
         raise NonUniqueSteadyStateError("stationary mode is traceless")
     rho = rho / tr
     defect = float(np.linalg.norm(sd.generator @ vectorize(rho)))
-    if defect > 1e-9:
+    if defect > 1e-9 * scale:
         raise NumericalConsistencyError(
-            f"steady-state residual {defect:.3e} exceeds 1e-9"
+            f"steady-state residual {defect:.3e} exceeds {1e-9 * scale:.3e}"
         )
     return rho
 
@@ -264,33 +266,26 @@ def mode_overlaps(sd, rho0):
     return sd.overlaps(vectorize(np.asarray(rho0, dtype=complex)))
 
 
-def _mode_speed(sd, c, t):
-    """Speed of v = evolve(c, t): _variance of v' = L v, both scaled so |v| = 1.
-
-    The derivative v' = evolve(lambda * c, t) comes out of the same product.
-    """
-    both = sd.evolve(np.array([c, sd.eigenvalues * c]), t)
-    both /= np.linalg.norm(both[..., :1, :], axis=-1, keepdims=True)
-    return np.sqrt(_variance(both[..., 0, :], both[..., 1, :]))
-
-
-def _mode_angle(sd, c, rho0, t):
-    """Angle between rho0 and the mode sum at time t."""
-    vt = sd.evolve(c, t)
-    v0 = vectorize(rho0)
-    return float(_unit_angle(v0 / np.linalg.norm(v0), vt / np.linalg.norm(vt)))
-
-
 def speed_from_modes(sd, c, t):
-    """Evolution speed at time t from the mode sums alone."""
+    """Evolution speed from the mode sums alone, at a time t or a 1-D grid of them.
+
+    _variance of v' = L v at v = evolve(c, t), both scaled so |v| = 1; the
+    derivative v' = evolve(lambda * c, t) comes out of the same product.
+    """
     _require_unique_zero(sd)
-    return float(_mode_speed(sd, np.asarray(c, dtype=complex), float(t)))
+    c = np.asarray(c, dtype=complex)
+    both = sd.evolve(np.array([c, sd.eigenvalues * c]), np.asarray(t, dtype=float))
+    both /= np.linalg.norm(both[..., :1, :], axis=-1, keepdims=True)
+    return np.sqrt(_variance(both[..., 0, :], both[..., 1, :]))[()]
 
 
 def angle_from_modes(sd, c, rho0, t):
-    """Angle between rho0 and the time-t state from the mode sums."""
+    """Angle between rho0 and the mode sum at a time t or a 1-D grid of them."""
     _require_unique_zero(sd)
-    return _mode_angle(sd, np.asarray(c, dtype=complex), rho0, float(t))
+    vt = sd.evolve(np.asarray(c, dtype=complex), np.asarray(t, dtype=float))
+    v0 = vectorize(rho0)
+    vt /= np.linalg.norm(vt, axis=-1, keepdims=True)
+    return _unit_angle(v0 / np.linalg.norm(v0), vt)[()]
 
 
 def tqsl_from_modes(sd, rho0, horizon, points=2001):
@@ -304,8 +299,8 @@ def tqsl_from_modes(sd, rho0, horizon, points=2001):
     if np.abs(c[1:]).max() < 1e-12:
         warnings.warn("stationary initial state; bound is trivially 0", RuntimeWarning)
         return 0.0
-    avg = _time_average(_mode_speed(sd, c, ts), ts)
-    return _bound_ratio(_mode_angle(sd, c, rho0, ts[-1]), avg)
+    avg = _time_average(speed_from_modes(sd, c, ts), ts)
+    return _bound_ratio(angle_from_modes(sd, c, rho0, ts[-1]), avg)
 
 
 def mode_elimination_search(sd, rho0, kill_set, seed=0, restarts=8):

@@ -328,6 +328,14 @@ def test_mpemba_sweep_rows_match_single_alpha_sweeps():
         assert_allclose(horizon - sweep.delta[i], horizon - one.delta[0], rtol=1e-13)
 
 
+def test_mpemba_report_steady_start_has_zero_speed_and_full_offset():
+    # alpha = 1 is the steady state |0><0| of the zero-temperature damped qubit.
+    rep = lq.mpemba_report((1.0, 0.5), 0.01, 0.0, 100.0, points=301)
+    assert rep.eta[0] == 0.0
+    assert rep.delta[0] == 100.0
+    assert rep.eta[1] > 0.0
+
+
 def test_mpemba_report_needs_odd_grid():
     with pytest.raises(QuadratureError):
         lq.mpemba_report((0.3, 0.8), 0.01, 0.0, 100.0, points=200)

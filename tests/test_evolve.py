@@ -212,13 +212,12 @@ def test_hermitian_start_inverts_in_real_arithmetic(monkeypatch):
         L = lq.build_liouvillian(rand_spec(rng, d)).full
         stack = np.array([rand_rho(rng, d), rand_pure(rng, d)])
         monkeypatch.setattr(np.linalg, "inv", real_inv)
-        traces = propagate_expm(L, stack, times)
+        trace = propagate_expm(L, stack, times)
         monkeypatch.undo()
         ref = np.moveaxis(_per_point_reference(L, lq.vectorize(stack), times), 0, 1)
-        assert _close(lq.vectorize(np.array([t.states for t in traces])), ref)
-        assert traces[0].modes is traces[1].modes
-        assert traces[0].modes.route == "real" and traces[0].modes.generator is L
-    assert build_trace(times, traces[0].states).modes is None
+        assert _close(lq.vectorize(trace.states), ref)
+        assert trace.modes.route == "real" and trace.modes.generator is L
+    assert build_trace(times, trace.states[0]).modes is None
     stepped = propagate_expm(_critically_driven_decay(), np.diag([0.0, 1.0]), times)
     assert stepped.modes is None
 
@@ -247,14 +246,14 @@ def test_propagate_expm_stack_matches_single_calls():
         for count in (1, 3, 5):
             stack = np.array([rand_rho(rng, d) for _ in range(count)])
             for times in grids:
-                traces = propagate_expm(L, stack, times)
-                assert len(traces) == count
-                for rho0, got in zip(stack, traces):
+                got = propagate_expm(L, stack, times)
+                assert got.states.shape == (count, times.size, d, d)
+                for a, rho0 in enumerate(stack):
                     ref = propagate_expm(L, rho0, times)
-                    assert got.states.shape == ref.states.shape
-                    assert _close(got.states, ref.states)
-                    assert _close(got.normalized.vector, ref.normalized.vector)
-                    assert _close(got.overlap_with_initial, ref.overlap_with_initial)
+                    assert got.states[a].shape == ref.states.shape
+                    assert _close(got.states[a], ref.states)
+                    assert _close(got.normalized.vector[a], ref.normalized.vector)
+                    assert _close(got.overlap_with_initial[a], ref.overlap_with_initial)
 
 
 def test_propagate_expm_stack_validates_in_one_pass(monkeypatch):
@@ -269,9 +268,9 @@ def test_propagate_expm_stack_validates_in_one_pass(monkeypatch):
         return original(rho, **kwargs)
 
     monkeypatch.setattr(evolve, "validate_density_matrix", counted)
-    traces = propagate_expm(L, stack, np.linspace(0.0, 2.0, 101))
+    trace = propagate_expm(L, stack, np.linspace(0.0, 2.0, 101))
     assert calls == [(5, 2, 2), (5, 101, 2, 2)]
-    assert [len(trace) for trace in traces] == [101] * 5
+    assert trace.states.shape == (5, 101, 2, 2)
 
 
 def test_build_trace_stack_names_state_and_time():
@@ -341,6 +340,20 @@ def test_generic_speed_matches_generator_route():
         generic_speed(trace, 0)
     with pytest.raises(ValidationError):
         generic_speed(trace, 500)
+
+
+def test_generic_speed_of_a_stack_is_that_of_each_trajectory():
+    L = lq.build_liouvillian(lq.amplitude_damping_spec(0.1, 0.2)).full
+    times = np.linspace(0.0, 5.0, 201)
+    for count in (2, 3):
+        stack = np.array([lq.superposition_state(a) for a in (0.6, 0.3, 0.9)[:count]])
+        trace = propagate_expm(L, stack, times)
+        for k in (1, 100, 199):
+            got = generic_speed(trace, k)
+            assert got.shape == (count,)
+            for a in range(count):
+                one = generic_speed(build_trace(times, trace.states[a]), k)
+                assert np.array_equal(got[a], one)
 
 
 def test_kraus_trajectory_speed_matches_generator_route():

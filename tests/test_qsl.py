@@ -96,6 +96,20 @@ def test_average_speed_is_simpson_average_of_speed_column():
     assert avg > 0.0
 
 
+def test_average_speed_of_a_stack_is_that_of_each_trajectory():
+    rng = philox(140)
+    times = np.linspace(0.0, 2.0, 201)
+    for d in (2, 3, 4):
+        L = lq.build_liouvillian(rand_spec(rng, d)).full
+        stack = np.array([rand_rho(rng, d), rand_pure(rng, d), rand_rho(rng, d)])
+        trace = lq.propagate_expm(L, stack, times)
+        avg = lq.average_speed(trace, L)
+        assert avg.shape == (3,)
+        for a in range(3):
+            one = lq.average_speed(lq.build_trace(times, trace.states[a]), L)
+            assert np.array_equal(avg[a], one)
+
+
 def test_average_speed_needs_odd_grid():
     L, trace = _ad_trace(points=101)
     even = lq.build_trace(trace.times[:100], trace.states[:100])

@@ -137,6 +137,16 @@ def test_steady_state_random_specs():
         assert np.abs(L @ lq.vectorize(ss)).max() < 1e-9
 
 
+def test_steady_state_tolerances_scale_with_the_generator():
+    rng = philox(141)
+    for d in (2, 3, 4):
+        L = lq.build_liouvillian(rand_spec(rng, d)).full
+        ss = lq.steady_state(lq.spectral_decompose(L))
+        for s in (1e3, 1e6, 1e8):
+            scaled = lq.steady_state(lq.spectral_decompose(s * L))
+            assert np.abs(scaled - ss).max() < 1e-12
+
+
 def test_steady_state_reads_the_stationary_column_of_w():
     # On the real route steady_state takes the zero mode from W: it forms
     # neither complex vector matrix and gives the state they give.
@@ -188,6 +198,22 @@ def test_mode_route_speed_and_angle():
             assert abs(lq.speed_from_modes(sd, c, t) - direct_speed) < 1e-10
             direct_angle = lq.liouville_angle(rho0, trace.states[-1])
             assert abs(lq.angle_from_modes(sd, c, rho0, t) - direct_angle) < 1e-10
+
+
+def test_mode_route_takes_a_time_grid():
+    grids = (np.linspace(0.0, 40.0, 401), np.array([0.0, 1e-6, 0.3, 2.0, 17.0]))
+    for L, rho0 in _mode_route_cases():
+        sd = lq.spectral_decompose(L)
+        c = lq.mode_overlaps(sd, rho0)
+        for ts in grids:
+            speeds = lq.speed_from_modes(sd, c, ts)
+            angles = lq.angle_from_modes(sd, c, rho0, ts)
+            assert speeds.shape == angles.shape == ts.shape
+            one_speed = [lq.speed_from_modes(sd, c, t) for t in ts]
+            one_angle = [lq.angle_from_modes(sd, c, rho0, t) for t in ts]
+            assert_allclose(speeds, one_speed, rtol=1e-12, atol=0.0)
+            # at t = 0 the angle is round-off, about 1e-16, in either form
+            assert_allclose(angles, one_angle, rtol=1e-12, atol=1e-15)
 
 
 def test_mode_route_angle_at_short_times():
