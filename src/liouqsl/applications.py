@@ -27,6 +27,7 @@ from .qsl import (
     _bound_ratio,
     _cumulative_simpson,
     _horizon_grid,
+    _one_trajectory,
     average_speed,
     complete_basis,
     nonclassical_speed,
@@ -70,6 +71,7 @@ def sff(trace):
     coherent_gibbs_state, the spectral form factor of the channel family
     behind the trace (any family fits through build_trace(times, states)).
     """
+    _one_trajectory(trace)
     vecs = vectorize(trace.states)
     return np.real(vecs @ vecs[0].conj())
 
@@ -88,6 +90,7 @@ def sff_bound_check(trace, liouvillian):
     small angles stay accurate, and rhs the running integral of the
     non-classical speed; lhs never exceeds rhs.
     """
+    _one_trajectory(trace)
     lhs = liouville_angle(trace.states[0], trace.states)
     return lhs, _nc_integral(trace, liouvillian)
 

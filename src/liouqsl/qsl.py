@@ -8,8 +8,9 @@ bounds with operator-norm and Hilbert-Schmidt relaxations, a split of
 the generator into a part diagonal in a fixed orthonormal basis and its
 non-classical remainder, a Wootters-style length of the basis amplitude
 moduli, and the exact-time relation length / averaged non-classical
-speed. The basis is anchored at the initial state and never re-derived
-along the trajectory.
+speed. The basis, anchored at the initial state and never re-derived along
+the trajectory, is Gram-Schmidt over the initial unit vector and then the
+unit vectors e_j in index order, dropping the first within 1e-8 of the span.
 
 The length integrates the rate of change of the amplitude moduli, taken
 from the generator on the same basis amplitudes as the non-classical
@@ -173,6 +174,14 @@ def _horizon_grid(horizon, points):
     return np.linspace(0.0, horizon, points)
 
 
+def _one_trajectory(trace):
+    """Raise ValidationError for a stacked trace; the report layer takes one."""
+    if trace.states.ndim != 3:
+        raise ValidationError(
+            f"expected one trajectory, got a stack of {len(trace.states)}"
+        )
+
+
 def _bound_ratio(numerator, denominator):
     """Every ratio of the bound chain: a distance or a speed over a speed or a norm.
 
@@ -218,36 +227,23 @@ def operator_norm(superop):
 
 
 def complete_basis(state):
-    """Deterministic orthonormal completion seeded by the state vector.
+    """Gram-Schmidt over the state vector v and then e_0, e_1, ..., in closed form.
 
-    Gram-Schmidt over the state vector followed by the canonical unit
-    vectors, discarding candidates whose residual norm falls below 1e-8;
-    each candidate is projected twice against all accepted vectors at
-    once, for a clean Gram matrix.
+    With p_k = |v_k|², s_j² = sum_{k>=j} p_k and j* the first j with
+    s_{j+1} < 1e-8 s_j, e_j* is dropped and every other e_j gives q_j with
+    q_j[j] = r_{j+1}/r_j and q_j[k] = -v_k conj(v_j)/(r_j r_{j+1}) for k > j,
+    and for k = j* if j > j*, where r_k² = s_k² + p_j* [k > j*].
     """
-    v0 = state.vector
-    n = v0.size
-    rows = np.empty((n, n), dtype=complex)
-    conj = np.empty((n, n), dtype=complex)
-    rows[0] = v0 / np.linalg.norm(v0)
-    conj[0] = rows[0].conj()
-    k = 1
-    for j in range(n):
-        q = rows[:k]
-        cand = -(q[:, j].conj() @ q)
-        cand[j] += 1.0
-        cand -= (conj[:k] @ cand) @ q
-        norm = np.linalg.norm(cand)
-        if norm < 1e-8:
-            continue
-        rows[k] = cand / norm
-        conj[k] = rows[k].conj()
-        k += 1
-        if k == n:
-            break
-    if k != n:
-        raise NumericalConsistencyError("basis completion fell short of full dimension")
-    return BasisSet(vectors=rows.T)
+    v = state.vector / np.linalg.norm(state.vector)
+    n, p = v.size, np.abs(v) ** 2
+    s2 = np.append(np.cumsum(p[::-1])[::-1], 0.0)
+    skip = int(np.argmax(np.sqrt(s2[1:]) < 1e-8 * np.sqrt(s2[:-1])))
+    r = np.sqrt(s2 + p[skip] * (np.arange(n + 1) > skip))
+    below = np.tri(n, k=-1, dtype=bool)
+    below[skip, skip + 1 :] = True
+    q = np.where(below, -np.outer(v, v.conj() / (r[:-1] * r[1:])), 0.0)
+    q[np.diag_indices(n)] = r[1:] / r[:-1]
+    return BasisSet(vectors=np.column_stack([v, np.delete(q, skip, axis=1)]))
 
 
 class _ClassicalSplit:
@@ -371,6 +367,7 @@ def wootters_length(trace, liouvillian, basis):
 
 def exact_qsl(trace, liouvillian, basis=None):
     """Bound-and-equality report; takes B^+ L B from trace.modes if it decomposed L."""
+    _one_trajectory(trace)
     theta = float(liouville_angle(trace.states[0], trace.states[-1]))
     if basis is None:
         basis = complete_basis(trace.normalized[0])

@@ -184,6 +184,21 @@ def test_sff_bound_check():
         assert np.all(lhs <= rhs + 1e-8)
 
 
+@pytest.mark.parametrize("points", [5, 4])
+def test_report_layer_rejects_a_stacked_trace(points):
+    # At 4 points = d² a stack broadcasts through sff's product without an error.
+    L = lq.build_liouvillian(lq.amplitude_damping_spec(0.05, 0.2)).full
+    rhos = np.stack([np.diag([1.0, 0.0]), np.diag([0.3, 0.7])]).astype(complex)
+    trace = lq.propagate_expm(L, rhos, np.linspace(0.0, 2.0, points))
+    for call in (
+        lambda: lq.exact_qsl(trace, L),
+        lambda: lq.sff(trace),
+        lambda: lq.sff_bound_check(trace, L),
+    ):
+        with pytest.raises(ValidationError, match="stack of 2"):
+            call()
+
+
 def test_sff_bound_check_at_small_horizons():
     # An arccos of the overlap reads 0 at T = 1e-9 and exceeds the bound at
     # T = 1e-5; the left-hand side is the Liouville angle, accurate there.

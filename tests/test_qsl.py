@@ -230,13 +230,36 @@ def _gram_schmidt_oracle(v0):
     return rows.T
 
 
-def test_complete_basis_matches_the_plain_loop_bit_for_bit():
+def _near_pure(d, eps=1e-17):
+    """diag(1 - (d - 1) eps, eps, ...): e_0 is within 1e-8 of the span of v."""
+    return np.diag([1.0 - (d - 1) * eps] + [eps] * (d - 1)).astype(complex)
+
+
+def test_complete_basis_matches_the_plain_loop_to_rounding():
     rng = philox(59)
+    states = [np.diag([1.0 - e, e]).astype(complex) for e in (1e-17, 1e-20, 1e-30)]
+    # e_0 is dropped; s_3/s_2 is below 1e-8 too, but e_2 must be kept
+    states += [np.array([[1.0 - 1e-17, 3e-9], [3e-9, 1e-17]], dtype=complex)]
+    states += [_near_pure(3), _near_pure(4)]
     for d in (2, 3, 4, 7, 16):
-        states = [rand_rho(rng, d), rand_pure(rng, d), np.diag(np.eye(d)[0])]
-        for rho in states:
-            s = lq.normalize_state(rho)
-            assert np.array_equal(lq.complete_basis(s).vectors, _gram_schmidt_oracle(s.vector))
+        states += [rand_rho(rng, d), rand_pure(rng, d), np.diag(np.eye(d)[0])]
+    for rho in states:
+        s = lq.normalize_state(rho)
+        delta = lq.complete_basis(s).vectors - _gram_schmidt_oracle(s.vector)
+        assert np.abs(delta).max() <= 4 * np.finfo(float).eps
+
+
+def test_exact_qsl_from_a_near_pure_start_uses_the_loop_basis():
+    # Dropping only an exactly dependent candidate keeps e_0 here and moves
+    # bound_nc and wootters_length by up to 15%.
+    for d in (3, 4):
+        L = lq.build_liouvillian(rand_spec(philox(5), d)).full
+        trace = lq.propagate_expm(L, _near_pure(d), np.linspace(0.0, 2.0, 401))
+        oracle = BasisSet(_gram_schmidt_oracle(trace.normalized[0].vector))
+        report = lq.exact_qsl(trace, L).to_json()
+        expected = lq.exact_qsl(trace, L, basis=oracle).to_json()
+        for key, value in expected.items():
+            assert_allclose(report[key], value, rtol=1e-14, err_msg=key)
 
 
 def test_basis_set_rejects_skew_columns():
