@@ -8,6 +8,9 @@ numerical pipeline. The SFF and Krylov sections bound spectral-form-
 factor decay and complexity growth by the integrated non-classical
 speed, plus the complementary trade-off between the two. Both checks
 return columns over the grid, which the krylov command writes as they are.
+For a Hermitian start the Lanczos recursion of the commutator is real in
+the Hermitian basis B, so krylov_build runs it on real vectors k_n and
+reads real amplitudes phi_n(t) = (k_n|B^+ rho_t~) with one real product.
 """
 
 from dataclasses import dataclass
@@ -22,7 +25,7 @@ from .lindblad import (
     build_liouvillian,
     commutator_superop,
 )
-from .liouville import liouville_angle, vectorize
+from .liouville import _gather, _real_form, _scatter, liouville_angle, vectorize
 from .qsl import (
     _bound_ratio,
     _cumulative_simpson,
@@ -99,11 +102,12 @@ def sff_bound_check(trace, liouvillian):
 class KrylovData:
     """Lanczos basis and occupation amplitudes for Hamiltonian dynamics.
 
-    basis holds the orthonormal vectors |K_n)) as columns; amplitudes has
-    one row per time with phi_n(t) = (-i)^n (K_n|rho_t~); complexity is
-    sum_n n |phi_n|² per time; trace is the propagated trajectory the
-    amplitudes were projected from, and generator the -1j L_H it was
-    propagated under.
+    basis holds the complex orthonormal vectors |K_n)) = (-i)^n B k_n as
+    columns, with k_n the real Lanczos vectors in the Hermitian basis B;
+    amplitudes is a real array with one row per time, phi_n(t) = (-i)^n
+    (K_n|rho_t~) = (k_n|x_t) for x_t = B^+ rho_t~; complexity is sum_n n
+    phi_n² per time; trace is the propagated trajectory the amplitudes
+    were projected from, and generator the -1j L_H it was propagated under.
     """
 
     basis: np.ndarray
@@ -132,52 +136,46 @@ class KrylovData:
 def krylov_build(hamiltonian, rho0, times):
     """Lanczos basis of the commutator generator plus amplitudes in time.
 
-    Runs the recursion on L_H = 1 kron H - H^T kron 1 from the unit
-    vector of rho0 with full reorthogonalization, stopping when the
-    off-diagonal coefficient falls below 1e-12; then propagates under
-    exp(-i L_H t) and projects onto the basis. times must start at 0, as
-    for propagate_expm.
+    Runs the real Lanczos recursion b_{n+1} k_{n+1} = S k_n + b_n k_{n-1}
+    on S = B^+ (i L_H) B, the real antisymmetric form of L_H = 1 kron H -
+    H^T kron 1 in the Hermitian basis B, from the real k_0 = B^+ rho0~
+    with full reorthogonalization, stopping when b falls below 1e-12;
+    a_n = k_n^T S k_n vanishes by antisymmetry. Then |K_n)) = (-i)^n B k_n
+    are the Lanczos vectors of L_H. The trajectory under exp(-i L_H t)
+    gives the real amplitudes phi_n(t) = (k_n|B^+ rho_t~) as one real
+    product of its float view with Re and Im of B k_n, interleaved.
+    times must start at 0, as for propagate_expm.
     """
     h = _checked_hamiltonian(hamiltonian)
     lh = commutator_superop(h)
     generator = -1j * lh
     trace = propagate_expm(generator, rho0, times)
-    v0 = trace.normalized.vector[0]
+    s = _real_form(1j * lh)
 
     n = lh.shape[0]
-    cols = np.empty((n, n), dtype=complex)
-    conj = np.empty((n, n), dtype=complex)
-    cols[:, 0], conj[:, 0] = v0, v0.conj()
-    q = v0
+    rows = np.empty((n, n))
+    rows[0] = _gather(trace.normalized.vector[0]).real
     bs = []
-    prev = np.zeros_like(v0)
-    b_prev = 0.0
+    prev, b = np.zeros(n), 0.0
     for k in range(1, n):
-        r = lh @ q - b_prev * prev
-        r -= q * np.vdot(q, r)
-        # contiguous copies: a strided view would change BLAS's summation order
-        qm, qc = cols[:, :k].copy(), conj[:, :k].copy()
+        r = s @ rows[k - 1] + b * prev
         for _ in range(2):
-            r -= qm @ (qc.T @ r)
+            r -= rows[:k].T @ (rows[:k] @ r)
         b = np.linalg.norm(r)
         if b < 1e-12:
             break
         bs.append(float(b))
-        prev = q
-        b_prev = b
-        q = r / b
-        cols[:, k], conj[:, k] = q, q.conj()
-    basis = cols[:, : len(bs) + 1].copy()
+        prev = rows[k - 1]
+        rows[k] = r / b
+    vectors = _scatter(rows[: len(bs) + 1])
+    basis = vectors.T * (-1j) ** np.arange(len(bs) + 1)
 
-    phases = (-1j) ** np.arange(basis.shape[1])
-    amps = (trace.normalized.vector @ basis.conj()) * phases
-    norms = np.sum(np.abs(amps) ** 2, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-10:
-        raise NumericalConsistencyError(
-            f"Krylov amplitudes lose norm by {np.abs(norms - 1.0).max():.3e}"
-        )
-    indices = np.arange(basis.shape[1])
-    complexity = np.sum(indices * np.abs(amps) ** 2, axis=1)
+    amps = trace.normalized.vector.view(float) @ vectors.view(float).T
+    pops = amps**2
+    worst = np.abs(np.sum(pops, axis=1) - 1.0).max()
+    if worst > 1e-10:
+        raise NumericalConsistencyError(f"Krylov amplitudes lose norm by {worst:.3e}")
+    complexity = pops @ np.arange(basis.shape[1])
     return KrylovData(
         basis=basis,
         lanczos_b=np.array(bs),

@@ -172,8 +172,8 @@ class NormalizedState:
 
 
 def _dot(a, b):
-    """Row-wise inner product (a|b) over the last axis."""
-    return np.einsum("...i,...i->...", a.conj(), b)
+    """Row-wise inner product (a|b) over the last axis; a real a is not copied."""
+    return np.einsum("...i,...i->...", a.conj() if np.iscomplexobj(a) else a, b)
 
 
 def normalize_state(rho):

@@ -256,17 +256,47 @@ def _lanczos_oracle(lh, v0):
     return np.column_stack(cols), np.array(bs)
 
 
-def test_krylov_basis_matches_the_plain_loop_bit_for_bit():
+def test_krylov_real_recursion_agrees_with_the_complex_loop():
+    # The final b from d = 8 up is rounding noise in both loops (see the
+    # strict xfail below), so it and its column are compared by K alone.
     rng = philox(89)
     times = np.linspace(0.0, 1.0, 11)
-    for d in (2, 3, 5, 8, 12):
+    for d, basis_tol in ((2, 1e-14), (3, 1e-14), (5, 1e-14), (8, 1e-11), (12, 1e-8)):
         h = rand_hermitian(rng, d)
         starts = [lq.coherent_gibbs_state(h, 0.4), rand_pure(rng, d), np.diag(np.eye(d)[0])]
         for rho0 in starts:
             kd = lq.krylov_build(h, rho0, times)
             basis, bs = _lanczos_oracle(lq.commutator_superop(h), kd.trace.normalized.vector[0])
-            assert np.array_equal(kd.basis, basis)
-            assert np.array_equal(kd.lanczos_b, bs)
+            assert kd.dimension == basis.shape[1]
+            kept = kd.dimension - (2 if d >= 8 else 1)
+            assert_allclose(kd.lanczos_b[:kept], bs[:kept], rtol=1e-13, atol=0.0)
+            assert np.abs(kd.basis[:, : kept + 1] - basis[:, : kept + 1]).max() < basis_tol
+            phases = (-1j) ** np.arange(basis.shape[1])
+            amps = (kd.trace.normalized.vector @ basis.conj()) * phases
+            assert kd.amplitudes.dtype == float
+            assert np.abs(kd.amplitudes - amps.real).max() < 1e-14
+            complexity = np.sum(np.arange(basis.shape[1]) * np.abs(amps) ** 2, axis=1)
+            assert_allclose(kd.complexity, complexity, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "the Krylov dimension counts one vector too many: with distinct "
+        "gaps and full support it is d(d-1)+1 = 133 at d = 12, but the "
+        "final b (3.8e-6 here) is rounding noise above the absolute 1e-12 "
+        "cut: its vector carries at most 5.5e-16 of any amplitude. K reads "
+        "134, so ladder_norm is one too large and bound_lhs too low."
+    ),
+)
+def test_krylov_dimension_of_a_generic_coherent_gibbs_start():
+    d = 12
+    h = rand_hermitian(philox(91), d)
+    energies = np.linalg.eigvalsh(h)
+    gaps = np.sort((energies[:, None] - energies[None, :])[~np.eye(d, dtype=bool)])
+    assert np.abs(gaps).min() > 1e-6 and np.diff(gaps).min() > 1e-6
+    kd = lq.krylov_build(h, lq.coherent_gibbs_state(h, 0.5), np.linspace(0.0, 1.0, 11))
+    assert kd.dimension == d * (d - 1) + 1
 
 
 def test_krylov_bound_check():
