@@ -25,7 +25,7 @@ from .lindblad import (
     build_liouvillian,
     commutator_superop,
 )
-from .liouville import _gather, _real_form, _scatter, liouville_angle, vectorize
+from .liouville import _gather, _scatter, liouville_angle, vectorize
 from .qsl import (
     _bound_ratio,
     _cumulative_simpson,
@@ -150,7 +150,7 @@ def krylov_build(hamiltonian, rho0, times):
     lh = commutator_superop(h)
     generator = -1j * lh
     trace = propagate_expm(generator, rho0, times)
-    s = _real_form(1j * lh)
+    s = -trace.modes.real_form
 
     n = lh.shape[0]
     rows = np.empty((n, n))
@@ -243,9 +243,10 @@ def amplitude_damping_closed_forms(alpha, gamma, n, t):
     """Closed-form state, angles, speed, and norm for the damped qubit.
 
     Returns a dict with rho_t, theta_0t (angle to the initial state),
-    theta_ss_t (angle to the steady state), speed, and opnorm. A
-    denominator underflow (removable t -> 0 limits) falls back to an
-    epsilon-shifted evaluation.
+    theta_ss_t (angle to the steady state), speed, and opnorm. The forms
+    are written in q = exp(-gamma (2n+1) t), so late times reach the steady
+    state instead of overflowing. Every denominator is a positive multiple
+    of purity = (2n+1)^2 tr rho_t^2 >= (2n+1)^2 / 2, so none vanishes.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha {alpha} outside [0, 1]")
@@ -253,51 +254,33 @@ def amplitude_damping_closed_forms(alpha, gamma, n, t):
         raise ValidationError("need finite gamma > 0, n >= 0, t >= 0")
     a2 = alpha * alpha
     m = 2.0 * n + 1.0
-    eh = np.exp(0.5 * gamma * m * t)
-    e = eh * eh
-    edec = 1.0 / e
-
-    rho = np.empty((2, 2), dtype=complex)
-    rho[0, 0] = (n + edec * (a2 + n * (2.0 * a2 - 1.0) - 1.0) + 1.0) / m
-    rho[0, 1] = np.sqrt(edec) * alpha * np.sqrt(1.0 - a2)
-    rho[1, 0] = rho[0, 1]
-    rho[1, 1] = edec * (-a2 + n * (-2.0 * a2 + e + 1.0) + 1.0) / m
-
+    qh = np.exp(-0.5 * gamma * m * t)
+    q = qh * qh
     x = a2 + (2.0 * a2 - 1.0) * n - 1.0
     y = a2 * a2 * m * m - 2.0 * a2 * (n + 1.0) * m + n + 1.0
     k = 2.0 * n * (n + 1.0) + 1.0
-    f = 2.0 * x * x - 2.0 * y * e
 
-    sec_num = m * e * np.sqrt(
-        f / (e * e * m * m) + 0.5 * (1.0 / (m * m) + 1.0)
-    )
-    sec_den = (
-        2.0 * a2 * a2 * m
-        - a2 * (4.0 * n + 3.0)
-        - 2.0 * (a2 - 1.0) * a2 * m * eh
-        + (a2 + n) * e
+    rho = np.empty((2, 2), dtype=complex)
+    rho[0, 0] = (n + 1.0 + q * x) / m
+    rho[0, 1] = qh * alpha * np.sqrt(1.0 - a2)
+    rho[1, 0] = rho[0, 1]
+    rho[1, 1] = (n - q * x) / m
+
+    purity = (2.0 * x * x * q - 2.0 * y) * q + k
+    overlap = (
+        (2.0 * a2 * a2 * m - a2 * (4.0 * n + 3.0) + n + 1.0) * q
+        - 2.0 * (a2 - 1.0) * a2 * m * qh
+        + a2
         + n
-        + 1.0
     )
-    g = -2.0 * y * e + k * e * e
-    ss_arg = k * (2.0 * x * x + g)
-    h1 = 2.0 * x * (a2 * a2 + (2.0 * a2 - 1.0) * n - 1.0) * e - 2.0 * a2 * (
+    theta_0t = float(np.arccos(np.clip(overlap / np.sqrt(purity), -1.0, 1.0)))
+    ss_cos = (x * q + k) / np.sqrt(k * purity)
+    theta_ss_t = float(np.arccos(np.clip(ss_cos, -1.0, 1.0)))
+    h = 2.0 * x * (a2 * a2 + (2.0 * a2 - 1.0) * n - 1.0) * q - 2.0 * a2 * (
         a2 - 1.0
-    ) * (a2 * (-m) + n + 1.0) ** 2
-    h2 = f
-    speed_den = np.sqrt(2.0) * (h2 + k * e * e)
-
-    if min(abs(sec_num), abs(ss_arg), abs(speed_den)) < 1e-12:
-        shift = 1e-9 / (gamma * m)
-        return amplitude_damping_closed_forms(alpha, gamma, n, t + shift)
-
-    theta_0t = float(np.arccos(np.clip(sec_den / sec_num, -1.0, 1.0)))
-    ss_num = a2 + (2.0 * a2 - 1.0) * n + k * e - 1.0
-    theta_ss_t = float(np.arccos(np.clip(ss_num / np.sqrt(ss_arg), -1.0, 1.0)))
-    speed_num = gamma * m * m * eh * np.sqrt(
-        max(h1 - a2 * (a2 - 1.0) * k * e * e, 0.0)
-    )
-    speed = float(speed_num / speed_den)
+    ) * (n + 1.0 - a2 * m) ** 2 * q * q
+    rate = np.sqrt(max(h - a2 * (a2 - 1.0) * k, 0.0))
+    speed = float(gamma * m * m * qh * rate / (np.sqrt(2.0) * purity))
     opnorm = gamma * np.sqrt(max(2.0 * (1.0 + 2.0 * n * (1.0 + n)), 0.25 * m * m))
     return {
         "rho_t": rho,

@@ -45,6 +45,7 @@ from .exceptions import (
 from .lindblad import kraus_to_superop
 from .liouville import (
     NormalizedState,
+    _real_form,
     _variance,
     devectorize,
     normalize_state,
@@ -187,13 +188,15 @@ def propagate_expm(liouvillian, rho0, times):
     block; an invalid initial state raises a ValidationError that names
     its index in the stack.
 
-    Every grid point comes at once from the eigensystem L = R diag(lambda)
-    R^-1 of spectral_decompose (SpectralData.propagate), kept as the
-    trace's modes. When R is singular or its biorthogonality defect
-    (max|W^-1 W - 1| on the real route) exceeds 1e-13, as near an
-    exceptional point, scipy's expm steps over a uniform grid (restarting
-    exactly every 1024 steps), and over any other grid per point. Only that
-    fallback imports scipy.
+    L must preserve Hermiticity (SpectralData.real_form is set) and be
+    finite, else a ValidationError is raised. Every grid point comes at
+    once from the eigensystem L = R diag(lambda) R^-1 of spectral_decompose
+    (SpectralData.propagate), kept as the trace's modes. When R is singular
+    or its biorthogonality defect (max|W^-1 W - 1| on the real route)
+    exceeds 1e-13, as near an exceptional point, scipy's expm steps over a
+    uniform grid (restarting exactly every 1024 steps), and over any other
+    grid per point; B^+ L B is then formed once, for the Hermiticity check.
+    Only that fallback imports scipy.
     """
     t = _check_grid(times)
     if abs(t[0]) > 1e-12:
@@ -220,6 +223,8 @@ def propagate_expm(liouvillian, rho0, times):
         modes = spectral_decompose(L)
     except DefectiveGeneratorError:
         modes = None
+    if (_real_form(L) if modes is None else modes.real_form) is None:
+        raise ValidationError("generator does not preserve Hermiticity")
     if modes is None or modes.biorthogonality > _MODAL_DEFECT_MAX:
         vecs, modes = _expm_steps(L, v, t), None
     else:

@@ -66,7 +66,8 @@ class SpectralData:
     mode conjugate to mode i); right_vectors and left_vectors hold |r_i)) and
     |l_i)), (l_i|r_j) = delta_ij, formed when first read. condition and
     biorthogonality are spectral_decompose's defects; real_form is B^+ L B
-    of generator, the array decomposed, on the real route.
+    of generator when it preserves Hermiticity (routes "hermitian" and
+    "real", where it is the array decomposed), else None.
     """
 
     eigenvalues: np.ndarray
@@ -183,7 +184,10 @@ def spectral_decompose(liouvillian):
       matrices (liouville._real_form); complex eigenvalues come in exactly
       conjugate pairs. The real matrix W holds Re r, and Im r in the column
       of conj(r): B^+ L B = W D W^-1 with D = [[a, b], [-b, a]] on a +- ib;
-    - "complex": numpy's eig of L itself, for any other square L.
+    - "complex": numpy's eig of L itself, for any other square L. Only the
+      mode route and direct callers take it; propagate_expm refuses it.
+    B^+ L B is formed first and kept as real_form on both routes that
+    preserve Hermiticity. A non-finite entry raises ValidationError.
     condition is the biorthogonality max|R^-1 R - 1| plus max|R diag(lambda)
     R^-1 - L|, both in the coordinates diagonalized (max|W^-1 W - 1| and
     max|W D W^-1 - B^+ L B|, at least half the Liouville-space defect); L is
@@ -193,14 +197,15 @@ def spectral_decompose(liouvillian):
     L = np.asarray(liouvillian, dtype=complex)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValidationError(f"generator must be square, got shape {L.shape}")
+    if not np.isfinite(L).all():
+        raise ValidationError("generator has a nan or infinite entry")
+    real, partner = _real_form(L), None
     hermitian = None if L.diagonal().real.any() else 1j * L
-    real = partner = None
     if hermitian is not None and np.array_equal(hermitian, hermitian.conj().T):
         route = "hermitian"
         energies, vectors = np.linalg.eigh(hermitian)
         w, inverse = -1j * energies, vectors.conj().T
     else:
-        real = _real_form(L)
         route = "complex" if real is None else "real"
         w, vectors = np.linalg.eig(L if real is None else real)
         if real is not None:
@@ -213,8 +218,8 @@ def spectral_decompose(liouvillian):
                 f"right-eigenvector matrix is singular: {exc}"
             ) from exc
     biorth = float(np.abs(inverse @ vectors - np.eye(w.size)).max())
-    target, scaled = (L, vectors * w) if real is None else (real, vectors * w.real)
-    if real is not None:
+    target, scaled = (L, vectors * w) if partner is None else (real, vectors * w.real)
+    if partner is not None:
         scaled -= vectors[:, partner] * w.imag
     recon = float(np.abs(scaled @ inverse - target).max())
     defect = biorth + recon / max(1.0, float(np.abs(L).max()))
@@ -223,7 +228,7 @@ def spectral_decompose(liouvillian):
             f"generator is numerically defective (defect {defect:.3e})"
         )
     order = np.lexsort((w.imag, np.abs(w.real)))
-    partner = None if real is None else np.argsort(order)[partner[order]]
+    partner = None if partner is None else np.argsort(order)[partner[order]]
     return SpectralData(
         w[order], vectors[:, order], inverse[order], biorth + recon, biorth, route,
         generator=L, real_form=real, partner=partner,

@@ -103,6 +103,13 @@ def test_closed_form_limits():
     late = lq.amplitude_damping_closed_forms(0.7, 0.5, 0.2, 80.0)
     assert late["theta_ss_t"] < 1e-8
     assert late["speed"] < 1e-8
+    # gamma (2n + 1) t = 400: exp(+400) would overflow, exp(-400) does not
+    for alpha, gamma, n in ((0.5, 1.0, 0.0), (0.7, 0.5, 0.2), (0.0, 2.0, 1.5)):
+        t = 400.0 / (gamma * (2.0 * n + 1.0))
+        late = lq.amplitude_damping_closed_forms(alpha, gamma, n, t)
+        assert all(np.isfinite(late[key]).all() for key in late)
+        assert late["theta_ss_t"] < 1e-7
+        assert late["speed"] < 1e-7
     with pytest.raises(ValidationError):
         lq.amplitude_damping_closed_forms(1.2, 0.5, 0.0, 1.0)
     with pytest.raises(ValidationError):

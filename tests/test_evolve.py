@@ -11,7 +11,11 @@ from liouqsl.evolve import (
     kraus_trajectory_speed,
     propagate_expm,
 )
-from liouqsl.exceptions import NumericalConsistencyError, ValidationError
+from liouqsl.exceptions import (
+    DefectiveGeneratorError,
+    NumericalConsistencyError,
+    ValidationError,
+)
 
 from conftest import philox, rand_hermitian, rand_pure, rand_rho, rand_spec, rotated_state
 
@@ -233,6 +237,51 @@ def test_non_hermiticity_preserving_generator_takes_the_modes():
         v0 = lq.vectorize(np.eye(d) / d)
         modal = sd.propagate(v0, times)
         assert np.abs(modal - _per_point_reference(L, v0, times)).max() < 1e-13
+
+
+def test_propagate_expm_refuses_generators_that_break_hermiticity():
+    # 1j L Hermitian (the hermitian route) and a commutator without its -1j
+    # (the complex route): both send Hermitian states to non-Hermitian ones.
+    rho0 = np.array([[0.6, 0.3], [0.3, 0.4]], dtype=complex)
+    k = np.zeros((4, 4), dtype=complex)
+    k[2, 2] = 1.0
+    assert lq.spectral_decompose(-1j * k).route == "hermitian"
+    with pytest.raises(ValidationError, match="preserve Hermiticity"):
+        propagate_expm(-1j * k, rho0, np.linspace(0.0, 1.0, 201))
+    h = rand_hermitian(philox(51), 3)
+    skew = 0.3 * lq.commutator_superop(h)
+    assert lq.spectral_decompose(skew).route == "complex"
+    with pytest.raises(ValidationError, match="preserve Hermiticity"):
+        propagate_expm(skew, np.eye(3) / 3, np.linspace(0.0, 0.2, 101))
+    coherent = propagate_expm(-1j * lq.commutator_superop(h), np.eye(3) / 3, [0.0, 1.0])
+    assert coherent.modes.route == "hermitian"
+    assert coherent.modes.real_form is not None
+
+
+def test_propagate_expm_refuses_non_finite_generators():
+    L = lq.build_liouvillian(lq.amplitude_damping_spec(0.5, 0.2)).full
+    for bad in (np.nan, np.inf):
+        broken = L.copy()
+        broken[1, 2] = bad
+        with pytest.raises(ValidationError, match="nan or infinite"):
+            lq.spectral_decompose(broken)
+        with pytest.raises(ValidationError, match="nan or infinite"):
+            propagate_expm(broken, np.eye(2) / 2, [0.0, 1.0])
+
+
+def test_failed_decomposition_falls_back_to_stepping(monkeypatch):
+    def defective(L):
+        raise DefectiveGeneratorError("planted")
+
+    rng = philox(52)
+    L = lq.build_liouvillian(rand_spec(rng, 2)).full
+    rho0 = rand_rho(rng, 2)
+    times = np.linspace(0.0, 2.0, 41)
+    monkeypatch.setattr(evolve, "spectral_decompose", defective)
+    trace = propagate_expm(L, rho0, times)
+    assert trace.modes is None
+    ref = _per_point_reference(L, lq.vectorize(rho0), times)
+    assert np.abs(lq.vectorize(trace.states) - ref).max() < 1e-13
 
 
 def test_propagate_expm_stack_matches_single_calls():

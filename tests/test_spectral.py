@@ -168,6 +168,16 @@ def test_degenerate_steady_space_raises():
         lq.steady_state(sd)
 
 
+def test_traceless_stationary_mode_raises():
+    # In Hermitian coordinates J = -(1 - z z^T) with z = sigma_z / sqrt(2):
+    # Hermiticity is preserved and the one zero mode is sigma_z itself.
+    z = lq.vectorize(np.diag([1.0, -1.0])) / np.sqrt(2.0)
+    sd = lq.spectral_decompose(np.outer(z, z) - np.eye(4))
+    assert sd.route == "real"
+    with pytest.raises(NonUniqueSteadyStateError, match="traceless"):
+        lq.steady_state(sd)
+
+
 def test_mode_overlaps_resolve_the_state():
     rng = philox(75)
     L = lq.build_liouvillian(rand_spec(rng, 2)).full
