@@ -8,9 +8,10 @@ numerical pipeline. The SFF and Krylov sections bound spectral-form-
 factor decay and complexity growth by the integrated non-classical
 speed, plus the complementary trade-off between the two. Both checks
 return columns over the grid, which the krylov command writes as they are.
-For a Hermitian start the Lanczos recursion of the commutator is real in
-the Hermitian basis B, so krylov_build runs it on real vectors k_n and
-reads real amplitudes phi_n(t) = (k_n|B^+ rho_t~) with one real product.
+krylov_build reads the Krylov chain of L_H from its spectral measure at
+rho_0~, built from one eigh(H): nodes E_i - E_j merged within 1e-12
+max(1, E_max - E_min), nodes of weight at most 1e-24 dropped. K is the
+number of nodes, exactly, and Lanczos on them takes K - 1 steps.
 """
 
 from dataclasses import dataclass
@@ -25,18 +26,18 @@ from .lindblad import (
     build_liouvillian,
     commutator_superop,
 )
-from .liouville import _gather, _scatter, liouville_angle, vectorize
+from .liouville import devectorize, liouville_angle, vectorize
 from .qsl import (
     _bound_ratio,
     _cumulative_simpson,
     _horizon_grid,
     _one_trajectory,
+    _trace_split,
     average_speed,
     complete_basis,
-    nonclassical_speed,
     operator_norm,
 )
-from .spectral import spectral_decompose, steady_state
+from .spectral import _phased, spectral_decompose, steady_state
 
 __all__ = [
     "KrylovData",
@@ -80,8 +81,7 @@ def sff(trace):
 
 
 def _nc_integral(trace, liouvillian):
-    basis = complete_basis(trace.normalized[0])
-    nc = nonclassical_speed(liouvillian, basis, trace.normalized)
+    nc = _trace_split(trace, liouvillian, complete_basis(trace.normalized[0])).nc
     return _cumulative_simpson(nc, trace.times)
 
 
@@ -100,17 +100,15 @@ def sff_bound_check(trace, liouvillian):
 
 @dataclass
 class KrylovData:
-    """Lanczos basis and occupation amplitudes for Hamiltonian dynamics.
+    """Lanczos coefficients and occupation amplitudes for Hamiltonian dynamics.
 
-    basis holds the complex orthonormal vectors |K_n)) = (-i)^n B k_n as
-    columns, with k_n the real Lanczos vectors in the Hermitian basis B;
-    amplitudes is a real array with one row per time, phi_n(t) = (-i)^n
-    (K_n|rho_t~) = (k_n|x_t) for x_t = B^+ rho_t~; complexity is sum_n n
-    phi_n² per time; trace is the propagated trajectory the amplitudes
-    were projected from, and generator the -1j L_H it was propagated under.
+    lanczos_b holds b_1..b_{K-1} of the Krylov chain of L_H from rho_0~, K the
+    number of nodes E_i - E_j of its spectral measure (merged within 1e-12
+    max(1, E_max - E_min), weight above 1e-24); amplitudes is real, one row
+    per time, phi_n(t) = (-i)^n (K_n|rho_t~); complexity is sum_n n phi_n²
+    per time; trace is the propagated trajectory, generator its -1j L_H.
     """
 
-    basis: np.ndarray
     lanczos_b: np.ndarray
     times: np.ndarray
     amplitudes: np.ndarray
@@ -120,7 +118,7 @@ class KrylovData:
 
     @property
     def dimension(self):
-        return self.basis.shape[1]
+        return self.lanczos_b.size + 1
 
     @property
     def ladder_norm(self):
@@ -134,57 +132,54 @@ class KrylovData:
 
 
 def krylov_build(hamiltonian, rho0, times):
-    """Lanczos basis of the commutator generator plus amplitudes in time.
+    """Krylov chain of the commutator generator plus amplitudes in time.
 
-    Runs the real Lanczos recursion b_{n+1} k_{n+1} = S k_n + b_n k_{n-1}
-    on S = B^+ (i L_H) B, the real antisymmetric form of L_H = 1 kron H -
-    H^T kron 1 in the Hermitian basis B, from the real k_0 = B^+ rho0~
-    with full reorthogonalization, stopping when b falls below 1e-12;
-    a_n = k_n^T S k_n vanishes by antisymmetry. Then |K_n)) = (-i)^n B k_n
-    are the Lanczos vectors of L_H. The trajectory under exp(-i L_H t)
-    gives the real amplitudes phi_n(t) = (k_n|B^+ rho_t~) as one real
-    product of its float view with Re and Im of B k_n, interleaved.
-    times must start at 0, as for propagate_expm.
+    The trajectory is propagate_expm's under -1j L_H; everything Krylov
+    comes from one eigh(H) = V diag(E) V^+. L_H has the eigenvalues
+    omega_ij = E_i - E_j on V|i><j|V^+, so r = V^+ rho_0~ V defines a
+    discrete spectral measure: the omega_ij sorted and merged where
+    consecutive ones lie within 1e-12 max(1, E_max - E_min), each node
+    weighted by the sum of its |r_ij|², and nodes of weight at most 1e-24
+    dropped. The Krylov dimension K is the number of nodes left. Lanczos
+    on diag(omega) from sqrt(p), with full reorthogonalization, takes
+    exactly K - 1 steps to the rows q_n, and phi_n(t) = Re((-i)^n sum_k
+    q_n(k) sqrt(p_k) exp(-i omega_k t)) is one real product over the float
+    view of the weights sqrt(p_k) exp(-i omega_k t), taken from
+    spectral._phased's anchor x offset table. times must start at 0, as for
+    propagate_expm; a stack of initial states raises ValidationError.
     """
     h = _checked_hamiltonian(hamiltonian)
-    lh = commutator_superop(h)
-    generator = -1j * lh
+    generator = -1j * commutator_superop(h)
     trace = propagate_expm(generator, rho0, times)
-    s = -trace.modes.real_form
+    _one_trajectory(trace)
 
-    n = lh.shape[0]
-    rows = np.empty((n, n))
-    rows[0] = _gather(trace.normalized.vector[0]).real
-    bs = []
-    prev, b = np.zeros(n), 0.0
-    for k in range(1, n):
-        r = s @ rows[k - 1] + b * prev
+    energies, v = np.linalg.eigh(h)
+    tol = 1e-12 * max(1.0, energies[-1] - energies[0])
+    r = v.conj().T @ devectorize(trace.normalized.vector[0]) @ v
+    omega = np.subtract.outer(energies, energies).ravel()
+    order = np.argsort(omega, kind="stable")
+    first = np.flatnonzero(np.diff(omega[order], prepend=-np.inf) > tol)
+    weights = np.add.reduceat(np.abs(r.ravel()[order]) ** 2, first)
+    keep = weights > 1e-24
+    nodes, root = omega[order[first[keep]]], np.sqrt(weights[keep])
+    k = nodes.size
+    q, bs = np.empty((k, k)), np.empty(k - 1)
+    q[0] = root / np.linalg.norm(root)
+    for n in range(1, k):
+        x = nodes * q[n - 1]
         for _ in range(2):
-            r -= rows[:k].T @ (rows[:k] @ r)
-        b = np.linalg.norm(r)
-        if b < 1e-12:
-            break
-        bs.append(float(b))
-        prev = rows[k - 1]
-        rows[k] = r / b
-    vectors = _scatter(rows[: len(bs) + 1])
-    basis = vectors.T * (-1j) ** np.arange(len(bs) + 1)
+            x -= q[:n].T @ (q[:n] @ x)
+        bs[n - 1] = np.linalg.norm(x)
+        q[n] = x / bs[n - 1]
 
-    amps = trace.normalized.vector.view(float) @ vectors.view(float).T
+    phases = _phased(-1j * nodes, root, trace.times)
+    rows = (1j ** np.arange(k))[:, None] * q
+    amps = phases.view(float) @ rows.view(float).T
     pops = amps**2
     worst = np.abs(np.sum(pops, axis=1) - 1.0).max()
     if worst > 1e-10:
         raise NumericalConsistencyError(f"Krylov amplitudes lose norm by {worst:.3e}")
-    complexity = pops @ np.arange(basis.shape[1])
-    return KrylovData(
-        basis=basis,
-        lanczos_b=np.array(bs),
-        times=trace.times,
-        amplitudes=amps,
-        complexity=complexity,
-        trace=trace,
-        generator=generator,
-    )
+    return KrylovData(bs, trace.times, amps, pops @ np.arange(k), trace, generator)
 
 
 def krylov_precursor_margins(kd):

@@ -351,6 +351,13 @@ def exact_uncertainty(superop, basis, state):
     return split.fisher**-0.5, split.nc
 
 
+def _trace_split(trace, liouvillian, basis):
+    """_ClassicalSplit of trace.normalized; reuses B^+ L B if trace.modes hold L."""
+    modes = trace.modes
+    real = modes.real_form if getattr(modes, "generator", None) is liouvillian else None
+    return _ClassicalSplit(liouvillian, basis, trace.normalized, real_form=real)
+
+
 def wootters_length(trace, liouvillian, basis):
     """Path length of the basis amplitude moduli along the trace.
 
@@ -361,8 +368,7 @@ def wootters_length(trace, liouvillian, basis):
     speed.
     """
     _odd_grid(len(trace))
-    split = _ClassicalSplit(liouvillian, basis, trace.normalized)
-    return _simpson(split.wootters, trace.times)
+    return _simpson(_trace_split(trace, liouvillian, basis).wootters, trace.times)
 
 
 def exact_qsl(trace, liouvillian, basis=None):
@@ -372,9 +378,7 @@ def exact_qsl(trace, liouvillian, basis=None):
     if basis is None:
         basis = complete_basis(trace.normalized[0])
     _odd_grid(len(trace))
-    modes = trace.modes
-    real = modes.real_form if getattr(modes, "generator", None) is liouvillian else None
-    split = _ClassicalSplit(liouvillian, basis, trace.normalized, real_form=real)
+    split = _trace_split(trace, liouvillian, basis)
     avg = _time_average(np.sqrt(split.var), trace.times)
     avg_nc = _time_average(split.nc, trace.times)
     length = _simpson(split.wootters, trace.times)

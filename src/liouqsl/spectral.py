@@ -56,6 +56,29 @@ __all__ = [
 _GAP_TOL = 1e-10
 
 
+def _phased(w, c, t):
+    """Weights exp(w_i t) c_i, shape t.shape + c.shape, for rates w over c's last axis.
+
+    A 1-D grid of T points is cut into blocks of B = isqrt(T). When the
+    anchors t[::B] plus the offsets t[:B] - t[0] reproduce every t_k within
+    4 eps max|t|, as on every linspace grid, the weights are the table
+    (exp(w anchors) c) x exp(w offsets); any other t, or B < 2, takes
+    exp(w t) c directly.
+    """
+    t = np.asarray(t, dtype=float)
+    shape = (1,) * (np.ndim(c) - 1) + (w.size,)
+    block = int(t.size**0.5) if t.ndim == 1 else 0
+    if block >= 2:
+        anchors, offsets = t[::block], t[:block] - t[0]
+        grid = (anchors[:, None] + offsets).ravel()[: t.size]
+        if np.abs(grid - t).max() <= 4.0 * np.finfo(float).eps * np.abs(t).max():
+            head = np.exp(np.outer(anchors, w)).reshape((-1, 1) + shape) * c
+            tail = np.exp(np.outer(offsets, w)).reshape((block,) + shape)
+            return (head * tail).reshape((-1,) + c.shape)[: t.size]
+    phases = np.exp(np.multiply.outer(t, w))
+    return phases.reshape(t.shape + shape) * c
+
+
 @dataclass
 class SpectralData:
     """Sorted eigensystem of a generator.
@@ -120,32 +143,9 @@ class SpectralData:
         the grids of _phased's table, each weight with Re lambda_i <= 0 is
         within 8 eps (1 + max|lambda| t_max) max|c| of the direct one.
         """
-        weights = self._phased(c, t)
+        weights = _phased(self.eigenvalues, c, t)
         vectors = weights.reshape(-1, self.size) @ self.right_vectors.T
         return vectors.reshape(weights.shape)
-
-    def _phased(self, c, t, modes=slice(None)):
-        """Weights exp(lambda_i t) c_i of the given modes, shape t.shape + c.shape.
-
-        A 1-D grid of T points is cut into blocks of B = isqrt(T). When the
-        anchors t[::B] plus the offsets t[:B] - t[0] reproduce every t_k within
-        4 eps max|t|, as on every linspace grid, the weights are the table
-        (exp(lambda anchors) c) x exp(lambda offsets); any other t, or B < 2,
-        takes exp(lambda t) c directly.
-        """
-        t = np.asarray(t, dtype=float)
-        w = self.eigenvalues[modes]
-        shape = (1,) * (np.ndim(c) - 1) + (w.size,)
-        block = int(t.size**0.5) if t.ndim == 1 else 0
-        if block >= 2:
-            anchors, offsets = t[::block], t[:block] - t[0]
-            grid = (anchors[:, None] + offsets).ravel()[: t.size]
-            if np.abs(grid - t).max() <= 4.0 * np.finfo(float).eps * np.abs(t).max():
-                head = np.exp(np.outer(anchors, w)).reshape((-1, 1) + shape) * c
-                tail = np.exp(np.outer(offsets, w)).reshape((block,) + shape)
-                return (head * tail).reshape((-1,) + c.shape)[: t.size]
-        phases = np.exp(np.multiply.outer(t, w))
-        return phases.reshape(t.shape + shape) * c
 
     def propagate(self, v0, t):
         """exp(L t) v0 at the times t for one vector v0 (n,) or a block (..., n).
@@ -167,7 +167,7 @@ class SpectralData:
         c = u[..., lead] + 0j
         c.imag[..., pair] = -u[..., partner]
         rows = np.concatenate([self.vectors[:, lead], -self.vectors[:, partner]], 1)
-        weights = self._phased(c, t, lead)
+        weights = _phased(self.eigenvalues[lead], c, t)
         weights = np.concatenate([weights.real, weights.imag[..., pair]], axis=-1)
         vectors = weights.reshape(-1, self.size) @ _scatter(rows.T).view(float)
         return vectors.view(complex).reshape(weights.shape)
