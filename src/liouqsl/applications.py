@@ -75,7 +75,7 @@ def sff(trace):
     coherent_gibbs_state, the spectral form factor of the channel family
     behind the trace (any family fits through build_trace(times, states)).
     """
-    _one_trajectory(trace)
+    _one_trajectory(trace.states)
     vecs = vectorize(trace.states)
     return np.real(vecs @ vecs[0].conj())
 
@@ -93,7 +93,7 @@ def sff_bound_check(trace, liouvillian):
     small angles stay accurate, and rhs the running integral of the
     non-classical speed; lhs never exceeds rhs.
     """
-    _one_trajectory(trace)
+    _one_trajectory(trace.states)
     lhs = liouville_angle(trace.states[0], trace.states)
     return lhs, _nc_integral(trace, liouvillian)
 
@@ -146,12 +146,12 @@ def krylov_build(hamiltonian, rho0, times):
     q_n(k) sqrt(p_k) exp(-i omega_k t)) is one real product over the float
     view of the weights sqrt(p_k) exp(-i omega_k t), taken from
     spectral._phased's anchor x offset table. times must start at 0, as for
-    propagate_expm; a stack of initial states raises ValidationError.
+    propagate_expm; a stack of initial states raises ValidationError up front.
     """
+    _one_trajectory(rho0, ndim=2)
     h = _checked_hamiltonian(hamiltonian)
     generator = -1j * commutator_superop(h)
     trace = propagate_expm(generator, rho0, times)
-    _one_trajectory(trace)
 
     energies, v = np.linalg.eigh(h)
     tol = 1e-12 * max(1.0, energies[-1] - energies[0])

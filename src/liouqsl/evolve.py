@@ -23,10 +23,11 @@ axis, so the time-averaged functionals give one value per initial state.
 
 propagate_expm writes a time-independent generator through the
 eigenmodes of spectral.spectral_decompose, the same ones the spectral
-command and the mode route use, so the two agree by construction. On
-any grid and for any block of initial states the whole trajectory is one
-product, SpectralData.propagate: for a Lindblad generator and Hermitian
-states, a real one over one mode of each conjugate pair, from W^-1 B^+ v0.
+command and the mode route use, so the two agree by construction; it
+refuses, before any eigensolver runs, a generator that does not preserve
+Hermiticity. On any grid and for any block of initial states the whole
+trajectory is one product, SpectralData.propagate: on the real route and
+for Hermitian states, a real one over one mode of each conjugate pair.
 Two derivative-free speed routes live here as well: a central-difference
 evaluation on the stored trace and a Kraus-family route that never
 touches the generator.
@@ -45,7 +46,6 @@ from .exceptions import (
 from .lindblad import kraus_to_superop
 from .liouville import (
     NormalizedState,
-    _real_form,
     _variance,
     devectorize,
     normalize_state,
@@ -188,15 +188,13 @@ def propagate_expm(liouvillian, rho0, times):
     block; an invalid initial state raises a ValidationError that names
     its index in the stack.
 
-    L must preserve Hermiticity (SpectralData.real_form is set) and be
-    finite, else a ValidationError is raised. Every grid point comes at
-    once from the eigensystem L = R diag(lambda) R^-1 of spectral_decompose
-    (SpectralData.propagate), kept as the trace's modes. When R is singular
-    or its biorthogonality defect (max|W^-1 W - 1| on the real route)
-    exceeds 1e-13, as near an exceptional point, scipy's expm steps over a
-    uniform grid (restarting exactly every 1024 steps), and over any other
-    grid per point; B^+ L B is then formed once, for the Hermiticity check.
-    Only that fallback imports scipy.
+    Every grid point comes at once from the eigensystem L = R diag(lambda)
+    R^-1 of spectral_decompose (SpectralData.propagate), kept as the trace's
+    modes; it raises ValidationError unless L is finite and preserves
+    Hermiticity. When R is singular or its biorthogonality defect exceeds
+    1e-13, as near an exceptional point, scipy's expm steps over a uniform
+    grid (restarting exactly every 1024 steps), and over any other grid per
+    point. Only that fallback imports scipy.
     """
     t = _check_grid(times)
     if abs(t[0]) > 1e-12:
@@ -223,8 +221,6 @@ def propagate_expm(liouvillian, rho0, times):
         modes = spectral_decompose(L)
     except DefectiveGeneratorError:
         modes = None
-    if (_real_form(L) if modes is None else modes.real_form) is None:
-        raise ValidationError("generator does not preserve Hermiticity")
     if modes is None or modes.biorthogonality > _MODAL_DEFECT_MAX:
         vecs, modes = _expm_steps(L, v, t), None
     else:

@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
-Input problems (bad matrices, mismatched dimensions, malformed specs) raise
-ValidationError subclasses. Conditions detected at run time on otherwise
-valid inputs (defective generators, degenerate kernels, inconsistent
-numerics) raise NumericalConsistencyError subclasses. The CLI maps the
-former to exit code 1 and the latter to exit code 2.
+Input problems (bad matrices, mismatched dimensions, malformed specs, even
+or short grids) raise ValidationError subclasses. Conditions detected at
+run time on otherwise valid inputs (defective generators, degenerate
+kernels, inconsistent numerics) raise NumericalConsistencyError
+subclasses. The CLI maps the former to exit code 1, the latter to 2.
 """
 
 
@@ -20,7 +20,7 @@ class NumericalConsistencyError(RuntimeError):
     """A numerical result left its guaranteed tolerance envelope."""
 
 
-class QuadratureError(NumericalConsistencyError):
+class QuadratureError(ValidationError):
     """Time grid unsuitable for the composite quadrature rule."""
 
 

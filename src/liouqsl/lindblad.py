@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionError, ValidationError
-from .liouville import _kron, sandwich_superop
+from .liouville import _kron, rehermitize, sandwich_superop
 
 __all__ = [
     "LindbladSpec",
@@ -33,7 +33,7 @@ _HERM_TOL = 1e-12
 
 
 def _checked_hamiltonian(hamiltonian):
-    """The Hamiltonian as a complex array if square, non-empty, finite, Hermitian."""
+    """Exact Hermitian part of H if square, non-empty, finite, skewed <= 1e-12."""
     h = np.asarray(hamiltonian, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
         raise DimensionError(f"hamiltonian must be square and non-empty, got {h.shape}")
@@ -41,12 +41,17 @@ def _checked_hamiltonian(hamiltonian):
         raise ValidationError("hamiltonian has non-finite entries")
     if np.abs(h - h.conj().T).max() > _HERM_TOL:
         raise ValidationError("hamiltonian is not Hermitian")
-    return h
+    return rehermitize(h)
 
 
 @dataclass
 class LindbladSpec:
-    """Hamiltonian plus a list of (rate, jump operator) pairs."""
+    """Hamiltonian plus a list of (rate, jump operator) pairs.
+
+    The Hamiltonian is stored as its exact Hermitian part, so every
+    generator built from it preserves Hermiticity to rounding, and -1j L_H
+    takes the hermitian route of spectral_decompose.
+    """
 
     hamiltonian: np.ndarray
     jumps: list = field(default_factory=list)

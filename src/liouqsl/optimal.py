@@ -8,7 +8,7 @@ which reaches the equal mixture as t grows; the Mandelstam-Tamm type
 bound is saturated along the whole path.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,12 +28,12 @@ _TOL = 1e-10
 
 @dataclass
 class GeodesicSpec:
-    """Endpoint pair, decay rate, and the unitary connecting them."""
+    """Endpoint pair, decay rate, and connecting_unitary's involution between them."""
 
     rho0: np.ndarray
     rho0_perp: np.ndarray
     gamma: float
-    unitary: np.ndarray = None
+    unitary: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.rho0 = np.asarray(self.rho0, dtype=complex)
@@ -46,11 +46,8 @@ class GeodesicSpec:
         self.gamma = float(self.gamma)
         if not 0.0 < self.gamma < np.inf:
             raise ValidationError("gamma must be positive and finite")
-        if self.unitary is None:
-            self.unitary = connecting_unitary(self.rho0, self.rho0_perp)
-        u = np.asarray(self.unitary, dtype=complex)
-        d = self.rho0.shape[0]
-        if np.abs(u.conj().T @ u - np.eye(d)).max() > _TOL:
+        u = connecting_unitary(self.rho0, self.rho0_perp)
+        if np.abs(u.conj().T @ u - np.eye(self.dim)).max() > _TOL:
             raise ValidationError("connecting matrix is not unitary")
         if np.abs(u @ self.rho0 @ u.conj().T - self.rho0_perp).max() > _TOL:
             raise ValidationError("unitary does not map rho0 onto rho0_perp")

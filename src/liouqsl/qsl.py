@@ -174,12 +174,10 @@ def _horizon_grid(horizon, points):
     return np.linspace(0.0, horizon, points)
 
 
-def _one_trajectory(trace):
-    """Raise ValidationError for a stacked trace; the report layer takes one."""
-    if trace.states.ndim != 3:
-        raise ValidationError(
-            f"expected one trajectory, got a stack of {len(trace.states)}"
-        )
+def _one_trajectory(states, ndim=3):
+    """Raise ValidationError when states stacks arrays of ndim axes (3 for a trace)."""
+    if np.ndim(states) > ndim:
+        raise ValidationError(f"expected one trajectory, got a stack of {len(states)}")
 
 
 def _bound_ratio(numerator, denominator):
@@ -373,7 +371,7 @@ def wootters_length(trace, liouvillian, basis):
 
 def exact_qsl(trace, liouvillian, basis=None):
     """Bound-and-equality report; takes B^+ L B from trace.modes if it decomposed L."""
-    _one_trajectory(trace)
+    _one_trajectory(trace.states)
     theta = float(liouville_angle(trace.states[0], trace.states[-1]))
     if basis is None:
         basis = complete_basis(trace.normalized[0])

@@ -2,13 +2,14 @@
 
 A diagonalizable generator decomposes as L = sum_i lambda_i |r_i))((l_i|
 with biorthonormal left/right eigenvectors. spectral_decompose is the one
-eigendecomposition of the package; for a Lindblad generator it keeps the
-real pair matrix W of B^+ L B with its real inverse, and forms complex
-vectors only when they are read; steady_state reads the stationary column of
-W and forms none. SpectralData.propagate, behind propagate_expm, writes
-states through the same modes: sum_i exp(lambda_i t) c_i |r_i)) with
-c_i = (l_i|rho0), by SpectralData.evolve, or for a Lindblad generator and
-Hermitian rho0 by one real product from the pair coordinates W^-1 B^+ rho0.
+eigendecomposition of the package and takes only generators that preserve
+Hermiticity; on its real route it keeps the real pair matrix W of B^+ L B
+with its real inverse, and forms complex vectors only when they are read;
+steady_state reads the stationary column of W and forms none.
+SpectralData.propagate, behind propagate_expm, writes states through the
+same modes: sum_i exp(lambda_i t) c_i |r_i)) with c_i = (l_i|rho0), by
+SpectralData.evolve, or on the real route and for Hermitian rho0 by one
+real product from the pair coordinates W^-1 B^+ rho0.
 On a uniform grid of T points both take exp(lambda_i t) from an anchor x
 offset table, about 2 sqrt(T) exponentials per mode instead of T, each
 weight within 8 eps (1 + max|lambda| t_max) max|c| of the direct one; other
@@ -81,7 +82,7 @@ def _phased(w, c, t):
 
 @dataclass
 class SpectralData:
-    """Sorted eigensystem of a generator.
+    """Sorted eigensystem of a Hermiticity-preserving generator.
 
     eigenvalues ascend in |Re lambda|, ties by Im lambda (a real array when
     all are real, as from numpy's eig). vectors and inverse are taken in the
@@ -89,8 +90,7 @@ class SpectralData:
     mode conjugate to mode i); right_vectors and left_vectors hold |r_i)) and
     |l_i)), (l_i|r_j) = delta_ij, formed when first read. condition and
     biorthogonality are spectral_decompose's defects; real_form is B^+ L B
-    of generator when it preserves Hermiticity (routes "hermitian" and
-    "real", where it is the array decomposed), else None.
+    of generator on both routes, the array decomposed on the real one.
     """
 
     eigenvalues: np.ndarray
@@ -99,8 +99,8 @@ class SpectralData:
     condition: float
     biorthogonality: float
     route: str
-    generator: np.ndarray = None
-    real_form: np.ndarray = None
+    generator: np.ndarray
+    real_form: np.ndarray
     partner: np.ndarray = None
 
     @functools.cached_property
@@ -174,20 +174,19 @@ class SpectralData:
 
 
 def spectral_decompose(liouvillian):
-    """Biorthonormal eigensystem with defect measurement.
+    """Biorthonormal eigensystem of a Hermiticity-preserving generator.
 
-    Three routes, chosen from the generator and recorded in route:
+    L must be square and finite, and its real form B^+ L B in the basis B of
+    Hermitian matrices (liouville._real_form) must exist, as for every
+    Lindblad generator; else ValidationError is raised before any
+    eigensolver runs. B^+ L B is kept as real_form. Two routes, recorded in
+    route:
     - "hermitian": when 1j L is exactly Hermitian (coherent dynamics such
       as -1j L_H), numpy's eigh gives a unitary R, so R^-1 = R^+;
-    - "real": when L preserves Hermiticity, as every Lindblad generator
-      does, numpy's eig of its real form B^+ L B in the basis B of Hermitian
-      matrices (liouville._real_form); complex eigenvalues come in exactly
-      conjugate pairs. The real matrix W holds Re r, and Im r in the column
-      of conj(r): B^+ L B = W D W^-1 with D = [[a, b], [-b, a]] on a +- ib;
-    - "complex": numpy's eig of L itself, for any other square L. Only the
-      mode route and direct callers take it; propagate_expm refuses it.
-    B^+ L B is formed first and kept as real_form on both routes that
-    preserve Hermiticity. A non-finite entry raises ValidationError.
+    - "real": otherwise, numpy's eig of B^+ L B; complex eigenvalues come
+      in exactly conjugate pairs. The real matrix W holds Re r, and Im r in
+      the column of conj(r): B^+ L B = W D W^-1 with D = [[a, b], [-b, a]]
+      on a +- ib.
     condition is the biorthogonality max|R^-1 R - 1| plus max|R diag(lambda)
     R^-1 - L|, both in the coordinates diagonalized (max|W^-1 W - 1| and
     max|W D W^-1 - B^+ L B|, at least half the Liouville-space defect); L is
@@ -199,18 +198,21 @@ def spectral_decompose(liouvillian):
         raise ValidationError(f"generator must be square, got shape {L.shape}")
     if not np.isfinite(L).all():
         raise ValidationError("generator has a nan or infinite entry")
-    real, partner = _real_form(L), None
+    real = _real_form(L)
+    if real is None:
+        raise ValidationError("generator does not preserve Hermiticity")
     hermitian = None if L.diagonal().real.any() else 1j * L
     if hermitian is not None and np.array_equal(hermitian, hermitian.conj().T):
-        route = "hermitian"
+        route, partner = "hermitian", None
         energies, vectors = np.linalg.eigh(hermitian)
         w, inverse = -1j * energies, vectors.conj().T
+        target, scaled = L, vectors * w
     else:
-        route = "complex" if real is None else "real"
-        w, vectors = np.linalg.eig(L if real is None else real)
-        if real is not None:
-            partner = np.arange(w.size) + np.sign(w.imag).astype(int)
-            vectors = np.where(w.imag < 0, -vectors.imag, vectors.real)
+        route = "real"
+        w, vectors = np.linalg.eig(real)
+        partner = np.arange(w.size) + np.sign(w.imag).astype(int)
+        vectors = np.where(w.imag < 0, -vectors.imag, vectors.real)
+        target, scaled = real, vectors * w.real - vectors[:, partner] * w.imag
         try:
             inverse = np.linalg.inv(vectors)
         except np.linalg.LinAlgError as exc:
@@ -218,9 +220,6 @@ def spectral_decompose(liouvillian):
                 f"right-eigenvector matrix is singular: {exc}"
             ) from exc
     biorth = float(np.abs(inverse @ vectors - np.eye(w.size)).max())
-    target, scaled = (L, vectors * w) if partner is None else (real, vectors * w.real)
-    if partner is not None:
-        scaled -= vectors[:, partner] * w.imag
     recon = float(np.abs(scaled @ inverse - target).max())
     defect = biorth + recon / max(1.0, float(np.abs(L).max()))
     if defect > 1e-4:

@@ -241,6 +241,17 @@ def test_krylov_build_structure():
         lq.krylov_build(h, np.stack([rho0, np.eye(3) / 3.0]), times)
 
 
+def test_krylov_build_refuses_a_stack_before_propagating(monkeypatch):
+    def no_propagation(*args):
+        raise AssertionError("a stack was propagated")
+
+    monkeypatch.setattr(lq.applications, "propagate_expm", no_propagation)
+    h = rand_hermitian(philox(82), 3)
+    rho0 = lq.coherent_gibbs_state(h, 0.3)
+    with pytest.raises(ValidationError, match="stack of 2"):
+        lq.krylov_build(h, np.stack([rho0, np.eye(3) / 3.0]), np.linspace(0.0, 1.0, 11))
+
+
 def _lanczos_oracle(lh, v0):
     """The Lanczos loop as it was when it stacked a growing list of columns."""
     cols = [v0]
@@ -338,6 +349,15 @@ def test_krylov_dimension_of_an_equally_spaced_ladder(d):
     assert_allclose(built[1].lanczos_b, built[0].lanczos_b, rtol=1e-12)
 
 
+def test_krylov_build_keeps_a_rotated_ladder_on_the_hermitian_route():
+    # U diag(E) U^+ is Hermitian only to rounding; stored as its Hermitian
+    # part, its commutator generator passes the exact test of eigh's route.
+    h = _ladder(12, rotated=True)
+    assert not np.array_equal(h, h.conj().T)
+    kd = lq.krylov_build(h, lq.coherent_gibbs_state(h, 0.3), np.linspace(0.0, 5.0, 301))
+    assert kd.trace.modes.route == "hermitian"
+
+
 def test_krylov_near_degenerate_spectra_agree_with_the_loop():
     # Gaps 1e-7 and 1e-5 wide, and a level split by 1e-9, stay distinct
     # nodes: K = d(d-1)+1, as the loop finds. The smallest b fall to about
@@ -369,7 +389,7 @@ def test_krylov_op_forms_the_real_form_once(monkeypatch):
         calls.append(superop.shape)
         return real_form(superop)
 
-    for module in (lq.spectral, lq.evolve, lq.qsl):
+    for module in (lq.spectral, lq.qsl):
         monkeypatch.setattr(module, "_real_form", counted)
     h = rand_hermitian(philox(94), 3)
     kd = lq.krylov_build(h, lq.coherent_gibbs_state(h, 0.5), np.linspace(0.0, 2.0, 101))

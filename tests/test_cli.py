@@ -473,6 +473,26 @@ def test_cli_requires_rho0_beyond_qubits(tmp_path, capsys):
     assert "error=validation" in capsys.readouterr().err
 
 
+def test_a_hamiltonian_skewed_within_tolerance_runs_every_command(tmp_path):
+    # H skewed by 1e-13 passes LindbladSpec's 1e-12 check and is stored as its
+    # Hermitian part, so every command sees a Hermiticity-preserving generator.
+    rng = philox(96)
+    spec = rand_spec(rng, 3, jumps=1)
+    skewed = spec.hamiltonian.copy()
+    skewed[0, 1] += 1e-13
+    stored = lq.LindbladSpec(hamiltonian=skewed, jumps=spec.jumps).hamiltonian
+    assert np.array_equal(stored, stored.conj().T)
+    doc = lq.spec_to_json(spec)
+    doc["hamiltonian"] = lq.matrix_to_json(skewed)
+    path = tmp_path / "skewed.json"
+    lq.dump_json(doc, path)
+    rho0 = _write_matrix(tmp_path, "rho0.json", rand_rho(rng, 3))
+    common = ["--spec", str(path), "--points", "101", "--out", str(tmp_path / "out")]
+    for command in ("validate", "spectral", "evolve", "qsl-report"):
+        extra = [] if command in ("validate", "spectral") else ["--rho0", rho0]
+        assert main([command] + common + extra) == 0, command
+
+
 def test_cli_numerical_failure(tmp_path, capsys):
     sz = np.diag([1.0, -1.0]).astype(complex)
     spec = lq.LindbladSpec(hamiltonian=np.zeros((2, 2)), jumps=[(0.5, sz)])

@@ -226,31 +226,33 @@ def test_hermitian_start_inverts_in_real_arithmetic(monkeypatch):
     assert stepped.modes is None
 
 
-def test_non_hermiticity_preserving_generator_takes_the_modes():
+def test_non_hermiticity_preserving_generators_are_refused():
+    # Neither the mode route nor propagation takes a generic complex generator.
     rng = philox(48)
     times = np.linspace(0.0, 2.0, 201)
     for d in (2, 3, 4):
         n = d * d
         L = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
-        sd = lq.spectral_decompose(L)
-        assert sd.route == "complex"
-        v0 = lq.vectorize(np.eye(d) / d)
-        modal = sd.propagate(v0, times)
-        assert np.abs(modal - _per_point_reference(L, v0, times)).max() < 1e-13
+        with pytest.raises(ValidationError, match="preserve Hermiticity"):
+            lq.spectral_decompose(L)
+        with pytest.raises(ValidationError, match="preserve Hermiticity"):
+            propagate_expm(L, np.eye(d) / d, times)
 
 
 def test_propagate_expm_refuses_generators_that_break_hermiticity():
-    # 1j L Hermitian (the hermitian route) and a commutator without its -1j
-    # (the complex route): both send Hermitian states to non-Hermitian ones.
+    # 1j L Hermitian, and a commutator without its -1j: both send Hermitian
+    # states to non-Hermitian ones, so spectral_decompose refuses both.
     rho0 = np.array([[0.6, 0.3], [0.3, 0.4]], dtype=complex)
     k = np.zeros((4, 4), dtype=complex)
     k[2, 2] = 1.0
-    assert lq.spectral_decompose(-1j * k).route == "hermitian"
+    with pytest.raises(ValidationError, match="preserve Hermiticity"):
+        lq.spectral_decompose(-1j * k)
     with pytest.raises(ValidationError, match="preserve Hermiticity"):
         propagate_expm(-1j * k, rho0, np.linspace(0.0, 1.0, 201))
     h = rand_hermitian(philox(51), 3)
     skew = 0.3 * lq.commutator_superop(h)
-    assert lq.spectral_decompose(skew).route == "complex"
+    with pytest.raises(ValidationError, match="preserve Hermiticity"):
+        lq.spectral_decompose(skew)
     with pytest.raises(ValidationError, match="preserve Hermiticity"):
         propagate_expm(skew, np.eye(3) / 3, np.linspace(0.0, 0.2, 101))
     coherent = propagate_expm(-1j * lq.commutator_superop(h), np.eye(3) / 3, [0.0, 1.0])

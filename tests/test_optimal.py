@@ -55,7 +55,8 @@ def test_geodesic_spec_validation():
     for gamma in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             lq.GeodesicSpec(rho0=zero, rho0_perp=one, gamma=gamma)
-    with pytest.raises(ValidationError):
+    # The unitary is always connecting_unitary's; a caller cannot pass another.
+    with pytest.raises(TypeError, match="unitary"):
         lq.GeodesicSpec(rho0=zero, rho0_perp=one, gamma=0.1, unitary=np.diag([1.0, 1.0]))
 
 

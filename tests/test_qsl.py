@@ -117,6 +117,14 @@ def test_average_speed_needs_odd_grid():
         lq.average_speed(even, L)
 
 
+def test_an_even_grid_is_bad_input():
+    # QuadratureError is a ValidationError: the CLI exits 1 on it.
+    L, trace = _ad_trace(points=5)
+    even = lq.build_trace(trace.times[:4], trace.states[:4])
+    with pytest.raises(ValidationError, match="odd"):
+        lq.exact_qsl(even, L)
+
+
 def test_mt_bound_below_horizon():
     L, trace = _ad_trace(horizon=5.0)
     assert lq.exact_qsl(trace, L).bound_mt <= 5.0

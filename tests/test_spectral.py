@@ -9,6 +9,7 @@ from liouqsl.exceptions import (
     QuadratureError,
     ValidationError,
 )
+from liouqsl.liouville import _scatter
 from liouqsl.spectral import _phased
 
 from conftest import philox, rand_pure, rand_rho, rand_spec
@@ -100,17 +101,33 @@ def test_eigenvalue_ordering():
 
 
 def test_defective_generator_raises():
+    # A real Jordan block S in Hermitian coordinates: L = B S B^+ preserves
+    # Hermiticity, so the real route meets the defect.
     jordan = np.array(
         [
             [0.0, 1.0, 0.0, 0.0],
             [0.0, 0.0, 0.0, 0.0],
             [0.0, 0.0, -1.0, 0.0],
             [0.0, 0.0, 0.0, -2.0],
-        ],
-        dtype=complex,
+        ]
     )
+    b = _scatter(np.eye(4)).T
     with pytest.raises(DefectiveGeneratorError):
-        lq.spectral_decompose(jordan)
+        lq.spectral_decompose(b @ jordan @ b.conj().T)
+
+
+def test_non_hermiticity_preserving_generator_is_refused_before_any_eigensolver(
+    monkeypatch,
+):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    monkeypatch.setattr(np.linalg, "eig", no_solver)
+    monkeypatch.setattr(np.linalg, "eigh", no_solver)
+    x = philox(79).normal(size=(9, 9)) + 1j * philox(78).normal(size=(9, 9))
+    for L in (x, 1j * (x + x.conj().T)):
+        with pytest.raises(ValidationError, match="preserve Hermiticity"):
+            lq.spectral_decompose(L)
 
 
 def test_defect_threshold_scales_with_the_generator():
@@ -311,17 +328,11 @@ def test_mode_elimination_deterministic():
 
 
 def _phase_table_generators():
-    """A coherent, a Lindblad and a non-Hermiticity-preserving generator, d = 3.
-
-    The last is shifted by its largest Re lambda, so that every Re lambda <= 0
-    as for the other two.
-    """
+    """A coherent and a Lindblad generator, d = 3."""
     rng = philox(80)
     h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     yield "hermitian", -1j * lq.commutator_superop((h + h.conj().T) / 2)
     yield "real", lq.build_liouvillian(rand_spec(rng, 3)).full
-    x = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    yield "complex", x - np.linalg.eigvals(x).real.max() * np.eye(9)
 
 
 def _direct_weights(sd, c, t, modes=slice(None)):
