@@ -9,7 +9,7 @@ factor decay and complexity growth by the integrated non-classical
 speed, plus the complementary trade-off between the two. Both checks
 return columns over the grid, which the krylov command writes as they are.
 krylov_build reads the Krylov chain of L_H from its spectral measure at
-rho_0~, built from one eigh(H): nodes E_i - E_j merged within 1e-12
+rho_0~ in the trajectory's eigenmodes: nodes E_i - E_j merged within 1e-12
 max(1, E_max - E_min), nodes of weight at most 1e-24 dropped. K is the
 number of nodes, exactly, and Lanczos on them takes K - 1 steps.
 """
@@ -26,7 +26,7 @@ from .lindblad import (
     build_liouvillian,
     commutator_superop,
 )
-from .liouville import devectorize, liouville_angle, vectorize
+from .liouville import liouville_angle, vectorize
 from .qsl import (
     _bound_ratio,
     _cumulative_simpson,
@@ -103,10 +103,11 @@ class KrylovData:
     """Lanczos coefficients and occupation amplitudes for Hamiltonian dynamics.
 
     lanczos_b holds b_1..b_{K-1} of the Krylov chain of L_H from rho_0~, K the
-    number of nodes E_i - E_j of its spectral measure (merged within 1e-12
-    max(1, E_max - E_min), weight above 1e-24); amplitudes is real, one row
-    per time, phi_n(t) = (-i)^n (K_n|rho_t~); complexity is sum_n n phi_n²
-    per time; trace is the propagated trajectory, generator its -1j L_H.
+    number of nodes E_i - E_j of its spectral measure in trace.modes (merged
+    within 1e-12 max(1, E_max - E_min), weight above 1e-24); amplitudes is
+    real, one row per time, phi_n(t) = (-i)^n (K_n|rho_t~); complexity is
+    sum_n n phi_n² per time; trace is the propagated trajectory, generator
+    its -1j L_H.
     """
 
     lanczos_b: np.ndarray
@@ -134,32 +135,31 @@ class KrylovData:
 def krylov_build(hamiltonian, rho0, times):
     """Krylov chain of the commutator generator plus amplitudes in time.
 
-    The trajectory is propagate_expm's under -1j L_H; everything Krylov
-    comes from one eigh(H) = V diag(E) V^+. L_H has the eigenvalues
-    omega_ij = E_i - E_j on V|i><j|V^+, so r = V^+ rho_0~ V defines a
-    discrete spectral measure: the omega_ij sorted and merged where
-    consecutive ones lie within 1e-12 max(1, E_max - E_min), each node
-    weighted by the sum of its |r_ij|², and nodes of weight at most 1e-24
-    dropped. The Krylov dimension K is the number of nodes left. Lanczos
-    on diag(omega) from sqrt(p), with full reorthogonalization, takes
-    exactly K - 1 steps to the rows q_n, and phi_n(t) = Re((-i)^n sum_k
-    q_n(k) sqrt(p_k) exp(-i omega_k t)) is one real product over the float
-    view of the weights sqrt(p_k) exp(-i omega_k t), taken from
-    spectral._phased's anchor x offset table. times must start at 0, as for
-    propagate_expm; a stack of initial states raises ValidationError up front.
+    The trajectory is propagate_expm's under -1j L_H, and everything Krylov
+    comes from its modes (spectral_decompose's after the stepping fallback):
+    eigenvalues -i omega, omega = E_i - E_j, and overlaps c = (l|rho_0~).
+    The omega sorted and merged within 1e-12 max(1, max omega), each node
+    weighted by the sum of its |c|², nodes of weight at most 1e-24 dropped,
+    form a discrete spectral measure; K is its number of nodes. Lanczos on
+    diag(omega) from sqrt(p), with full reorthogonalization, takes exactly
+    K - 1 steps to the rows q_n, and phi_n(t) = Re((-i)^n sum_k q_n(k)
+    sqrt(p_k) exp(-i omega_k t)) is one real product over the float view of
+    the weights sqrt(p_k) exp(-i omega_k t), taken from spectral._phased's
+    anchor x offset table. times must start at 0, as for propagate_expm; a
+    stack of initial states raises ValidationError up front.
     """
     _one_trajectory(rho0, ndim=2)
     h = _checked_hamiltonian(hamiltonian)
     generator = -1j * commutator_superop(h)
     trace = propagate_expm(generator, rho0, times)
 
-    energies, v = np.linalg.eigh(h)
-    tol = 1e-12 * max(1.0, energies[-1] - energies[0])
-    r = v.conj().T @ devectorize(trace.normalized.vector[0]) @ v
-    omega = np.subtract.outer(energies, energies).ravel()
+    modes = trace.modes or spectral_decompose(generator)
+    omega = np.real(1j * modes.eigenvalues)
+    tol = 1e-12 * max(1.0, omega.max())
+    c = modes.overlaps(trace.normalized.vector[0])
     order = np.argsort(omega, kind="stable")
     first = np.flatnonzero(np.diff(omega[order], prepend=-np.inf) > tol)
-    weights = np.add.reduceat(np.abs(r.ravel()[order]) ** 2, first)
+    weights = np.add.reduceat(np.abs(c[order]) ** 2, first)
     keep = weights > 1e-24
     nodes, root = omega[order[first[keep]]], np.sqrt(weights[keep])
     k = nodes.size
@@ -319,11 +319,12 @@ def mpemba_report(alphas, gamma, n, horizon, points=2001):
 
     For each alpha: eta (averaged speed over operator norm), the angle to
     the steady state per time, and the offset delta = T - theta/averaged-
-    speed. Crossings of the theta curves for different alphas signal faster
-    relaxation from farther states. All initial states are propagated as
-    one stack, so each quantity is one array expression over the stack axis;
-    the steady state is read from the stationary mode of the propagation's
-    eigensystem, and theta_ss has one row per alpha.
+    speed. Crossings of the theta curves for different alphas, interpolated
+    at each sign change of a pair's difference, signal faster relaxation
+    from farther states. All initial states are propagated as one stack, so
+    each quantity is one array expression over the stack axis; the steady
+    state is read from the stationary mode of the propagation's eigensystem,
+    and theta_ss has one row per alpha.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0:
@@ -334,20 +335,18 @@ def mpemba_report(alphas, gamma, n, horizon, points=2001):
     trace = propagate_expm(L, rho0s, times)
     rho_ss = steady_state(trace.modes or spectral_decompose(L))
     avg = average_speed(trace, L)
-    eta = avg / operator_norm(L)
+    eta = _bound_ratio(avg, operator_norm(L))
     theta = liouville_angle(trace.states[:, 0], trace.states[:, -1])
-    delta = times[-1] - np.array([_bound_ratio(a, b) for a, b in zip(theta, avg)])
+    delta = times[-1] - _bound_ratio(theta, avg)
     theta_ss = liouville_angle(rho_ss, trace.states)
-    crossings = []
-    for i in range(alphas.size):
-        for j in range(i + 1, alphas.size):
-            diff = theta_ss[i] - theta_ss[j]
-            signs = np.sign(diff)
-            for k in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-                frac = diff[k] / (diff[k] - diff[k + 1])
-                tc = times[k] + frac * (times[k + 1] - times[k])
-                crossings.append((float(alphas[i]), float(alphas[j]), float(tc)))
-    crossings.sort(key=lambda item: item[2])
+    i, j = np.triu_indices(alphas.size, 1)
+    diff = theta_ss[i] - theta_ss[j]
+    signs = np.sign(diff)
+    pair, k = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
+    frac = diff[pair, k] / (diff[pair, k] - diff[pair, k + 1])
+    tc = times[k] + frac * (times[k + 1] - times[k])
+    rows = np.column_stack([alphas[i][pair], alphas[j][pair], tc])
+    crossings = [tuple(r) for r in rows[np.argsort(tc, kind="stable")].tolist()]
     return MpembaReport(
         alphas=alphas,
         gamma=float(gamma),

@@ -2,8 +2,9 @@
 
 Given orthogonal density matrices rho0 and rho0_perp sharing a spectrum,
 the generator gamma (U* kron U - 1) with U rho0 U+ = rho0_perp drives the
-state along the straight line P_t rho0 + (1 - P_t) rho0_perp. For the
-involutory U produced here the weight is P_t = (1 + exp(-2 gamma t))/2,
+state along the straight line P_t rho0 + (1 - P_t) rho0_perp; as U+ U = 1,
+it is the Lindblad generator of the one jump sqrt(gamma) U with H = 0. For
+the involutory U produced here the weight is P_t = (1 + exp(-2 gamma t))/2,
 which reaches the equal mixture as t grows; the Mandelstam-Tamm type
 bound is saturated along the whole path.
 """
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ValidationError
-from .liouville import validate_density_matrix, sandwich_superop
+from .lindblad import LindbladSpec, build_liouvillian
+from .liouville import validate_density_matrix
 
 __all__ = [
     "GeodesicSpec",
@@ -59,12 +61,9 @@ class GeodesicSpec:
 
 
 def optimal_liouvillian(gs):
-    """Generator gamma (U* kron U - 1) of the straight-line dynamics."""
-    d = gs.dim
-    u = gs.unitary
-    return gs.gamma * (
-        sandwich_superop(u, u.conj().T) - np.eye(d * d, dtype=complex)
-    )
+    """Generator gamma (U* kron U - 1): build_liouvillian of the jump sqrt(gamma) U."""
+    spec = LindbladSpec(np.zeros((gs.dim, gs.dim)), [(gs.gamma, gs.unitary)])
+    return build_liouvillian(spec).full
 
 
 def connecting_unitary(rho0, rho0_perp):

@@ -183,16 +183,19 @@ def _one_trajectory(states, ndim=3):
 def _bound_ratio(numerator, denominator):
     """Every ratio of the bound chain: a distance or a speed over a speed or a norm.
 
-    A vanishing denominator gives 0 against a vanishing numerator, as for
-    a stationary state or a zero generator, and raises otherwise.
+    Elementwise over broadcast arrays; scalars give a float. A vanishing
+    denominator gives 0 against a vanishing numerator, as for a stationary
+    state or a zero generator, and raises when any numerator is finite.
     """
-    if denominator < 1e-14 * max(numerator, 1.0):
-        if numerator < _ANGLE_FLOOR:
-            return 0.0
+    num, den = np.broadcast_arrays(np.asarray(numerator, float), denominator)
+    vanishing = den < 1e-14 * np.maximum(num, 1.0)
+    finite = vanishing & ~(num < _ANGLE_FLOOR)
+    if finite.any():
         raise NumericalConsistencyError(
-            f"vanishing speed or norm against a finite numerator {numerator:.3e}"
+            f"vanishing speed or norm against a finite numerator {num[finite][0]:.3e}"
         )
-    return float(numerator / denominator)
+    ratio = np.divide(num, den, out=np.zeros(num.shape), where=~vanishing)
+    return ratio if ratio.ndim else float(ratio)
 
 
 def speed(liouvillian, state):

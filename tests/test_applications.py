@@ -397,6 +397,24 @@ def test_krylov_op_forms_the_real_form_once(monkeypatch):
     assert calls == [(9, 9)]
 
 
+def test_krylov_build_takes_one_eigendecomposition(monkeypatch):
+    # The Krylov measure is read from the propagation's eigenmodes, so the
+    # only eigh is spectral_decompose's on the hermitian route.
+    h = rand_hermitian(philox(95), 4)
+    rho0 = lq.coherent_gibbs_state(h, 0.5)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    kd = lq.krylov_build(h, rho0, np.linspace(0.0, 2.0, 101))
+    assert calls == [(16, 16)]
+    assert kd.dimension == 13
+
+
 def test_krylov_bound_check():
     rng = philox(84)
     for d in (3, 4):
@@ -458,6 +476,32 @@ def test_mpemba_report_frozen_values():
     doc = rep.to_json()
     assert doc["crossings"][0]["alpha_a"] == 0.25
     assert len(doc["crossings"]) == len(rep.crossing_times)
+
+
+def _crossings_oracle(rep):
+    """The crossings of every pair of theta_ss curves, found by loops."""
+    found = []
+    for i in range(rep.alphas.size):
+        for j in range(i + 1, rep.alphas.size):
+            diff = rep.theta_ss[i] - rep.theta_ss[j]
+            signs = np.sign(diff)
+            for k in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
+                frac = diff[k] / (diff[k] - diff[k + 1])
+                tc = rep.times[k] + frac * (rep.times[k + 1] - rep.times[k])
+                found.append((float(rep.alphas[i]), float(rep.alphas[j]), float(tc)))
+    return sorted(found, key=lambda item: item[2])
+
+
+@pytest.mark.parametrize("seed", [7, 100])
+def test_mpemba_crossings_match_the_loop_oracle(seed):
+    # The inputs of ops 0 and 1 of the mpemba-sweep benchmark: 8 alphas,
+    # gamma 0.01, T = 300.
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        alphas = sorted(rng.uniform(0.1, 0.95, size=8))
+        rep = lq.mpemba_report(alphas, 0.01, rng.uniform(0.0, 0.5), 300.0)
+        assert 16 <= len(rep.crossing_times) <= 22
+        assert rep.crossing_times == _crossings_oracle(rep)
 
 
 def test_mpemba_sweep_rows_match_single_alpha_sweeps():

@@ -13,7 +13,7 @@ from scipy.linalg import expm
 import liouqsl as lq
 from liouqsl import liouville, qsl, spectral
 from liouqsl.cli import ScenarioConfig, _parser, main
-from liouqsl.exceptions import ValidationError
+from liouqsl.exceptions import QuadratureError, ValidationError
 
 from conftest import philox, rand_rho, rand_spec
 
@@ -43,8 +43,12 @@ def _write_matrix(tmp_path, name, matrix):
 def test_scenario_config_validation():
     with pytest.raises(ValidationError):
         ScenarioConfig(command="evolve", t_max=-1.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(QuadratureError):
         ScenarioConfig(command="evolve", points=100)
+    cfg = ScenarioConfig(command="evolve", t_max=3.0, points=301)
+    assert np.array_equal(cfg.times, np.linspace(0.0, 3.0, 301))
+    with pytest.raises(TypeError):
+        ScenarioConfig(command="evolve", times=np.zeros(3))
     for field in ("t_max", "gamma", "n", "beta", "alpha"):
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValidationError):

@@ -86,6 +86,14 @@ def test_optimal_liouvillian_swaps_endpoints():
     assert np.abs(got - 0.4 * (lq.vectorize(one) - lq.vectorize(zero))).max() < 1e-12
 
 
+@pytest.mark.parametrize("d, weights", [(3, [1.0]), (4, [0.6, 0.4])])
+def test_optimal_liouvillian_is_the_one_jump_lindblad_generator(d, weights):
+    rho0, rho_perp = _orthogonal_pair(philox(62), d, weights)
+    gs = lq.GeodesicSpec(rho0=rho0, rho0_perp=rho_perp, gamma=0.35)
+    spec = lq.LindbladSpec(np.zeros((d, d)), [(gs.gamma, gs.unitary)])
+    assert np.array_equal(lq.optimal_liouvillian(gs), lq.build_liouvillian(spec).full)
+
+
 def test_generated_path_follows_the_schedule():
     gamma = 0.1
     zero = np.diag([1.0, 0.0]).astype(complex)

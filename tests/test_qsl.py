@@ -204,6 +204,20 @@ def test_operator_norm_and_norm_bounds():
         _bound_ratio(0.7, lq.operator_norm(np.zeros((4, 4))))
 
 
+def test_bound_ratio_is_elementwise():
+    from liouqsl.qsl import _bound_ratio
+
+    num = np.array([0.5, 0.0, 1e-13, 2.0, 0.0])
+    den = np.array([2.0, 0.0, 0.0, 4.0, 0.7])
+    got = _bound_ratio(num, den)
+    assert got.shape == num.shape
+    assert got.tolist() == [_bound_ratio(a, b) for a, b in zip(num, den)]
+    assert got.tolist() == [0.25, 0.0, 0.0, 0.5, 0.0]
+    assert isinstance(_bound_ratio(num[0], den[0]), float)
+    with pytest.raises(NumericalConsistencyError, match="7.000e-01"):
+        _bound_ratio(np.array([0.3, 0.7]), np.array([1.0, 0.0]))
+
+
 def test_complete_basis_orthonormal():
     rng = philox(54)
     for d in (2, 3):
