@@ -47,7 +47,7 @@ from .serialize import (
     matrix_to_json,
     write_csv,
 )
-from .spectral import spectral_decompose, steady_state
+from .spectral import _phased, spectral_decompose, steady_state
 
 __all__ = ["ScenarioConfig", "run", "main"]
 
@@ -198,10 +198,13 @@ def _cmd_krylov(cfg):
     rho0 = _load_matrix(cfg.rho0_path) if cfg.rho0_path else rho_beta
     kd = krylov_build(hamiltonian, rho0, cfg.times)
     lhs, rhs = krylov_bound_check(kd)
-    gibbs = kd.trace
-    if cfg.rho0_path:
-        gibbs = propagate_expm(kd.generator, rho_beta, kd.times)
-    rows = np.column_stack([kd.times, kd.complexity, sff(gibbs), lhs, rhs])
+    if cfg.rho0_path:  # Re sum_i |c_i|^2 exp(lambda_i t) of the Gibbs start, same modes
+        modes = kd.trace.modes or spectral_decompose(kd.generator)
+        weights = np.abs(modes.overlaps(vectorize(rho_beta))) ** 2
+        gibbs = _phased(modes.eigenvalues, weights, kd.times).real.sum(axis=-1)
+    else:
+        gibbs = sff(kd.trace)
+    rows = np.column_stack([kd.times, kd.complexity, gibbs, lhs, rhs])
     write_csv(
         os.path.join(cfg.out, "krylov.csv"),
         ["t", "c_k", "sff", "bound_lhs", "bound_rhs"],

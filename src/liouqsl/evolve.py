@@ -5,11 +5,12 @@ EvolutionTrace: stacked arrays over the T grid points, not a list of
 per-point objects. For states of dimension d it holds
 
     times                  (T,)
-    states                 (T, d, d)  validated, re-Hermitized states
+    states                 (T, d, d)  validated, exactly Hermitian states
     normalized.vector      (T, d^2)   unit Liouville vectors v_k
     normalized.purity      (T,)       tr rho^2
     overlap_with_initial   (T,)       Re(v_0|v_k)
     modes                             SpectralData of propagate_expm, else None
+    coordinates            (T, d^2)   real x_k = B^+ vec(rho_k), else None
 
 trace.normalized[k] and trace.states[k] give the k-th point, and the
 speed functionals of the qsl module take trace.normalized whole, so
@@ -26,8 +27,8 @@ eigenmodes of spectral.spectral_decompose, the same ones the spectral
 command and the mode route use, so the two agree by construction; it
 refuses, before any eigensolver runs, a generator that does not preserve
 Hermiticity. On any grid and for any block of initial states the whole
-trajectory is one product, SpectralData.propagate: on the real route and
-for Hermitian states, a real one over one mode of each conjugate pair.
+trajectory is one product, for Hermitian states a real one into x_k, mapped to
+states by liouville._hermitian_matrices; other routes keep no coordinates.
 Two derivative-free speed routes live here as well: a central-difference
 evaluation on the stored trace and a Kraus-family route that never
 touches the generator.
@@ -46,6 +47,9 @@ from .exceptions import (
 from .lindblad import kraus_to_superop
 from .liouville import (
     NormalizedState,
+    _gather,
+    _hermitian_matrices,
+    _real_part,
     _variance,
     devectorize,
     normalize_state,
@@ -88,6 +92,7 @@ class EvolutionTrace:
     normalized: NormalizedState
     overlap_with_initial: np.ndarray
     modes: object = None
+    coordinates: np.ndarray = None
 
     def __len__(self):
         return len(self.times)
@@ -108,11 +113,12 @@ def _check_grid(times):
     return t
 
 
-def build_trace(times, states, *, _modes=None):
+def build_trace(times, states, *, _modes=None, _coordinates=None):
     """Assemble an EvolutionTrace from T raw states, validating each one.
 
     Each state must have unit trace within 1e-12, tighter than the 1e-10
-    that validate_density_matrix allows an input state.
+    that validate_density_matrix allows an input state. States built from
+    _coordinates are exactly Hermitian and kept as they are.
 
     states may also be a stack (A, T, d, d) of A trajectories on one grid:
     they are re-Hermitized, validated and normalized in one pass and give
@@ -127,7 +133,7 @@ def build_trace(times, states, *, _modes=None):
         or rhos.shape[-1] != rhos.shape[-2]
     ):
         raise ValidationError(f"states of shape {rhos.shape} do not match the grid")
-    rhos = rehermitize(rhos)
+    rhos = rehermitize(rhos) if _coordinates is None else rhos
     try:
         validate_density_matrix(rhos, trace_tol=1e-12, _hermitian=True)
     except ValidationError as exc:
@@ -150,6 +156,7 @@ def build_trace(times, states, *, _modes=None):
         normalized=normalized,
         overlap_with_initial=overlaps,
         modes=_modes,
+        coordinates=_coordinates,
     )
 
 
@@ -189,12 +196,14 @@ def propagate_expm(liouvillian, rho0, times):
     its index in the stack.
 
     Every grid point comes at once from the eigensystem L = R diag(lambda)
-    R^-1 of spectral_decompose (SpectralData.propagate), kept as the trace's
-    modes; it raises ValidationError unless L is finite and preserves
-    Hermiticity. When R is singular or its biorthogonality defect exceeds
-    1e-13, as near an exceptional point, scipy's expm steps over a uniform
-    grid (restarting exactly every 1024 steps), and over any other grid per
-    point. Only that fallback imports scipy.
+    R^-1 of spectral_decompose, kept as the trace's modes; it raises
+    ValidationError unless L is finite and preserves Hermiticity. A Hermitian
+    rho0 takes SpectralData.propagate_real, whose x_k the trace keeps as
+    coordinates and maps to exactly Hermitian states; any other takes
+    SpectralData.evolve. When R is singular or its biorthogonality defect
+    exceeds 1e-13, as near an exceptional point, scipy's expm steps over a
+    uniform grid (restarting exactly every 1024 steps), and over any other grid
+    per point. Only that fallback imports scipy.
     """
     t = _check_grid(times)
     if abs(t[0]) > 1e-12:
@@ -221,16 +230,21 @@ def propagate_expm(liouvillian, rho0, times):
         modes = spectral_decompose(L)
     except DefectiveGeneratorError:
         modes = None
+    x0 = _real_part(_gather(v))
     if modes is None or modes.biorthogonality > _MODAL_DEFECT_MAX:
-        vecs, modes = _expm_steps(L, v, t), None
+        vecs, modes, x0 = _expm_steps(L, v, t), None, None
+    elif x0 is None:
+        vecs = modes.evolve(modes.overlaps(v), t - t[0])
     else:
-        vecs = modes.propagate(v, t - t[0])
+        vecs = modes.propagate_real(x0, t - t[0])
     bounded = np.linalg.norm(vecs, axis=-1) <= _NORM_CAP
     if not bounded.all():
         first = t[np.argmin(bounded.reshape(t.size, -1).all(axis=1))]
         raise NumericalConsistencyError(f"state norm overflow at t={first:g}")
-    # (T, ..., n) -> (..., T, d, d): the stack axis ahead of time.
-    return build_trace(t, devectorize(np.moveaxis(vecs, 0, -2)), _modes=modes)
+    vecs = np.ascontiguousarray(np.moveaxis(vecs, 0, -2))  # (..., T, n)
+    if x0 is None:
+        return build_trace(t, devectorize(vecs), _modes=modes)
+    return build_trace(t, _hermitian_matrices(vecs), _modes=modes, _coordinates=vecs)
 
 
 def generic_speed(trace, k):

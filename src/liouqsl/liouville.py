@@ -79,11 +79,29 @@ def _gather(v, sign=-1):
 
 def _scatter(x, sign=1):
     """B x (sign +1) or conj(B) x (sign -1) over the last axis; inverts _gather."""
-    index = _hermitian_index(x.shape[-1])
-    d, m = index[0].size, index[1].size
-    s, t = np.sqrt(0.5) * x[..., d : d + m], sign * 1j * np.sqrt(0.5) * x[..., d + m :]
-    v = np.concatenate([x[..., :d], s + t, s - t], axis=-1)
-    return np.take(v, np.argsort(np.concatenate(index)), axis=-1)
+    re, im = (vectorize(_hermitian_matrices(part)) for part in (np.real(x), np.imag(x)))
+    return re + 1j * im if sign > 0 else re.conj() + 1j * im.conj()
+
+
+@functools.lru_cache(maxsize=None)
+def _unfold_map(n):
+    """Index into x and factor per float of B x; off-diagonal sqrt(0.5) as _gather."""
+    diagonal, upper, lower = _hermitian_index(n)
+    d, m, root = diagonal.size, upper.size, np.sqrt(0.5)
+    index, scale = np.empty((n, 2), dtype=np.intp), np.zeros((n, 2))
+    index[diagonal], scale[diagonal, 0] = np.arange(d)[:, None], 1.0
+    index[upper] = index[lower] = d + np.arange(m)[:, None] + [0, m]
+    scale[upper], scale[lower] = root, [root, -root]
+    return index.ravel(), scale.ravel()
+
+
+def _hermitian_matrices(x):
+    """Exactly Hermitian devectorize(B x) of real x (..., n), a view of B x: one take
+    from x into its float view, one multiply; the imaginary diagonal is x_k * 0."""
+    index, scale = _unfold_map(x.shape[-1])
+    f = np.empty(x.shape[:-1] + (2 * x.shape[-1],))
+    np.multiply(np.take(x, index, axis=-1, out=f, mode="wrap"), scale, out=f)
+    return devectorize(f.view(complex))
 
 
 def _real_part(a):

@@ -17,7 +17,8 @@ from the generator on the same basis amplitudes as the non-classical
 speed. The two integrands agree point by point, so the exact time
 recovers the horizon to rounding, not only to quadrature error. Both come
 from one pass over the states in row blocks of about 512 KB of
-temporaries, in real Hermitian coordinates where generator and states allow.
+temporaries, in real Hermitian coordinates where generator and states allow,
+read from trace.coordinates when the trace keeps them, else gathered.
 
 The per-state functionals (speed, non-classical speed, classical part,
 exact uncertainty) take a single NormalizedState or a stacked one, such
@@ -259,19 +260,22 @@ class _ClassicalSplit:
     or built here) and Hermitian v, a block takes x = B^+ v, O v = x O_r^T and both
     amplitude sets from one real product with M = B^T conj(A); if any block's x is
     not real, the whole stack takes complex coordinates through the same reductions.
+    Given raw coordinates B^+ vec(rho), a block reads x from them over sqrt(purity).
     """
 
-    def __init__(self, superop, basis, state, beta=False, real_form=None):
+    def __init__(self, superop, basis, state, beta=False, real_form=None, coords=None):
         v, o = _operands(superop, state)
         lead, n = v.shape[:-1], v.shape[-1]
         self.real_form = _real_form(o) if real_form is None else real_form
         self.beta = np.zeros(v.shape) if beta else None
-        self._pass(v.reshape(-1, n), basis, o, self.real_form is not None)
+        if coords is not None:  # (x, sqrt(purity)) over the rows of v
+            coords = coords.reshape(-1, n), np.sqrt(state.purity).reshape(-1, 1)
+        self._pass(v.reshape(-1, n), basis, o, self.real_form is not None, coords)
         self.var, self.nc, self.wootters, self.fisher, self.scale = (
             c.reshape(lead)[()] for c in self.columns
         )
 
-    def _pass(self, v, basis, o, real):
+    def _pass(self, v, basis, o, real, coords=None):
         """Fill the columns block by block; all complex if a block's x is not real."""
         (t, n), op, m = v.shape, o, basis.vectors.conj()
         rows, self.real = max(1, _BLOCK_BYTES // (32 * n)), real
@@ -281,7 +285,9 @@ class _ClassicalSplit:
         self.columns = np.empty((5, t))
         for s in range(0, t, rows):
             x = v[s : s + rows]
-            if real and (x := _real_part(_gather(x))) is None:
+            if real and coords is not None:
+                x = coords[0][s : s + rows] / coords[1][s : s + rows]
+            elif real and (x := _real_part(_gather(x))) is None:
                 return self._pass(v, basis, o, False)
             b, ox = len(x), x @ op.T
             amps = np.concatenate([x, ox]) @ m
@@ -354,9 +360,9 @@ def exact_uncertainty(superop, basis, state):
 
 def _trace_split(trace, liouvillian, basis):
     """_ClassicalSplit of trace.normalized; reuses B^+ L B if trace.modes hold L."""
-    modes = trace.modes
+    modes, state, x = trace.modes, trace.normalized, trace.coordinates
     real = modes.real_form if getattr(modes, "generator", None) is liouvillian else None
-    return _ClassicalSplit(liouvillian, basis, trace.normalized, real_form=real)
+    return _ClassicalSplit(liouvillian, basis, state, real_form=real, coords=x)
 
 
 def wootters_length(trace, liouvillian, basis):

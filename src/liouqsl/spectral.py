@@ -6,10 +6,10 @@ eigendecomposition of the package and takes only generators that preserve
 Hermiticity; on its real route it keeps the real pair matrix W of B^+ L B
 with its real inverse, and forms complex vectors only when they are read;
 steady_state reads the stationary column of W and forms none.
-SpectralData.propagate, behind propagate_expm, writes states through the
-same modes: sum_i exp(lambda_i t) c_i |r_i)) with c_i = (l_i|rho0), by
-SpectralData.evolve, or on the real route and for Hermitian rho0 by one
-real product from the pair coordinates W^-1 B^+ rho0.
+Propagation writes sum_i exp(lambda_i t) c_i |r_i)), c_i = (l_i|rho0),
+through the same modes: SpectralData.evolve in complex arithmetic, or, for
+Hermitian rho0 and on both routes, one real kernel (propagate_real, behind
+propagate_expm) for the coordinates x_t = B^+ rho_t.
 On a uniform grid of T points both take exp(lambda_i t) from an anchor x
 offset table, about 2 sqrt(T) exponentials per mode instead of T, each
 weight within 8 eps (1 + max|lambda| t_max) max|c| of the direct one; other
@@ -32,6 +32,7 @@ from .exceptions import (
 )
 from .liouville import (
     _gather,
+    _hermitian_matrices,
     _real_form,
     _real_part,
     _scatter,
@@ -147,30 +148,28 @@ class SpectralData:
         vectors = weights.reshape(-1, self.size) @ self.right_vectors.T
         return vectors.reshape(weights.shape)
 
-    def propagate(self, v0, t):
-        """exp(L t) v0 at the times t for one vector v0 (n,) or a block (..., n).
+    def propagate_real(self, x0, t):
+        """Real kernel: B^+ exp(L t) B x0 = Re sum_k w_k B^+ r_k, x0 (n,) or (..., n).
 
-        The result has shape t.shape + v0.shape. A Hermitian v0 on the real
-        route takes its pair coordinates u = W^-1 B^+ v0 and one real product:
-        the real modes plus Re of the modes with Im lambda > 0, whose weights
-        u_k - i u_partner(k) are twice their coefficients c_k, over the rows
-        Re r_k and -Im r_k, columns of W up to sign. Any other v0 takes
-        evolve(overlaps(v0), t).
-        """
-        x = None if self.partner is None else _real_part(_gather(v0))
-        if x is None:
+        w = exp(lambda t) c: all modes (c = x0 @ conj(B^+ R)), or one per conjugate
+        pair, twice its c from W^-1 x0; one product [Re w, Im w] @ [Re; -Im] B^+ r."""
+        if self.partner is None:
+            lead, u = slice(None), _gather(self.vectors.T).conj().T
+            z = u
+        else:
+            lead = np.flatnonzero(self.eigenvalues.imag >= 0)
+            pair, p = -1j * (self.eigenvalues.imag[lead, None] > 0), self.partner[lead]
+            u, z = ((m[lead] + pair * m[p]).T for m in (self.inverse, self.vectors.T))
+        weights, z = _phased(self.eigenvalues[lead], x0 @ u, t), np.ascontiguousarray(z)
+        x = weights.reshape(-1, z.shape[1]).view(float) @ z.view(float).T
+        return x.reshape(weights.shape[:-1] + (-1,))
+
+    def propagate(self, v0, t):
+        """exp(L t) v0 for v0 (n,) or (..., n); Hermitian v0 by propagate_real."""
+        x0 = _real_part(_gather(v0))
+        if x0 is None:
             return self.evolve(self.overlaps(v0), t)
-        (_, im, s), u = self._pair_index, x @ self.inverse.T
-        lead = np.flatnonzero(s >= 0)
-        pair = s[lead] > 0
-        partner = im[lead][pair]
-        c = u[..., lead] + 0j
-        c.imag[..., pair] = -u[..., partner]
-        rows = np.concatenate([self.vectors[:, lead], -self.vectors[:, partner]], 1)
-        weights = _phased(self.eigenvalues[lead], c, t)
-        weights = np.concatenate([weights.real, weights.imag[..., pair]], axis=-1)
-        vectors = weights.reshape(-1, self.size) @ _scatter(rows.T).view(float)
-        return vectors.view(complex).reshape(weights.shape)
+        return vectorize(_hermitian_matrices(self.propagate_real(x0, t)))
 
 
 def spectral_decompose(liouvillian):

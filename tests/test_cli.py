@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 import liouqsl as lq
-from liouqsl import liouville, qsl, spectral
+from liouqsl import applications, cli, evolve, liouville, qsl, spectral
 from liouqsl.cli import ScenarioConfig, _parser, main
 from liouqsl.exceptions import QuadratureError, ValidationError
 
@@ -176,6 +176,41 @@ def test_qsl_report_command(ad_spec_path, tmp_path):
     assert abs(doc["T"] - 40.0) < 1e-12
     assert doc["bound_hsnorm"] <= doc["bound_opnorm"] <= doc["bound_mt"]
     assert doc["bound_mt"] <= doc["bound_nc"] <= doc["T"] + 1e-8
+
+
+def test_krylov_rho0_takes_the_gibbs_sff_from_the_same_modes(tmp_path, monkeypatch):
+    # The Gibbs column is Re sum_i |c_i|^2 exp(lambda_i t) over the modes the op
+    # already decomposed, not a second propagation: one decomposition per op.
+    # It agrees within 1e-14 of its maximum with the SFF of the propagated Gibbs
+    # trace and with |sum_n p_n exp(-i E_n t)|^2.
+    rng = philox(91)
+    d, beta = 6, 0.5
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = (h + h.conj().T) / 2
+    args = ["krylov", "--h", _write_matrix(tmp_path, "h.json", h), "--beta", str(beta),
+            "--rho0", _write_matrix(tmp_path, "rho0.json", rand_rho(rng, d)),
+            "--t-max", "5", "--points", "301", "--out", str(tmp_path)]
+    calls, decompose = [], spectral.spectral_decompose
+
+    def counted(L):
+        calls.append(L.shape)
+        return decompose(L)
+
+    for module in (spectral, evolve, applications, cli):
+        monkeypatch.setattr(module, "spectral_decompose", counted)
+    assert main(args) == 0
+    assert calls == [(d * d, d * d)]
+    monkeypatch.undo()
+    _, rows = _read_csv(tmp_path / "krylov.csv")
+    t, column = rows[:, 0], rows[:, 2]
+    generator = -1j * lq.commutator_superop(h)
+    gibbs = lq.coherent_gibbs_state(h, beta)
+    propagated = lq.sff(lq.propagate_expm(generator, gibbs, t))
+    energies = np.linalg.eigvalsh(h)
+    p = np.exp(-beta * (energies - energies.min()))
+    exact = np.abs(np.exp(-1j * np.outer(t, energies)) @ (p / p.sum())) ** 2
+    for ref in (propagated, exact):
+        assert np.abs(column - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_qsl_report_builds_the_real_form_once(ad_spec_path, tmp_path, monkeypatch):

@@ -226,6 +226,68 @@ def test_hermitian_start_inverts_in_real_arithmetic(monkeypatch):
     assert stepped.modes is None
 
 
+def _coordinate_cases():
+    """Seeded Lindblad generators (real route, d = 2-6) and Hamiltonian ones
+    (hermitian route, d = 2-8), each with a mixed and a pure start."""
+    rng = philox(53)
+    for d in (2, 3, 4, 5, 6):
+        L = lq.build_liouvillian(rand_spec(rng, d)).full
+        yield "real", L, rand_rho(rng, d), rand_pure(rng, d)
+    for d in (2, 3, 4, 6, 8):
+        L = -1j * lq.commutator_superop(rand_hermitian(rng, d))
+        yield "hermitian", L, rand_rho(rng, d), rand_pure(rng, d)
+
+
+def test_coordinate_route_writes_exactly_hermitian_states():
+    # Both routes propagate the real coordinates B^+ vec(rho), keep them on the
+    # trace and build the states from them: Hermitian bit for bit, within 1e-14
+    # of the largest entry of per-point expm, and a stack's rows within 1e-15
+    # of the single-state runs.
+    times = np.linspace(0.0, 2.0, 201)
+    picks = np.arange(0, times.size, 25)
+    for route, L, mixed, pure in _coordinate_cases():
+        singles = []
+        for rho0 in (mixed, pure, np.array([mixed, pure])):
+            trace = propagate_expm(L, rho0, times)
+            s = trace.states
+            assert trace.modes.route == route
+            assert np.array_equal(s, s.conj().swapaxes(-1, -2))
+            assert trace.coordinates.shape == s.shape[:-2] + (L.shape[0],)
+            ref = _per_point_reference(L, lq.vectorize(rho0), times[picks])
+            got = np.moveaxis(lq.vectorize(s)[..., picks, :], -2, 0)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            singles.append(s)
+        for a in range(2):
+            assert np.abs(singles[2][a] - singles[a]).max() <= 1e-15
+
+
+def test_critically_driven_qubit_keeps_the_stepping_fallback():
+    # Its biorthogonality defect sends it to expm stepping, which builds the
+    # trace through build_trace and keeps no coordinates; the report is the
+    # one recorded before the coordinate route.
+    L = _critically_driven_decay(gamma=1.0)
+    times = np.linspace(0.0, 20.0, 401)
+    trace = propagate_expm(L, lq.superposition_state(0.5), times)
+    assert trace.modes is None and trace.coordinates is None
+    frozen = {
+        "T": 20.0,
+        "theta": 1.2884024800348202,
+        "wootters_length": 1.3530586645583529,
+        "avg_speed": 0.07163884852150981,
+        "avg_nc_speed": 0.06765293322791763,
+        "bound_mt": 17.98468996396519,
+        "bound_nc": 19.04429591684206,
+        "exact_time": 20.000000000000004,
+        "bound_opnorm": 0.895202524711278,
+        "bound_hsnorm": 0.7952192750753599,
+        "efficiency": 0.04977581078711614,
+    }
+    report = lq.exact_qsl(trace, L).to_json()
+    assert report.keys() == frozen.keys()
+    for key, value in frozen.items():
+        assert_allclose(report[key], value, rtol=1e-13, err_msg=key)
+
+
 def test_non_hermiticity_preserving_generators_are_refused():
     # Neither the mode route nor propagation takes a generic complex generator.
     rng = philox(48)

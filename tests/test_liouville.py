@@ -4,7 +4,13 @@ from numpy.testing import assert_allclose
 
 import liouqsl as lq
 from liouqsl.exceptions import DimensionError, ValidationError
-from liouqsl.liouville import _gather, _real_form, _real_part, _scatter
+from liouqsl.liouville import (
+    _gather,
+    _hermitian_matrices,
+    _real_form,
+    _real_part,
+    _scatter,
+)
 
 from conftest import philox, rand_pure, rand_rho, rotated_state
 
@@ -84,6 +90,29 @@ def test_gathers_equal_the_dense_products_with_the_hermitian_basis():
         x = _real_part(_gather(lq.vectorize(rho)))
         assert_allclose(x, (b.conj().T @ lq.vectorize(rho)).real, rtol=0, atol=1e-15)
         assert _real_part(_gather(v)) is None
+
+
+def test_index_map_builds_exactly_hermitian_matrices():
+    # One take and one multiply turn real coordinates x into devectorize(B x):
+    # Hermitian bit for bit with a zero imaginary diagonal, and the inverse of
+    # _gather on Hermitian matrices to 2 ulp in every real and imaginary part:
+    # a round trip multiplies by 2 fl(sqrt(0.5))^2 = 1 + 1.4e-16 besides its
+    # two roundings.
+    rng = philox(20)
+    for d in (1, 2, 3, 5, 16):
+        n = d * d
+        x = rng.normal(size=(3, 4, n))
+        m = _hermitian_matrices(x)
+        assert m.shape == (3, 4, d, d)
+        assert np.array_equal(m, m.conj().swapaxes(-1, -2))
+        assert not np.diagonal(m, axis1=-2, axis2=-1).imag.any()
+        assert_allclose(lq.vectorize(m), x @ _hermitian_basis(d).T, rtol=0, atol=1e-15)
+        a = rng.normal(size=(7, d, d)) + 1j * rng.normal(size=(7, d, d))
+        h = a + a.conj().swapaxes(-1, -2)
+        back = _hermitian_matrices(_real_part(_gather(lq.vectorize(h))))
+        for part in ("real", "imag"):
+            got, ref = getattr(back, part), getattr(h, part)
+            assert np.all(np.abs(got - ref) <= 2.0 * np.spacing(np.abs(ref)))
 
 
 def test_rehermitize():

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import liouqsl as lq
+from liouqsl import qsl
 from liouqsl.exceptions import (
     NumericalConsistencyError,
     QuadratureError,
@@ -12,7 +13,7 @@ from liouqsl.exceptions import (
 )
 from liouqsl.qsl import _BLOCK_BYTES, BasisSet, _ClassicalSplit
 
-from conftest import philox, rand_pure, rand_rho, rand_spec
+from conftest import philox, rand_hermitian, rand_pure, rand_rho, rand_spec
 
 
 def _ad_trace(alpha=0.6, gamma=0.1, n=0.0, horizon=5.0, points=201):
@@ -445,6 +446,37 @@ def test_blocked_split_takes_the_complex_route_for_the_whole_stack(d16):
     v[-1] = rng.normal(size=v.shape[1]) + 1j * rng.normal(size=v.shape[1])
     v[-1] /= np.linalg.norm(v[-1])
     _assert_split_matches_oracle(L, basis, v, False)
+
+
+def test_split_reads_the_coordinates_of_a_propagated_trace(monkeypatch):
+    # A propagate_expm trace keeps the real coordinates of its states, so the
+    # split of exact_qsl and krylov_bound_check gathers no state; a trace
+    # rebuilt from the states alone has none, gathers them, and gives the same
+    # report within 1e-15 relative.
+    rng = philox(139)
+    times = np.linspace(0.0, 2.0, 201)
+    L = lq.build_liouvillian(rand_spec(rng, 4)).full
+    starts = (rand_rho(rng, 4), rand_pure(rng, 4))
+    traces = [lq.propagate_expm(L, rho0, times) for rho0 in starts]
+    kd = lq.krylov_build(rand_hermitian(rng, 5), rand_pure(rng, 5), times)
+    rows, gather = [], qsl._gather
+
+    def counted(v, sign=-1):
+        rows.append(len(v))
+        return gather(v, sign)
+
+    monkeypatch.setattr(qsl, "_gather", counted)
+    reports = [lq.exact_qsl(trace, L).to_json() for trace in traces]
+    lq.krylov_bound_check(kd)
+    assert rows and times.size not in rows
+    for trace, report in zip(traces, reports):
+        rebuilt = lq.build_trace(trace.times, trace.states)
+        assert rebuilt.coordinates is None
+        rows.clear()
+        again = lq.exact_qsl(rebuilt, L).to_json()
+        assert times.size in rows
+        for key, value in report.items():
+            assert_allclose(again[key], value, rtol=1e-15, atol=0, err_msg=key)
 
 
 def test_exact_qsl_peak_memory_d16(d16):
