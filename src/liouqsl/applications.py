@@ -136,7 +136,7 @@ def krylov_build(hamiltonian, rho0, times):
     """Krylov chain of the commutator generator plus amplitudes in time.
 
     The trajectory is propagate_expm's under -1j L_H, and everything Krylov
-    comes from its modes (spectral_decompose's after the stepping fallback):
+    comes from spectral_decompose's modes of it, those the trajectory took:
     eigenvalues -i omega, omega = E_i - E_j, and overlaps c = (l|rho_0~).
     The omega sorted and merged within 1e-12 max(1, max omega), each node
     weighted by the sum of its |c|², nodes of weight at most 1e-24 dropped,
@@ -153,7 +153,7 @@ def krylov_build(hamiltonian, rho0, times):
     generator = -1j * commutator_superop(h)
     trace = propagate_expm(generator, rho0, times)
 
-    modes = trace.modes or spectral_decompose(generator)
+    modes = spectral_decompose(generator)
     omega = np.real(1j * modes.eigenvalues)
     tol = 1e-12 * max(1.0, omega.max())
     c = modes.overlaps(trace.normalized.vector[0])
@@ -333,7 +333,7 @@ def mpemba_report(alphas, gamma, n, horizon, points=2001):
     L = build_liouvillian(amplitude_damping_spec(gamma, n)).full
     rho0s = np.array([superposition_state(a) for a in alphas])
     trace = propagate_expm(L, rho0s, times)
-    rho_ss = steady_state(trace.modes or spectral_decompose(L))
+    rho_ss = steady_state(spectral_decompose(L))
     avg = average_speed(trace, L)
     eta = _bound_ratio(avg, operator_norm(L))
     theta = liouville_angle(trace.states[:, 0], trace.states[:, -1])

@@ -131,16 +131,14 @@ def _cmd_spectral(cfg):
     spec = load_spec(cfg.spec_path)
     L = build_liouvillian(spec).full
     sd = spectral_decompose(L)
+    rho_ss = steady_state(sd)  # mode 0 is then the one stationary mode
     doc = {
         "eigenvalues": [
             {"re": float(w.real), "im": float(w.imag)} for w in sd.eigenvalues
         ],
         "condition": sd.condition,
-        "timescales": [
-            (1.0 / abs(w.real)) if abs(w.real) > 1e-12 else None
-            for w in sd.eigenvalues
-        ],
-        "steady_state": matrix_to_json(steady_state(sd)),
+        "timescales": [None] + [1.0 / abs(w.real) for w in sd.eigenvalues[1:]],
+        "steady_state": matrix_to_json(rho_ss),
     }
     dump_json(doc, os.path.join(cfg.out, "spectral.json"))
     return 0
@@ -199,7 +197,7 @@ def _cmd_krylov(cfg):
     kd = krylov_build(hamiltonian, rho0, cfg.times)
     lhs, rhs = krylov_bound_check(kd)
     if cfg.rho0_path:  # Re sum_i |c_i|^2 exp(lambda_i t) of the Gibbs start, same modes
-        modes = kd.trace.modes or spectral_decompose(kd.generator)
+        modes = spectral_decompose(kd.generator)
         weights = np.abs(modes.overlaps(vectorize(rho_beta))) ** 2
         gibbs = _phased(modes.eigenvalues, weights, kd.times).real.sum(axis=-1)
     else:

@@ -5,7 +5,8 @@ with biorthonormal left/right eigenvectors. spectral_decompose is the one
 eigendecomposition of the package and takes only generators that preserve
 Hermiticity; on its real route it keeps the real pair matrix W of B^+ L B
 with its real inverse, and forms complex vectors only when they are read;
-steady_state reads the stationary column of W and forms none.
+steady_state reads the stationary column of W and forms none. A slot keeps
+the last generator decomposed, so a process decomposes each one once.
 Propagation writes sum_i exp(lambda_i t) c_i |r_i)), c_i = (l_i|rho0),
 through the same modes: SpectralData.evolve in complex arithmetic, or, for
 Hermitian rho0 and on both routes, one real kernel (propagate_real, behind
@@ -20,7 +21,7 @@ rotations of the initial state can suppress chosen decay modes.
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 _GAP_TOL = 1e-10
+_last = None  # last SpectralData, on a copy of its generator; read once per call
 
 
 def _phased(w, c, t):
@@ -191,12 +193,21 @@ def spectral_decompose(liouvillian):
     max|W D W^-1 - B^+ L B|, at least half the Liouville-space defect); L is
     numerically defective when the first plus the second over max(1, max|L_ij|)
     exceeds 1e-4, so a rescaled generator is judged alike.
+
+    The last eigensystem computed is kept, with a copy of L, in one
+    module-level slot, its arrays read-only; a call on a generator of the
+    same shape and bits (-0.0 is not 0.0) returns it on the new L without
+    an eigensolver. A refused or defective generator is not kept.
     """
     L = np.asarray(liouvillian, dtype=complex)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValidationError(f"generator must be square, got shape {L.shape}")
     if not np.isfinite(L).all():
         raise ValidationError("generator has a nan or infinite entry")
+    global _last
+    last, bits = _last, np.ascontiguousarray(L).view(np.uint64)
+    if last is not None and np.array_equal(last.generator.view(np.uint64), bits):
+        return replace(last, generator=L)
     real = _real_form(L)
     if real is None:
         raise ValidationError("generator does not preserve Hermiticity")
@@ -227,10 +238,15 @@ def spectral_decompose(liouvillian):
         )
     order = np.lexsort((w.imag, np.abs(w.real)))
     partner = None if partner is None else np.argsort(order)[partner[order]]
-    return SpectralData(
+    sd = SpectralData(
         w[order], vectors[:, order], inverse[order], biorth + recon, biorth, route,
         generator=L, real_form=real, partner=partner,
     )
+    for a in (sd.eigenvalues, sd.vectors, sd.inverse, real, partner):
+        if a is not None:
+            a.flags.writeable = False
+    _last = replace(sd, generator=bits.copy().view(complex))
+    return sd
 
 
 def _require_unique_zero(sd):

@@ -190,16 +190,16 @@ def test_krylov_rho0_takes_the_gibbs_sff_from_the_same_modes(tmp_path, monkeypat
     args = ["krylov", "--h", _write_matrix(tmp_path, "h.json", h), "--beta", str(beta),
             "--rho0", _write_matrix(tmp_path, "rho0.json", rand_rho(rng, d)),
             "--t-max", "5", "--points", "301", "--out", str(tmp_path)]
-    calls, decompose = [], spectral.spectral_decompose
+    calls, eigh = [], np.linalg.eigh
 
-    def counted(L):
-        calls.append(L.shape)
-        return decompose(L)
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
 
-    for module in (spectral, evolve, applications, cli):
-        monkeypatch.setattr(module, "spectral_decompose", counted)
+    monkeypatch.setattr(spectral, "_last", None)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     assert main(args) == 0
-    assert calls == [(d * d, d * d)]
+    assert calls.count((d * d, d * d)) == 1
     monkeypatch.undo()
     _, rows = _read_csv(tmp_path / "krylov.csv")
     t, column = rows[:, 0], rows[:, 2]
@@ -241,6 +241,58 @@ def test_spectral_command(ad_spec_path, tmp_path):
     n = 0.2
     expected = np.diag([(n + 1.0) / (2.0 * n + 1.0), n / (2.0 * n + 1.0)])
     assert np.abs(ss - expected).max() < 1e-10
+
+
+def test_spectral_gives_the_stationary_mode_no_timescale(tmp_path, monkeypatch):
+    # Scaled by 1e4 or 1e5, the stationary eigenvalue of these specs is off
+    # zero by up to 5e-11, within steady_state's tolerance 1e-10 max(1, max|L_ij|)
+    # but above an absolute 1e-12; mode 0 still has no timescale.
+    monkeypatch.setattr(spectral, "_last", None)
+    for seed in range(8):
+        for scale in (1e4, 1e5):
+            s = rand_spec(philox(seed), 4)
+            spec = lq.LindbladSpec(
+                hamiltonian=scale * s.hamiltonian,
+                jumps=[(scale * rate, op) for rate, op in s.jumps],
+            )
+            lq.dump_json(lq.spec_to_json(spec), tmp_path / "spec.json")
+            assert main(["spectral", "--spec", str(tmp_path / "spec.json"),
+                         "--out", str(tmp_path)]) == 0
+            doc = json.loads((tmp_path / "spectral.json").read_text())
+            assert doc["timescales"][0] is None
+            assert all(0.0 < ts < 1.0 for ts in doc["timescales"][1:])
+
+
+def test_a_session_decomposes_its_generator_once(tmp_path, monkeypatch, capsys):
+    # validate, spectral and qsl-report on one spec in one interpreter run one
+    # eig; their artifacts are those of runs that start from an empty slot.
+    rng = philox(41)
+    spec = tmp_path / "spec.json"
+    lq.dump_json(lq.spec_to_json(rand_spec(rng, 4)), spec)
+    rho0 = _write_matrix(tmp_path, "rho0.json", rand_rho(rng, 4))
+    report = ["qsl-report", "--rho0", rho0, "--t-max", "3"]
+    commands = (["validate"], ["spectral"], report)
+    calls, eig = [], np.linalg.eig
+
+    def counted(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    outputs = []
+    for clear in (False, True):
+        monkeypatch.setattr(spectral, "_last", None)
+        calls.clear()
+        out = tmp_path / f"clear-{clear}"
+        for command in commands:
+            if clear:
+                monkeypatch.setattr(spectral, "_last", None)
+            assert main(command + ["--spec", str(spec), "--out", str(out)]) == 0
+        assert len(calls) == (3 if clear else 1)
+        outputs.append([capsys.readouterr().out] + [
+            (out / name).read_bytes() for name in ("spectral.json", "report.json")
+        ])
+    assert outputs[0] == outputs[1]
 
 
 def test_optimal_command(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import liouqsl as lq
+from liouqsl import spectral
 from liouqsl.exceptions import (
     DefectiveGeneratorError,
     NonUniqueSteadyStateError,
@@ -135,6 +136,96 @@ def test_defect_threshold_scales_with_the_generator():
     base = lq.spectral_decompose(L).eigenvalues
     scaled = lq.spectral_decompose(1e12 * L).eigenvalues
     assert np.abs(scaled - 1e12 * base).max() < 1e-9 * np.abs(1e12 * base).max()
+
+
+_STORED = ("eigenvalues", "vectors", "inverse", "real_form", "partner")
+
+
+def _counted_eigensolvers(monkeypatch):
+    """Empty the slot; count the eig and eigh calls that follow."""
+    calls = []
+    monkeypatch.setattr(spectral, "_last", None)
+    for name in ("eig", "eigh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, _solver=solver, _name=name):
+            calls.append(_name)
+            return _solver(a)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_a_repeated_generator_is_decomposed_once(monkeypatch):
+    # The same bits in a new array hit the slot: the stored eigensystem comes
+    # back bit for bit, on the caller's own array, with no eigensolver run.
+    calls = _counted_eigensolvers(monkeypatch)
+    rng = philox(31)
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    generators = (
+        lq.build_liouvillian(rand_spec(rng, 3)).full,
+        -1j * lq.commutator_superop((h + h.conj().T) / 2),
+    )
+    for route, L in zip(("real", "hermitian"), generators):
+        first = lq.spectral_decompose(L)
+        again = L.copy()
+        hit = lq.spectral_decompose(again)
+        assert hit.route == first.route == route
+        assert hit.generator is again and first.generator is L
+        for name in ("condition", "biorthogonality"):
+            assert getattr(hit, name) == getattr(first, name)
+        for name in _STORED:
+            a, b = getattr(first, name), getattr(hit, name)
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert np.array_equal(hit.right_vectors, first.right_vectors)
+    assert calls == ["eig", "eigh"]
+
+
+def test_stored_arrays_are_read_only(monkeypatch):
+    monkeypatch.setattr(spectral, "_last", None)
+    L = lq.build_liouvillian(rand_spec(philox(32), 2)).full
+    for sd in (lq.spectral_decompose(L), lq.spectral_decompose(L)):
+        for name in _STORED:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sd, name)[0] = 0
+
+
+def test_negative_zero_and_a_changed_generator_miss(monkeypatch):
+    # The key is the bits of L: -0.0 differs from 0.0, and an array the
+    # caller scales in place after a call is decomposed again.
+    calls = _counted_eigensolvers(monkeypatch)
+    L = lq.build_liouvillian(lq.amplitude_damping_spec(0.3, 0.2)).full
+    base = lq.spectral_decompose(L).eigenvalues
+    L *= 2.0
+    doubled = lq.spectral_decompose(L).eigenvalues
+    assert len(calls) == 2
+    assert np.abs(doubled - 2.0 * base).max() < 1e-14
+    flipped = L.copy()
+    zero = np.flatnonzero((flipped == 0) & ~np.signbit(flipped.real))[0]
+    flipped.ravel()[zero] = complex(-0.0, 0.0)
+    assert np.array_equal(flipped, L)
+    assert lq.spectral_decompose(flipped).generator is flipped
+    assert len(calls) == 3
+
+
+def test_refused_generators_are_not_stored(monkeypatch):
+    calls = _counted_eigensolvers(monkeypatch)
+    jordan = np.diag([1.0, 0.0, 0.0], k=1) + np.diag([0.0, 0.0, -1.0, -2.0])
+    b = _scatter(np.eye(4)).T
+    nan = lq.build_liouvillian(lq.amplitude_damping_spec(0.3, 0.2)).full
+    nan[0, 0] = np.nan
+    x = philox(33).normal(size=(4, 4))
+    cases = (
+        (b @ jordan @ b.conj().T, DefectiveGeneratorError, "defective"),
+        (nan, ValidationError, "nan"),
+        (1j * (x + x.T), ValidationError, "preserve Hermiticity"),
+    )
+    for L, error, match in cases:
+        for _ in range(2):
+            with pytest.raises(error, match=match):
+                lq.spectral_decompose(L)
+            assert spectral._last is None
+    assert calls == ["eig", "eig"]
 
 
 def test_steady_state_thermal_qubit():
