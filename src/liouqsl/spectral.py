@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 _GAP_TOL = 1e-10
-_last = None  # last SpectralData, on a copy of its generator; read once per call
+_last = None  # last SpectralData, on a copy of its generator
 
 
 def _phased(w, c, t):
@@ -197,7 +197,7 @@ def spectral_decompose(liouvillian):
     The last eigensystem computed is kept, with a copy of L, in one
     module-level slot, its arrays read-only; a call on a generator of the
     same shape and bits (-0.0 is not 0.0) returns it on the new L without
-    an eigensolver. A refused or defective generator is not kept.
+    an eigensolver. A miss empties the slot; a call that raises keeps nothing.
     """
     L = np.asarray(liouvillian, dtype=complex)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -205,9 +205,10 @@ def spectral_decompose(liouvillian):
     if not np.isfinite(L).all():
         raise ValidationError("generator has a nan or infinite entry")
     global _last
-    last, bits = _last, np.ascontiguousarray(L).view(np.uint64)
-    if last is not None and np.array_equal(last.generator.view(np.uint64), bits):
-        return replace(last, generator=L)
+    bits = np.ascontiguousarray(L).view(np.uint64)
+    if _last is not None and np.array_equal(_last.generator.view(np.uint64), bits):
+        return replace(_last, generator=L)
+    _last = None  # free the old eigensystem before computing the new one
     real = _real_form(L)
     if real is None:
         raise ValidationError("generator does not preserve Hermiticity")

@@ -190,16 +190,34 @@ def test_krylov_rho0_takes_the_gibbs_sff_from_the_same_modes(tmp_path, monkeypat
     args = ["krylov", "--h", _write_matrix(tmp_path, "h.json", h), "--beta", str(beta),
             "--rho0", _write_matrix(tmp_path, "rho0.json", rand_rho(rng, d)),
             "--t-max", "5", "--points", "301", "--out", str(tmp_path)]
-    calls, eigh = [], np.linalg.eigh
+    calls, misses, propagations = [], [], []
+    eigh, decompose, propagate = np.linalg.eigh, spectral.spectral_decompose, evolve.propagate_expm
 
     def counted(a):
         calls.append(a.shape)
         return eigh(a)
 
+    def decompose_counted(L):
+        last = spectral._last
+        modes = decompose(L)
+        if spectral._last is not last:
+            misses.append(L.shape)
+        return modes
+
+    def propagate_counted(L, rho, times):
+        propagations.append(L.shape)
+        return propagate(L, rho, times)
+
     monkeypatch.setattr(spectral, "_last", None)
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    for module in (spectral, evolve, applications, cli):
+        monkeypatch.setattr(module, "spectral_decompose", decompose_counted)
+    for module in (evolve, applications, cli):
+        monkeypatch.setattr(module, "propagate_expm", propagate_counted)
     assert main(args) == 0
     assert calls.count((d * d, d * d)) == 1
+    assert misses == [(d * d, d * d)]
+    assert propagations == [(d * d, d * d)]
     monkeypatch.undo()
     _, rows = _read_csv(tmp_path / "krylov.csv")
     t, column = rows[:, 0], rows[:, 2]

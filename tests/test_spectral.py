@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -226,6 +228,18 @@ def test_refused_generators_are_not_stored(monkeypatch):
                 lq.spectral_decompose(L)
             assert spectral._last is None
     assert calls == ["eig", "eig"]
+
+
+def test_a_miss_releases_the_stored_eigensystem(monkeypatch):
+    # The old eigensystem is dropped before the new one is computed, so a
+    # refused miss leaves the slot empty and memory holds one eigensystem.
+    monkeypatch.setattr(spectral, "_last", None)
+    lq.spectral_decompose(lq.build_liouvillian(lq.amplitude_damping_spec(0.3, 0.2)).full)
+    stored = weakref.ref(spectral._last)
+    x = philox(33).normal(size=(4, 4))
+    with pytest.raises(ValidationError, match="preserve Hermiticity"):
+        lq.spectral_decompose(1j * (x + x.T))
+    assert spectral._last is None and stored() is None
 
 
 def test_steady_state_thermal_qubit():
