@@ -9,8 +9,8 @@ per-point objects. For states of dimension d it holds
     normalized.vector      (T, d^2)   unit Liouville vectors v_k
     normalized.purity      (T,)       tr rho^2
     overlap_with_initial   (T,)       Re(v_0|v_k)
-    modes                             SpectralData of propagate_expm, else None
-    coordinates            (T, d^2)   real x_k = B^+ vec(rho_k), else None
+    modes                             SpectralData of the modal route, else None
+    coordinates            (T, d^2)   real x_k = B^+ vec(rho_k), None from build_trace
 
 trace.normalized[k] and trace.states[k] give the k-th point, and the
 speed functionals of the qsl module take trace.normalized whole, so
@@ -26,9 +26,9 @@ propagate_expm writes a time-independent generator through the
 eigenmodes of spectral.spectral_decompose, the same ones the spectral
 command and the mode route use, so the two agree by construction; it
 refuses, before any eigensolver runs, a generator that does not preserve
-Hermiticity. On any grid and for any block of initial states the whole
-trajectory is one product, for Hermitian states a real one into x_k, mapped to
-states by liouville._hermitian_matrices; other routes keep no coordinates.
+Hermiticity. Every start enters as the real coordinates x_0 of its Hermitian
+part; one real product gives every x_k on any grid for any block of starts,
+and liouville._hermitian_matrices maps them to exactly Hermitian states.
 Two derivative-free speed routes live here as well: a central-difference
 evaluation on the stored trace and a Kraus-family route that never
 touches the generator.
@@ -49,9 +49,8 @@ from .liouville import (
     NormalizedState,
     _gather,
     _hermitian_matrices,
-    _real_part,
+    _real_form,
     _variance,
-    devectorize,
     normalize_state,
     rehermitize,
     validate_density_matrix,
@@ -131,6 +130,7 @@ def build_trace(times, states, *, _modes=None, _coordinates=None):
         rhos.ndim not in (3, 4)
         or rhos.shape[-3] != t.size
         or rhos.shape[-1] != rhos.shape[-2]
+        or not rhos.size
     ):
         raise ValidationError(f"states of shape {rhos.shape} do not match the grid")
     rhos = rehermitize(rhos) if _coordinates is None else rhos
@@ -160,21 +160,21 @@ def build_trace(times, states, *, _modes=None, _coordinates=None):
     )
 
 
-def _expm_steps(generator, v0, times):
-    """Stack of exp(G (t_k - t_0)) v0 over the grid, shape (T, ...) + v0.shape.
+def _expm_steps(generator, x0, times):
+    """Stack of exp(G (t_k - t_0)) x0 over the grid, shape (T, ...) + x0.shape.
 
-    The fallback for generators without a well-conditioned eigenbasis.
-    v0 is one vector (n,) or a block (..., n) of vectors stepped together.
+    The real fallback for generators without a well-conditioned eigenbasis:
+    G = B^+ L B, x0 one coordinate vector (n,) or a block (..., n) of them.
     On a uniform grid exp(G dt) is computed once and applied repeatedly,
-    restarting from an exact exp(G (t_k - t_0)) v0 every _REANCHOR_STEPS
+    restarting from an exact exp(G (t_k - t_0)) x0 every _REANCHOR_STEPS
     steps; otherwise each output time gets its own exponential. Rows are
     multiplied from the right by the transposed exponential, which gives
-    the same bits as exp(G dt) @ v for a single vector.
+    the same bits as exp(G dt) @ x for a single vector.
     """
     from scipy.linalg import expm
 
-    out = np.empty((times.size,) + v0.shape, dtype=complex)
-    out[0] = v0
+    out = np.empty((times.size,) + x0.shape)
+    out[0] = x0
     dts = np.diff(times)
     uniform = times.size > 1 and np.allclose(dts, dts[0], rtol=1e-12, atol=1e-15)
     step_t = expm(generator * dts[0]).T if uniform else None
@@ -182,7 +182,7 @@ def _expm_steps(generator, v0, times):
         if uniform and k % _REANCHOR_STEPS:
             out[k] = out[k - 1] @ step_t
         else:
-            out[k] = v0 @ expm(generator * (times[k] - times[0])).T
+            out[k] = x0 @ expm(generator * (times[k] - times[0])).T
     return out
 
 
@@ -195,24 +195,24 @@ def propagate_expm(liouvillian, rho0, times):
     block; an invalid initial state raises a ValidationError that names
     its index in the stack.
 
-    Every grid point comes at once from the eigensystem L = R diag(lambda)
-    R^-1 of spectral_decompose, kept as the trace's modes; it raises
-    ValidationError unless L is finite and preserves Hermiticity. A Hermitian
-    rho0 takes SpectralData.propagate_real, whose x_k the trace keeps as
-    coordinates and maps to exactly Hermitian states; any other takes
-    SpectralData.evolve. When R is singular or its biorthogonality defect
-    exceeds 1e-13, as near an exceptional point, scipy's expm steps over a
-    uniform grid (restarting exactly every 1024 steps), and over any other grid
-    per point. Only that fallback imports scipy.
+    rho0 enters as x_0 = Re B^+ vec(rho0), the coordinates of its Hermitian
+    part. Every grid point comes at once from the eigensystem L = R diag(lambda)
+    R^-1 of spectral_decompose, kept as the trace's modes, through
+    SpectralData.propagate_real; it raises ValidationError unless L is finite
+    and preserves Hermiticity. When R is singular or its biorthogonality defect
+    exceeds 1e-13, as near an exceptional point, scipy's expm of B^+ L B steps
+    x over a uniform grid (restarting exactly every 1024 steps), and over any
+    other grid per point; only that fallback imports scipy. The trace keeps x_k
+    as coordinates and maps them to exactly Hermitian states.
     """
     t = _check_grid(times)
     if abs(t[0]) > 1e-12:
         raise ValidationError("propagate_expm expects times[0] = 0")
     L = np.asarray(liouvillian, dtype=complex)
     rho = np.asarray(rho0, dtype=complex)
-    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2] or not rho.size:
         raise DimensionError(
-            f"expected a (d, d) state or an (A, d, d) stack, got shape {rho.shape}"
+            f"expected a (d, d) state or a non-empty (A, d, d) stack, got {rho.shape}"
         )
     try:
         validate_density_matrix(rho)
@@ -230,21 +230,18 @@ def propagate_expm(liouvillian, rho0, times):
         modes = spectral_decompose(L)
     except DefectiveGeneratorError:
         modes = None
-    x0 = _real_part(_gather(v))
+    x0 = _gather(v).real
     if modes is None or modes.biorthogonality > _MODAL_DEFECT_MAX:
-        vecs, modes, x0 = _expm_steps(L, v, t), None, None
-    elif x0 is None:
-        vecs = modes.evolve(modes.overlaps(v), t - t[0])
+        real = _real_form(L) if modes is None else modes.real_form
+        xs, modes = _expm_steps(real, x0, t), None
     else:
-        vecs = modes.propagate_real(x0, t - t[0])
-    bounded = np.linalg.norm(vecs, axis=-1) <= _NORM_CAP
+        xs = modes.propagate_real(x0, t - t[0])
+    bounded = np.linalg.norm(xs, axis=-1) <= _NORM_CAP
     if not bounded.all():
         first = t[np.argmin(bounded.reshape(t.size, -1).all(axis=1))]
         raise NumericalConsistencyError(f"state norm overflow at t={first:g}")
-    vecs = np.ascontiguousarray(np.moveaxis(vecs, 0, -2))  # (..., T, n)
-    if x0 is None:
-        return build_trace(t, devectorize(vecs), _modes=modes)
-    return build_trace(t, _hermitian_matrices(vecs), _modes=modes, _coordinates=vecs)
+    xs = np.ascontiguousarray(np.moveaxis(xs, 0, -2))  # (..., T, n)
+    return build_trace(t, _hermitian_matrices(xs), _modes=modes, _coordinates=xs)
 
 
 def generic_speed(trace, k):

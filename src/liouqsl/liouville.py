@@ -125,11 +125,12 @@ def rehermitize(matrix):
 def validate_density_matrix(rho, trace_tol=1e-10, *, _hermitian=False):
     """Check the structural requirements on a density matrix or a stack of them.
 
-    Raises ValidationError when an entry is not finite, the trace deviates
-    from one beyond trace_tol, hermiticity is violated beyond 1e-10, or the
-    smallest eigenvalue of the Hermitian part H lies below -1e-10. For a
-    stack the error describes the first failing state, and its index
-    attribute holds that state's flat index over the leading axes.
+    Raises DimensionError for an empty or non-square rho; else ValidationError
+    when an entry is not finite, the trace deviates from one beyond trace_tol,
+    hermiticity is violated beyond 1e-10, or the smallest eigenvalue of the
+    Hermitian part H lies below -1e-10. For a stack the error describes the
+    first failing state, and its index attribute holds that state's flat index
+    over the leading axes.
 
     Positivity is decided by one stacked Cholesky factorization of
     H + 1e-10 * 1, which succeeds iff every such eigenvalue is above the
@@ -137,8 +138,8 @@ def validate_density_matrix(rho, trace_tol=1e-10, *, _hermitian=False):
     name the failing state. _hermitian skips the skew of a re-Hermitized rho.
     """
     r = np.asarray(rho, dtype=complex)
-    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
-        raise DimensionError(f"expected a square matrix, got shape {r.shape}")
+    if r.ndim < 2 or r.shape[-1] != r.shape[-2] or not r.size:
+        raise DimensionError(f"expected a non-empty square matrix, got shape {r.shape}")
     d = r.shape[-1]
     r = r.reshape((-1, d, d))
     finite = np.isfinite(r).all(axis=(1, 2))

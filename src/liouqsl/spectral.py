@@ -7,10 +7,10 @@ Hermiticity; on its real route it keeps the real pair matrix W of B^+ L B
 with its real inverse, and forms complex vectors only when they are read;
 steady_state reads the stationary column of W and forms none. A slot keeps
 the last generator decomposed, so a process decomposes each one once.
-Propagation writes sum_i exp(lambda_i t) c_i |r_i)), c_i = (l_i|rho0),
-through the same modes: SpectralData.evolve in complex arithmetic, or, for
-Hermitian rho0 and on both routes, one real kernel (propagate_real, behind
-propagate_expm) for the coordinates x_t = B^+ rho_t.
+Mode sums sum_i exp(lambda_i t) c_i |r_i)), c_i = (l_i|rho0), come from the
+same modes: SpectralData.evolve in complex arithmetic for the mode route, and
+on both routes one real kernel, propagate_real, for the coordinates
+x_t = B^+ rho_t that propagate_expm propagates.
 On a uniform grid of T points both take exp(lambda_i t) from an anchor x
 offset table, about 2 sqrt(T) exponentials per mode instead of T, each
 weight within 8 eps (1 + max|lambda| t_max) max|c| of the direct one; other
@@ -33,9 +33,7 @@ from .exceptions import (
 )
 from .liouville import (
     _gather,
-    _hermitian_matrices,
     _real_form,
-    _real_part,
     _scatter,
     _unit_angle,
     _variance,
@@ -166,20 +164,13 @@ class SpectralData:
         x = weights.reshape(-1, z.shape[1]).view(float) @ z.view(float).T
         return x.reshape(weights.shape[:-1] + (-1,))
 
-    def propagate(self, v0, t):
-        """exp(L t) v0 for v0 (n,) or (..., n); Hermitian v0 by propagate_real."""
-        x0 = _real_part(_gather(v0))
-        if x0 is None:
-            return self.evolve(self.overlaps(v0), t)
-        return vectorize(_hermitian_matrices(self.propagate_real(x0, t)))
-
 
 def spectral_decompose(liouvillian):
     """Biorthonormal eigensystem of a Hermiticity-preserving generator.
 
-    L must be square and finite, and its real form B^+ L B in the basis B of
-    Hermitian matrices (liouville._real_form) must exist, as for every
-    Lindblad generator; else ValidationError is raised before any
+    L must be square, non-empty and finite, and its real form B^+ L B in the
+    basis B of Hermitian matrices (liouville._real_form) must exist, as for
+    every Lindblad generator; else ValidationError is raised before any
     eigensolver runs. B^+ L B is kept as real_form. Two routes, recorded in
     route:
     - "hermitian": when 1j L is exactly Hermitian (coherent dynamics such
@@ -200,8 +191,8 @@ def spectral_decompose(liouvillian):
     an eigensolver. A miss empties the slot; a call that raises keeps nothing.
     """
     L = np.asarray(liouvillian, dtype=complex)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise ValidationError(f"generator must be square, got shape {L.shape}")
+    if L.ndim != 2 or L.shape[0] != L.shape[1] or not L.size:
+        raise ValidationError(f"generator must be square and non-empty, got {L.shape}")
     if not np.isfinite(L).all():
         raise ValidationError("generator has a nan or infinite entry")
     global _last

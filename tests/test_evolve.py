@@ -13,9 +13,11 @@ from liouqsl.evolve import (
 )
 from liouqsl.exceptions import (
     DefectiveGeneratorError,
+    DimensionError,
     NumericalConsistencyError,
     ValidationError,
 )
+from liouqsl.liouville import _gather, _scatter
 
 from conftest import philox, rand_hermitian, rand_pure, rand_rho, rand_spec, rotated_state
 
@@ -79,6 +81,14 @@ def test_propagate_expm_grid_validation():
             build_trace(times, [rho0] * 3)
 
 
+def test_empty_states_are_refused():
+    L = lq.build_liouvillian(lq.amplitude_damping_spec(0.5, 0.2)).full
+    with pytest.raises(DimensionError, match="non-empty"):
+        propagate_expm(L, np.zeros((0, 2, 2)), np.linspace(0.0, 1.0, 5))
+    with pytest.raises(ValidationError, match="do not match"):
+        build_trace([0.0, 1.0], np.zeros((2, 0, 0)))
+
+
 def test_propagate_expm_norm_overflow():
     L = 3.0 * np.eye(4, dtype=complex)
     for rho0 in (np.eye(2) / 2.0, np.array([np.eye(2) / 2.0, np.diag([1.0, 0.0])])):
@@ -136,10 +146,12 @@ def test_modal_route_is_no_less_accurate_than_stepping():
                 picks = np.unique(np.r_[np.arange(0, times.size, 64), times.size - 1])
                 ref = _per_point_reference(L, v0, times[picks])
                 scale = np.abs(ref).max()
-                modal = lq.spectral_decompose(L).propagate(v0, times)
+                sd, x0 = lq.spectral_decompose(L), _gather(v0).real
+                modal = _scatter(sd.propagate_real(x0, times))
                 assert modal.shape == (times.size,) + v0.shape
                 modal_err = np.abs(modal[picks] - ref).max() / scale
-                step_err = np.abs(evolve._expm_steps(L, v0, times)[picks] - ref).max()
+                stepped = _scatter(evolve._expm_steps(sd.real_form, x0, times))
+                step_err = np.abs(stepped[picks] - ref).max()
                 floor = np.finfo(float).eps * np.linalg.norm(L) * times[-1]
                 assert modal_err <= max(step_err / scale, floor)
 
@@ -186,7 +198,7 @@ def test_coherent_generator_takes_the_hermitian_route(monkeypatch):
 
 def test_hermitian_vectors_take_the_real_product():
     # On the real route, Hermitian vectors go through one real product over
-    # half the conjugate pairs; any other vector keeps the complex mode sum.
+    # half the conjugate pairs, which agrees with the complex mode sum.
     rng = philox(49)
     times = np.linspace(0.0, 2.0, 101)
     for d in (2, 3, 5):
@@ -194,11 +206,8 @@ def test_hermitian_vectors_take_the_real_product():
         sd = lq.spectral_decompose(L)
         assert sd.route == "real"
         hermitian = lq.vectorize(np.array([rand_rho(rng, d), rand_pure(rng, d)]))
-        modal = sd.propagate(hermitian, times)
+        modal = _scatter(sd.propagate_real(_gather(hermitian).real, times))
         assert _close(modal, sd.evolve(sd.overlaps(hermitian), times))
-        v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
-        modal = sd.propagate(v, times)
-        assert np.array_equal(modal, sd.evolve(sd.overlaps(v), times))
 
 
 def test_hermitian_start_inverts_in_real_arithmetic(monkeypatch):
@@ -224,6 +233,24 @@ def test_hermitian_start_inverts_in_real_arithmetic(monkeypatch):
     assert build_trace(times, trace.states[0]).modes is None
     stepped = propagate_expm(_critically_driven_decay(), np.diag([0.0, 1.0]), times)
     assert stepped.modes is None
+
+
+def test_small_skew_start_propagates_its_hermitian_part():
+    # A skew of 1e-11 passes validation; the start enters the real coordinates
+    # as its Hermitian part, which exp(L t) maps to the Hermitian part of
+    # exp(L t) rho0 because L preserves Hermiticity.
+    rng = philox(54)
+    times = np.linspace(0.0, 2.0, 201)
+    for d in (2, 3, 5):
+        L = lq.build_liouvillian(rand_spec(rng, d)).full
+        rho0 = rand_rho(rng, d)
+        rho0[0, 1] += 1e-11
+        trace = propagate_expm(L, rho0, times)
+        s = trace.states
+        assert trace.coordinates is not None
+        assert np.array_equal(s, s.conj().swapaxes(-1, -2))
+        ref = _per_point_reference(L, lq.vectorize(lq.rehermitize(rho0)), times)
+        assert np.abs(lq.vectorize(s) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def _coordinate_cases():
@@ -262,13 +289,13 @@ def test_coordinate_route_writes_exactly_hermitian_states():
 
 
 def test_critically_driven_qubit_keeps_the_stepping_fallback():
-    # Its biorthogonality defect sends it to expm stepping, which builds the
-    # trace through build_trace and keeps no coordinates; the report is the
-    # one recorded before the coordinate route.
+    # Its biorthogonality defect sends it to expm stepping, which steps the
+    # real coordinates and keeps them; the report is the one recorded before
+    # the coordinate route.
     L = _critically_driven_decay(gamma=1.0)
     times = np.linspace(0.0, 20.0, 401)
     trace = propagate_expm(L, lq.superposition_state(0.5), times)
-    assert trace.modes is None and trace.coordinates is None
+    assert trace.modes is None and trace.coordinates.shape == (401, 4)
     frozen = {
         "T": 20.0,
         "theta": 1.2884024800348202,

@@ -140,6 +140,11 @@ def test_validate_density_matrix_rejections():
         lq.validate_density_matrix(np.zeros((2, 3)))
 
 
+def test_validate_density_matrix_refuses_an_empty_matrix():
+    with pytest.raises(DimensionError, match="non-empty"):
+        lq.validate_density_matrix(np.zeros((0, 0)))
+
+
 def test_validate_density_matrix_floor_at_minus_1e_10():
     rng = philox(16)
     for d in (2, 4, 16):

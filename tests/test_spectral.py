@@ -12,7 +12,7 @@ from liouqsl.exceptions import (
     QuadratureError,
     ValidationError,
 )
-from liouqsl.liouville import _scatter
+from liouqsl.liouville import _gather, _scatter
 from liouqsl.spectral import _phased
 
 from conftest import philox, rand_pure, rand_rho, rand_spec
@@ -131,6 +131,11 @@ def test_non_hermiticity_preserving_generator_is_refused_before_any_eigensolver(
     for L in (x, 1j * (x + x.conj().T)):
         with pytest.raises(ValidationError, match="preserve Hermiticity"):
             lq.spectral_decompose(L)
+
+
+def test_empty_generator_is_refused():
+    with pytest.raises(ValidationError, match="non-empty"):
+        lq.spectral_decompose(np.zeros((0, 0)))
 
 
 def test_defect_threshold_scales_with_the_generator():
@@ -481,7 +486,8 @@ def test_phase_table_matches_the_direct_exponentials(monkeypatch):
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= tol
             if sd.route == "real":
-                assert np.abs(sd.propagate(v, t) - ref).max() <= tol
+                modal = _scatter(sd.propagate_real(_gather(v).real, t))
+                assert np.abs(modal - ref).max() <= tol
                 lead = np.flatnonzero(sd.eigenvalues.imag >= 0.0)
                 weights = _phased(sd.eigenvalues[lead], 2.0 * c[..., lead], t)
                 direct = _direct_weights(sd, 2.0 * c[..., lead], t, lead)
