@@ -1,4 +1,4 @@
-"""Trajectory propagation and trajectory-level speed evaluation.
+"""Trajectory propagation and its stacked trace.
 
 propagate_expm is the package's only propagator. It returns an
 EvolutionTrace: stacked arrays over the T grid points, not a list of
@@ -29,9 +29,6 @@ refuses, before any eigensolver runs, a generator that does not preserve
 Hermiticity. Every start enters as the real coordinates x_0 of its Hermitian
 part; one real product gives every x_k on any grid for any block of starts,
 and liouville._hermitian_matrices maps them to exactly Hermitian states.
-Two derivative-free speed routes live here as well: a central-difference
-evaluation on the stored trace and a Kraus-family route that never
-touches the generator.
 """
 
 from dataclasses import dataclass
@@ -44,13 +41,11 @@ from .exceptions import (
     NumericalConsistencyError,
     ValidationError,
 )
-from .lindblad import kraus_to_superop
 from .liouville import (
     NormalizedState,
     _gather,
     _hermitian_matrices,
     _real_form,
-    _variance,
     normalize_state,
     rehermitize,
     validate_density_matrix,
@@ -62,8 +57,6 @@ __all__ = [
     "EvolutionTrace",
     "build_trace",
     "propagate_expm",
-    "generic_speed",
-    "kraus_trajectory_speed",
 ]
 
 _NORM_CAP = 1e12
@@ -242,40 +235,3 @@ def propagate_expm(liouvillian, rho0, times):
         raise NumericalConsistencyError(f"state norm overflow at t={first:g}")
     xs = np.ascontiguousarray(np.moveaxis(xs, 0, -2))  # (..., T, n)
     return build_trace(t, _hermitian_matrices(xs), _modes=modes, _coordinates=xs)
-
-
-def generic_speed(trace, k):
-    """Central-difference speed at interior grid point k, per trajectory of a stack.
-
-    sqrt(⟨dv/dt, dv/dt⟩ - |⟨v, dv/dt⟩|²) from the stored unit vectors;
-    needs no generator, so it applies to arbitrary recorded dynamics.
-    """
-    if not 1 <= k <= len(trace) - 2:
-        raise ValidationError(f"index {k} is not an interior grid point")
-    vm, v, vp = np.moveaxis(trace.normalized.vector[..., k - 1 : k + 2, :], -2, 0)
-    dv = (vp - vm) / (trace.times[k + 1] - trace.times[k - 1])
-    return np.sqrt(_variance(v, dv))
-
-
-def kraus_trajectory_speed(ks_provider, rho0, t, h):
-    """Speed at time t from a differentiable Kraus family.
-
-    Normalizes each supermatrix K_t so that K_t v0 is a unit vector,
-    differentiates by central differences with step h, and evaluates
-    sqrt(tr(dK† dK P0) - tr(dK† P_t dK P0)) with P0, P_t the projectors
-    onto the initial and current unit vectors v0, v_t. That equals
-    |dK v0|² - |(v_t|dK v0)|²: the speed of the unit vector v_t, whose
-    time derivative is dK v0.
-    """
-    if not 0.0 < h < np.inf:
-        raise ValidationError("central-difference step must be positive and finite")
-    s0 = normalize_state(np.asarray(rho0, dtype=complex))
-    v0 = s0.vector
-
-    def normalized_super(tau):
-        K = kraus_to_superop(ks_provider(tau))
-        return K / np.linalg.norm(K @ v0)
-
-    dK = (normalized_super(t + h) - normalized_super(t - h)) / (2.0 * h)
-    vt = normalized_super(t) @ v0
-    return np.sqrt(_variance(vt, dK @ v0))

@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionError, ValidationError
-from .liouville import _kron, rehermitize, sandwich_superop
+from .liouville import _kron, rehermitize
 
 __all__ = [
     "LindbladSpec",
     "LiouvillianParts",
     "commutator_superop",
     "build_liouvillian",
-    "kraus_to_superop",
 ]
 
 _HERM_TOL = 1e-12
@@ -130,13 +129,3 @@ def build_liouvillian(spec):
         opdop = op.conj().T @ op
         ld += rate * _add_identity_krons(_kron(op.conj(), op), opdop, opdop, -0.5)
     return LiouvillianParts(full=-1j * lh + ld, hermitian_generator=lh, dissipative=ld)
-
-
-def kraus_to_superop(kraus):
-    """Supermatrix sum_i K_i* kron K_i of a list of Kraus operators."""
-    ops = [np.asarray(k, dtype=complex) for k in kraus]
-    if not ops:
-        raise ValidationError("empty Kraus set")
-    if any(k.shape != ops[0].shape for k in ops):
-        raise DimensionError("Kraus operators of inconsistent shape")
-    return sum(sandwich_superop(k, k.conj().T) for k in ops)

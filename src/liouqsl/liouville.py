@@ -32,9 +32,7 @@ __all__ = [
     "NormalizedState",
     "normalize_state",
     "liouville_angle",
-    "sandwich_superop",
     "superop_expectation",
-    "superop_variance",
 ]
 
 
@@ -239,19 +237,6 @@ def _kron(a, b):
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
-def sandwich_superop(left, right):
-    """Superoperator of X -> left @ X @ right.
-
-    Returns right^T kron left, so that applying it to vec(X) yields
-    vec(left X right).
-    """
-    l = np.asarray(left, dtype=complex)
-    r = np.asarray(right, dtype=complex)
-    if l.shape != r.shape or l.ndim != 2 or l.shape[0] != l.shape[1]:
-        raise DimensionError("factors must be square matrices of equal dimension")
-    return _kron(r.T, l)
-
-
 def _operands(superop, state):
     """Complex (v, O) for the unit vector(s) v of a NormalizedState or an array."""
     if isinstance(state, NormalizedState):
@@ -285,13 +270,3 @@ def _variance(v, ov):
 def superop_expectation(superop, state):
     """Expectation (rho~|O|rho~) = tr(O P) of a superoperator, per state."""
     return _dot(*_apply(superop, state))
-
-
-def superop_variance(superop, state):
-    """Variance tr(O^+ O P) - tr(O^+ P) tr(O P) of a superoperator.
-
-    Equals ||O v||^2 - |(v|O|v)|^2 for the unit vector v; a stacked state
-    gives one value per state. Negative round-off down to -1e-10 is
-    clamped to zero; a lower value raises NumericalConsistencyError.
-    """
-    return _variance(*_apply(superop, state))

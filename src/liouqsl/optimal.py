@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import DimensionError, ValidationError
 from .lindblad import LindbladSpec, build_liouvillian
 from .liouville import validate_density_matrix
 
@@ -42,6 +42,9 @@ class GeodesicSpec:
         self.rho0_perp = np.asarray(self.rho0_perp, dtype=complex)
         validate_density_matrix(self.rho0)
         validate_density_matrix(self.rho0_perp)
+        if self.rho0.shape != self.rho0_perp.shape:
+            shapes = f"{self.rho0.shape} and {self.rho0_perp.shape}"
+            raise DimensionError(f"endpoint shapes {shapes} differ")
         overlap = abs(np.trace(self.rho0 @ self.rho0_perp))
         if overlap > _TOL:
             raise ValidationError(f"endpoint overlap {overlap:.3e} exceeds {_TOL}")

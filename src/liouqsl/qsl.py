@@ -167,11 +167,20 @@ def _odd_grid(n):
 
 
 def _horizon_grid(horizon, points):
-    """Uniform Simpson grid of points times on [0, horizon], horizon finite > 0."""
+    """Uniform Simpson grid of points times on [0, horizon], horizon finite > 0.
+
+    The step h must have h^2 a normal float: Simpson's middle weight divides
+    by it, and a subnormal or infinite h^2 gives wrong or NaN time averages.
+    """
     _odd_grid(points)
     horizon = float(horizon)
     if not 0.0 < horizon < np.inf:
         raise ValidationError(f"horizon must be positive and finite, got {horizon}")
+    step = horizon / (points - 1)
+    if not np.finfo(float).tiny <= step * step < np.inf:
+        raise ValidationError(
+            f"horizon {horizon:g} gives a step {step:g} whose square is not a normal float"
+        )
     return np.linspace(0.0, horizon, points)
 
 
@@ -214,7 +223,7 @@ def speed_decomposition(parts, state):
     v, hv = _apply(parts.hermitian_generator, state)
     _, dv = _apply(parts.dissipative, state)
     cross = np.real(1j * (_dot(hv, dv) - _dot(dv, hv)))
-    return float(_variance(v, hv)), float(_variance(v, dv)), float(cross)
+    return _variance(v, hv), _variance(v, dv), cross
 
 
 def average_speed(trace, liouvillian):
@@ -415,4 +424,4 @@ def uncertainty_product(a_superop, b_superop, state):
     _, bv = _apply(b_superop, state)
     lhs = _variance(v, av) * _variance(v, bv)
     cov = _dot(av, bv) - np.conj(_dot(v, av)) * _dot(v, bv)
-    return float(lhs), float(abs(cov) ** 2)
+    return lhs, abs(cov) ** 2

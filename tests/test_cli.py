@@ -485,6 +485,53 @@ def test_unusable_out_is_a_validation_error(ad_spec_path, tmp_path, capsys):
         assert str(out) in err and "Traceback" not in err
 
 
+def test_input_files_that_are_not_utf8_are_validation_errors(ad_spec_path, tmp_path, capsys):
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe")
+    out = str(tmp_path / "out")
+    for argv in (
+        ["validate", "--spec", str(binary)],
+        ["krylov", "--h", str(binary), "--points", "21"],
+        ["qsl-report", "--spec", ad_spec_path, "--rho0", str(binary), "--points", "21"],
+    ):
+        assert main(argv + ["--out", out]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"liouqsl: command={argv[0]} error=validation detail="), err
+        assert str(binary) in err and "Traceback" not in err
+
+
+def test_optimal_endpoints_of_different_dimension_exit_1(tmp_path, capsys):
+    rho0 = _write_matrix(tmp_path, "rho0.json", np.diag([1.0, 0.0, 0.0]))
+    perp = _write_matrix(tmp_path, "perp.json", np.diag([0.0, 1.0]))
+    argv = ["optimal", "--rho0", rho0, "--rho-perp", perp, "--gamma", "0.5"]
+    assert main(argv + ["--points", "21", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("liouqsl: command=optimal error=validation detail=endpoint shapes")
+
+
+def test_horizons_whose_squared_step_is_not_a_normal_float_exit_1(tmp_path, capsys):
+    """On the damped qubit a 2e-157 horizon averaged a speed 7.4e-6 off its
+    t = 0 value, and 1e-320 wrote NaN; 2e-150 still resolves the average."""
+    spec = lq.LindbladSpec(np.zeros((2, 2)), [(1.0, np.array([[0.0, 1.0], [0.0, 0.0]]))])
+    path = str(tmp_path / "decay.json")
+    lq.dump_json(lq.spec_to_json(spec), path)
+    rho0 = _write_matrix(tmp_path, "rho0.json", np.diag([1.0, 0.0]))
+    for start, t_max in ((["--alpha", "0.3"], "2e-157"), (["--rho0", rho0], "1e-320")):
+        out = tmp_path / t_max
+        argv = ["qsl-report", "--spec", path, *start, "--t-max", t_max, "--out", str(out)]
+        assert main(argv) == 1, t_max
+        err = capsys.readouterr().err
+        assert err.startswith("liouqsl: command=qsl-report error=validation detail=horizon")
+        assert not (out / "report.json").exists()
+    out = tmp_path / "short"
+    argv = ["qsl-report", "--spec", path, "--alpha", "0.3", "--t-max", "2e-150"]
+    assert main(argv + ["--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    rho = lq.superposition_state(0.3)
+    at_zero = lq.speed(lq.build_liouvillian(spec).full, lq.normalize_state(rho))
+    assert abs(report["avg_speed"] - at_zero) <= 1e-12 * at_zero
+
+
 def test_validate_leaves_out_alone(ad_spec_path, tmp_path, monkeypatch):
     empty = tmp_path / "empty"
     empty.mkdir()

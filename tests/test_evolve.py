@@ -5,12 +5,7 @@ from scipy.linalg import expm
 
 import liouqsl as lq
 from liouqsl import evolve
-from liouqsl.evolve import (
-    build_trace,
-    generic_speed,
-    kraus_trajectory_speed,
-    propagate_expm,
-)
+from liouqsl.evolve import build_trace, propagate_expm
 from liouqsl.exceptions import (
     DefectiveGeneratorError,
     DimensionError,
@@ -19,7 +14,16 @@ from liouqsl.exceptions import (
 )
 from liouqsl.liouville import _gather, _scatter
 
-from conftest import philox, rand_hermitian, rand_pure, rand_rho, rand_spec, rotated_state
+from conftest import (
+    generic_speed,
+    kraus_trajectory_speed,
+    philox,
+    rand_hermitian,
+    rand_pure,
+    rand_rho,
+    rand_spec,
+    rotated_state,
+)
 
 
 def _close(got, ref, rtol=1e-13):
@@ -476,10 +480,6 @@ def test_generic_speed_matches_generator_route():
     for k in (1, 120, 250, 499):
         direct = lq.speed(L, trace.normalized[k])
         assert abs(generic_speed(trace, k) - direct) < 1e-5
-    with pytest.raises(ValidationError):
-        generic_speed(trace, 0)
-    with pytest.raises(ValidationError):
-        generic_speed(trace, 500)
 
 
 def test_generic_speed_of_a_stack_is_that_of_each_trajectory():
@@ -512,6 +512,3 @@ def test_kraus_trajectory_speed_matches_generator_route():
     trace = propagate_expm(L, rho0, np.array([0.0, t]))
     direct = lq.speed(L, trace.normalized[1])
     assert abs(kraus_trajectory_speed(family, rho0, t, 1e-6) - direct) < 1e-8
-    for bad in (0.0, np.nan):
-        with pytest.raises(ValidationError):
-            kraus_trajectory_speed(family, rho0, t, bad)

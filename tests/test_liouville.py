@@ -40,7 +40,7 @@ def test_sandwich_superop_action():
         l = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         r = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        got = lq.sandwich_superop(l, r) @ lq.vectorize(x)
+        got = np.kron(r.T, l) @ lq.vectorize(x)
         assert_allclose(got, lq.vectorize(l @ x @ r), atol=1e-12)
 
 
@@ -82,7 +82,7 @@ def test_gathers_equal_the_dense_products_with_the_hermitian_basis():
         # Hermiticity-preserving: S(X) = K X K^+ + X^T has a real form.
         k = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         swap = lq.vectorize(np.eye(n).reshape(n, d, d).transpose(0, 2, 1)).T
-        preserving = lq.sandwich_superop(k, k.conj().T) + swap
+        preserving = np.kron(k.conj(), k) + swap
         real = _real_form(preserving)
         assert real.dtype == float and real.flags.c_contiguous
         assert_allclose(real, (b.conj().T @ preserving @ b).real, rtol=0, atol=1e-13)
@@ -269,10 +269,10 @@ def test_superop_expectation_and_variance():
     o = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     v = s.vector
     assert abs(lq.superop_expectation(o, s) - np.vdot(v, o @ v)) < 1e-12
-    var = lq.superop_variance(o, s)
+    var = lq.speed(o, s) ** 2
     manual = np.vdot(o @ v, o @ v).real - abs(np.vdot(v, o @ v)) ** 2
     assert abs(var - manual) < 1e-12
-    assert abs(lq.superop_variance(np.eye(4), s)) < 1e-12
+    assert lq.speed(np.eye(4), s) ** 2 < 1e-12
 
 
 def test_superop_variance_shift_invariance():
@@ -281,4 +281,4 @@ def test_superop_variance_shift_invariance():
     o = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     c = 0.7 - 1.3j
     shifted = o + c * np.eye(4)
-    assert abs(lq.superop_variance(o, s) - lq.superop_variance(shifted, s)) < 1e-10
+    assert abs(lq.speed(o, s) ** 2 - lq.speed(shifted, s) ** 2) < 1e-10

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import liouqsl as lq
-from liouqsl.exceptions import ValidationError
+from liouqsl.exceptions import DimensionError, ValidationError
 
 from conftest import philox
 
@@ -58,6 +58,14 @@ def test_geodesic_spec_validation():
     # The unitary is always connecting_unitary's; a caller cannot pass another.
     with pytest.raises(TypeError, match="unitary"):
         lq.GeodesicSpec(rho0=zero, rho0_perp=one, gamma=0.1, unitary=np.diag([1.0, 1.0]))
+
+
+def test_endpoints_of_different_dimension_are_a_dimension_error():
+    three = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    one = np.diag([0.0, 1.0]).astype(complex)
+    for rho0, rho_perp in ((three, one), (one, three)):
+        with pytest.raises(DimensionError, match="endpoint shapes"):
+            lq.GeodesicSpec(rho0=rho0, rho0_perp=rho_perp, gamma=0.1)
 
 
 def test_connecting_unitary():

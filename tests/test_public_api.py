@@ -1,6 +1,7 @@
-"""The public surface: package exports, the names the benchmark traces, and
-the README's library examples."""
+"""The public surface: package exports, the names the benchmark traces, the
+README's library examples, and the rule that every public function has a user."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -23,6 +24,9 @@ MODULES = (
     "spectral",
     "applications",
 )
+# Public functions that only unit tests reach for now: ROADMAP item 10 gives
+# the mode route a CLI caller, and what it leaves unreached moves to the tests.
+PENDING = ("classical_part", "tqsl_from_modes", "mode_elimination_search")
 
 
 def test_package_exports_the_union_of_the_module_lists():
@@ -63,3 +67,42 @@ def test_readme_python_examples_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def _top_level_reads(path):
+    """(def name or None, names and attributes read) per top-level statement."""
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        reads = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+        yield getattr(stmt, "name", None), reads
+
+
+def test_every_public_function_is_reached_outside_the_unit_tests():
+    """The keep rule: a public function stays in src/ only while other package
+    code, a README example, an acceptance check, the benchmark or the CI
+    workflow uses it. Classes are exempt."""
+    readers = [
+        (path.stem, owner, reads)
+        for path in sorted((ROOT / "src" / "liouqsl").glob("*.py"))
+        for owner, reads in _top_level_reads(path)
+    ]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    texts = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    paths = [ROOT / "tests" / "test_acceptance.py", ROOT / ".github/workflows/tests.yml"]
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    texts += [path.read_text(encoding="utf-8") for path in paths]
+    words = set(re.findall(r"\w+", "\n".join(texts)))
+    unreached = set()
+    for name in MODULES:
+        module = importlib.import_module(f"liouqsl.{name}")
+        for n in module.__all__:
+            if inspect.isclass(getattr(module, n)) or n in words:
+                continue
+            if not any(n in reads and (m, o) != (name, n) for m, o, reads in readers):
+                unreached.add(n)
+    assert set(PENDING) <= unreached, "a pending name is reached now: drop it"
+    assert not unreached - set(PENDING), sorted(unreached - set(PENDING))

@@ -13,7 +13,14 @@ from liouqsl.exceptions import (
 )
 from liouqsl.qsl import _BLOCK_BYTES, BasisSet, _ClassicalSplit
 
-from conftest import philox, rand_hermitian, rand_pure, rand_rho, rand_spec
+from conftest import (
+    philox,
+    rand_hermitian,
+    rand_pure,
+    rand_rho,
+    rand_spec,
+    superop_variance,
+)
 
 
 def _ad_trace(alpha=0.6, gamma=0.1, n=0.0, horizon=5.0, points=201):
@@ -312,7 +319,7 @@ def test_classical_split_of_the_variance():
         s = lq.normalize_state(rand_rho(rng, d))
         c = lq.classical_part(L, basis, s)
         assert np.abs(c + c.conj().T).max() < 1e-12
-        var_cl = lq.superop_variance(c, s)
+        var_cl = superop_variance(c, s)
         nc = lq.nonclassical_speed(L, basis, s)
         total = lq.speed(L, s) ** 2
         assert abs(var_cl + nc**2 - total) < 1e-10
@@ -529,6 +536,23 @@ def test_uncertainty_product_inequality():
         s = lq.normalize_state(rand_rho(rng, d))
         lhs, rhs = lq.uncertainty_product(a, b, s)
         assert lhs >= rhs - 1e-10
+
+
+def test_speed_decomposition_and_uncertainty_product_of_a_stack():
+    rng = philox(60)
+    parts = lq.build_liouvillian(rand_spec(rng, 3))
+    b = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    stack = lq.normalize_state(np.array([rand_rho(rng, 3) for _ in range(5)]))
+    functionals = (
+        lambda s: lq.speed_decomposition(parts, s),
+        lambda s: lq.uncertainty_product(parts.full, b, s),
+    )
+    for functional in functionals:
+        columns = functional(stack)
+        for k in range(5):
+            for column, value in zip(columns, functional(stack[k])):
+                assert column.shape == (5,) and np.ndim(value) == 0
+                assert abs(column[k] - value) <= 1e-14 * abs(value)
 
 
 def test_wootters_length_dominates_angle():
