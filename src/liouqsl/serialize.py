@@ -91,7 +91,7 @@ def _read_json(path, what):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {what} file: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -7,26 +7,24 @@ Hermiticity; on its real route it keeps the real pair matrix W of B^+ L B
 with its real inverse, and forms complex vectors only when they are read;
 steady_state reads the stationary column of W and forms none. A slot keeps
 the last generator decomposed, so a process decomposes each one once.
-Mode sums sum_i exp(lambda_i t) c_i |r_i)), c_i = (l_i|rho0), come from the
-same modes: SpectralData.evolve in complex arithmetic for the mode route, and
-on both routes one real kernel, propagate_real, for the coordinates
-x_t = B^+ rho_t that propagate_expm propagates.
-On a uniform grid of T points both take exp(lambda_i t) from an anchor x
-offset table, about 2 sqrt(T) exponentials per mode instead of T, each
-weight within 8 eps (1 + max|lambda| t_max) max|c| of the direct one; other
-grids keep the direct exponentials bit for bit. Speed, angle and time bound
-follow from the mode sum without stepping, and a search over unitary
-rotations of the initial state can suppress chosen decay modes.
+The mode sums sum_i exp(lambda_i t) c_i |r_i)), c_i = (l_i|rho0), of
+propagate_expm and of the mode route's speed and angle run on one real
+kernel, propagate_real, for the coordinates x_t = B^+ rho_t. On a uniform
+grid of T points it takes exp(lambda_i t) from an anchor x offset table,
+about 2 sqrt(T) exponentials per mode instead of T, each weight within
+8 eps (1 + max|lambda| t_max) max|c| of the direct one; other grids keep
+the direct exponentials bit for bit. A search over unitary rotations of
+the initial state can suppress chosen decay modes.
 """
 
 import functools
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import (
     DefectiveGeneratorError,
+    DimensionError,
     NonUniqueSteadyStateError,
     NumericalConsistencyError,
     ValidationError,
@@ -41,7 +39,6 @@ from .liouville import (
     rehermitize,
     vectorize,
 )
-from .qsl import _bound_ratio, _horizon_grid, _time_average
 
 __all__ = [
     "SpectralData",
@@ -50,7 +47,6 @@ __all__ = [
     "mode_overlaps",
     "speed_from_modes",
     "angle_from_modes",
-    "tqsl_from_modes",
     "mode_elimination_search",
 ]
 
@@ -85,13 +81,13 @@ def _phased(w, c, t):
 class SpectralData:
     """Sorted eigensystem of a Hermiticity-preserving generator.
 
-    eigenvalues ascend in |Re lambda|, ties by Im lambda (a real array when
-    all are real, as from numpy's eig). vectors and inverse are taken in the
-    coordinates diagonalized (W, W^-1 on the real route, with partner[i] the
-    mode conjugate to mode i); right_vectors and left_vectors hold |r_i)) and
-    |l_i)), (l_i|r_j) = delta_ij, formed when first read. condition and
-    biorthogonality are spectral_decompose's defects; real_form is B^+ L B
-    of generator on both routes, the array decomposed on the real one.
+    eigenvalues ascend in |Re lambda|, ties by Im lambda (a real array when all are
+    real, as from numpy's eig). vectors and inverse are taken in the coordinates
+    diagonalized (W, W^-1 on the real route, with partner[i] the mode conjugate to
+    mode i); right_vectors and left_vectors hold |r_i)) and |l_i)), (l_i|r_j) =
+    delta_ij, formed when first read; propagate_real, the one mode sum, reads neither.
+    condition and biorthogonality are spectral_decompose's defects; real_form is
+    B^+ L B of generator on both routes, the array decomposed on the real one.
     """
 
     eigenvalues: np.ndarray
@@ -134,19 +130,6 @@ class SpectralData:
     def overlaps(self, vector):
         """Coefficients (l_i|v) of a Liouville vector, or of each row of a block."""
         return vector @ self.left_vectors.conj()
-
-    def evolve(self, c, t):
-        """Mode sums sum_i exp(lambda_i t) c_i |r_i)) at the times t.
-
-        c holds the coefficients of one vector (n,) or of a block (..., n);
-        the result has shape t.shape + c.shape. With c = overlaps(v0) it is
-        exp(L t) v0, one product (exp(t lambda) * c) R^T for every time. On
-        the grids of _phased's table, each weight with Re lambda_i <= 0 is
-        within 8 eps (1 + max|lambda| t_max) max|c| of the direct one.
-        """
-        weights = _phased(self.eigenvalues, c, t)
-        vectors = weights.reshape(-1, self.size) @ self.right_vectors.T
-        return vectors.reshape(weights.shape)
 
     def propagate_real(self, x0, t):
         """Real kernel: B^+ exp(L t) B x0 = Re sum_k w_k B^+ r_k, x0 (n,) or (..., n).
@@ -272,46 +255,47 @@ def steady_state(sd):
     return rho
 
 
+def _checked(sd, vector, what):
+    """A complex array over sd's modes on its last axis, every entry finite."""
+    v = np.asarray(vector, dtype=complex)
+    if v.shape[-1:] != (sd.size,):
+        raise DimensionError(f"{what} has shape {v.shape}, expected ({sd.size},)")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{what} has a nan or infinite entry")
+    return v
+
+
 def mode_overlaps(sd, rho0):
     """Decomposition coefficients c_i = (l_i|vec(rho0))."""
-    return sd.overlaps(vectorize(np.asarray(rho0, dtype=complex)))
+    return sd.overlaps(_checked(sd, vectorize(rho0), "state"))
+
+
+def _mode_sum(sd, c, t):
+    """B^+ sum_i exp(lambda_i t) c_i |r_i)) by propagate_real, c over the last axis."""
+    _require_unique_zero(sd)
+    if not np.isfinite(t := np.asarray(t, dtype=float)).all():
+        raise ValidationError("times must be finite")
+    return sd.propagate_real(_gather(_checked(sd, c, "c") @ sd.right_vectors.T).real, t)
 
 
 def speed_from_modes(sd, c, t):
     """Evolution speed from the mode sums alone, at a time t or a 1-D grid of them.
 
-    _variance of v' = L v at v = evolve(c, t), both scaled so |v| = 1; the
-    derivative v' = evolve(lambda * c, t) comes out of the same product.
-    """
-    _require_unique_zero(sd)
-    c = np.asarray(c, dtype=complex)
-    both = sd.evolve(np.array([c, sd.eigenvalues * c]), np.asarray(t, dtype=float))
-    both /= np.linalg.norm(both[..., :1, :], axis=-1, keepdims=True)
-    return np.sqrt(_variance(both[..., 0, :], both[..., 1, :]))[()]
+    c is the overlap vector of a Hermitian state, as mode_overlaps returns it, so
+    x_0 = Re B^+ R c loses nothing. The starts c and lambda c give x_t and B^+ L B x_t
+    in one product: the speed is their _variance at |x_t| = 1."""
+    c = _checked(sd, c, "c")
+    x, dx = np.moveaxis(_mode_sum(sd, np.stack([c, sd.eigenvalues * c], -2), t), -2, 0)
+    norm = np.linalg.norm(x, axis=-1, keepdims=True)
+    return np.sqrt(_variance(x / norm, dx / norm))[()]
 
 
 def angle_from_modes(sd, c, rho0, t):
-    """Angle between rho0 and the mode sum at a time t or a 1-D grid of them."""
-    _require_unique_zero(sd)
-    vt = sd.evolve(np.asarray(c, dtype=complex), np.asarray(t, dtype=float))
-    v0 = vectorize(rho0)
-    vt /= np.linalg.norm(vt, axis=-1, keepdims=True)
-    return _unit_angle(v0 / np.linalg.norm(v0), vt)[()]
+    """Angle between rho0 and the mode sum at a time t or a 1-D grid of them.
 
-
-def tqsl_from_modes(sd, rho0, horizon, points=2001):
-    """Angle over averaged speed, both evaluated through the modes.
-
-    Returns 0 for a stationary initial state (all decay overlaps vanish).
-    """
-    _require_unique_zero(sd)
-    ts = _horizon_grid(horizon, points)
-    c = mode_overlaps(sd, rho0)
-    if np.abs(c[1:]).max() < 1e-12:
-        warnings.warn("stationary initial state; bound is trivially 0", RuntimeWarning)
-        return 0.0
-    avg = _time_average(speed_from_modes(sd, c, ts), ts)
-    return _bound_ratio(angle_from_modes(sd, c, rho0, ts[-1]), avg)
+    c is the overlap vector of the Hermitian state rho0, as mode_overlaps returns it."""
+    x = [_gather(_checked(sd, vectorize(rho0), "state")).real, _mode_sum(sd, c, t)]
+    return _unit_angle(*(v / np.linalg.norm(v, axis=-1, keepdims=True) for v in x))[()]
 
 
 def mode_elimination_search(sd, rho0, kill_set, seed=0, restarts=8):
@@ -325,7 +309,7 @@ def mode_elimination_search(sd, rho0, kill_set, seed=0, restarts=8):
     anything else is reported as found, not raised.
     """
     kill = sorted({int(k) for k in kill_set})
-    r0 = np.asarray(rho0, dtype=complex)
+    r0 = devectorize(_checked(sd, vectorize(rho0), "state"))
     d = r0.shape[0]
     if not kill:
         return np.eye(d, dtype=complex), 0.0

@@ -500,6 +500,22 @@ def test_input_files_that_are_not_utf8_are_validation_errors(ad_spec_path, tmp_p
         assert str(binary) in err and "Traceback" not in err
 
 
+def test_deeply_nested_input_files_are_validation_errors(ad_spec_path, tmp_path, capsys):
+    # json raises RecursionError, not JSONDecodeError, past its nesting limit
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200000)
+    out = str(tmp_path / "out")
+    for argv in (
+        ["validate", "--spec", str(nested)],
+        ["krylov", "--h", str(nested), "--points", "21"],
+        ["qsl-report", "--spec", ad_spec_path, "--rho0", str(nested), "--points", "21"],
+    ):
+        assert main(argv + ["--out", out]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"liouqsl: command={argv[0]} error=validation detail="), err
+        assert str(nested) in err and "Traceback" not in err
+
+
 def test_optimal_endpoints_of_different_dimension_exit_1(tmp_path, capsys):
     rho0 = _write_matrix(tmp_path, "rho0.json", np.diag([1.0, 0.0, 0.0]))
     perp = _write_matrix(tmp_path, "perp.json", np.diag([0.0, 1.0]))

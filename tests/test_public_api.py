@@ -26,7 +26,7 @@ MODULES = (
 )
 # Public functions that only unit tests reach for now: ROADMAP item 10 gives
 # the mode route a CLI caller, and what it leaves unreached moves to the tests.
-PENDING = ("classical_part", "tqsl_from_modes", "mode_elimination_search")
+PENDING = ("classical_part", "mode_elimination_search")
 
 
 def test_package_exports_the_union_of_the_module_lists():

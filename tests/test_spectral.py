@@ -8,11 +8,12 @@ import liouqsl as lq
 from liouqsl import spectral
 from liouqsl.exceptions import (
     DefectiveGeneratorError,
+    DimensionError,
     NonUniqueSteadyStateError,
-    QuadratureError,
     ValidationError,
 )
 from liouqsl.liouville import _gather, _scatter
+from liouqsl.qsl import _time_average
 from liouqsl.spectral import _phased
 
 from conftest import philox, rand_pure, rand_rho, rand_spec
@@ -367,29 +368,74 @@ def test_mode_route_angle_at_short_times():
         assert abs(lq.angle_from_modes(sd, c, rho0, t) - direct) < 1e-5 * direct
 
 
+def test_mode_route_agrees_with_propagation_over_the_grid():
+    # 2001 points, so both routes take their phases from the anchor x offset table.
+    rng = philox(83)
+    ts = np.linspace(0.0, 10.0, 2001)
+    for d in range(2, 9):
+        L = lq.build_liouvillian(rand_spec(rng, d)).full
+        sd = lq.spectral_decompose(L)
+        for rho0 in (rand_rho(rng, d), rand_pure(rng, d)):
+            c = lq.mode_overlaps(sd, rho0)
+            trace = lq.propagate_expm(L, rho0, ts)
+            for got, ref in (
+                (lq.speed_from_modes(sd, c, ts), lq.speed(L, trace.normalized)),
+                (lq.angle_from_modes(sd, c, rho0, ts), lq.liouville_angle(rho0, trace.states)),
+            ):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_mode_route_checks_its_inputs():
+    rng = philox(84)
+    sd = lq.spectral_decompose(lq.build_liouvillian(rand_spec(rng, 2)).full)
+    rho0, wide = rand_rho(rng, 2), rand_rho(rng, 3)
+    c = lq.mode_overlaps(sd, rho0)
+    for call in (
+        lambda: lq.mode_overlaps(sd, wide),
+        lambda: lq.angle_from_modes(sd, c, wide, 1.0),
+        lambda: lq.mode_elimination_search(sd, wide, [1, 2]),
+        lambda: lq.speed_from_modes(sd, c[:3], 1.0),
+        lambda: lq.angle_from_modes(sd, np.append(c, 0.0), rho0, 1.0),
+    ):
+        with pytest.raises(DimensionError):
+            call()
+    bad = c.copy()
+    bad[1] = np.nan
+    for call in (
+        lambda: lq.speed_from_modes(sd, c, np.nan),
+        lambda: lq.angle_from_modes(sd, c, rho0, [0.0, np.inf]),
+        lambda: lq.speed_from_modes(sd, bad, 1.0),
+        lambda: lq.angle_from_modes(sd, bad, rho0, 1.0),
+        lambda: lq.mode_overlaps(sd, np.full((2, 2), np.nan)),
+    ):
+        with pytest.raises(ValidationError, match="finite|nan"):
+            call()
+
+
 def test_tqsl_from_modes_matches_direct_route():
+    # The mode route's angle over its averaged speed is exact_qsl's bound_mt.
     horizon = 60.0
-    points = 801
+    ts = np.linspace(0.0, horizon, 801)
     for L, rho0 in _mode_route_cases():
         sd = lq.spectral_decompose(L)
-        got = lq.tqsl_from_modes(sd, rho0, horizon, points=points)
-        trace = lq.propagate_expm(L, rho0, np.linspace(0.0, horizon, points))
+        c = lq.mode_overlaps(sd, rho0)
+        avg = _time_average(lq.speed_from_modes(sd, c, ts), ts)
+        got = lq.angle_from_modes(sd, c, rho0, horizon) / avg
+        trace = lq.propagate_expm(L, rho0, ts)
         theta = lq.liouville_angle(rho0, trace.states[-1])
         direct = theta / lq.average_speed(trace, L)
         assert abs(got - direct) < 1e-10
-    with pytest.raises(QuadratureError):
-        lq.tqsl_from_modes(sd, rho0, horizon, points=100)
-    for bad in (float("nan"), float("inf"), 0.0, -1.0):
-        with pytest.raises(ValidationError, match="horizon"):
-            lq.tqsl_from_modes(sd, rho0, bad)
+        assert abs(got - lq.exact_qsl(trace, L).bound_mt) < 1e-10
 
 
 def test_tqsl_from_modes_stationary_start():
     spec = lq.amplitude_damping_spec(0.05, 0.3)
-    sd = lq.spectral_decompose(lq.build_liouvillian(spec).full)
+    L = lq.build_liouvillian(spec).full
+    sd = lq.spectral_decompose(L)
     ss = lq.steady_state(sd)
-    with pytest.warns(RuntimeWarning, match="stationary"):
-        assert lq.tqsl_from_modes(sd, ss, 10.0) == 0.0
+    ts = np.linspace(0.0, 10.0, 2001)
+    assert not lq.speed_from_modes(sd, lq.mode_overlaps(sd, ss), ts).any()
+    assert lq.exact_qsl(lq.propagate_expm(L, ss, ts), L).bound_mt == 0.0
 
 
 def test_mode_elimination_feasible_case():
@@ -481,13 +527,11 @@ def test_phase_table_matches_the_direct_exponentials(monkeypatch):
             tol = weight_tol * np.abs(c).max() * np.abs(sd.right_vectors).sum(1).max()
             ref = _direct_weights(sd, c, t) @ sd.right_vectors.T
             calls.clear()
-            got = sd.evolve(c, t)
+            got = _scatter(sd.propagate_real(_gather(v).real, t))
             assert sum(calls) <= 2 * (np.sqrt(points) + 1) * sd.size
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= tol
             if sd.route == "real":
-                modal = _scatter(sd.propagate_real(_gather(v).real, t))
-                assert np.abs(modal - ref).max() <= tol
                 lead = np.flatnonzero(sd.eigenvalues.imag >= 0.0)
                 weights = _phased(sd.eigenvalues[lead], 2.0 * c[..., lead], t)
                 direct = _direct_weights(sd, 2.0 * c[..., lead], t, lead)
@@ -512,5 +556,3 @@ def test_phase_table_leaves_other_grids_to_the_direct_exponentials():
             assert np.array_equal(
                 _phased(sd.eigenvalues[lead], c[..., lead], t), _direct_weights(sd, c[..., lead], t, lead)
             )
-            ref = weights.reshape(-1, sd.size) @ sd.right_vectors.T
-            assert np.array_equal(sd.evolve(c, t), ref.reshape(weights.shape))
