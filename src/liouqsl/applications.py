@@ -136,8 +136,9 @@ def krylov_build(hamiltonian, rho0, times):
     """Krylov chain of the commutator generator plus amplitudes in time.
 
     The trajectory is propagate_expm's under -1j L_H, and everything Krylov
-    comes from spectral_decompose's modes of it, those the trajectory took:
-    eigenvalues -i omega, omega = E_i - E_j, and overlaps c = (l|rho_0~).
+    comes from spectral_decompose's modes of it, those the trajectory took,
+    read off the d x d eigh of H: eigenvalues -i omega, omega = E_i - E_j,
+    and overlaps c = (l|rho_0~).
     The omega sorted and merged within 1e-12 max(1, max omega), each node
     weighted by the sum of its |c|², nodes of weight at most 1e-24 dropped,
     form a discrete spectral measure; K is its number of nodes. Lanczos on

@@ -49,7 +49,7 @@ class LindbladSpec:
 
     The Hamiltonian is stored as its exact Hermitian part, so every
     generator built from it preserves Hermiticity to rounding, and -1j L_H
-    takes the hermitian route of spectral_decompose.
+    takes the hermitian route of spectral_decompose, the eigh of H itself.
     """
 
     hamiltonian: np.ndarray

@@ -3,8 +3,9 @@
 A diagonalizable generator decomposes as L = sum_i lambda_i |r_i))((l_i|
 with biorthonormal left/right eigenvectors. spectral_decompose is the one
 eigendecomposition of the package and takes only generators that preserve
-Hermiticity; on its real route it keeps the real pair matrix W of B^+ L B
-with its real inverse, and forms complex vectors only when they are read;
+Hermiticity; it keeps the real pair matrix W of B^+ L B with its real
+inverse, from the d x d eigh of H for a commutator -i[H, .] and from eig of
+B^+ L B otherwise, and forms complex vectors only when they are read;
 steady_state reads the stationary column of W and forms none. A slot keeps
 the last generator decomposed, so a process decomposes each one once.
 The mode sums sum_i exp(lambda_i t) c_i |r_i)), c_i = (l_i|rho0), of
@@ -79,15 +80,15 @@ def _phased(w, c, t):
 
 @dataclass
 class SpectralData:
-    """Sorted eigensystem of a Hermiticity-preserving generator.
+    """Sorted eigensystem of a Hermiticity-preserving generator, in one layout.
 
     eigenvalues ascend in |Re lambda|, ties by Im lambda (a real array when all are
-    real, as from numpy's eig). vectors and inverse are taken in the coordinates
-    diagonalized (W, W^-1 on the real route, with partner[i] the mode conjugate to
-    mode i); right_vectors and left_vectors hold |r_i)) and |l_i)), (l_i|r_j) =
-    delta_ij, formed when first read; propagate_real, the one mode sum, reads neither.
-    condition and biorthogonality are spectral_decompose's defects; real_form is
-    B^+ L B of generator on both routes, the array decomposed on the real one.
+    real, as from numpy's eig). vectors and inverse are the real pair matrix W of
+    real_form = B^+ L B and W^-1 on both routes, partner[i] the mode conjugate to
+    mode i (i itself for a real mode); right_vectors and left_vectors hold |r_i))
+    and |l_i)), (l_i|r_j) = delta_ij, formed when first read; propagate_real, the
+    one mode sum, reads neither. condition and biorthogonality are
+    spectral_decompose's defects.
     """
 
     eigenvalues: np.ndarray
@@ -98,7 +99,7 @@ class SpectralData:
     route: str
     generator: np.ndarray
     real_form: np.ndarray
-    partner: np.ndarray = None
+    partner: np.ndarray
 
     @functools.cached_property
     def _pair_index(self):
@@ -108,20 +109,20 @@ class SpectralData:
 
     @functools.cached_property
     def right_vectors(self):
-        if self.partner is None:
-            return self.vectors
         re, im, s = self._pair_index
         r, pair = self.vectors[:, re].astype(complex), s != 0
         r.imag[:, pair] = s[pair] * self.vectors[:, im[pair]]
         return _scatter(r.T).T
 
     @functools.cached_property
-    def left_vectors(self):
-        if self.partner is None:
-            return self.inverse.conj().T
+    def _left_coordinates(self):
+        """Columns c_i with (l_i|v) = B^+ v . c_i, read from W^-1."""
         (re, im, s), u = self._pair_index, self.inverse.T
-        c = (u[:, re] - 1j * s * u[:, im]) * np.where(s, 0.5, 1.0)
-        return _scatter(c.T, -1).conj().T
+        return (u[:, re] - 1j * s * u[:, im]) * np.where(s, 0.5, 1.0)
+
+    @functools.cached_property
+    def left_vectors(self):
+        return _scatter(self._left_coordinates.T, -1).conj().T
 
     @property
     def size(self):
@@ -129,20 +130,16 @@ class SpectralData:
 
     def overlaps(self, vector):
         """Coefficients (l_i|v) of a Liouville vector, or of each row of a block."""
-        return vector @ self.left_vectors.conj()
+        return _gather(vector) @ self._left_coordinates
 
     def propagate_real(self, x0, t):
         """Real kernel: B^+ exp(L t) B x0 = Re sum_k w_k B^+ r_k, x0 (n,) or (..., n).
 
-        w = exp(lambda t) c: all modes (c = x0 @ conj(B^+ R)), or one per conjugate
-        pair, twice its c from W^-1 x0; one product [Re w, Im w] @ [Re; -Im] B^+ r."""
-        if self.partner is None:
-            lead, u = slice(None), _gather(self.vectors.T).conj().T
-            z = u
-        else:
-            lead = np.flatnonzero(self.eigenvalues.imag >= 0)
-            pair, p = -1j * (self.eigenvalues.imag[lead, None] > 0), self.partner[lead]
-            u, z = ((m[lead] + pair * m[p]).T for m in (self.inverse, self.vectors.T))
+        w = exp(lambda t) c: one mode per conjugate pair, twice its c from W^-1 x0,
+        and each real mode; one product [Re w, Im w] @ [Re; -Im] B^+ r."""
+        lead = np.flatnonzero(self.eigenvalues.imag >= 0)
+        pair, p = -1j * (self.eigenvalues.imag[lead, None] > 0), self.partner[lead]
+        u, z = ((m[lead] + pair * m[p]).T for m in (self.inverse, self.vectors.T))
         weights, z = _phased(self.eigenvalues[lead], x0 @ u, t), np.ascontiguousarray(z)
         x = weights.reshape(-1, z.shape[1]).view(float) @ z.view(float).T
         return x.reshape(weights.shape[:-1] + (-1,))
@@ -155,18 +152,20 @@ def spectral_decompose(liouvillian):
     basis B of Hermitian matrices (liouville._real_form) must exist, as for
     every Lindblad generator; else ValidationError is raised before any
     eigensolver runs. B^+ L B is kept as real_form. Two routes, recorded in
-    route:
-    - "hermitian": when 1j L is exactly Hermitian (coherent dynamics such
-      as -1j L_H), numpy's eigh gives a unitary R, so R^-1 = R^+;
+    route, write one layout:
+    - "hermitian": when L = -1j [H, .], that is when H' = 1j L[:d, :d] =
+      H - H_00 1 rebuilds 1j L as 1 x H' - H'^T x 1 within 8 eps max(1,
+      max|L_ij|). numpy's eigh of the d x d H' gives E and V; mode d j + i is
+      |v_i><v_j|, lambda = -i (E_i - E_j). A pair of exactly equal levels
+      gives lambda = 0 twice: two real modes, sqrt(2) Re r and sqrt(2) Im r;
     - "real": otherwise, numpy's eig of B^+ L B; complex eigenvalues come
-      in exactly conjugate pairs. The real matrix W holds Re r, and Im r in
-      the column of conj(r): B^+ L B = W D W^-1 with D = [[a, b], [-b, a]]
-      on a +- ib.
-    condition is the biorthogonality max|R^-1 R - 1| plus max|R diag(lambda)
-    R^-1 - L|, both in the coordinates diagonalized (max|W^-1 W - 1| and
-    max|W D W^-1 - B^+ L B|, at least half the Liouville-space defect); L is
-    numerically defective when the first plus the second over max(1, max|L_ij|)
-    exceeds 1e-4, so a rescaled generator is judged alike.
+      in exactly conjugate pairs.
+    The real matrix W holds Re r, and Im r in the column of conj(r): B^+ L B
+    = W D W^-1 with D = [[a, b], [-b, a]] on a +- ib, W^-1 numpy's inv of W.
+    condition is the biorthogonality max|W^-1 W - 1| plus max|W D W^-1 -
+    B^+ L B|, at least half the Liouville-space defect; L is numerically
+    defective when the first plus the second over max(1, max|L_ij|) exceeds
+    1e-4, so a rescaled generator is judged alike.
 
     The last eigensystem computed is kept, with a copy of L, in one
     module-level slot, its arrays read-only; a call on a generator of the
@@ -186,40 +185,47 @@ def spectral_decompose(liouvillian):
     real = _real_form(L)
     if real is None:
         raise ValidationError("generator does not preserve Hermiticity")
-    hermitian = None if L.diagonal().real.any() else 1j * L
-    if hermitian is not None and np.array_equal(hermitian, hermitian.conj().T):
-        route, partner = "hermitian", None
-        energies, vectors = np.linalg.eigh(hermitian)
-        w, inverse = -1j * energies, vectors.conj().T
-        target, scaled = L, vectors * w
+    d, scale = round(L.shape[0] ** 0.5), max(1.0, float(np.abs(L).max()))
+    h, eye, tol = 1j * L[:d, :d], np.eye(d), 8.0 * np.finfo(float).eps * scale
+    # -i[H, .] has an imaginary diagonal: an O(d^2) test that spares Lindblad
+    # generators the O(d^4) one
+    coherent = np.abs(L.diagonal().real).max() <= tol
+    if coherent and np.abs(np.kron(eye, h) - np.kron(h.T, eye) - 1j * L).max() <= tol:
+        route, (energies, v) = "hermitian", np.linalg.eigh(h)
+        gap = energies - energies[:, None]  # mode d j + i is |v_i><v_j|, E_i - E_j
+        w, r = -1j * gap.ravel(), _gather(np.kron(v.conj(), v).T).T
+        above = np.arange(d) > np.arange(d)[:, None]  # i > j, so Im lambda <= 0
+        vectors = np.where(above.ravel(), -r.imag, r.real)
+        tied = ((gap == 0) & (above | above.T)).ravel()  # lambda = 0 twice: real modes
+        vectors[:, tied] *= np.sqrt(2.0)
+        index = np.arange(d * d).reshape(d, d)
+        partner = np.where(tied, index.ravel(), index.T.ravel())
     else:
-        route = "real"
-        w, vectors = np.linalg.eig(real)
+        route, (w, vectors) = "real", np.linalg.eig(real)
         partner = np.arange(w.size) + np.sign(w.imag).astype(int)
         vectors = np.where(w.imag < 0, -vectors.imag, vectors.real)
-        target, scaled = real, vectors * w.real - vectors[:, partner] * w.imag
-        try:
-            inverse = np.linalg.inv(vectors)
-        except np.linalg.LinAlgError as exc:
-            raise DefectiveGeneratorError(
-                f"right-eigenvector matrix is singular: {exc}"
-            ) from exc
+    try:
+        inverse = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError as exc:
+        raise DefectiveGeneratorError(
+            f"right-eigenvector matrix is singular: {exc}"
+        ) from exc
+    scaled = vectors * w.real - vectors[:, partner] * w.imag
     biorth = float(np.abs(inverse @ vectors - np.eye(w.size)).max())
-    recon = float(np.abs(scaled @ inverse - target).max())
-    defect = biorth + recon / max(1.0, float(np.abs(L).max()))
+    recon = float(np.abs(scaled @ inverse - real).max())
+    defect = biorth + recon / scale
     if defect > 1e-4:
         raise DefectiveGeneratorError(
             f"generator is numerically defective (defect {defect:.3e})"
         )
     order = np.lexsort((w.imag, np.abs(w.real)))
-    partner = None if partner is None else np.argsort(order)[partner[order]]
+    partner = np.argsort(order)[partner[order]]
     sd = SpectralData(
         w[order], vectors[:, order], inverse[order], biorth + recon, biorth, route,
         generator=L, real_form=real, partner=partner,
     )
     for a in (sd.eigenvalues, sd.vectors, sd.inverse, real, partner):
-        if a is not None:
-            a.flags.writeable = False
+        a.flags.writeable = False
     _last = replace(sd, generator=bits.copy().view(complex))
     return sd
 
@@ -241,8 +247,7 @@ def _require_unique_zero(sd):
 def steady_state(sd):
     """Unit-trace Hermitian state spanning the zero mode; |L vec(rho)| <= 1e-9 scale."""
     scale = _require_unique_zero(sd)
-    r0 = sd.vectors[:, 0] if sd.partner is None else _scatter(sd.vectors[:, 0])
-    rho = rehermitize(devectorize(r0))
+    rho = rehermitize(devectorize(_scatter(sd.vectors[:, 0])))
     tr = float(np.trace(rho).real)
     if abs(tr) < 1e-12:
         raise NonUniqueSteadyStateError("stationary mode is traceless")

@@ -379,6 +379,26 @@ def test_krylov_near_degenerate_spectra_agree_with_the_loop():
             assert_allclose(kd.complexity, complexity, rtol=1e-13, atol=1e-14)
 
 
+def test_krylov_build_on_exactly_degenerate_spectra():
+    # Levels with E_i = E_j exactly give lambda = 0 twice; those two modes are
+    # real, each of unit norm, so the measure keeps all of |c|^2 and K counts
+    # the distinct gaps: 1 for H = 0 and H = 1, 3 for diag(0.5, 0.5, 1.5).
+    times = np.linspace(0.0, 5.0, 301)
+    cases = [(h, 1) for d in range(1, 5) for h in (np.zeros((d, d)), np.eye(d))]
+    cases.append((np.diag([0.5, 0.5, 1.5]), 3))
+    for h, k in cases:
+        kd = lq.krylov_build(h, lq.coherent_gibbs_state(h, 0.5), times)
+        assert kd.trace.modes.route == "hermitian"
+        c = kd.trace.modes.overlaps(kd.trace.normalized.vector[0])
+        assert abs(np.sum(np.abs(c) ** 2) - 1.0) <= 1e-14
+        assert np.abs(np.sum(kd.amplitudes**2, axis=1) - 1.0).max() <= 1e-14
+        assert kd.dimension == k
+        bs, amps, complexity = _oracle_columns(kd, h)
+        assert_allclose(kd.lanczos_b, bs, rtol=1e-13)
+        assert np.abs(kd.amplitudes - amps).max() < 1e-14
+        assert_allclose(kd.complexity, complexity, rtol=1e-13, atol=1e-14)
+
+
 def test_krylov_op_forms_the_real_form_once(monkeypatch):
     # spectral_decompose forms B^+ L B for the propagation; the bound check
     # reads it from kd.trace.modes instead of forming it again.
@@ -389,6 +409,7 @@ def test_krylov_op_forms_the_real_form_once(monkeypatch):
         calls.append(superop.shape)
         return real_form(superop)
 
+    monkeypatch.setattr(lq.spectral, "_last", None)
     for module in (lq.spectral, lq.qsl):
         monkeypatch.setattr(module, "_real_form", counted)
     h = rand_hermitian(philox(94), 3)
@@ -399,19 +420,22 @@ def test_krylov_op_forms_the_real_form_once(monkeypatch):
 
 def test_krylov_build_takes_one_eigendecomposition(monkeypatch):
     # The Krylov measure is read from the propagation's eigenmodes, so the
-    # only eigh is spectral_decompose's on the hermitian route.
+    # only eigensolver is spectral_decompose's eigh of the d x d Hamiltonian
+    # on the hermitian route; none runs on the d^2 x d^2 generator.
     h = rand_hermitian(philox(95), 4)
     rho0 = lq.coherent_gibbs_state(h, 0.5)
     calls = []
-    eigh = np.linalg.eigh
+    monkeypatch.setattr(lq.spectral, "_last", None)
+    for name in ("eig", "eigh"):
+        solver = getattr(np.linalg, name)
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+        def counted(a, *args, _solver=solver, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     kd = lq.krylov_build(h, rho0, np.linspace(0.0, 2.0, 101))
-    assert calls == [(16, 16)]
+    assert calls == [("eigh", (4, 4))]
     assert kd.dimension == 13
 
 

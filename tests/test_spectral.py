@@ -3,6 +3,7 @@ import weakref
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 import liouqsl as lq
 from liouqsl import spectral
@@ -16,7 +17,7 @@ from liouqsl.liouville import _gather, _scatter
 from liouqsl.qsl import _time_average
 from liouqsl.spectral import _phased
 
-from conftest import philox, rand_pure, rand_rho, rand_spec
+from conftest import philox, rand_hermitian, rand_pure, rand_rho, rand_spec
 
 
 def test_decomposition_reconstructs_the_generator():
@@ -29,6 +30,39 @@ def test_decomposition_reconstructs_the_generator():
         assert sd.condition < 1e-8
         gram = sd.left_vectors.conj().T @ sd.right_vectors
         assert np.abs(gram - np.eye(sd.size)).max() < 1e-8
+
+
+def test_coherent_generators_decompose_through_the_hamiltonian():
+    # -i[H, .] takes its modes |v_i><v_j| from the d x d eigh of H, in the real
+    # pair layout: R is unitary and the modes rebuild L, both to rounding.
+    rng = philox(140)
+    for d in range(2, 17):
+        L = -1j * lq.commutator_superop(rand_hermitian(rng, d))
+        sd = lq.spectral_decompose(L)
+        assert sd.route == "hermitian"
+        assert np.array_equal(sd.eigenvalues[sd.partner], sd.eigenvalues.conj())
+        r = sd.right_vectors
+        assert np.abs(r.conj().T @ r - np.eye(d * d)).max() <= 1e-14
+        recon = (r * sd.eigenvalues) @ sd.left_vectors.conj().T
+        assert np.abs(recon - L).max() <= 1e-14 * max(1.0, np.abs(L).max())
+        v = rng.normal(size=(2, d * d)) + 1j * rng.normal(size=(2, d * d))
+        assert np.abs(sd.overlaps(v) - v @ sd.left_vectors.conj()).max() <= 1e-13
+
+
+def test_a_hermitian_generator_that_is_no_commutator_takes_the_real_route():
+    # X -> -i(AXB - BXA) has an exactly Hermitian iL and an imaginary diagonal,
+    # but its first block does not rebuild it as -i[H, .]: eig of B^+ L B.
+    rng = philox(141)
+    a, b = rand_hermitian(rng, 3), rand_hermitian(rng, 3)
+    L = -1j * (np.kron(b.T, a) - np.kron(a.T, b))
+    assert np.array_equal(1j * L, (1j * L).conj().T) and not L.diagonal().real.any()
+    sd = lq.spectral_decompose(L)
+    assert sd.route == "real"
+    v = lq.vectorize(rand_rho(rng, 3))
+    assert np.abs(sd.overlaps(v) - v @ sd.left_vectors.conj()).max() <= 1e-14
+    t = np.linspace(0.0, 2.0, 21)
+    ref = np.array([_gather(expm(L * s) @ v).real for s in t])
+    assert np.abs(sd.propagate_real(_gather(v).real, t) - ref).max() <= 1e-14
 
 
 def test_condition_bounds_the_liouville_defect():
