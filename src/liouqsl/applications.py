@@ -26,15 +26,14 @@ from .lindblad import (
     build_liouvillian,
     commutator_superop,
 )
-from .liouville import liouville_angle, vectorize
+from .liouville import _gather, _unit_angle, _variance, normalize_state, vectorize
 from .qsl import (
     _bound_ratio,
     _cumulative_simpson,
     _horizon_grid,
     _one_trajectory,
+    _time_average,
     _trace_split,
-    average_speed,
-    complete_basis,
     operator_norm,
 )
 from .spectral import _phased, spectral_decompose, steady_state
@@ -76,12 +75,11 @@ def sff(trace):
     behind the trace (any family fits through build_trace(times, states)).
     """
     _one_trajectory(trace.states)
-    vecs = vectorize(trace.states)
-    return np.real(vecs @ vecs[0].conj())
+    return trace.coordinates @ trace.coordinates[0]
 
 
 def _nc_integral(trace, liouvillian):
-    nc = _trace_split(trace, liouvillian, complete_basis(trace.normalized[0])).nc
+    nc = _trace_split(trace, liouvillian).nc
     return _cumulative_simpson(nc, trace.times)
 
 
@@ -94,7 +92,7 @@ def sff_bound_check(trace, liouvillian):
     non-classical speed; lhs never exceeds rhs.
     """
     _one_trajectory(trace.states)
-    lhs = liouville_angle(trace.states[0], trace.states)
+    lhs = _unit_angle(trace.coordinates[0], trace.coordinates)
     return lhs, _nc_integral(trace, liouvillian)
 
 
@@ -157,7 +155,7 @@ def krylov_build(hamiltonian, rho0, times):
     modes = spectral_decompose(generator)
     omega = np.real(1j * modes.eigenvalues)
     tol = 1e-12 * max(1.0, omega.max())
-    c = modes.overlaps(trace.normalized.vector[0])
+    c = modes.overlaps(normalize_state(trace.states[0]).vector)
     order = np.argsort(omega, kind="stable")
     first = np.flatnonzero(np.diff(omega[order], prepend=-np.inf) > tol)
     weights = np.add.reduceat(np.abs(c[order]) ** 2, first)
@@ -323,9 +321,9 @@ def mpemba_report(alphas, gamma, n, horizon, points=2001):
     speed. Crossings of the theta curves for different alphas, interpolated
     at each sign change of a pair's difference, signal faster relaxation
     from farther states. All initial states are propagated as one stack, so
-    each quantity is one array expression over the stack axis; the steady
-    state is read from the stationary mode of the propagation's eigensystem,
-    and theta_ss has one row per alpha.
+    each quantity is one array expression over its coordinates x, the speed
+    that of u = x/sqrt(p) under B^+ L B; the steady state is the stationary
+    mode of the propagation's eigensystem, and theta_ss has one row per alpha.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0:
@@ -334,12 +332,14 @@ def mpemba_report(alphas, gamma, n, horizon, points=2001):
     L = build_liouvillian(amplitude_damping_spec(gamma, n)).full
     rho0s = np.array([superposition_state(a) for a in alphas])
     trace = propagate_expm(L, rho0s, times)
-    rho_ss = steady_state(spectral_decompose(L))
-    avg = average_speed(trace, L)
+    sd = spectral_decompose(L)
+    rho_ss = steady_state(sd)
+    u = trace.coordinates / np.sqrt(trace.purity)[..., None]
+    avg = _time_average(np.sqrt(_variance(u, u @ sd.real_form.T)), times)
     eta = _bound_ratio(avg, operator_norm(L))
-    theta = liouville_angle(trace.states[:, 0], trace.states[:, -1])
+    theta = _unit_angle(trace.coordinates[:, 0], trace.coordinates[:, -1])
     delta = times[-1] - _bound_ratio(theta, avg)
-    theta_ss = liouville_angle(rho_ss, trace.states)
+    theta_ss = _unit_angle(_gather(vectorize(rho_ss)).real, trace.coordinates)
     i, j = np.triu_indices(alphas.size, 1)
     diff = theta_ss[i] - theta_ss[j]
     signs = np.sign(diff)

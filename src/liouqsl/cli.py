@@ -98,7 +98,7 @@ def _trace_rows(trace, liouvillian, dump_states):
     d = trace.dim
     header = ["t", "purity", "overlap", "speed"]
     speeds = speed(liouvillian, trace.normalized)
-    columns = [trace.times, trace.normalized.purity, trace.overlap_with_initial, speeds]
+    columns = [trace.times, trace.purity, trace.overlap_with_initial, speeds]
     if dump_states:
         header += [f"re_{i}{j}" for i in range(d) for j in range(d)]
         header += [f"im_{i}{j}" for i in range(d) for j in range(d)]

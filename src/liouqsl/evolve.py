@@ -6,11 +6,11 @@ per-point objects. For states of dimension d it holds
 
     times                  (T,)
     states                 (T, d, d)  validated, exactly Hermitian states
-    normalized.vector      (T, d^2)   unit Liouville vectors v_k
-    normalized.purity      (T,)       tr rho^2
-    overlap_with_initial   (T,)       Re(v_0|v_k)
+    coordinates            (T, d^2)   real x_k = B^+ vec(rho_k), the one stored form
     modes                             SpectralData of the modal route, else None
-    coordinates            (T, d^2)   real x_k = B^+ vec(rho_k), None from build_trace
+    purity                 (T,)       p_k = tr rho_k^2 = x_k . x_k, derived
+    overlap_with_initial   (T,)       x_0 . x_k / sqrt(p_0 p_k), derived
+    normalized                        normalize_state(states), formed when read
 
 trace.normalized[k] and trace.states[k] give the k-th point, and the
 speed functionals of the qsl module take trace.normalized whole, so
@@ -31,6 +31,7 @@ part; one real product gives every x_k on any grid for any block of starts,
 and liouville._hermitian_matrices maps them to exactly Hermitian states.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ from .exceptions import (
     ValidationError,
 )
 from .liouville import (
-    NormalizedState,
+    _dot,
     _gather,
     _hermitian_matrices,
     _real_form,
@@ -81,13 +82,24 @@ class EvolutionTrace:
 
     times: np.ndarray
     states: np.ndarray
-    normalized: NormalizedState
-    overlap_with_initial: np.ndarray
+    coordinates: np.ndarray
     modes: object = None
-    coordinates: np.ndarray = None
 
     def __len__(self):
         return len(self.times)
+
+    @functools.cached_property
+    def purity(self):
+        return _dot(self.coordinates, self.coordinates)
+
+    @functools.cached_property
+    def overlap_with_initial(self):
+        x, p = self.coordinates, self.purity
+        return (x @ x[..., 0, :, None])[..., 0] / np.sqrt(p * p[..., :1])
+
+    @functools.cached_property
+    def normalized(self):
+        return normalize_state(self.states)
 
     @property
     def dim(self):
@@ -109,11 +121,12 @@ def build_trace(times, states, *, _modes=None, _coordinates=None):
     """Assemble an EvolutionTrace from T raw states, validating each one.
 
     Each state must have unit trace within 1e-12, tighter than the 1e-10
-    that validate_density_matrix allows an input state. States built from
-    _coordinates are exactly Hermitian and kept as they are.
+    that validate_density_matrix allows an input state. The coordinates
+    x = B^+ vec(rho) of the re-Hermitized states are exactly real; states
+    built from _coordinates are exactly Hermitian and kept with them.
 
     states may also be a stack (A, T, d, d) of A trajectories on one grid:
-    they are re-Hermitized, validated and normalized in one pass and give
+    they are re-Hermitized, validated and gathered in one pass and give
     one trace with a leading stack axis. An invalid state is reported at its
     earliest time, and for a stack in the first trajectory that holds one.
     """
@@ -135,22 +148,9 @@ def build_trace(times, states, *, _modes=None, _coordinates=None):
         if rhos.ndim == 4:
             where = f"initial state {a}: {where}"
         raise ValidationError(f"{where}: {exc}") from exc
-    normalized = normalize_state(rhos)
-    vecs = normalized.vector
-    overlaps = np.real(vecs @ vecs[..., 0, :, None].conj())[..., 0]
-    worst = np.abs(overlaps[..., 0] - 1.0).max(initial=0.0)
-    if worst > 1e-12:
-        raise NumericalConsistencyError(
-            f"initial self-overlap deviates from 1 by {worst:.3e}"
-        )
-    return EvolutionTrace(
-        times=t,
-        states=rhos,
-        normalized=normalized,
-        overlap_with_initial=overlaps,
-        modes=_modes,
-        coordinates=_coordinates,
-    )
+    if _coordinates is None:
+        _coordinates = np.ascontiguousarray(_gather(vectorize(rhos)).real)
+    return EvolutionTrace(t, rhos, _coordinates, _modes)
 
 
 def _expm_steps(generator, x0, times):

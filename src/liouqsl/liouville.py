@@ -203,11 +203,12 @@ def normalize_state(rho):
 
 
 def _unit_angle(a, b):
-    """Angle between unit Liouville vectors, 2 arcsin(|a - b|/2), over the last axis.
+    """Angle 2 arcsin(|a~ - b~|/2) of a~ = a/|a| and b~ = b/|b|, over the last axis.
 
-    Equals arccos Re(a|b) but keeps full relative accuracy as the angle
+    Equals arccos Re(a~|b~) but keeps full relative accuracy as the angle
     goes to zero, where the cosine no longer resolves it.
     """
+    a, b = (v / np.sqrt(_dot(v, v).real)[..., None] for v in (a, b))
     return 2.0 * np.arcsin(np.minimum(0.5 * np.linalg.norm(a - b, axis=-1), 1.0))
 
 
@@ -221,14 +222,13 @@ def liouville_angle(rho_a, rho_b):
     arguments and zero iff the states coincide up to normalization.
     Stacks of states broadcast against each other and give an array.
     """
-    a = vectorize(rho_a)
-    b = vectorize(rho_b)
+    a, b = vectorize(rho_a), vectorize(rho_b)
     if a.shape[-1] != b.shape[-1]:
         raise DimensionError("states of different dimension")
     pa, pb = _dot(a, a).real, _dot(b, b).real
     if not np.all(np.isfinite(pa) & (pa > 0.0) & np.isfinite(pb) & (pb > 0.0)):
         raise ValidationError("state has non-positive purity")
-    return _unit_angle(a / np.sqrt(pa)[..., None], b / np.sqrt(pb)[..., None])
+    return _unit_angle(a, b)
 
 
 def _kron(a, b):
@@ -237,11 +237,11 @@ def _kron(a, b):
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
-def _operands(superop, state):
-    """Complex (v, O) for the unit vector(s) v of a NormalizedState or an array."""
+def _operands(superop, state, dtype=complex):
+    """(v, O) for the vector(s) v of a NormalizedState or an array; O complex."""
     if isinstance(state, NormalizedState):
         state = state.vector
-    v = np.asarray(state, dtype=complex)
+    v = np.asarray(state, dtype=dtype)
     o = np.asarray(superop, dtype=complex)
     n = v.shape[-1]
     if o.shape != (n, n):

@@ -17,8 +17,8 @@ from the generator on the same basis amplitudes as the non-classical
 speed. The two integrands agree point by point, so the exact time
 recovers the horizon to rounding, not only to quadrature error. Both come
 from one pass over the states in row blocks of about 512 KB of
-temporaries, in real Hermitian coordinates where generator and states allow,
-read from trace.coordinates when the trace keeps them, else gathered.
+temporaries, in real Hermitian coordinates where generator and states allow;
+a trace's are read from trace.coordinates.
 
 The per-state functionals (speed, non-classical speed, classical part,
 exact uncertainty) take a single NormalizedState or a stacked one, such
@@ -37,7 +37,7 @@ from .exceptions import (
     ValidationError,
 )
 from .liouville import _apply, _dot, _gather, _operands, _real_form, _real_part
-from .liouville import _variance, liouville_angle
+from .liouville import _variance, liouville_angle, normalize_state
 
 __all__ = [
     "QslReport",
@@ -266,41 +266,32 @@ class _ClassicalSplit:
     speed), nc, wootters = sqrt(sum_i (d|c_i|/dt)²), fisher = 4 sum_kept g_i²/p_i,
     scale = |O v|², and beta on request. One pass fills them in row blocks of
     about _BLOCK_BYTES of temporaries. With the real form O_r = B^+ O B (real_form,
-    or built here) and Hermitian v, a block takes x = B^+ v, O v = x O_r^T and both
-    amplitude sets from one real product with M = B^T conj(A); if any block's x is
-    not real, the whole stack takes complex coordinates through the same reductions.
-    Given raw coordinates B^+ vec(rho), a block reads x from them over sqrt(purity).
+    or built here) and Hermitian v, the stack takes x = B^+ v, else complex
+    coordinates; a block takes O v = x O_r^T and both amplitude sets from one real
+    product with M = B^T conj(A). Given purity, state holds raw coordinates
+    B^+ vec(rho) instead, real_form is required, and x is each over sqrt(purity).
     """
 
-    def __init__(self, superop, basis, state, beta=False, real_form=None, coords=None):
-        v, o = _operands(superop, state)
+    def __init__(self, superop, basis, state, beta=False, real_form=None, purity=None):
+        v, o = _operands(superop, state, complex if purity is None else float)
         lead, n = v.shape[:-1], v.shape[-1]
+        v, op, m = v.reshape(-1, n), o, basis.vectors.conj()
         self.real_form = _real_form(o) if real_form is None else real_form
-        self.beta = np.zeros(v.shape) if beta else None
-        if coords is not None:  # (x, sqrt(purity)) over the rows of v
-            coords = coords.reshape(-1, n), np.sqrt(state.purity).reshape(-1, 1)
-        self._pass(v.reshape(-1, n), basis, o, self.real_form is not None, coords)
-        self.var, self.nc, self.wootters, self.fisher, self.scale = (
-            c.reshape(lead)[()] for c in self.columns
-        )
-
-    def _pass(self, v, basis, o, real, coords=None):
-        """Fill the columns block by block; all complex if a block's x is not real."""
-        (t, n), op, m = v.shape, o, basis.vectors.conj()
-        rows, self.real = max(1, _BLOCK_BYTES // (32 * n)), real
-        if real:
+        root = None if purity is None else np.sqrt(purity).reshape(-1, 1)
+        if root is None and self.real_form is not None:
+            v = x if (x := _real_part(_gather(v))) is not None else v
+        self.real = not np.iscomplexobj(v)
+        if self.real:
             op, m = self.real_form, _gather(m.T, 1).T
             m = np.stack([m.real, m.imag])
-        self.columns = np.empty((5, t))
-        for s in range(0, t, rows):
+        self.beta = np.zeros(lead + (n,)) if beta else None
+        self.columns, rows = np.empty((5, len(v))), max(1, _BLOCK_BYTES // (32 * n))
+        for s in range(0, len(v), rows):
             x = v[s : s + rows]
-            if real and coords is not None:
-                x = coords[0][s : s + rows] / coords[1][s : s + rows]
-            elif real and (x := _real_part(_gather(x))) is None:
-                return self._pass(v, basis, o, False)
+            x = x if root is None else x / root[s : s + rows]
             b, ox = len(x), x @ op.T
             amps = np.concatenate([x, ox]) @ m
-            if not real:
+            if not self.real:
                 amps = np.stack([amps.real, amps.imag])
             (cr, dr), (ci, di) = amps.reshape(2, 2, b, n)
             mean, var = np.real(_dot(x, ox)), _variance(x, ox)
@@ -321,6 +312,9 @@ class _ClassicalSplit:
             self.columns[:, s : s + b] = cols
             if self.beta is not None:
                 self.beta.reshape(-1, n)[s : s + b] = beta
+        self.var, self.nc, self.wootters, self.fisher, self.scale = (
+            c.reshape(lead)[()] for c in self.columns
+        )
 
 
 def classical_part(liouvillian, basis, state):
@@ -367,11 +361,17 @@ def exact_uncertainty(superop, basis, state):
     return split.fisher**-0.5, split.nc
 
 
-def _trace_split(trace, liouvillian, basis):
-    """_ClassicalSplit of trace.normalized; reuses B^+ L B if trace.modes hold L."""
-    modes, state, x = trace.modes, trace.normalized, trace.coordinates
-    real = modes.real_form if getattr(modes, "generator", None) is liouvillian else None
-    return _ClassicalSplit(liouvillian, basis, state, real_form=real, coords=x)
+def _trace_split(trace, liouvillian, basis=None):
+    """_ClassicalSplit of the trace's coordinates in basis (default anchored at rho_0),
+    with B^+ L B from trace.modes if they hold L; of trace.normalized if L has none."""
+    if basis is None:
+        basis = complete_basis(normalize_state(trace.states[0]))
+    if getattr(trace.modes, "generator", None) is liouvillian:
+        real = trace.modes.real_form
+    elif (real := _real_form(np.asarray(liouvillian, dtype=complex))) is None:
+        return _ClassicalSplit(liouvillian, basis, trace.normalized)
+    x = trace.coordinates
+    return _ClassicalSplit(liouvillian, basis, x, real_form=real, purity=trace.purity)
 
 
 def wootters_length(trace, liouvillian, basis):
@@ -391,8 +391,6 @@ def exact_qsl(trace, liouvillian, basis=None):
     """Bound-and-equality report; takes B^+ L B from trace.modes if it decomposed L."""
     _one_trajectory(trace.states)
     theta = float(liouville_angle(trace.states[0], trace.states[-1]))
-    if basis is None:
-        basis = complete_basis(trace.normalized[0])
     _odd_grid(len(trace))
     split = _trace_split(trace, liouvillian, basis)
     avg = _time_average(np.sqrt(split.var), trace.times)

@@ -161,7 +161,8 @@ def spectral_decompose(liouvillian):
     - "real": otherwise, numpy's eig of B^+ L B; complex eigenvalues come
       in exactly conjugate pairs.
     The real matrix W holds Re r, and Im r in the column of conj(r): B^+ L B
-    = W D W^-1 with D = [[a, b], [-b, a]] on a +- ib, W^-1 numpy's inv of W.
+    = W D W^-1 with D = [[a, b], [-b, a]] on a +- ib. W^-1 is numpy's inv of W; on
+    the hermitian route W has orthogonal columns and W^-1 = (W / |columns|^2)^T.
     condition is the biorthogonality max|W^-1 W - 1| plus max|W D W^-1 -
     B^+ L B|, at least half the Liouville-space defect; L is numerically
     defective when the first plus the second over max(1, max|L_ij|) exceeds
@@ -200,16 +201,17 @@ def spectral_decompose(liouvillian):
         vectors[:, tied] *= np.sqrt(2.0)
         index = np.arange(d * d).reshape(d, d)
         partner = np.where(tied, index.ravel(), index.T.ravel())
+        inverse = (vectors / np.einsum("ij,ij->j", vectors, vectors)).T
     else:
         route, (w, vectors) = "real", np.linalg.eig(real)
         partner = np.arange(w.size) + np.sign(w.imag).astype(int)
         vectors = np.where(w.imag < 0, -vectors.imag, vectors.real)
-    try:
-        inverse = np.linalg.inv(vectors)
-    except np.linalg.LinAlgError as exc:
-        raise DefectiveGeneratorError(
-            f"right-eigenvector matrix is singular: {exc}"
-        ) from exc
+        try:
+            inverse = np.linalg.inv(vectors)
+        except np.linalg.LinAlgError as exc:
+            raise DefectiveGeneratorError(
+                f"right-eigenvector matrix is singular: {exc}"
+            ) from exc
     scaled = vectors * w.real - vectors[:, partner] * w.imag
     biorth = float(np.abs(inverse @ vectors - np.eye(w.size)).max())
     recon = float(np.abs(scaled @ inverse - real).max())
@@ -299,8 +301,8 @@ def angle_from_modes(sd, c, rho0, t):
     """Angle between rho0 and the mode sum at a time t or a 1-D grid of them.
 
     c is the overlap vector of the Hermitian state rho0, as mode_overlaps returns it."""
-    x = [_gather(_checked(sd, vectorize(rho0), "state")).real, _mode_sum(sd, c, t)]
-    return _unit_angle(*(v / np.linalg.norm(v, axis=-1, keepdims=True) for v in x))[()]
+    x0 = _gather(_checked(sd, vectorize(rho0), "state")).real
+    return _unit_angle(x0, _mode_sum(sd, c, t))[()]
 
 
 def mode_elimination_search(sd, rho0, kill_set, seed=0, restarts=8):

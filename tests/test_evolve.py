@@ -69,6 +69,64 @@ def test_trace_columns():
         assert abs(trace.overlap_with_initial[k] - got) < 1e-12
 
 
+def _columns_match(got, want):
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_columns_from_coordinates_equal_the_complex_formulas():
+    # Purity, overlap, sff and the angle to the start are derived from the real
+    # coordinates x; they equal tr rho^2, Re tr(rho_0 rho_t)/sqrt(p_0 p_t) and
+    # liouville_angle on the states, for single traces and (A, T) stacks, both
+    # propagated and gathered by build_trace.
+    rng = philox(141)
+    times = np.linspace(0.0, 2.0, 101)
+    for d in range(2, 7):
+        L = lq.build_liouvillian(rand_spec(rng, d)).full
+        stack = np.array([rand_rho(rng, d), rand_pure(rng, d), rand_rho(rng, d)])
+        for rho0 in (stack[0], stack[1], stack):
+            propagated = propagate_expm(L, rho0, times)
+            for trace in (propagated, build_trace(times, propagated.states)):
+                s = trace.states
+                s0 = s[..., :1, :, :]
+                purity = np.einsum("...ij,...ji->...", s, s).real
+                tr0 = np.einsum("...ij,...ji->...", s0, s).real
+                overlap = tr0 / np.sqrt(purity * purity[..., :1])
+                _columns_match(trace.purity, purity)
+                _columns_match(trace.overlap_with_initial, overlap)
+                x = trace.coordinates
+                angle = lq.liouville_angle(s0, s)
+                _columns_match(lq.liouville._unit_angle(x[..., :1, :], x), angle)
+                if rho0.ndim == 2:
+                    _columns_match(lq.sff(trace), tr0)
+                    _columns_match(lq.sff_bound_check(trace, L)[0], angle)
+
+
+def test_report_paths_never_form_the_complex_unit_vectors(monkeypatch):
+    # exact_qsl, krylov_build with krylov_bound_check, and mpemba_report read
+    # the real coordinates; none forms trace.normalized, a (T, d^2) complex block.
+    rng = philox(142)
+    times = np.linspace(0.0, 2.0, 201)
+    L = lq.build_liouvillian(rand_spec(rng, 4)).full
+    for rho0 in (rand_rho(rng, 4), rand_pure(rng, 4)):
+        trace = propagate_expm(L, rho0, times)
+        lq.exact_qsl(trace, L)
+        assert "normalized" not in trace.__dict__
+    kd = lq.krylov_build(rand_hermitian(rng, 5), rand_pure(rng, 5), times)
+    lq.krylov_bound_check(kd)
+    lq.sff_bound_check(kd.trace, kd.generator)
+    lq.sff(kd.trace)
+    assert "normalized" not in kd.trace.__dict__
+    traces = []
+
+    def kept(*args):
+        traces.append(propagate_expm(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(lq.applications, "propagate_expm", kept)
+    lq.mpemba_report((0.3, 0.8), 0.01, 0.2, 100.0, points=301)
+    assert len(traces) == 1 and "normalized" not in traces[0].__dict__
+
+
 def test_propagate_expm_grid_validation():
     L = np.zeros((4, 4), dtype=complex)
     rho0 = np.eye(2) / 2.0

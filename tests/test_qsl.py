@@ -458,8 +458,9 @@ def test_blocked_split_takes_the_complex_route_for_the_whole_stack(d16):
 def test_split_reads_the_coordinates_of_a_propagated_trace(monkeypatch):
     # A propagate_expm trace keeps the real coordinates of its states, so the
     # split of exact_qsl and krylov_bound_check gathers no state; a trace
-    # rebuilt from the states alone has none, gathers them, and gives the same
-    # report within 1e-15 relative.
+    # rebuilt from the states alone gathers them once in build_trace, to within
+    # 4 eps of the propagated ones, and its report gathers no state either and
+    # agrees within 1e-15 relative.
     rng = philox(139)
     times = np.linspace(0.0, 2.0, 201)
     L = lq.build_liouvillian(rand_spec(rng, 4)).full
@@ -478,10 +479,12 @@ def test_split_reads_the_coordinates_of_a_propagated_trace(monkeypatch):
     assert rows and times.size not in rows
     for trace, report in zip(traces, reports):
         rebuilt = lq.build_trace(trace.times, trace.states)
-        assert rebuilt.coordinates is None
+        x = trace.coordinates
+        eps = np.finfo(float).eps
+        assert np.abs(rebuilt.coordinates - x).max() <= 4 * eps * np.abs(x).max()
         rows.clear()
         again = lq.exact_qsl(rebuilt, L).to_json()
-        assert times.size in rows
+        assert times.size not in rows
         for key, value in report.items():
             assert_allclose(again[key], value, rtol=1e-15, atol=0, err_msg=key)
 
