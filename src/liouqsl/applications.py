@@ -26,14 +26,14 @@ from .lindblad import (
     build_liouvillian,
     commutator_superop,
 )
-from .liouville import _gather, _unit_angle, _variance, normalize_state, vectorize
+from .liouville import _gather, _unit_angle, normalize_state, vectorize
 from .qsl import (
     _bound_ratio,
     _cumulative_simpson,
     _horizon_grid,
     _one_trajectory,
-    _time_average,
     _trace_split,
+    average_speed,
     operator_norm,
 )
 from .spectral import _phased, spectral_decompose, steady_state
@@ -321,9 +321,9 @@ def mpemba_report(alphas, gamma, n, horizon, points=2001):
     speed. Crossings of the theta curves for different alphas, interpolated
     at each sign change of a pair's difference, signal faster relaxation
     from farther states. All initial states are propagated as one stack, so
-    each quantity is one array expression over its coordinates x, the speed
-    that of u = x/sqrt(p) under B^+ L B; the steady state is the stationary
-    mode of the propagation's eigensystem, and theta_ss has one row per alpha.
+    each quantity is one array expression over its coordinates x; the steady
+    state is the stationary mode of the propagation's eigensystem, and
+    theta_ss has one row per alpha.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0:
@@ -334,8 +334,7 @@ def mpemba_report(alphas, gamma, n, horizon, points=2001):
     trace = propagate_expm(L, rho0s, times)
     sd = spectral_decompose(L)
     rho_ss = steady_state(sd)
-    u = trace.coordinates / np.sqrt(trace.purity)[..., None]
-    avg = _time_average(np.sqrt(_variance(u, u @ sd.real_form.T)), times)
+    avg = average_speed(trace, L)
     eta = _bound_ratio(avg, operator_norm(L))
     theta = _unit_angle(trace.coordinates[:, 0], trace.coordinates[:, -1])
     delta = times[-1] - _bound_ratio(theta, avg)

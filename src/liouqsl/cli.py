@@ -38,7 +38,7 @@ from .optimal import (
     physicality_check,
     relative_purity,
 )
-from .qsl import _horizon_grid, exact_qsl, speed
+from .qsl import _horizon_grid, _trace_speed, exact_qsl
 from .serialize import (
     _read_json,
     dump_json,
@@ -97,7 +97,7 @@ def _initial_state(cfg, spec):
 def _trace_rows(trace, liouvillian, dump_states):
     d = trace.dim
     header = ["t", "purity", "overlap", "speed"]
-    speeds = speed(liouvillian, trace.normalized)
+    speeds = _trace_speed(trace, liouvillian)
     columns = [trace.times, trace.purity, trace.overlap_with_initial, speeds]
     if dump_states:
         header += [f"re_{i}{j}" for i in range(d) for j in range(d)]

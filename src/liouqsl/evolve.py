@@ -10,13 +10,9 @@ per-point objects. For states of dimension d it holds
     modes                             SpectralData of the modal route, else None
     purity                 (T,)       p_k = tr rho_k^2 = x_k . x_k, derived
     overlap_with_initial   (T,)       x_0 . x_k / sqrt(p_0 p_k), derived
-    normalized                        normalize_state(states), formed when read
 
-trace.normalized[k] and trace.states[k] give the k-th point, and the
-speed functionals of the qsl module take trace.normalized whole, so
-qsl.speed(L, trace.normalized) is the speed column. States
-from any other channel family, such as a Kraus family, become a trace
-through build_trace(times, states).
+The qsl module reads a trace through x alone. States from any other channel
+family, such as a Kraus family, become a trace through build_trace(times, states).
 propagate_expm also takes a stack of A initial states (A, d, d) under one
 generator and grid: it propagates them as one (A, d^2) block and returns
 one trace, states (A, T, d, d) and each array with the same leading stack
@@ -47,7 +43,6 @@ from .liouville import (
     _gather,
     _hermitian_matrices,
     _real_form,
-    normalize_state,
     rehermitize,
     validate_density_matrix,
     vectorize,
@@ -96,10 +91,6 @@ class EvolutionTrace:
     def overlap_with_initial(self):
         x, p = self.coordinates, self.purity
         return (x @ x[..., 0, :, None])[..., 0] / np.sqrt(p * p[..., :1])
-
-    @functools.cached_property
-    def normalized(self):
-        return normalize_state(self.states)
 
     @property
     def dim(self):

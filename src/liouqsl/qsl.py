@@ -17,12 +17,12 @@ from the generator on the same basis amplitudes as the non-classical
 speed. The two integrands agree point by point, so the exact time
 recovers the horizon to rounding, not only to quadrature error. Both come
 from one pass over the states in row blocks of about 512 KB of
-temporaries, in real Hermitian coordinates where generator and states allow;
-a trace's are read from trace.coordinates.
+temporaries, in real Hermitian coordinates where generator and states allow.
+On a trace they are u = x/sqrt(p) under B^+ L B, L Hermiticity-preserving.
 
-The per-state functionals (speed, non-classical speed, classical part,
-exact uncertainty) take a single NormalizedState or a stacked one, such
-as trace.normalized, and then return one value per state.
+The per-state functionals (speed, non-classical speed, classical part, exact
+uncertainty) take any superoperator and a single NormalizedState or a stacked
+one, such as normalize_state(trace.states), and return one value per state.
 """
 
 import warnings
@@ -226,10 +226,26 @@ def speed_decomposition(parts, state):
     return _variance(v, hv), _variance(v, dv), cross
 
 
+def _trace_real_form(trace, liouvillian):
+    """B^+ L B, from trace.modes if they decomposed L; L must preserve Hermiticity."""
+    if getattr(trace.modes, "generator", None) is liouvillian:
+        return trace.modes.real_form
+    _, o = _operands(liouvillian, trace.coordinates, float)
+    if (real := _real_form(o)) is None:
+        raise ValidationError("generator does not preserve Hermiticity")
+    return real
+
+
+def _trace_speed(trace, liouvillian):
+    """Speed column of a trace: that of u = x/sqrt(p) under B^+ L B."""
+    u = trace.coordinates / np.sqrt(trace.purity)[..., None]
+    return np.sqrt(_variance(u, u @ _trace_real_form(trace, liouvillian).T))
+
+
 def average_speed(trace, liouvillian):
     """Simpson time average of the speed along the trace, per trajectory of a stack."""
     _odd_grid(len(trace))
-    return _time_average(speed(liouvillian, trace.normalized), trace.times)
+    return _time_average(_trace_speed(trace, liouvillian), trace.times)
 
 
 def operator_norm(superop):
@@ -362,14 +378,10 @@ def exact_uncertainty(superop, basis, state):
 
 
 def _trace_split(trace, liouvillian, basis=None):
-    """_ClassicalSplit of the trace's coordinates in basis (default anchored at rho_0),
-    with B^+ L B from trace.modes if they hold L; of trace.normalized if L has none."""
+    """_ClassicalSplit of x under _trace_real_form; basis defaults to one at rho_0."""
     if basis is None:
         basis = complete_basis(normalize_state(trace.states[0]))
-    if getattr(trace.modes, "generator", None) is liouvillian:
-        real = trace.modes.real_form
-    elif (real := _real_form(np.asarray(liouvillian, dtype=complex))) is None:
-        return _ClassicalSplit(liouvillian, basis, trace.normalized)
+    real = _trace_real_form(trace, liouvillian)
     x = trace.coordinates
     return _ClassicalSplit(liouvillian, basis, x, real_form=real, purity=trace.purity)
 
@@ -396,7 +408,7 @@ def exact_qsl(trace, liouvillian, basis=None):
     avg = _time_average(np.sqrt(split.var), trace.times)
     avg_nc = _time_average(split.nc, trace.times)
     length = _simpson(split.wootters, trace.times)
-    norm = operator_norm(liouvillian if split.real_form is None else split.real_form)
+    norm = operator_norm(split.real_form)
     return QslReport(
         T=float(trace.times[-1] - trace.times[0]),
         theta=theta,

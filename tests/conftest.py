@@ -67,7 +67,8 @@ def kraus_to_superop(kraus):
 
 def generic_speed(trace, k):
     """Central-difference speed at interior grid point k, per trajectory of a stack."""
-    vm, v, vp = np.moveaxis(trace.normalized.vector[..., k - 1 : k + 2, :], -2, 0)
+    unit = lq.normalize_state(trace.states[..., k - 1 : k + 2, :, :])
+    vm, v, vp = np.moveaxis(unit.vector, -2, 0)
     return np.sqrt(variance(v, (vp - vm) / (trace.times[k + 1] - trace.times[k - 1])))
 
 

@@ -79,10 +79,8 @@ def test_closed_forms_match_propagation():
                 worst_state = max(
                     worst_state, np.abs(forms["rho_t"] - trace.states[k]).max()
                 )
-                worst_speed = max(
-                    worst_speed,
-                    abs(forms["speed"] - lq.speed(L, trace.normalized[k])),
-                )
+                unit = lq.normalize_state(trace.states[k])
+                worst_speed = max(worst_speed, abs(forms["speed"] - lq.speed(L, unit)))
                 if k == 0:
                     # arccos conditioning floor at an exactly zero angle
                     assert forms["theta_0t"] < 1e-7
@@ -277,8 +275,9 @@ def _lanczos_oracle(lh, v0):
 
 def _oracle_columns(kd, h):
     """The loop oracle's b, real amplitudes and C_K for kd's start."""
-    basis, bs = _lanczos_oracle(lq.commutator_superop(h), kd.trace.normalized.vector[0])
-    amps = (kd.trace.normalized.vector @ basis.conj()) * (-1j) ** np.arange(basis.shape[1])
+    v = lq.normalize_state(kd.trace.states).vector
+    basis, bs = _lanczos_oracle(lq.commutator_superop(h), v[0])
+    amps = (v @ basis.conj()) * (-1j) ** np.arange(basis.shape[1])
     return bs, amps.real, np.sum(np.arange(basis.shape[1]) * np.abs(amps) ** 2, axis=1)
 
 
@@ -389,7 +388,7 @@ def test_krylov_build_on_exactly_degenerate_spectra():
     for h, k in cases:
         kd = lq.krylov_build(h, lq.coherent_gibbs_state(h, 0.5), times)
         assert kd.trace.modes.route == "hermitian"
-        c = kd.trace.modes.overlaps(kd.trace.normalized.vector[0])
+        c = kd.trace.modes.overlaps(lq.normalize_state(kd.trace.states[0]).vector)
         assert abs(np.sum(np.abs(c) ** 2) - 1.0) <= 1e-14
         assert np.abs(np.sum(kd.amplitudes**2, axis=1) - 1.0).max() <= 1e-14
         assert kd.dimension == k

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 import liouqsl as lq
-from liouqsl import evolve
+from liouqsl import applications, cli, evolve, liouville, optimal, qsl, spectral
 from liouqsl.evolve import build_trace, propagate_expm
 from liouqsl.exceptions import (
     DefectiveGeneratorError,
@@ -62,10 +62,12 @@ def test_trace_columns():
     L = lq.build_liouvillian(spec).full
     trace = propagate_expm(L, rho0, np.linspace(0.0, 1.0, 11))
     assert abs(trace.overlap_with_initial[0] - 1.0) < 1e-12
+    x, first = trace.coordinates, trace.states[0]
     for k, rho in enumerate(trace.states):
         assert abs(np.trace(rho) - 1.0) < 1e-12
-        assert abs(trace.normalized.purity[k] - np.trace(rho @ rho).real) < 1e-12
-        got = np.real(np.vdot(trace.normalized[0].vector, trace.normalized[k].vector))
+        assert abs(trace.purity[k] - np.trace(rho @ rho).real) < 1e-12
+        assert abs(x[0] @ x[k] - np.trace(first @ rho).real) < 1e-12
+        got = np.trace(first @ rho).real / np.sqrt(trace.purity[0] * trace.purity[k])
         assert abs(trace.overlap_with_initial[k] - got) < 1e-12
 
 
@@ -101,30 +103,52 @@ def test_columns_from_coordinates_equal_the_complex_formulas():
                     _columns_match(lq.sff_bound_check(trace, L)[0], angle)
 
 
-def test_report_paths_never_form_the_complex_unit_vectors(monkeypatch):
-    # exact_qsl, krylov_build with krylov_bound_check, and mpemba_report read
-    # the real coordinates; none forms trace.normalized, a (T, d^2) complex block.
+def test_report_paths_never_form_the_complex_unit_vectors(monkeypatch, tmp_path):
+    # Every report path reads the real coordinates of its trace: normalize_state,
+    # wrapped at each module that binds it, receives at most one (d, d) state per
+    # call, never the (T, d, d) states that would give a (T, d^2) complex block.
+    normalize, shapes = lq.liouville.normalize_state, []
+
+    def single(rho):
+        shapes.append(np.shape(rho))
+        return normalize(rho)
+
+    for module in (lq, applications, cli, evolve, liouville, optimal, qsl, spectral):
+        if hasattr(module, "normalize_state"):
+            monkeypatch.setattr(module, "normalize_state", single)
     rng = philox(142)
     times = np.linspace(0.0, 2.0, 201)
     L = lq.build_liouvillian(rand_spec(rng, 4)).full
-    for rho0 in (rand_rho(rng, 4), rand_pure(rng, 4)):
-        trace = propagate_expm(L, rho0, times)
-        lq.exact_qsl(trace, L)
-        assert "normalized" not in trace.__dict__
-    kd = lq.krylov_build(rand_hermitian(rng, 5), rand_pure(rng, 5), times)
-    lq.krylov_bound_check(kd)
-    lq.sff_bound_check(kd.trace, kd.generator)
-    lq.sff(kd.trace)
-    assert "normalized" not in kd.trace.__dict__
-    traces = []
-
-    def kept(*args):
-        traces.append(propagate_expm(*args))
-        return traces[-1]
-
-    monkeypatch.setattr(lq.applications, "propagate_expm", kept)
-    lq.mpemba_report((0.3, 0.8), 0.01, 0.2, 100.0, points=301)
-    assert len(traces) == 1 and "normalized" not in traces[0].__dict__
+    starts = np.array([rand_rho(rng, 4), rand_pure(rng, 4)])
+    traces = [propagate_expm(L, rho0, times) for rho0 in (*starts, starts)]
+    h, psi = rand_hermitian(rng, 5), rand_pure(rng, 5)
+    kd = lq.krylov_build(h, psi, times)
+    names = ("spec", "rho0", "up", "down")
+    files = {name: str(tmp_path / f"{name}.json") for name in names}
+    lq.dump_json(lq.spec_to_json(rand_spec(rng, 4)), files["spec"])
+    lq.dump_json(lq.matrix_to_json(starts[0]), files["rho0"])
+    lq.dump_json(lq.matrix_to_json(np.diag([1.0, 0.0]).astype(complex)), files["up"])
+    lq.dump_json(lq.matrix_to_json(np.diag([0.0, 1.0]).astype(complex)), files["down"])
+    grid = ["--t-max", "2", "--points", "201", "--out", str(tmp_path)]
+    commands = [
+        ["evolve", "--spec", files["spec"], "--rho0", files["rho0"]],
+        ["optimal", "--rho0", files["up"], "--rho-perp", files["down"], "--gamma", "1"],
+    ]
+    paths = {
+        "exact_qsl": lambda: [lq.exact_qsl(trace, L) for trace in traces[:2]],
+        "krylov": lambda: lq.krylov_bound_check(lq.krylov_build(h, psi, times)),
+        "sff_bound_check": lambda: lq.sff_bound_check(kd.trace, kd.generator),
+        "mpemba_report": lambda: lq.mpemba_report((0.3, 0.8), 0.01, 0.2, 100.0, 301),
+        "average_speed": lambda: [lq.average_speed(trace, L) for trace in traces],
+    }
+    for name, run in paths.items():
+        shapes.clear()
+        run()
+        assert {len(shape) for shape in shapes} <= {2}, name
+    for args in commands:
+        shapes.clear()
+        assert cli.main(args + grid) == 0
+        assert {len(shape) for shape in shapes} <= {2}, args[0]
 
 
 def test_propagate_expm_grid_validation():
@@ -454,7 +478,8 @@ def test_propagate_expm_stack_matches_single_calls():
                     ref = propagate_expm(L, rho0, times)
                     assert got.states[a].shape == ref.states.shape
                     assert _close(got.states[a], ref.states)
-                    assert _close(got.normalized.vector[a], ref.normalized.vector)
+                    assert _close(got.coordinates[a], ref.coordinates)
+                    assert _close(got.purity[a], ref.purity)
                     assert _close(got.overlap_with_initial[a], ref.overlap_with_initial)
 
 
@@ -536,7 +561,7 @@ def test_generic_speed_matches_generator_route():
     L = lq.build_liouvillian(spec).full
     trace = propagate_expm(L, lq.superposition_state(0.6), np.linspace(0.0, 5.0, 501))
     for k in (1, 120, 250, 499):
-        direct = lq.speed(L, trace.normalized[k])
+        direct = lq.speed(L, lq.normalize_state(trace.states[k]))
         assert abs(generic_speed(trace, k) - direct) < 1e-5
 
 
@@ -568,5 +593,5 @@ def test_kraus_trajectory_speed_matches_generator_route():
 
     t = 0.8
     trace = propagate_expm(L, rho0, np.array([0.0, t]))
-    direct = lq.speed(L, trace.normalized[1])
+    direct = lq.speed(L, lq.normalize_state(trace.states[1]))
     assert abs(kraus_trajectory_speed(family, rho0, t, 1e-6) - direct) < 1e-8

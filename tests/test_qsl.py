@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import liouqsl as lq
-from liouqsl import qsl
+from liouqsl import cli, qsl
 from liouqsl.exceptions import (
+    DimensionError,
     NumericalConsistencyError,
     QuadratureError,
     ValidationError,
@@ -95,9 +96,10 @@ def test_average_speed_is_simpson_average_of_speed_column():
 
     L, trace = _ad_trace()
     avg = lq.average_speed(trace, L)
-    column = lq.speed(L, trace.normalized)
+    unit = lq.normalize_state(trace.states)
+    column = lq.speed(L, unit)
     assert column.shape == trace.times.shape
-    direct = np.array([lq.speed(L, s) for s in trace.normalized])
+    direct = np.array([lq.speed(L, s) for s in unit])
     assert_allclose(column, direct)
     horizon = trace.times[-1] - trace.times[0]
     assert_allclose(avg, simpson(column, x=trace.times) / horizon, rtol=1e-14)
@@ -114,8 +116,77 @@ def test_average_speed_of_a_stack_is_that_of_each_trajectory():
         avg = lq.average_speed(trace, L)
         assert avg.shape == (3,)
         for a in range(3):
-            one = lq.average_speed(lq.build_trace(times, trace.states[a]), L)
+            one = lq.EvolutionTrace(times, trace.states[a], trace.coordinates[a])
+            one = lq.average_speed(one, L)
             assert np.array_equal(avg[a], one)
+
+
+def _critical_qubit():
+    """H = sigma_x/8 with one jump (1, sigma_-): defective, so propagation steps."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    return lq.LindbladSpec(hamiltonian=sx / 8.0, jumps=[(1.0, lower)])
+
+
+def _assert_speed_column(got, L, states):
+    want = lq.speed(L, lq.normalize_state(states))
+    eps = np.finfo(float).eps
+    assert np.abs(got - want).max() <= 16 * eps * np.abs(want).max()
+
+
+def test_trace_speed_is_the_speed_of_the_unit_vectors():
+    # average_speed averages the speed of u = x/sqrt(p) under B^+ L B, which
+    # equals lq.speed of the complex unit vectors within 16 eps of the column
+    # maximum: propagated and rebuilt traces, single and stacked starts, and
+    # the stepping fallback.
+    rng = philox(143)
+    times = np.linspace(0.0, 2.0, 101)
+    cases = []
+    for d in (2, 3, 4, 6, 8, 12, 16):
+        L = lq.build_liouvillian(rand_spec(rng, d)).full
+        stack = np.array([rand_rho(rng, d), rand_pure(rng, d)])
+        for rho0 in (stack[0], stack):
+            trace = lq.propagate_expm(L, rho0, times)
+            cases += [(L, trace), (L, lq.build_trace(times, trace.states))]
+    L = lq.build_liouvillian(_critical_qubit()).full
+    trace = lq.propagate_expm(L, lq.superposition_state(0.5), np.linspace(0, 20, 401))
+    assert trace.modes is None
+    cases.append((L, trace))
+    for L, trace in cases:
+        column = qsl._trace_speed(trace, L)
+        _assert_speed_column(column, L, trace.states)
+        avg = lq.average_speed(trace, L)
+        assert np.array_equal(avg, qsl._time_average(column, trace.times))
+
+
+def test_evolve_speed_column_is_the_speed_of_the_unit_vectors(tmp_path):
+    rng = philox(144)
+    specs = [(rand_spec(rng, d), rand_rho(rng, d)) for d in (4, 16)]
+    specs.append((_critical_qubit(), lq.superposition_state(0.5)))
+    for spec, rho0 in specs:
+        paths = [tmp_path / "spec.json", tmp_path / "rho0.json"]
+        lq.dump_json(lq.spec_to_json(spec), paths[0])
+        lq.dump_json(lq.matrix_to_json(rho0), paths[1])
+        args = ["evolve", "--spec", str(paths[0]), "--rho0", str(paths[1])]
+        args += ["--t-max", "2", "--points", "101", "--out", str(tmp_path)]
+        assert cli.main(args + ["--dump-states"]) == 0
+        table = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1)
+        d = spec.dim
+        states = table[:, 4 : 4 + d * d] + 1j * table[:, 4 + d * d :]
+        L = lq.build_liouvillian(lq.load_spec(str(paths[0]))).full
+        _assert_speed_column(table[:, 3], L, states.reshape(-1, d, d))
+
+
+def test_a_trace_refuses_a_generator_without_a_real_form():
+    # A trace is read through its real coordinates, so a generator that does not
+    # preserve Hermiticity is refused; one of the wrong shape stays a DimensionError.
+    L, trace = _ad_trace()
+    for functional in (lq.average_speed, lq.exact_qsl, lq.sff_bound_check):
+        with pytest.raises(ValidationError, match="does not preserve Hermiticity"):
+            functional(trace, 1j * L)
+        for wrong in (np.zeros((9, 9)), np.zeros((4, 5)), L[:3, :3]):
+            with pytest.raises(DimensionError):
+                functional(trace, wrong)
 
 
 def test_average_speed_needs_odd_grid():
@@ -285,7 +356,8 @@ def test_exact_qsl_from_a_near_pure_start_uses_the_loop_basis():
     for d in (3, 4):
         L = lq.build_liouvillian(rand_spec(philox(5), d)).full
         trace = lq.propagate_expm(L, _near_pure(d), np.linspace(0.0, 2.0, 401))
-        oracle = BasisSet(_gram_schmidt_oracle(trace.normalized[0].vector))
+        unit = lq.normalize_state(trace.states[0])
+        oracle = BasisSet(_gram_schmidt_oracle(unit.vector))
         report = lq.exact_qsl(trace, L).to_json()
         expected = lq.exact_qsl(trace, L, basis=oracle).to_json()
         for key, value in expected.items():
@@ -392,7 +464,7 @@ def d16():
     rng = philox(133)
     L = lq.build_liouvillian(rand_spec(rng, 16)).full
     trace = lq.propagate_expm(L, rand_rho(rng, 16), np.linspace(0.0, 3.0, 2001))
-    return L, trace, lq.complete_basis(trace.normalized[0])
+    return L, trace, lq.complete_basis(lq.normalize_state(trace.states[0]))
 
 
 def _assert_split_matches_oracle(superop, basis, v, real):
@@ -417,12 +489,14 @@ def _block_rows(n):
 def test_blocked_split_matches_the_whole_array_oracle(d16):
     rng = philox(134)
     L, trace = _ad_trace(points=2 * _block_rows(4) + 1)
-    cases = [(L, lq.complete_basis(trace.normalized[0]), trace.normalized.vector)]
+    unit = lq.normalize_state(trace.states)
+    cases = [(L, lq.complete_basis(unit[0]), unit.vector)]
     L3 = lq.build_liouvillian(rand_spec(rng, 3)).full
     short = lq.propagate_expm(L3, rand_rho(rng, 3), np.linspace(0.0, 1.0, 3))
-    cases.append((L3, lq.complete_basis(short.normalized[0]), short.normalized.vector))
+    unit = lq.normalize_state(short.states)
+    cases.append((L3, lq.complete_basis(unit[0]), unit.vector))
     L16, trace16, basis16 = d16
-    v16 = trace16.normalized.vector
+    v16 = lq.normalize_state(trace16.states).vector
     assert len(v16) % _block_rows(256) != 0
     cases += [(L16, basis16, v16[: 2 * _block_rows(256) + 1]), (L16, basis16, v16)]
     for superop, basis, v in cases:
@@ -434,9 +508,10 @@ def test_blocked_split_drops_directions_across_a_block_boundary():
     L = lq.build_liouvillian(rand_spec(rng, 8)).full
     rows = _block_rows(64)
     trace = lq.propagate_expm(L, rand_pure(rng, 8), np.linspace(0.0, 1.0, 2 * rows + 1))
-    v = trace.normalized.vector.copy()
+    unit = lq.normalize_state(trace.states)
+    v = unit.vector.copy()
     v[rows - 2 : rows + 2] = v[0]  # the pure start again, on both sides of a boundary
-    basis = lq.complete_basis(trace.normalized[0])
+    basis = lq.complete_basis(unit[0])
     dropped = np.abs(v @ basis.vectors.conj()) ** 2 < 1e-14
     assert dropped[rows - 1].sum() == dropped[rows].sum() == 63
     assert not dropped[rows + 2 :].any()
@@ -446,7 +521,7 @@ def test_blocked_split_drops_directions_across_a_block_boundary():
 def test_blocked_split_takes_the_complex_route_for_the_whole_stack(d16):
     rng = philox(136)
     L, trace, basis = d16
-    v = trace.normalized.vector[: 2 * _block_rows(256) + 1].copy()
+    v = lq.normalize_state(trace.states[: 2 * _block_rows(256) + 1]).vector
     skew = rng.normal(size=L.shape) + 1j * rng.normal(size=L.shape)
     _assert_split_matches_oracle(skew, basis, v, False)
     # one non-Hermitian state in the last block sends every block to the complex route
@@ -510,15 +585,16 @@ def test_randomized_split_invariants():
         rho0 = start(rng, dim)
         for horizon in 10.0 ** np.arange(-3, 2):
             trace = lq.propagate_expm(L, rho0, np.linspace(0.0, horizon, 201))
-            basis = lq.complete_basis(trace.normalized[0])
-            split = _ClassicalSplit(L, basis, trace.normalized)
-            nc = lq.nonclassical_speed(L, basis, trace.normalized)
+            unit = lq.normalize_state(trace.states)
+            basis = lq.complete_basis(unit[0])
+            split = _ClassicalSplit(L, basis, unit)
+            nc = lq.nonclassical_speed(L, basis, unit)
             assert_allclose(split.wootters, nc, rtol=1e-10)
             # delta * nc = 1/2 needs every population above the 1e-14 floor: a
             # dropped direction leaves the Fisher sum but not nc
-            full = (np.abs(basis.amplitudes(trace.normalized.vector)) ** 2 >= 1e-14).all(1)
+            full = (np.abs(basis.amplitudes(unit.vector)) ** 2 >= 1e-14).all(1)
             assert full.sum() >= 190
-            delta, nc = lq.exact_uncertainty(L, basis, trace.normalized[full])
+            delta, nc = lq.exact_uncertainty(L, basis, unit[full])
             assert np.abs(delta * nc - 0.5).max() < 1e-9
 
 
@@ -561,7 +637,7 @@ def test_speed_decomposition_and_uncertainty_product_of_a_stack():
 def test_wootters_length_dominates_angle():
     for alpha in (0.4, 0.7, 0.9):
         L, trace = _ad_trace(alpha=alpha, points=401)
-        basis = lq.complete_basis(trace.normalized[0])
+        basis = lq.complete_basis(lq.normalize_state(trace.states[0]))
         length = lq.wootters_length(trace, L, basis)
         theta = lq.liouville_angle(trace.states[0], trace.states[-1])
         assert length >= theta - 1e-9
@@ -574,7 +650,7 @@ def test_wootters_length_matches_fine_grid_reference():
     lengths = []
     for points in (2001, 40001):
         trace = lq.propagate_expm(L, rho0, np.linspace(0.0, 10.0, points))
-        basis = lq.complete_basis(trace.normalized[0])
+        basis = lq.complete_basis(lq.normalize_state(trace.states[0]))
         lengths.append(lq.wootters_length(trace, L, basis))
     assert abs(lengths[0] - lengths[1]) / lengths[1] < 1e-10
 
@@ -586,7 +662,7 @@ def test_wootters_length_handles_modulus_kinks():
     rho0 = lq.superposition_state(1.0 / np.sqrt(2.0))
     coarse = lq.propagate_expm(L, rho0, np.linspace(0.0, 3.0, 201))
     fine = lq.propagate_expm(L, rho0, np.linspace(0.0, 3.0, 2001))
-    basis = lq.complete_basis(coarse.normalized[0])
+    basis = lq.complete_basis(lq.normalize_state(coarse.states[0]))
     a = lq.wootters_length(coarse, L, basis)
     b = lq.wootters_length(fine, L, basis)
     assert abs(a - b) < 1e-4

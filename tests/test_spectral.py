@@ -367,7 +367,7 @@ def test_mode_route_speed_and_angle():
         c = lq.mode_overlaps(sd, rho0)
         for t in (0.0, 2.0, 10.0, 40.0):
             trace = lq.propagate_expm(L, rho0, np.array([0.0, max(t, 1e-12)]))
-            direct_speed = lq.speed(L, trace.normalized[-1])
+            direct_speed = lq.speed(L, lq.normalize_state(trace.states[-1]))
             assert abs(lq.speed_from_modes(sd, c, t) - direct_speed) < 1e-10
             direct_angle = lq.liouville_angle(rho0, trace.states[-1])
             assert abs(lq.angle_from_modes(sd, c, rho0, t) - direct_angle) < 1e-10
@@ -412,8 +412,9 @@ def test_mode_route_agrees_with_propagation_over_the_grid():
         for rho0 in (rand_rho(rng, d), rand_pure(rng, d)):
             c = lq.mode_overlaps(sd, rho0)
             trace = lq.propagate_expm(L, rho0, ts)
+            unit = lq.normalize_state(trace.states)
             for got, ref in (
-                (lq.speed_from_modes(sd, c, ts), lq.speed(L, trace.normalized)),
+                (lq.speed_from_modes(sd, c, ts), lq.speed(L, unit)),
                 (lq.angle_from_modes(sd, c, rho0, ts), lq.liouville_angle(rho0, trace.states)),
             ):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
