@@ -6,17 +6,18 @@ CSV with 17-significant-digit floats. Exit codes: 0 success, 1 input
 validation failure, 2 numerical failure; stderr carries one structured
 line naming the command and the failing quantity.
 
-Each command's help and options are declared once, in _COMMANDS, and
-_parser builds only the invoked command's subparser; all seven only for
-top-level help, an unknown command or none. On a Xeon core with Python
-3.11, building and parsing with all seven took about 2 ms per call and
-with one 0.5 ms, against about 7 ms for a qsl-report on the damped qubit.
+Each command's help and options, with every option's type and default,
+are declared once, in _COMMANDS; a non-finite --alpha, --gamma, --n,
+--beta or --alphas entry is a usage error. _parser builds only the
+invoked command's subparser; all seven only for top-level help, an
+unknown command or none. On a Xeon core with Python 3.11, building and
+parsing with all seven took about 2 ms per call and with one 0.5 ms,
+against about 7 ms for a qsl-report on the damped qubit.
 """
 
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,34 +50,7 @@ from .serialize import (
 )
 from .spectral import _phased, spectral_decompose, steady_state
 
-__all__ = ["ScenarioConfig", "run", "main"]
-
-@dataclass
-class ScenarioConfig:
-    """Everything a subcommand needs, already type-coerced; times is derived,
-    never set: _horizon_grid(t_max, points), which also validates both."""
-
-    command: str
-    spec_path: str = None
-    rho0_path: str = None
-    rho_perp_path: str = None
-    h_path: str = None
-    t_max: float = 10.0
-    points: int = 2001
-    alphas: tuple = (0.25, 0.5, 0.75, 0.9)
-    alpha: float = 0.5
-    gamma: float = 0.01
-    n: float = 0.0
-    beta: float = 0.0
-    out: str = "./out"
-    dump_states: bool = False
-    times: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name in ("gamma", "n", "beta", "alpha", "alphas"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValidationError(f"{name} must be finite")
-        self.times = _horizon_grid(self.t_max, self.points)
+__all__ = ["run", "main"]
 
 
 def _load_matrix(path):
@@ -226,16 +200,30 @@ def _cmd_validate(cfg):
     return 0
 
 
+def finite(text):
+    """A finite float option value. argparse reports a ValueError as a usage
+    error that names the option and this converter: "invalid finite value"."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def finite_list(text):
+    """The comma-separated --alphas entries, each one finite."""
+    return tuple(finite(a) for a in text.split(",") if a.strip())
+
+
 _SPEC = ("--spec", {"required": True, "dest": "spec_path"})
-_ALPHA = ("--alpha", {"type": float})
+_ALPHA = ("--alpha", {"type": finite, "default": 0.5})
 _RHO0 = ("--rho0", {"dest": "rho0_path"})
 _DUMP_STATES = ("--dump-states", {"action": "store_true", "dest": "dump_states"})
 _COMMON = (
-    ("--out", {"help": "output directory"}),
+    ("--out", {"default": "./out", "help": "output directory"}),
     ("--jobs", {"type": int,
                 "help": "accepted and ignored; every command runs serially"}),
-    ("--points", {"type": int}),
-    ("--t-max", {"type": float, "dest": "t_max"}),
+    ("--points", {"type": int, "default": 2001}),
+    ("--t-max", {"type": float, "default": 10.0, "dest": "t_max"}),
 )
 
 # name: (runner, help, options before _COMMON), in the order --help lists them
@@ -248,22 +236,24 @@ _COMMANDS = {
     "optimal": (_cmd_optimal, "straight-line dynamics certificate",
                 (("--rho0", {"required": True, "dest": "rho0_path"}),
                  ("--rho-perp", {"required": True, "dest": "rho_perp_path"}),
-                 ("--gamma", {"type": float, "required": True}),
+                 ("--gamma", {"type": finite, "required": True}),
                  _DUMP_STATES)),
     "mpemba": (_cmd_mpemba, "relaxation sweep for the damped qubit",
-               (("--gamma", {"type": float}),
-                ("--n", {"type": float}),
-                ("--alphas", {"help": "comma-separated initial-state amplitudes"}))),
+               (("--gamma", {"type": finite, "default": 0.01}),
+                ("--n", {"type": finite, "default": 0.0}),
+                ("--alphas", {"type": finite_list, "default": (0.25, 0.5, 0.75, 0.9),
+                              "help": "comma-separated initial-state amplitudes"}))),
     "krylov": (_cmd_krylov, "complexity and SFF columns",
                (("--h", {"required": True, "dest": "h_path"}),
                 _RHO0,
-                ("--beta", {"type": float}))),
+                ("--beta", {"type": finite, "default": 0.0}))),
     "validate": (_cmd_validate, "parse and sanity-check a spec", (_SPEC,)),
 }
 
 
 def run(cfg):
-    """Dispatch a validated config; returns the process exit code."""
+    """Dispatch parsed arguments; returns the process exit code."""
+    cfg.times = _horizon_grid(cfg.t_max, cfg.points)
     # An OSError can only come from --out: input files are read by _read_json,
     # which raises ValidationError. validate writes no artifact there.
     try:
@@ -275,14 +265,7 @@ def run(cfg):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors as ValidationError, so that they exit 1, not 2.
-
-    Options that are not given stay off the namespace, so that every
-    default is declared once, in ScenarioConfig; subparsers inherit this.
-    """
-
-    def __init__(self, **kwargs):
-        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+    """Raises usage errors as ValidationError, so that they exit 1, not 2."""
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")
@@ -303,24 +286,11 @@ def _parser(command=None):
     return parser
 
 
-def _config_from_args(args):
-    names = {f.name for f in fields(ScenarioConfig)} - {"alphas"}
-    config = {k: v for k, v in vars(args).items() if k in names}
-    if hasattr(args, "alphas"):
-        try:
-            config["alphas"] = tuple(
-                float(a) for a in str(args.alphas).split(",") if a.strip()
-            )
-        except ValueError as exc:
-            raise ValidationError(f"bad --alphas value {args.alphas!r}") from exc
-    return ScenarioConfig(**config)
-
-
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        return run(_config_from_args(_parser(command).parse_args(argv)))
+        return run(_parser(command).parse_args(argv))
     except ValidationError as exc:
         error, code, detail = "validation", 1, exc
     except NumericalConsistencyError as exc:

@@ -112,12 +112,14 @@ def build_trace(times, states, *, _modes=None, _coordinates=None):
     """Assemble an EvolutionTrace from T raw states, validating each one.
 
     Each state must have unit trace within 1e-12, tighter than the 1e-10
-    that validate_density_matrix allows an input state. The coordinates
-    x = B^+ vec(rho) of the re-Hermitized states are exactly real; states
-    built from _coordinates are exactly Hermitian and kept with them.
+    that validate_density_matrix allows an input state, and pass its other
+    checks, Hermiticity included; only then is it re-Hermitized, so that the
+    coordinates x = B^+ vec(rho) are exactly real. States built from
+    _coordinates are exactly Hermitian and kept with them, so their skew is
+    not formed.
 
     states may also be a stack (A, T, d, d) of A trajectories on one grid:
-    they are re-Hermitized, validated and gathered in one pass and give
+    they are validated, re-Hermitized and gathered in one pass and give
     one trace with a leading stack axis. An invalid state is reported at its
     earliest time, and for a stack in the first trajectory that holds one.
     """
@@ -130,16 +132,17 @@ def build_trace(times, states, *, _modes=None, _coordinates=None):
         or not rhos.size
     ):
         raise ValidationError(f"states of shape {rhos.shape} do not match the grid")
-    rhos = rehermitize(rhos) if _coordinates is None else rhos
+    hermitian = _coordinates is not None
     try:
-        validate_density_matrix(rhos, trace_tol=1e-12, _hermitian=True)
+        validate_density_matrix(rhos, trace_tol=1e-12, _hermitian=hermitian)
     except ValidationError as exc:
         a, k = divmod(exc.index, t.size)
         where = f"state at t={t[k]:g}"
         if rhos.ndim == 4:
             where = f"initial state {a}: {where}"
         raise ValidationError(f"{where}: {exc}") from exc
-    if _coordinates is None:
+    if not hermitian:
+        rhos = rehermitize(rhos)
         _coordinates = np.ascontiguousarray(_gather(vectorize(rhos)).real)
     return EvolutionTrace(t, rhos, _coordinates, _modes)
 

@@ -232,8 +232,12 @@ def spectral_decompose(liouvillian):
     return sd
 
 
-def _require_unique_zero(sd):
-    """Check for one zero mode within _GAP_TOL max(1, max|L_ij|); return that scale."""
+def steady_state(sd):
+    """Unit-trace Hermitian state spanning the zero mode; |L vec(rho)| <= 1e-9 scale.
+
+    The zero mode must lie within _GAP_TOL scale of zero and the next mode
+    outside it, where scale = max(1, max|L_ij|).
+    """
     w, scale = sd.eigenvalues, max(1.0, float(np.abs(sd.generator).max()))
     if abs(w[0]) > _GAP_TOL * scale:
         raise NonUniqueSteadyStateError(
@@ -243,12 +247,6 @@ def _require_unique_zero(sd):
         raise NonUniqueSteadyStateError(
             "stationary subspace is degenerate; no unique steady state"
         )
-    return scale
-
-
-def steady_state(sd):
-    """Unit-trace Hermitian state spanning the zero mode; |L vec(rho)| <= 1e-9 scale."""
-    scale = _require_unique_zero(sd)
     rho = rehermitize(devectorize(_scatter(sd.vectors[:, 0])))
     tr = float(np.trace(rho).real)
     if abs(tr) < 1e-12:
@@ -279,7 +277,6 @@ def mode_overlaps(sd, rho0):
 
 def _mode_sum(sd, c, t):
     """B^+ sum_i exp(lambda_i t) c_i |r_i)) by propagate_real, c over the last axis."""
-    _require_unique_zero(sd)
     if not np.isfinite(t := np.asarray(t, dtype=float)).all():
         raise ValidationError("times must be finite")
     return sd.propagate_real(_gather(_checked(sd, c, "c") @ sd.right_vectors.T).real, t)

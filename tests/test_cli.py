@@ -12,8 +12,8 @@ from scipy.linalg import expm
 
 import liouqsl as lq
 from liouqsl import applications, cli, evolve, liouville, qsl, spectral
-from liouqsl.cli import ScenarioConfig, _parser, main
-from liouqsl.exceptions import QuadratureError, ValidationError
+from liouqsl.cli import _parser, main
+from liouqsl.exceptions import ValidationError
 
 from conftest import philox, rand_rho, rand_spec
 
@@ -38,23 +38,6 @@ def _write_matrix(tmp_path, name, matrix):
     path = tmp_path / name
     lq.dump_json(lq.matrix_to_json(matrix), path)
     return str(path)
-
-
-def test_scenario_config_validation():
-    with pytest.raises(ValidationError):
-        ScenarioConfig(command="evolve", t_max=-1.0)
-    with pytest.raises(QuadratureError):
-        ScenarioConfig(command="evolve", points=100)
-    cfg = ScenarioConfig(command="evolve", t_max=3.0, points=301)
-    assert np.array_equal(cfg.times, np.linspace(0.0, 3.0, 301))
-    with pytest.raises(TypeError):
-        ScenarioConfig(command="evolve", times=np.zeros(3))
-    for field in ("t_max", "gamma", "n", "beta", "alpha"):
-        for value in (float("nan"), float("inf")):
-            with pytest.raises(ValidationError):
-                ScenarioConfig(command="evolve", **{field: value})
-    with pytest.raises(ValidationError):
-        ScenarioConfig(command="mpemba", alphas=(0.5, float("nan")))
 
 
 def test_validate_command(ad_spec_path, capsys):
@@ -440,6 +423,7 @@ def test_cli_validation_failures(ad_spec_path, tmp_path, capsys):
 
     # Usage errors and non-finite numbers are bad input too: exit 1.
     out = str(tmp_path / "out")
+    h_path = _write_matrix(tmp_path, "h.json", np.diag([0.0, 0.5, 1.3]))
     for argv in (
         ["evolve", "--spec", ad_spec_path, "--method", "euler"],
         ["evolve", "--spec", ad_spec_path, "--method", "rk45"],
@@ -449,6 +433,12 @@ def test_cli_validation_failures(ad_spec_path, tmp_path, capsys):
         ["qsl-report", "--spec", ad_spec_path, "--t-max", "inf"],
         ["mpemba", "--gamma", "nan", "--points", "21"],
         ["mpemba", "--n", "inf", "--points", "21"],
+        ["evolve", "--spec", ad_spec_path, "--t-max", "-1"],
+        ["qsl-report", "--spec", ad_spec_path, "--points", "100"],
+        ["evolve", "--spec", ad_spec_path, "--alpha", "nan"],
+        ["evolve", "--spec", ad_spec_path, "--alpha", "inf"],
+        ["krylov", "--h", h_path, "--beta", "nan", "--points", "21"],
+        ["mpemba", "--alphas", "0.5,nan", "--points", "21"],
     ):
         assert main(argv + ["--out", out]) == 1, argv
         err = capsys.readouterr().err
@@ -566,6 +556,27 @@ def test_validate_leaves_out_alone(ad_spec_path, tmp_path, monkeypatch):
     assert blocker.read_text() == ""
 
 
+def test_omitted_options_take_the_documented_defaults(ad_spec_path, tmp_path):
+    # Each default is declared once, in the command table; omitting every
+    # defaulted option writes the bytes that spelling the defaults out does.
+    h_path = _write_matrix(tmp_path, "h.json", np.diag([0.0, 0.5, 1.3]))
+    for argv, spelled, names in (
+        (["qsl-report", "--spec", ad_spec_path],
+         ["--alpha", "0.5", "--t-max", "10", "--points", "2001"], ["report.json"]),
+        (["mpemba"],
+         ["--gamma", "0.01", "--n", "0", "--alphas", "0.25,0.5,0.75,0.9",
+          "--t-max", "10", "--points", "2001"],
+         ["mpemba.csv", "crossings.json"]),
+        (["krylov", "--h", h_path],
+         ["--beta", "0", "--t-max", "10", "--points", "2001"], ["krylov.csv"]),
+    ):
+        omitted, given = tmp_path / "omitted", tmp_path / "given"
+        assert main(argv + ["--out", str(omitted)]) == 0
+        assert main(argv + spelled + ["--out", str(given)]) == 0
+        for name in names:
+            assert (omitted / name).read_bytes() == (given / name).read_bytes(), argv
+
+
 # Every option of each command, plus --jobs 2.
 _FULL_ARGV = {
     "evolve": ["--spec", "s", "--alpha", "0.3", "--rho0", "r", "--dump-states"],
@@ -601,8 +612,8 @@ def test_one_command_parser_parses_like_the_full_parser():
         for argv in ([command] + options + common, [command] + options):
             args = _parser(command).parse_args(argv)
             assert args == _parser().parse_args(argv), argv
-        # Options not given stay off the namespace.
-        assert args.command == command and not {"out", "jobs"} & set(vars(args))
+        # An option not given takes its one default.
+        assert args.command == command and args.out == "./out"
 
 
 def test_help_lists_every_command_and_each_command_help_exits_0(capsys):

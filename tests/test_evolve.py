@@ -190,6 +190,14 @@ def test_build_trace_reports_failing_time():
     negative = np.diag([1.5, -0.5])
     with pytest.raises(ValidationError, match=r"t=0\.5: negative eigenvalue"):
         build_trace([0.0, 0.5, 1.0, 1.5], [rho, negative, rho, bad])
+    # Hermiticity is checked before the states are re-Hermitized; round-off
+    # skew passes and is removed.
+    skewed = np.array([[0.5, 0.4], [-0.4, 0.5]])
+    with pytest.raises(ValidationError, match=r"t=0\.5: hermiticity defect 8\.000e-01"):
+        build_trace([0.0, 0.5, 1.0], [rho, skewed, rho])
+    noisy = rho + np.array([[0.0, 1e-12], [0.0, 0.0]])
+    states = build_trace([0.0, 0.5, 1.0], [rho, noisy, rho]).states
+    assert np.array_equal(states, np.swapaxes(states, 1, 2).conj())
 
 
 def test_propagate_expm_long_uniform_grid_keeps_trace(monkeypatch):
@@ -506,6 +514,9 @@ def test_build_trace_stack_names_state_and_time():
     good = [rho, rho, rho]
     stack = [good, [rho, rho, bad], [rho, bad, rho]]
     with pytest.raises(ValidationError, match=r"initial state 1: state at t=2: trace"):
+        build_trace([0.0, 1.0, 2.0], stack)
+    stack[1][1] = np.array([[0.5, 0.4], [-0.4, 0.5]])
+    with pytest.raises(ValidationError, match=r"initial state 1: state at t=1: hermiticity"):
         build_trace([0.0, 1.0, 2.0], stack)
 
 

@@ -195,8 +195,9 @@ def test_validate_density_matrix_rejects_non_finite_entries():
 
 
 def test_validation_of_a_rehermitized_stack_skips_only_the_skew():
-    # build_trace's own stacks are re-Hermitized, so validation there forms no
-    # skew; every other check and message is that of the full validation.
+    # Propagated states are exactly Hermitian, so build_trace's validation of
+    # them forms no skew; every other check and message is that of the full
+    # validation.
     rng = philox(14)
     good = np.array([rand_rho(rng, 3) for _ in range(4)])
     stacks = [good, good.copy(), good.copy()]

@@ -420,6 +420,32 @@ def test_mode_route_agrees_with_propagation_over_the_grid():
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_mode_route_needs_no_unique_steady_state():
+    # A mode sum is a propagation: it runs on generators whose stationary
+    # subspace is degenerate, where steady_state has nothing unique to return.
+    rng = philox(84)
+    plus = np.full((2, 2), 0.5)
+    one = np.zeros((4, 4))
+    one[0, 1] = 1.0
+    cases = (
+        (lq.LindbladSpec(np.diag([0.0, 1.0, 3.0])), rand_rho(rng, 3)),
+        (lq.LindbladSpec(np.zeros((2, 2)), [(0.5, np.diag([1.0, -1.0]))]), plus),
+        (lq.LindbladSpec(np.diag([0.0, 0.5, 1.3, 2.0]), [(0.4, one)]), rand_rho(rng, 4)),
+    )
+    ts = np.linspace(0.0, 10.0, 201)
+    for spec, rho0 in cases:
+        L = lq.build_liouvillian(spec).full
+        sd = lq.spectral_decompose(L)
+        with pytest.raises(NonUniqueSteadyStateError):
+            lq.steady_state(sd)
+        c = lq.mode_overlaps(sd, rho0)
+        trace = lq.propagate_expm(L, rho0, ts)
+        speeds = lq.speed(L, lq.normalize_state(trace.states))
+        angles = lq.liouville_angle(rho0, trace.states)
+        assert np.abs(lq.speed_from_modes(sd, c, ts) - speeds).max() <= 1e-14
+        assert np.abs(lq.angle_from_modes(sd, c, rho0, ts) - angles).max() <= 1e-14
+
+
 def test_mode_route_checks_its_inputs():
     rng = philox(84)
     sd = lq.spectral_decompose(lq.build_liouvillian(rand_spec(rng, 2)).full)
