@@ -12,8 +12,8 @@ from scipy.linalg import expm
 
 import liouqsl as lq
 from liouqsl import applications, cli, evolve, liouville, qsl, spectral
-from liouqsl.cli import _parser, main
-from liouqsl.exceptions import ValidationError
+from liouqsl.cli import _parser, main, run
+from liouqsl.exceptions import QuadratureError, ValidationError
 
 from conftest import philox, rand_rho, rand_spec
 
@@ -38,6 +38,33 @@ def _write_matrix(tmp_path, name, matrix):
     path = tmp_path / name
     lq.dump_json(lq.matrix_to_json(matrix), path)
     return str(path)
+
+
+def test_scenario_config_validation(ad_spec_path, tmp_path):
+    # A scenario is the parsed namespace; run derives its time grid.
+    def scenario(*argv):
+        return _parser().parse_args(list(argv) + ["--out", str(tmp_path / "out")])
+
+    for t_max in ("-1", "nan", "inf"):
+        with pytest.raises(ValidationError):
+            run(scenario("evolve", "--spec", ad_spec_path, "--t-max", t_max))
+    with pytest.raises(QuadratureError):
+        run(scenario("evolve", "--spec", ad_spec_path, "--points", "100"))
+    cfg = scenario("evolve", "--spec", ad_spec_path, "--t-max", "3", "--points", "301")
+    assert run(cfg) == 0
+    assert np.array_equal(cfg.times, np.linspace(0.0, 3.0, 301))
+    with pytest.raises(ValidationError):
+        scenario("evolve", "--spec", ad_spec_path, "--times", "0,1,2")
+    evolve, krylov = ("evolve", "--spec", ad_spec_path), ("krylov", "--h", "h.json")
+    # Non-finite model parameters are refused as the options are parsed.
+    for base, flag in ((("mpemba",), "--gamma"), (("mpemba",), "--n"),
+                       (krylov, "--beta"), (evolve, "--alpha")):
+        scenario(*base, flag, "0.5")
+        for value in ("nan", "inf"):
+            with pytest.raises(ValidationError):
+                scenario(*base, flag, value)
+    with pytest.raises(ValidationError):
+        scenario("mpemba", "--alphas", "0.5,nan")
 
 
 def test_validate_command(ad_spec_path, capsys):
