@@ -38,6 +38,7 @@ from .exceptions import (
 )
 from .liouville import _apply, _dot, _gather, _operands, _real_form, _real_part
 from .liouville import _variance, liouville_angle, normalize_state
+from .spectral import _slot
 
 __all__ = [
     "QslReport",
@@ -227,11 +228,12 @@ def speed_decomposition(parts, state):
 
 
 def _trace_real_form(trace, liouvillian):
-    """B^+ L B, from trace.modes if they decomposed L; L must preserve Hermiticity."""
+    """B^+ L B, from trace.modes or spectral's slot if either holds L, else built."""
     if getattr(trace.modes, "generator", None) is liouvillian:
         return trace.modes.real_form
     _, o = _operands(liouvillian, trace.coordinates, float)
-    if (real := _real_form(o)) is None:
+    real = hit.real_form if (hit := _slot(o)) is not None else _real_form(o)
+    if real is None:
         raise ValidationError("generator does not preserve Hermiticity")
     return real
 
@@ -400,28 +402,20 @@ def wootters_length(trace, liouvillian, basis):
 
 
 def exact_qsl(trace, liouvillian, basis=None):
-    """Bound-and-equality report; takes B^+ L B from trace.modes if it decomposed L."""
+    """Bound-and-equality report; takes B^+ L B from trace.modes or spectral's slot."""
     _one_trajectory(trace.states)
     theta = float(liouville_angle(trace.states[0], trace.states[-1]))
     _odd_grid(len(trace))
     split = _trace_split(trace, liouvillian, basis)
-    avg = _time_average(np.sqrt(split.var), trace.times)
-    avg_nc = _time_average(split.nc, trace.times)
-    length = _simpson(split.wootters, trace.times)
-    norm = operator_norm(split.real_form)
-    return QslReport(
-        T=float(trace.times[-1] - trace.times[0]),
-        theta=theta,
-        wootters_length=length,
-        avg_speed=avg,
-        avg_nc_speed=avg_nc,
-        bound_mt=_bound_ratio(theta, avg),
-        bound_nc=_bound_ratio(theta, avg_nc),
-        exact_time=_bound_ratio(length, avg_nc),
-        bound_opnorm=_bound_ratio(theta, norm),
-        bound_hsnorm=_bound_ratio(theta, float(np.linalg.norm(liouvillian))),
-        efficiency=_bound_ratio(avg, norm),
+    T = float(trace.times[-1] - trace.times[0])
+    rows = np.stack([np.sqrt(split.var), split.nc, split.wootters])
+    avg, avg_nc, length = _simpson(rows, trace.times) / [T, T, 1.0]
+    norm, hs = operator_norm(split.real_form), float(np.linalg.norm(liouvillian))
+    # in the report's order, so an error names the first failing ratio
+    ratios = _bound_ratio(
+        [theta, theta, length, theta, theta, avg], [avg, avg_nc, avg_nc, norm, hs, norm]
     )
+    return QslReport(T, theta, length, avg, avg_nc, *ratios.tolist())
 
 
 def uncertainty_product(a_superop, b_superop, state):

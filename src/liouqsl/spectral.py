@@ -179,9 +179,8 @@ def spectral_decompose(liouvillian):
     if not np.isfinite(L).all():
         raise ValidationError("generator has a nan or infinite entry")
     global _last
-    bits = np.ascontiguousarray(L).view(np.uint64)
-    if _last is not None and np.array_equal(_last.generator.view(np.uint64), bits):
-        return replace(_last, generator=L)
+    if (hit := _slot(L)) is not None:
+        return replace(hit, generator=L)
     _last = None  # free the old eigensystem before computing the new one
     real = _real_form(L)
     if real is None:
@@ -228,8 +227,15 @@ def spectral_decompose(liouvillian):
     )
     for a in (sd.eigenvalues, sd.vectors, sd.inverse, real, partner):
         a.flags.writeable = False
-    _last = replace(sd, generator=bits.copy().view(complex))
+    _last = replace(sd, generator=L.copy())
     return sd
+
+
+def _slot(L):
+    """The slot's SpectralData if it holds a generator of complex L's shape and bits."""
+    bits = np.ascontiguousarray(L).view(np.uint64)
+    if _last is not None and np.array_equal(_last.generator.view(np.uint64), bits):
+        return _last
 
 
 def steady_state(sd):

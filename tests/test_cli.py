@@ -721,6 +721,8 @@ def test_cli_numerical_failure(tmp_path, capsys):
 
 _NO_SCIPY_SESSION = """
 import sys
+import liouqsl.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 import numpy as np
 import liouqsl as lq
 from liouqsl.cli import main
@@ -762,4 +764,6 @@ def test_cli_commands_load_no_scipy(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    # none after `import liouqsl.cli` alone, and none after every command ran
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"

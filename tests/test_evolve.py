@@ -382,10 +382,20 @@ def test_coordinate_route_writes_exactly_hermitian_states():
             assert np.abs(singles[2][a] - singles[a]).max() <= 1e-15
 
 
-def test_critically_driven_qubit_keeps_the_stepping_fallback():
+def test_critically_driven_qubit_keeps_the_stepping_fallback(monkeypatch):
     # Its biorthogonality defect sends it to expm stepping, which steps the
     # real coordinates and keeps them; the report is the one recorded before
-    # the coordinate route.
+    # the coordinate route. B^+ L B is built once, by spectral_decompose:
+    # exact_qsl reads it from spectral's slot, as the trace keeps no modes.
+    built = []
+
+    def real_form(superop):
+        built.append(superop.shape)
+        return liouville._real_form(superop)
+
+    for module in (evolve, qsl, spectral):
+        monkeypatch.setattr(module, "_real_form", real_form)
+    monkeypatch.setattr(spectral, "_last", None)
     L = _critically_driven_decay(gamma=1.0)
     times = np.linspace(0.0, 20.0, 401)
     trace = propagate_expm(L, lq.superposition_state(0.5), times)
@@ -404,6 +414,7 @@ def test_critically_driven_qubit_keeps_the_stepping_fallback():
         "efficiency": 0.04977581078711614,
     }
     report = lq.exact_qsl(trace, L).to_json()
+    assert built == [(4, 4)]
     assert report.keys() == frozen.keys()
     for key, value in frozen.items():
         assert_allclose(report[key], value, rtol=1e-13, err_msg=key)

@@ -194,6 +194,70 @@ def test_validate_density_matrix_rejects_non_finite_entries():
         assert err.value.index == index
 
 
+_QUBIT_LOWS = (-1e-3, -1e-10 * (1 + 1e-3), -1e-10 * (1 - 1e-3), 1e-12, -1e-12, 0.0)
+
+
+def _first_failure(stack, hermitian=False):
+    """(message, index) of the ValidationError on stack, or None if it passes."""
+    try:
+        lq.validate_density_matrix(stack, _hermitian=hermitian)
+    except ValidationError as err:
+        return str(err), err.index
+
+
+def test_qubit_positivity_in_closed_form_keeps_the_eigenvalue_rule():
+    # A 2 x 2 stack is certified by the two Cholesky pivots of H + 1e-10 * 1 in
+    # closed form, and one that is not goes to eigvalsh, so verdict, message and
+    # index are those of lambda_min >= -1e-10. The floor itself is not tested:
+    # there either route may round either way.
+    rng = philox(38)
+    for low in _QUBIT_LOWS:
+        for _ in range(10):
+            rho = rotated_state(rng, 2, low)
+            assert (np.linalg.eigvalsh(rho).min() >= -1e-10) == (low >= -1e-10)
+            want = None if low >= -1e-10 else (f"negative eigenvalue {low:.3e}", 0)
+            assert _first_failure(rho) == want
+        # an (A, T, 2, 2) stack: this state, then a failing one after it
+        lows = np.full(3 * 40, 0.3)
+        k = rng.integers(lows.size - 1)
+        lows[k], lows[rng.integers(k + 1, lows.size)] = low, -1e-3
+        stack = np.array([rotated_state(rng, 2, lam) for lam in lows])
+        stack = stack.reshape(3, 40, 2, 2)
+        lowest = np.linalg.eigvalsh(stack).min(axis=-1).ravel()
+        assert np.array_equal(lowest >= -1e-10, lows >= -1e-10)
+        first = int(np.argmax(lows < -1e-10))
+        want = f"negative eigenvalue {lows[first]:.3e}", first
+        assert _first_failure(stack) == want
+        assert _first_failure(lq.rehermitize(stack), hermitian=True) == want
+        lq.validate_density_matrix(np.delete(stack.reshape(-1, 2, 2), lows < -1e-10, 0))
+
+
+def test_qubit_positivity_with_huge_finite_entries():
+    # Finite entries whose products overflow raise no floating-point warning (the
+    # suite makes warnings errors) and get the verdict of the Cholesky route.
+    for big in (1e154, 1e200, 1e300):
+        for rho in (np.diag([big, -big]), [[big, 1j * big], [-1j * big, -big]]):
+            assert _first_failure(rho) == ("trace deviates from 1 by 1.000e+00", 0)
+        stack = [np.eye(2) / 2, [[0.5, big], [big, 0.5]], np.diag([big, big])]
+        assert _first_failure(stack) == (f"negative eigenvalue {-big:.3e}", 1)
+        assert _first_failure(stack[2]) == (f"trace deviates from 1 by {2 * big:.3e}", 0)
+
+
+def test_qubit_validation_calls_no_lapack_cholesky(monkeypatch):
+    calls, cholesky = [], np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    rng = philox(39)
+    lq.validate_density_matrix(np.array([rand_rho(rng, 2) for _ in range(5)]))
+    assert calls == []
+    lq.validate_density_matrix(rand_rho(rng, 3))
+    assert calls == [(1, 3, 3)]
+
+
 def test_validation_of_a_rehermitized_stack_skips_only_the_skew():
     # Propagated states are exactly Hermitian, so build_trace's validation of
     # them forms no skew; every other check and message is that of the full
