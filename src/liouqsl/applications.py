@@ -26,7 +26,8 @@ from .lindblad import (
     build_liouvillian,
     commutator_superop,
 )
-from .liouville import _gather, _unit_angle, normalize_state, vectorize
+from .liouville import _gather, _hermitian_matrices, _unit_angle
+from .liouville import normalize_state, vectorize
 from .qsl import (
     _bound_ratio,
     _cumulative_simpson,
@@ -74,7 +75,7 @@ def sff(trace):
     coherent_gibbs_state, the spectral form factor of the channel family
     behind the trace (any family fits through build_trace(times, states)).
     """
-    _one_trajectory(trace.states)
+    _one_trajectory(trace.coordinates)
     return trace.coordinates @ trace.coordinates[0]
 
 
@@ -91,7 +92,7 @@ def sff_bound_check(trace, liouvillian):
     small angles stay accurate, and rhs the running integral of the
     non-classical speed; lhs never exceeds rhs.
     """
-    _one_trajectory(trace.states)
+    _one_trajectory(trace.coordinates)
     lhs = _unit_angle(trace.coordinates[0], trace.coordinates)
     return lhs, _nc_integral(trace, liouvillian)
 
@@ -147,7 +148,7 @@ def krylov_build(hamiltonian, rho0, times):
     anchor x offset table. times must start at 0, as for propagate_expm; a
     stack of initial states raises ValidationError up front.
     """
-    _one_trajectory(rho0, ndim=2)
+    _one_trajectory(rho0)
     h = _checked_hamiltonian(hamiltonian)
     generator = -1j * commutator_superop(h)
     trace = propagate_expm(generator, rho0, times)
@@ -155,7 +156,8 @@ def krylov_build(hamiltonian, rho0, times):
     modes = spectral_decompose(generator)
     omega = np.real(1j * modes.eigenvalues)
     tol = 1e-12 * max(1.0, omega.max())
-    c = modes.overlaps(normalize_state(trace.states[0]).vector)
+    start = _hermitian_matrices(trace.coordinates[0])  # the bits of trace.states[0]
+    c = modes.overlaps(normalize_state(start).vector)
     order = np.argsort(omega, kind="stable")
     first = np.flatnonzero(np.diff(omega[order], prepend=-np.inf) > tol)
     weights = np.add.reduceat(np.abs(c[order]) ** 2, first)

@@ -30,7 +30,11 @@ from .applications import (
     superposition_state,
 )
 from .evolve import propagate_expm
-from .exceptions import NumericalConsistencyError, ValidationError
+from .exceptions import (
+    NonUniqueSteadyStateError,
+    NumericalConsistencyError,
+    ValidationError,
+)
 from .lindblad import build_liouvillian
 from .liouville import vectorize
 from .optimal import (
@@ -48,7 +52,7 @@ from .serialize import (
     matrix_to_json,
     write_csv,
 )
-from .spectral import _phased, spectral_decompose, steady_state
+from .spectral import _GAP_TOL, _phased, spectral_decompose, steady_state
 
 __all__ = ["run", "main"]
 
@@ -105,14 +109,19 @@ def _cmd_spectral(cfg):
     spec = load_spec(cfg.spec_path)
     L = build_liouvillian(spec).full
     sd = spectral_decompose(L)
-    rho_ss = steady_state(sd)  # mode 0 is then the one stationary mode
+    try:
+        rho_ss = matrix_to_json(steady_state(sd))
+    except NonUniqueSteadyStateError:  # closed or dephasing dynamics, say
+        rho_ss = None
+    rates = np.abs(sd.eigenvalues.real).tolist()
+    stationary = _GAP_TOL * max(1.0, float(np.abs(L).max()))  # as in steady_state
     doc = {
         "eigenvalues": [
             {"re": float(w.real), "im": float(w.imag)} for w in sd.eigenvalues
         ],
         "condition": sd.condition,
-        "timescales": [None] + [1.0 / abs(w.real) for w in sd.eigenvalues[1:]],
-        "steady_state": matrix_to_json(rho_ss),
+        "timescales": [None if r <= stationary else 1.0 / r for r in rates],
+        "steady_state": rho_ss,
     }
     dump_json(doc, os.path.join(cfg.out, "spectral.json"))
     return 0

@@ -5,18 +5,19 @@ EvolutionTrace: stacked arrays over the T grid points, not a list of
 per-point objects. For states of dimension d it holds
 
     times                  (T,)
-    states                 (T, d, d)  validated, exactly Hermitian states
     coordinates            (T, d^2)   real x_k = B^+ vec(rho_k), the one stored form
     modes                             SpectralData of the modal route, else None
+    states                 (T, d, d)  exactly Hermitian states, derived from x
     purity                 (T,)       p_k = tr rho_k^2 = x_k . x_k, derived
     overlap_with_initial   (T,)       x_0 . x_k / sqrt(p_0 p_k), derived
 
-The qsl module reads a trace through x alone. States from any other channel
-family, such as a Kraus family, become a trace through build_trace(times, states).
-propagate_expm also takes a stack of A initial states (A, d, d) under one
-generator and grid: it propagates them as one (A, d^2) block and returns
-one trace, states (A, T, d, d) and each array with the same leading stack
-axis, so the time-averaged functionals give one value per initial state.
+The qsl and applications modules read a trace through x alone. States from any
+other channel family, such as a Kraus family, become a trace through
+build_trace(times, states). propagate_expm also takes a stack of A initial
+states (A, d, d) under one generator and grid: it propagates them as one (A, d^2)
+block and returns one trace, coordinates (A, T, d^2) and each array with the
+same leading stack axis, so the time-averaged functionals give one value per
+initial state.
 
 propagate_expm writes a time-independent generator through the
 eigenmodes of spectral.spectral_decompose, the same ones the spectral
@@ -43,7 +44,6 @@ from .liouville import (
     _gather,
     _hermitian_matrices,
     _real_form,
-    rehermitize,
     validate_density_matrix,
     vectorize,
 )
@@ -76,12 +76,15 @@ class EvolutionTrace:
     """
 
     times: np.ndarray
-    states: np.ndarray
     coordinates: np.ndarray
     modes: object = None
 
     def __len__(self):
         return len(self.times)
+
+    @functools.cached_property
+    def states(self):
+        return _hermitian_matrices(self.coordinates)
 
     @functools.cached_property
     def purity(self):
@@ -94,7 +97,7 @@ class EvolutionTrace:
 
     @property
     def dim(self):
-        return self.states.shape[-1]
+        return round(self.coordinates.shape[-1] ** 0.5)
 
 
 def _check_grid(times):
@@ -108,31 +111,8 @@ def _check_grid(times):
     return t
 
 
-def build_trace(times, states, *, _modes=None, _coordinates=None):
-    """Assemble an EvolutionTrace from T raw states, validating each one.
-
-    Each state must have unit trace within 1e-12, tighter than the 1e-10
-    that validate_density_matrix allows an input state, and pass its other
-    checks, Hermiticity included; only then is it re-Hermitized, so that the
-    coordinates x = B^+ vec(rho) are exactly real. States built from
-    _coordinates are exactly Hermitian and kept with them, so their skew is
-    not formed.
-
-    states may also be a stack (A, T, d, d) of A trajectories on one grid:
-    they are validated, re-Hermitized and gathered in one pass and give
-    one trace with a leading stack axis. An invalid state is reported at its
-    earliest time, and for a stack in the first trajectory that holds one.
-    """
-    t = _check_grid(times)
-    rhos = np.asarray(states, dtype=complex)
-    if (
-        rhos.ndim not in (3, 4)
-        or rhos.shape[-3] != t.size
-        or rhos.shape[-1] != rhos.shape[-2]
-        or not rhos.size
-    ):
-        raise ValidationError(f"states of shape {rhos.shape} do not match the grid")
-    hermitian = _coordinates is not None
+def _check_states(t, rhos, hermitian=False):
+    """Validate (..., T, d, d) states, trace within 1e-12; an error names the time."""
     try:
         validate_density_matrix(rhos, trace_tol=1e-12, _hermitian=hermitian)
     except ValidationError as exc:
@@ -141,10 +121,28 @@ def build_trace(times, states, *, _modes=None, _coordinates=None):
         if rhos.ndim == 4:
             where = f"initial state {a}: {where}"
         raise ValidationError(f"{where}: {exc}") from exc
-    if not hermitian:
-        rhos = rehermitize(rhos)
-        _coordinates = np.ascontiguousarray(_gather(vectorize(rhos)).real)
-    return EvolutionTrace(t, rhos, _coordinates, _modes)
+
+
+def build_trace(times, states):
+    """Assemble an EvolutionTrace from T raw states, validating each one.
+
+    Each state must have unit trace within 1e-12, tighter than the 1e-10
+    that validate_density_matrix allows an input state, and pass its other
+    checks, Hermiticity included; the trace then stores x = Re B^+ vec(rho),
+    the coordinates of its Hermitian part, and its states are derived from x.
+
+    states may also be a stack (A, T, d, d) of A trajectories on one grid:
+    they are validated and gathered in one pass and give one trace with a
+    leading stack axis. An invalid state is reported at its earliest time,
+    and for a stack in the first trajectory that holds one.
+    """
+    t = _check_grid(times)
+    rhos = np.asarray(states, dtype=complex)
+    d = rhos.shape[-1] if rhos.ndim in (3, 4) else -1
+    if rhos.shape[-3:] != (t.size, d, d) or not rhos.size:
+        raise ValidationError(f"states of shape {rhos.shape} do not match the grid")
+    _check_states(t, rhos)
+    return EvolutionTrace(t, np.ascontiguousarray(_gather(vectorize(rhos)).real))
 
 
 def _expm_steps(generator, x0, times):
@@ -190,7 +188,7 @@ def propagate_expm(liouvillian, rho0, times):
     exceeds 1e-13, as near an exceptional point, scipy's expm of B^+ L B steps
     x over a uniform grid (restarting exactly every 1024 steps), and over any
     other grid per point; only that fallback imports scipy. The trace keeps x_k
-    as coordinates and maps them to exactly Hermitian states.
+    as coordinates; their exactly Hermitian states are validated as a temporary.
     """
     t = _check_grid(times)
     if abs(t[0]) > 1e-12:
@@ -228,4 +226,5 @@ def propagate_expm(liouvillian, rho0, times):
         first = t[np.argmin(bounded.reshape(t.size, -1).all(axis=1))]
         raise NumericalConsistencyError(f"state norm overflow at t={first:g}")
     xs = np.ascontiguousarray(np.moveaxis(xs, 0, -2))  # (..., T, n)
-    return build_trace(t, _hermitian_matrices(xs), _modes=modes, _coordinates=xs)
+    _check_states(t, _hermitian_matrices(xs), hermitian=True)
+    return EvolutionTrace(t, xs, modes)

@@ -135,7 +135,7 @@ def validate_density_matrix(rho, trace_tol=1e-10, *, _hermitian=False):
     pivots a = Re h_00 + 1e-10 > 0 and a (Re h_11 + 1e-10) - |h_01|^2 > 0, in
     closed form over the stack, else by one stacked LAPACK call. For a stack
     not certified eigvalsh alone decides and names the first failing state.
-    _hermitian skips the skew of a re-Hermitized rho.
+    _hermitian skips the skew of an exactly Hermitian rho.
     """
     r = np.asarray(rho, dtype=complex)
     if r.ndim < 2 or r.shape[-1] != r.shape[-2] or not r.size:

@@ -36,8 +36,8 @@ from .exceptions import (
     QuadratureError,
     ValidationError,
 )
-from .liouville import _apply, _dot, _gather, _operands, _real_form, _real_part
-from .liouville import _variance, liouville_angle, normalize_state
+from .liouville import _apply, _dot, _gather, _hermitian_matrices, _operands
+from .liouville import _real_form, _real_part, _unit_angle, _variance, normalize_state
 from .spectral import _slot
 
 __all__ = [
@@ -185,10 +185,10 @@ def _horizon_grid(horizon, points):
     return np.linspace(0.0, horizon, points)
 
 
-def _one_trajectory(states, ndim=3):
-    """Raise ValidationError when states stacks arrays of ndim axes (3 for a trace)."""
-    if np.ndim(states) > ndim:
-        raise ValidationError(f"expected one trajectory, got a stack of {len(states)}")
+def _one_trajectory(array):
+    """Raise ValidationError when a state (d, d) or coordinates (T, n) are stacked."""
+    if np.ndim(array) > 2:
+        raise ValidationError(f"expected one trajectory, got a stack of {len(array)}")
 
 
 def _bound_ratio(numerator, denominator):
@@ -382,7 +382,8 @@ def exact_uncertainty(superop, basis, state):
 def _trace_split(trace, liouvillian, basis=None):
     """_ClassicalSplit of x under _trace_real_form; basis defaults to one at rho_0."""
     if basis is None:
-        basis = complete_basis(normalize_state(trace.states[0]))
+        start = _hermitian_matrices(trace.coordinates[0])  # the bits of trace.states[0]
+        basis = complete_basis(normalize_state(start))
     real = _trace_real_form(trace, liouvillian)
     x = trace.coordinates
     return _ClassicalSplit(liouvillian, basis, x, real_form=real, purity=trace.purity)
@@ -403,8 +404,8 @@ def wootters_length(trace, liouvillian, basis):
 
 def exact_qsl(trace, liouvillian, basis=None):
     """Bound-and-equality report; takes B^+ L B from trace.modes or spectral's slot."""
-    _one_trajectory(trace.states)
-    theta = float(liouville_angle(trace.states[0], trace.states[-1]))
+    _one_trajectory(trace.coordinates)
+    theta = float(_unit_angle(trace.coordinates[0], trace.coordinates[-1]))
     _odd_grid(len(trace))
     split = _trace_split(trace, liouvillian, basis)
     T = float(trace.times[-1] - trace.times[0])

@@ -30,6 +30,7 @@ from .exceptions import (
     NumericalConsistencyError,
     ValidationError,
 )
+from .lindblad import commutator_superop
 from .liouville import (
     _gather,
     _real_form,
@@ -186,11 +187,11 @@ def spectral_decompose(liouvillian):
     if real is None:
         raise ValidationError("generator does not preserve Hermiticity")
     d, scale = round(L.shape[0] ** 0.5), max(1.0, float(np.abs(L).max()))
-    h, eye, tol = 1j * L[:d, :d], np.eye(d), 8.0 * np.finfo(float).eps * scale
+    h, tol = 1j * L[:d, :d], 8.0 * np.finfo(float).eps * scale
     # -i[H, .] has an imaginary diagonal: an O(d^2) test that spares Lindblad
     # generators the O(d^4) one
     coherent = np.abs(L.diagonal().real).max() <= tol
-    if coherent and np.abs(np.kron(eye, h) - np.kron(h.T, eye) - 1j * L).max() <= tol:
+    if coherent and np.abs(commutator_superop(h) - 1j * L).max() <= tol:
         route, (energies, v) = "hermitian", np.linalg.eigh(h)
         gap = energies - energies[:, None]  # mode d j + i is |v_i><v_j|, E_i - E_j
         w, r = -1j * gap.ravel(), _gather(np.kron(v.conj(), v).T).T

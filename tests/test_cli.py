@@ -8,12 +8,18 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 import liouqsl as lq
 from liouqsl import applications, cli, evolve, liouville, qsl, spectral
 from liouqsl.cli import _parser, main, run
-from liouqsl.exceptions import QuadratureError, ValidationError
+from liouqsl.exceptions import (
+    DefectiveGeneratorError,
+    NonUniqueSteadyStateError,
+    QuadratureError,
+    ValidationError,
+)
 
 from conftest import philox, rand_rho, rand_spec
 
@@ -709,14 +715,46 @@ def test_a_hamiltonian_skewed_within_tolerance_runs_every_command(tmp_path):
         assert main([command] + common + extra) == 0, command
 
 
-def test_cli_numerical_failure(tmp_path, capsys):
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    spec = lq.LindbladSpec(hamiltonian=np.zeros((2, 2)), jumps=[(0.5, sz)])
-    path = tmp_path / "dephasing.json"
-    lq.dump_json(lq.spec_to_json(spec), path)
-    rc = main(["spectral", "--spec", str(path), "--out", str(tmp_path / "out")])
+def test_cli_numerical_failure(ad_spec_path, tmp_path, capsys, monkeypatch):
+    # A numerical failure on a valid spec exits 2 and names the command; here
+    # a defect planted in the eigensolver that spectral calls.
+    def defective(liouvillian):
+        raise DefectiveGeneratorError("planted")
+
+    monkeypatch.setattr(cli, "spectral_decompose", defective)
+    rc = main(["spectral", "--spec", ad_spec_path, "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "command=spectral error=numerical" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "command=spectral error=numerical detail=planted" in err
+
+
+def test_spectral_without_a_unique_steady_state_writes_null(tmp_path):
+    # A closed system, pure dephasing and the zero generator have more than one
+    # stationary mode: spectral still writes every eigenvalue, gives each mode
+    # with Re lambda = 0 no timescale, writes "steady_state": null and exits 0.
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    cases = {
+        "closed": (lq.LindbladSpec(hamiltonian=np.diag([0.0, 1.0, 3.0])), [None] * 9),
+        "dephasing": (
+            lq.LindbladSpec(hamiltonian=np.zeros((2, 2)), jumps=[(0.5, sz)]),
+            [None, None, 1.0, 1.0],
+        ),
+        "zero": (lq.LindbladSpec(hamiltonian=np.zeros((2, 2))), [None] * 4),
+    }
+    for name, (spec, want) in cases.items():
+        path, out = tmp_path / f"{name}.json", tmp_path / name
+        lq.dump_json(lq.spec_to_json(spec), path)
+        with pytest.raises(NonUniqueSteadyStateError):
+            lq.steady_state(lq.spectral_decompose(lq.build_liouvillian(spec).full))
+        assert main(["spectral", "--spec", str(path), "--out", str(out)]) == 0, name
+        doc = json.loads((out / "spectral.json").read_text())
+        assert doc["steady_state"] is None
+        got = doc["timescales"]
+        assert [t is None for t in got] == [t is None for t in want], name
+        assert_allclose([t for t in got if t], [t for t in want if t], rtol=1e-12)
+        if name == "closed":
+            im = sorted(e["im"] for e in doc["eigenvalues"])
+            assert_allclose(im, [-3, -2, -1, 0, 0, 0, 1, 2, 3], atol=1e-12)
 
 
 _NO_SCIPY_SESSION = """

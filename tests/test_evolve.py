@@ -190,14 +190,58 @@ def test_build_trace_reports_failing_time():
     negative = np.diag([1.5, -0.5])
     with pytest.raises(ValidationError, match=r"t=0\.5: negative eigenvalue"):
         build_trace([0.0, 0.5, 1.0, 1.5], [rho, negative, rho, bad])
-    # Hermiticity is checked before the states are re-Hermitized; round-off
-    # skew passes and is removed.
+    # Hermiticity is checked on the raw states; round-off skew passes, and the
+    # trace keeps the coordinates of the Hermitian part.
     skewed = np.array([[0.5, 0.4], [-0.4, 0.5]])
     with pytest.raises(ValidationError, match=r"t=0\.5: hermiticity defect 8\.000e-01"):
         build_trace([0.0, 0.5, 1.0], [rho, skewed, rho])
     noisy = rho + np.array([[0.0, 1e-12], [0.0, 0.0]])
     states = build_trace([0.0, 0.5, 1.0], [rho, noisy, rho]).states
     assert np.array_equal(states, np.swapaxes(states, 1, 2).conj())
+
+
+def test_build_trace_keeps_the_hermitian_part():
+    # build_trace stores x = Re B^+ vec(rho); the states derived from it are
+    # exactly Hermitian and equal (rho + rho^+)/2 within 2 eps max|rho|, for a
+    # single trajectory and a stack, with a round-off skew planted in each state.
+    rng = philox(144)
+    times = np.linspace(0.0, 1.0, 7)
+    eps = np.finfo(float).eps
+    for d in (1, 2, 3, 5, 8):
+        rhos = np.array([[rand_rho(rng, d) for _ in times] for _ in range(2)])
+        skew = rng.normal(size=rhos.shape) + 1j * rng.normal(size=rhos.shape)
+        rhos = rhos + 1e-12 * np.triu(skew, 1)
+        for stack in (rhos[0], rhos):
+            states = build_trace(times, stack).states
+            assert states.shape == stack.shape
+            assert np.array_equal(states, np.swapaxes(states, -1, -2).conj())
+            want = 0.5 * (stack + np.swapaxes(stack, -1, -2).conj())
+            assert np.abs(states - want).max() <= 2 * eps * np.abs(stack).max()
+
+
+def test_trace_readers_take_the_coordinates_alone(monkeypatch):
+    # A trace stores only times, coordinates and modes; exact_qsl, the Krylov
+    # chain, its bound check and the SFF, and the Mpemba sweep never read the
+    # (T, d, d) states derived from them.
+    def unread(self):
+        raise AssertionError("trace.states read")
+
+    monkeypatch.setattr(lq.EvolutionTrace, "states", property(unread))
+    rng = philox(145)
+    times = np.linspace(0.0, 2.0, 201)
+    for d in (2, 4):
+        L = lq.build_liouvillian(rand_spec(rng, d)).full
+        trace = propagate_expm(L, rand_rho(rng, d), times)
+        assert lq.exact_qsl(trace, L).T == 2.0
+        h = rand_hermitian(rng, d + 1)
+        kd = lq.krylov_build(h, lq.coherent_gibbs_state(h, 0.5), times)
+        lhs, rhs = lq.krylov_bound_check(kd)
+        assert np.all(lhs <= rhs + 1e-8)
+        assert lq.sff(kd.trace).shape == times.shape
+    report = lq.mpemba_report([0.3, 0.6, 0.9], 0.05, 0.2, 20.0, 201)
+    assert report.theta_ss.shape == (3, 201)
+    with pytest.raises(AssertionError, match="trace.states read"):
+        trace.states
 
 
 def test_propagate_expm_long_uniform_grid_keeps_trace(monkeypatch):
@@ -597,7 +641,7 @@ def test_generic_speed_of_a_stack_is_that_of_each_trajectory():
             got = generic_speed(trace, k)
             assert got.shape == (count,)
             for a in range(count):
-                one = generic_speed(build_trace(times, trace.states[a]), k)
+                one = generic_speed(lq.EvolutionTrace(times, trace.coordinates[a]), k)
                 assert np.array_equal(got[a], one)
 
 

@@ -259,8 +259,8 @@ def test_qubit_validation_calls_no_lapack_cholesky(monkeypatch):
 
 
 def test_validation_of_a_rehermitized_stack_skips_only_the_skew():
-    # Propagated states are exactly Hermitian, so build_trace's validation of
-    # them forms no skew; every other check and message is that of the full
+    # Propagated states are exactly Hermitian, so propagate_expm's validation
+    # of them forms no skew; every other check and message is that of the full
     # validation.
     rng = philox(14)
     good = np.array([rand_rho(rng, 3) for _ in range(4)])

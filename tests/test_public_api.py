@@ -24,7 +24,7 @@ MODULES = (
     "spectral",
     "applications",
 )
-# Public functions that only unit tests reach for now: ROADMAP item 10 gives
+# Public functions that only unit tests reach for now: ROADMAP item 9 gives
 # the mode route a CLI caller, and what it leaves unreached moves to the tests.
 PENDING = ("classical_part", "mode_elimination_search")
 

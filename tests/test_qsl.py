@@ -116,7 +116,7 @@ def test_average_speed_of_a_stack_is_that_of_each_trajectory():
         avg = lq.average_speed(trace, L)
         assert avg.shape == (3,)
         for a in range(3):
-            one = lq.EvolutionTrace(times, trace.states[a], trace.coordinates[a])
+            one = lq.EvolutionTrace(times, trace.coordinates[a])
             one = lq.average_speed(one, L)
             assert np.array_equal(avg[a], one)
 
