@@ -52,7 +52,7 @@ from .serialize import (
     matrix_to_json,
     write_csv,
 )
-from .spectral import _GAP_TOL, _phased, spectral_decompose, steady_state
+from .spectral import _phased, spectral_decompose, steady_state
 
 __all__ = ["run", "main"]
 
@@ -114,13 +114,12 @@ def _cmd_spectral(cfg):
     except NonUniqueSteadyStateError:  # closed or dephasing dynamics, say
         rho_ss = None
     rates = np.abs(sd.eigenvalues.real).tolist()
-    stationary = _GAP_TOL * max(1.0, float(np.abs(L).max()))  # as in steady_state
     doc = {
         "eigenvalues": [
             {"re": float(w.real), "im": float(w.imag)} for w in sd.eigenvalues
         ],
         "condition": sd.condition,
-        "timescales": [None if r <= stationary else 1.0 / r for r in rates],
+        "timescales": [None if s else 1.0 / r for r, s in zip(rates, sd.stationary)],
         "steady_state": rho_ss,
     }
     dump_json(doc, os.path.join(cfg.out, "spectral.json"))
@@ -204,8 +203,8 @@ def _cmd_validate(cfg):
     print(f"spec: dim={spec.dim} jumps={len(spec.jumps)}")
     print(f"trace-preservation defect: {trace_defect:.3e}")
     print(f"spectral condition: {sd.condition:.3e}")
-    if sd.size > 1:
-        print(f"slowest decay rate: {abs(sd.eigenvalues[1].real):.6g}")
+    rates = np.abs(sd.eigenvalues.real[~sd.stationary])
+    print("slowest decay rate:", f"{rates.min():.6g}" if rates.size else "none")
     return 0
 
 

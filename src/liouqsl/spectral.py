@@ -10,12 +10,12 @@ steady_state reads the stationary column of W and forms none. A slot keeps
 the last generator decomposed, so a process decomposes each one once.
 The mode sums sum_i exp(lambda_i t) c_i |r_i)), c_i = (l_i|rho0), of
 propagate_expm and of the mode route's speed and angle run on one real
-kernel, propagate_real, for the coordinates x_t = B^+ rho_t. On a uniform
-grid of T points it takes exp(lambda_i t) from an anchor x offset table,
-about 2 sqrt(T) exponentials per mode instead of T, each weight within
-8 eps (1 + max|lambda| t_max) max|c| of the direct one; other grids keep
-the direct exponentials bit for bit. A search over unitary rotations of
-the initial state can suppress chosen decay modes.
+kernel, propagate_real, for the coordinates x_t = B^+ rho_t. On a grid of
+T points that _blocks, the package's one uniform-grid rule, accepts, it reads
+exp(lambda_i t) off an anchor x offset table, about 2 sqrt(T) exponentials
+per mode instead of T, each weight within 8 eps (1 + max|lambda| t_max)
+max|c| of the direct one; other grids keep the direct exponentials. A search
+over unitary rotations of the initial state can suppress chosen decay modes.
 """
 
 import functools
@@ -56,25 +56,35 @@ _GAP_TOL = 1e-10
 _last = None  # last SpectralData, on a copy of its generator
 
 
+def _blocks(t):
+    """Anchors t[::B] and offsets t[:B] - t[0], B = isqrt(T) >= 2, of a uniform grid.
+
+    Uniform: 1-D, anchor_j + offset_i = t_{jB+i}, anchor_j - t_0 = j (t_B - t_0)
+    and offset_i = i (t_1 - t_0), each within 4 eps max|t|, as on linspace grids
+    from 0; else None.
+    """
+    block = int(t.size**0.5) if t.ndim == 1 else 0
+    if block < 2:
+        return None
+    anchors, offsets = t[::block], t[:block] - t[0]
+    steps = np.arange(anchors.size) * (t[block] - t[0]), np.arange(block) * offsets[1]
+    grid = (anchors[:, None] + offsets).ravel()[: t.size]
+    misfit = np.concatenate([grid - t, anchors - t[0] - steps[0], offsets - steps[1]])
+    if np.abs(misfit).max() <= 4.0 * np.finfo(float).eps * np.abs(t).max():
+        return anchors, offsets
+
+
 def _phased(w, c, t):
     """Weights exp(w_i t) c_i, shape t.shape + c.shape, for rates w over c's last axis.
 
-    A 1-D grid of T points is cut into blocks of B = isqrt(T). When the
-    anchors t[::B] plus the offsets t[:B] - t[0] reproduce every t_k within
-    4 eps max|t|, as on every linspace grid, the weights are the table
-    (exp(w anchors) c) x exp(w offsets); any other t, or B < 2, takes
-    exp(w t) c directly.
+    The table (exp(w anchors) c) x exp(w offsets) on _blocks, else exp(w t) c.
     """
     t = np.asarray(t, dtype=float)
     shape = (1,) * (np.ndim(c) - 1) + (w.size,)
-    block = int(t.size**0.5) if t.ndim == 1 else 0
-    if block >= 2:
-        anchors, offsets = t[::block], t[:block] - t[0]
-        grid = (anchors[:, None] + offsets).ravel()[: t.size]
-        if np.abs(grid - t).max() <= 4.0 * np.finfo(float).eps * np.abs(t).max():
-            head = np.exp(np.outer(anchors, w)).reshape((-1, 1) + shape) * c
-            tail = np.exp(np.outer(offsets, w)).reshape((block,) + shape)
-            return (head * tail).reshape((-1,) + c.shape)[: t.size]
+    if (blocks := _blocks(t)) is not None:
+        head = np.exp(np.outer(blocks[0], w)).reshape((-1, 1) + shape) * c
+        tail = np.exp(np.outer(blocks[1], w)).reshape((blocks[1].size,) + shape)
+        return (head * tail).reshape((-1,) + c.shape)[: t.size]
     phases = np.exp(np.multiply.outer(t, w))
     return phases.reshape(t.shape + shape) * c
 
@@ -128,6 +138,12 @@ class SpectralData:
     @property
     def size(self):
         return self.eigenvalues.size
+
+    @functools.cached_property
+    def stationary(self):
+        """Mask of the modes that do not decay: |Re lambda| <= _GAP_TOL max(1, |L|)."""
+        scale = max(1.0, float(np.abs(self.generator).max()))
+        return np.abs(self.eigenvalues.real) <= _GAP_TOL * scale
 
     def overlaps(self, vector):
         """Coefficients (l_i|v) of a Liouville vector, or of each row of a block."""
@@ -242,15 +258,14 @@ def _slot(L):
 def steady_state(sd):
     """Unit-trace Hermitian state spanning the zero mode; |L vec(rho)| <= 1e-9 scale.
 
-    The zero mode must lie within _GAP_TOL scale of zero and the next mode
-    outside it, where scale = max(1, max|L_ij|).
+    Mode 0 must be stationary and no other mode, scale = max(1, max|L_ij|).
     """
     w, scale = sd.eigenvalues, max(1.0, float(np.abs(sd.generator).max()))
-    if abs(w[0]) > _GAP_TOL * scale:
+    if not sd.stationary[0]:
         raise NonUniqueSteadyStateError(
             f"no stationary mode: smallest eigenvalue {w[0]:.3e}"
         )
-    if w.size > 1 and abs(w[1].real) <= _GAP_TOL * scale:
+    if sd.stationary[1:].any():
         raise NonUniqueSteadyStateError(
             "stationary subspace is degenerate; no unique steady state"
         )

@@ -757,6 +757,22 @@ def test_spectral_without_a_unique_steady_state_writes_null(tmp_path):
             assert_allclose(im, [-3, -2, -1, 0, 0, 0, 1, 2, 3], atol=1e-12)
 
 
+def test_validate_prints_the_slowest_decaying_mode(tmp_path, capsys):
+    # Pure dephasing keeps its populations, and its coherences decay at rate 1;
+    # a closed system has no decaying mode. Neither rate is |Re lambda_1|.
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    cases = {
+        "dephasing": (lq.LindbladSpec(hamiltonian=np.zeros((2, 2)), jumps=[(0.5, sz)]), "1"),
+        "closed": (lq.LindbladSpec(hamiltonian=np.diag([0.0, 1.0, 3.0])), "none"),
+    }
+    for name, (spec, want) in cases.items():
+        path = tmp_path / f"{name}.json"
+        lq.dump_json(lq.spec_to_json(spec), path)
+        assert main(["validate", "--spec", str(path)]) == 0, name
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"slowest decay rate: {want}", name
+
+
 _NO_SCIPY_SESSION = """
 import sys
 import liouqsl.cli

@@ -317,6 +317,89 @@ def test_defective_generator_falls_back_to_stepping():
         assert np.abs(lq.vectorize(trace.states) - ref).max() < 1e-13
 
 
+def _count_expm(monkeypatch):
+    """Count scipy.linalg.expm calls; _expm_steps imports it on each call."""
+    import scipy.linalg
+
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    return calls
+
+
+def test_expm_fallback_takes_two_exponentials_on_a_horizon_grid(monkeypatch):
+    # _horizon_grid(20, 40001) has steps that differ by more than 1e-12
+    # relative; _blocks still takes it, so the fallback steps it.
+    calls = _count_expm(monkeypatch)
+    times = qsl._horizon_grid(20.0, 40001)
+    L, rho0 = _critically_driven_decay(), lq.superposition_state(0.5)
+    trace = propagate_expm(L, rho0, times)
+    assert trace.modes is None and trace.coordinates.shape == (40001, 4)
+    assert len(calls) <= 2
+
+
+def test_expm_fallback_agrees_with_per_point_expm():
+    # The critically driven qubit, H = sx / 8 and jump (1, sigma_-), takes the
+    # fallback; its block stepping agrees with one exponential per time.
+    L = _critically_driven_decay()
+    real = liouville._real_form(L)
+    starts = (lq.superposition_state(0.5), np.diag([0.0, 1.0]), np.diag([0.3, 0.7]))
+    rhos = np.array(starts)
+    for points in (2001, 40001):
+        times = qsl._horizon_grid(20.0, points)
+        picks = np.r_[0:points:7, points - 1]
+        steps = [expm(real * t).T for t in times[picks]]
+        for rho0 in (rhos[0], rhos):
+            trace = propagate_expm(L, rho0, times)
+            assert trace.modes is None
+            x0 = _gather(lq.vectorize(rho0)).real
+            ref = np.stack([x0 @ step for step in steps], axis=-2)
+            x = trace.coordinates
+            assert np.abs(x[..., picks, :] - ref).max() <= 1e-13 * np.abs(x).max()
+
+
+def test_expm_fallback_takes_one_exponential_per_time_off_uniform_grids(monkeypatch):
+    # Three points give blocks of one. The nine points repeat one offset pattern
+    # (0, 0.1, 0.3) from anchors 0, 1, 5, so anchor + offset rebuilds each time,
+    # but neither is evenly spaced and stepping would miss every t_k.
+    real = liouville._real_form(_critically_driven_decay())
+    x0 = _gather(lq.vectorize(lq.superposition_state(0.5))).real
+    periodic = np.array([0.0, 0.1, 0.3, 1.0, 1.1, 1.3, 5.0, 5.1, 5.3])
+    for times in (np.linspace(0.0, 20.0, 3), periodic):
+        assert spectral._blocks(times) is None
+        calls = _count_expm(monkeypatch)
+        got = evolve._expm_steps(real, x0, times)
+        assert len(calls) == times.size - 1
+        ref = np.stack([x0] + [x0 @ expm(real * t).T for t in times[1:]])
+        assert np.array_equal(got, ref)
+
+
+def test_a_start_with_trace_off_one_within_validation_propagates():
+    # Validation lets a start's trace be 1e-10 off 1 and holds each propagated
+    # state to 1e-12. A start more than 1e-12 off is divided by its trace; one
+    # within 1e-12 keeps its bits; a trace that drifts from the start's is refused.
+    L = lq.build_liouvillian(lq.amplitude_damping_spec(0.5, 0.2)).full
+    times = np.linspace(0.0, 10.0, 201)
+    off, near = np.diag([0.5 + 5e-11, 0.5]), np.diag([0.5 + 5e-13, 0.5])
+    for rho0 in (off, near, np.array([off, near])):
+        trace = propagate_expm(L, rho0, times)
+        drift = np.abs(np.trace(trace.states, axis1=-2, axis2=-1) - 1.0).max()
+        assert drift <= 1e-12
+        x0 = _gather(lq.vectorize(rho0)).real
+        kept = np.abs(np.trace(rho0, axis1=-2, axis2=-1) - 1.0) <= 1e-12
+        assert np.array_equal(trace.coordinates[..., 0, :][kept], x0[kept])
+        assert _close(trace.coordinates[..., 0, :], x0, rtol=1e-10)
+    leaky = L - 1e-11 * np.eye(4)
+    for rho0 in (off, near):
+        with pytest.raises(ValidationError, match="trace deviates") as err:
+            propagate_expm(leaky, rho0, times)
+        assert "t=0:" not in str(err.value)
+
+
 def test_coherent_generator_takes_the_hermitian_route(monkeypatch):
     rng = philox(47)
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
