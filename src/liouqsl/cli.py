@@ -78,8 +78,9 @@ def _trace_rows(trace, liouvillian, dump_states):
     speeds = _trace_speed(trace, liouvillian)
     columns = [trace.times, trace.purity, trace.overlap_with_initial, speeds]
     if dump_states:
-        header += [f"re_{i}{j}" for i in range(d) for j in range(d)]
-        header += [f"im_{i}{j}" for i in range(d) for j in range(d)]
+        sep = "_" if d > 10 else ""  # else re_1,10 and re_11,0 both read re_110
+        names = [f"{i}{sep}{j}" for i in range(d) for j in range(d)]
+        header += [f"re_{n}" for n in names] + [f"im_{n}" for n in names]
         flat = trace.states.reshape(len(trace), d * d)
         columns += list(flat.real.T) + list(flat.imag.T)
     return header, np.column_stack(columns)
@@ -230,6 +231,9 @@ _COMMON = (
     ("--out", {"default": "./out", "help": "output directory"}),
     ("--jobs", {"type": int,
                 "help": "accepted and ignored; every command runs serially"}),
+)
+# Only the five commands that read cfg.times declare the grid.
+_GRID = (
     ("--points", {"type": int, "default": 2001}),
     ("--t-max", {"type": float, "default": 10.0, "dest": "t_max"}),
 )
@@ -237,31 +241,33 @@ _COMMON = (
 # name: (runner, help, options before _COMMON), in the order --help lists them
 _COMMANDS = {
     "evolve": (_cmd_evolve, "propagate a spec and dump the trace",
-               (_SPEC, _ALPHA, _RHO0, _DUMP_STATES)),
+               (_SPEC, _ALPHA, _RHO0, _DUMP_STATES) + _GRID),
     "qsl-report": (_cmd_qsl_report, "bound report for one trajectory",
-                   (_SPEC, _ALPHA, _RHO0)),
+                   (_SPEC, _ALPHA, _RHO0) + _GRID),
     "spectral": (_cmd_spectral, "eigenmodes and steady state", (_SPEC,)),
     "optimal": (_cmd_optimal, "straight-line dynamics certificate",
                 (("--rho0", {"required": True, "dest": "rho0_path"}),
                  ("--rho-perp", {"required": True, "dest": "rho_perp_path"}),
                  ("--gamma", {"type": finite, "required": True}),
-                 _DUMP_STATES)),
+                 _DUMP_STATES) + _GRID),
     "mpemba": (_cmd_mpemba, "relaxation sweep for the damped qubit",
                (("--gamma", {"type": finite, "default": 0.01}),
                 ("--n", {"type": finite, "default": 0.0}),
                 ("--alphas", {"type": finite_list, "default": (0.25, 0.5, 0.75, 0.9),
-                              "help": "comma-separated initial-state amplitudes"}))),
+                              "help": "comma-separated initial-state amplitudes"}))
+               + _GRID),
     "krylov": (_cmd_krylov, "complexity and SFF columns",
                (("--h", {"required": True, "dest": "h_path"}),
                 _RHO0,
-                ("--beta", {"type": finite, "default": 0.0}))),
+                ("--beta", {"type": finite, "default": 0.0})) + _GRID),
     "validate": (_cmd_validate, "parse and sanity-check a spec", (_SPEC,)),
 }
 
 
 def run(cfg):
     """Dispatch parsed arguments; returns the process exit code."""
-    cfg.times = _horizon_grid(cfg.t_max, cfg.points)
+    if "t_max" in cfg:
+        cfg.times = _horizon_grid(cfg.t_max, cfg.points)
     # An OSError can only come from --out: input files are read by _read_json,
     # which raises ValidationError. validate writes no artifact there.
     try:

@@ -21,7 +21,7 @@ from liouqsl.exceptions import (
     ValidationError,
 )
 
-from conftest import philox, rand_rho, rand_spec
+from conftest import philox, rand_hermitian, rand_rho, rand_spec
 
 
 @pytest.fixture
@@ -44,6 +44,18 @@ def _write_matrix(tmp_path, name, matrix):
     path = tmp_path / name
     lq.dump_json(lq.matrix_to_json(matrix), path)
     return str(path)
+
+
+def _write_spec(tmp_path, name, spec):
+    path = tmp_path / name
+    lq.dump_json(lq.spec_to_json(spec), path)
+    return str(path)
+
+
+# The critically driven qubit, H = sx / 8 and jump (1, sigma_-): a defective
+# generator, so propagation takes the expm stepping fallback.
+_CRITICAL = lq.LindbladSpec(hamiltonian=np.array([[0.0, 0.125], [0.125, 0.0]]),
+                            jumps=[(1.0, np.array([[0.0, 1.0], [0.0, 0.0]]))])
 
 
 def test_scenario_config_validation(ad_spec_path, tmp_path):
@@ -160,6 +172,38 @@ def test_evolve_dump_states(ad_spec_path, tmp_path):
     assert abs(rows[0, k] - 0.25) < 1e-12
 
 
+def test_dumped_states_are_hermitian_and_give_the_trace_columns(tmp_path):
+    # Each re_/im_ column is its state entry, under a name unique at every d
+    # (re_1_10, not re_110, above d = 10). The states are exactly Hermitian, on
+    # the eigenmodes and on the critical qubit's stepping fallback, and give back
+    # the purity and overlap within 1e-14 and the speed within 16 eps relative.
+    rng = philox(43)
+    runs = [(rand_spec(rng, 4), rand_rho(rng, 4), "3", "501"),
+            (_CRITICAL, lq.superposition_state(0.5), "20", "401"),
+            (rand_spec(rng, 12, jumps=1), rand_rho(rng, 12), "3", "501")]
+    for spec, rho0, t_max, points in runs:
+        d = spec.dim
+        path = _write_spec(tmp_path, "spec.json", spec)
+        argv = ["evolve", "--spec", path, "--rho0", _write_matrix(tmp_path, "rho0.json", rho0),
+                "--t-max", t_max, "--points", points, "--dump-states", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        header, rows = _read_csv(tmp_path / "trace.csv")
+        sep = "_" if d > 10 else ""
+        names = [f"{i}{sep}{j}" for i in range(d) for j in range(d)]
+        assert header == ["t", "purity", "overlap", "speed"] + [
+            f"{part}_{n}" for part in ("re", "im") for n in names]
+        assert len(set(header)) == 2 * d * d + 4 and len(rows) == int(points)
+        s = (rows[:, 4:4 + d * d] + 1j * rows[:, 4 + d * d:]).reshape(-1, d, d)
+        assert np.array_equal(s, s.conj().swapaxes(1, 2))
+        L = lq.build_liouvillian(lq.load_spec(path)).full
+        assert np.array_equal(s, lq.propagate_expm(L, rho0, rows[:, 0]).states)
+        p = np.einsum("tij,tji->t", s, s).real
+        o = np.einsum("ij,tji->t", s[0], s).real / np.sqrt(p[0] * p)
+        assert max(np.abs(rows[:, 1] - p).max(), np.abs(rows[:, 2] - o).max()) <= 1e-14
+        v = lq.speed(L, lq.normalize_state(s))
+        assert np.abs(rows[:, 3] - v).max() <= 16 * np.finfo(float).eps * np.abs(v).max()
+
+
 def test_qsl_report_command(ad_spec_path, tmp_path):
     out = tmp_path / "out"
     args = [
@@ -192,6 +236,29 @@ def test_qsl_report_command(ad_spec_path, tmp_path):
     assert abs(doc["T"] - 40.0) < 1e-12
     assert doc["bound_hsnorm"] <= doc["bound_opnorm"] <= doc["bound_mt"]
     assert doc["bound_mt"] <= doc["bound_nc"] <= doc["T"] + 1e-8
+
+
+def test_qsl_report_recovers_the_horizon_from_hard_starts(tmp_path):
+    # exact_time = T within 1e-12 T: from a near-pure start, in a closed
+    # system, on one Simpson panel, on the critical qubit's stepping fallback
+    # over a 40001-point horizon grid, and from a start whose trace is 5e-11
+    # off 1, which validation accepts.
+    rng = philox(5)
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    closed = lq.LindbladSpec(hamiltonian=u @ np.diag([0.0, 0.5, 1.1, 2.0]) @ u.conj().T)
+    near_pure = np.diag([1.0 - 2e-17, 1e-17, 1e-17])
+    for spec, rho0, grid in (
+        (rand_spec(rng, 3), near_pure, ["--t-max", "2"]),
+        (closed, rand_rho(rng, 4), ["--t-max", "3"]),
+        (rand_spec(rng, 4), rand_rho(rng, 4), ["--t-max", "3", "--points", "3"]),
+        (_CRITICAL, lq.superposition_state(0.5), ["--t-max", "20", "--points", "40001"]),
+        (lq.amplitude_damping_spec(0.05, 0.2), np.diag([0.5 + 5e-11, 0.5]), []),
+    ):
+        argv = ["qsl-report", "--spec", _write_spec(tmp_path, "spec.json", spec),
+                "--rho0", _write_matrix(tmp_path, "rho0.json", rho0), *grid]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert abs(report["exact_time"] - report["T"]) <= 1e-12 * report["T"], report
 
 
 def test_krylov_rho0_takes_the_gibbs_sff_from_the_same_modes(tmp_path, monkeypatch):
@@ -280,7 +347,7 @@ def test_spectral_command(ad_spec_path, tmp_path):
     ss = lq.matrix_from_json(doc["steady_state"])
     n = 0.2
     expected = np.diag([(n + 1.0) / (2.0 * n + 1.0), n / (2.0 * n + 1.0)])
-    assert np.abs(ss - expected).max() < 1e-10
+    assert np.abs(ss - expected).max() <= 1e-14
 
 
 def test_spectral_gives_the_stationary_mode_no_timescale(tmp_path, monkeypatch):
@@ -305,13 +372,15 @@ def test_spectral_gives_the_stationary_mode_no_timescale(tmp_path, monkeypatch):
 
 def test_a_session_decomposes_its_generator_once(tmp_path, monkeypatch, capsys):
     # validate, spectral and qsl-report on one spec in one interpreter run one
-    # eig; their artifacts are those of runs that start from an empty slot.
+    # eig; their artifacts are those of runs that start from an empty slot. The
+    # critical qubit's report steps, as its condition is above 1e-13.
     rng = philox(41)
-    spec = tmp_path / "spec.json"
-    lq.dump_json(lq.spec_to_json(rand_spec(rng, 4)), spec)
-    rho0 = _write_matrix(tmp_path, "rho0.json", rand_rho(rng, 4))
-    report = ["qsl-report", "--rho0", rho0, "--t-max", "3"]
-    commands = (["validate"], ["spectral"], report)
+    specs = {
+        "random": (_write_spec(tmp_path, "random.json", rand_spec(rng, 4)), ["--rho0",
+                   _write_matrix(tmp_path, "rho0.json", rand_rho(rng, 4)), "--t-max", "3"]),
+        "critical": (_write_spec(tmp_path, "critical.json", _CRITICAL),
+                     ["--alpha", "0.5", "--t-max", "20", "--points", "401"]),
+    }
     calls, eig = [], np.linalg.eig
 
     def counted(a):
@@ -322,17 +391,20 @@ def test_a_session_decomposes_its_generator_once(tmp_path, monkeypatch, capsys):
     outputs = []
     for clear in (False, True):
         monkeypatch.setattr(spectral, "_last", None)
-        calls.clear()
-        out = tmp_path / f"clear-{clear}"
-        for command in commands:
-            if clear:
-                monkeypatch.setattr(spectral, "_last", None)
-            assert main(command + ["--spec", str(spec), "--out", str(out)]) == 0
-        assert len(calls) == (3 if clear else 1)
-        outputs.append([capsys.readouterr().out] + [
-            (out / name).read_bytes() for name in ("spectral.json", "report.json")
-        ])
-    assert outputs[0] == outputs[1]
+        for name, (spec, start) in specs.items():
+            calls.clear()
+            out = tmp_path / f"{name}-{clear}"
+            for command in (["validate"], ["spectral"], ["qsl-report"] + start):
+                if clear:
+                    monkeypatch.setattr(spectral, "_last", None)
+                assert main(command + ["--spec", spec, "--out", str(out)]) == 0
+            assert len(calls) == (3 if clear else 1), name
+            outputs.append([capsys.readouterr().out] + [
+                (out / artifact).read_bytes() for artifact in ("spectral.json", "report.json")
+            ])
+    assert outputs[:2] == outputs[2:]
+    condition = re.search(r"spectral condition: (\S+)", outputs[1][0]).group(1)
+    assert float(condition) > 1e-13
 
 
 def test_optimal_command(tmp_path):
@@ -391,6 +463,11 @@ def test_mpemba_command(tmp_path):
     doc = json.loads((out / "crossings.json").read_text())
     assert isinstance(doc["crossings"], list)
     assert doc["gamma"] == 0.02
+    # alpha = 1 starts in the steady state of the zero-temperature damped qubit.
+    args = ["mpemba", "--alphas", "1.0,0.5", "--n", "0", "--t-max", "100", "--points", "301"]
+    assert main(args + ["--out", str(out)]) == 0
+    doc = json.loads((out / "crossings.json").read_text())
+    assert doc["eta"][0] == 0.0 and doc["delta"][0] == 100.0
 
 
 def test_krylov_command(tmp_path):
@@ -417,6 +494,8 @@ def test_krylov_command(tmp_path):
     assert abs(rows[0, 1]) < 1e-10
     assert abs(rows[0, 2] - 1.0) < 1e-10
     assert np.all(rows[:, 3] <= rows[:, 4] + 1e-8)
+    assert main(args + ["--points", "3", "--out", str(tmp_path / "3")]) == 0
+    assert _read_csv(tmp_path / "3" / "krylov.csv")[1].shape == (3, 5)
 
     # --rho0 moves the complexity and the bound; sff stays with rho_beta.
     rho0_path = _write_matrix(tmp_path, "rho0.json", rand_rho(rng, 3))
@@ -430,6 +509,40 @@ def test_krylov_command(tmp_path):
     assert np.abs(mixed[:, 2] - expected).max() < 1e-10
     assert np.all(mixed[1:, 1] != rows[1:, 1])
     assert np.all(mixed[:, 3] <= mixed[:, 4] + 1e-8)
+
+
+def test_krylov_csv_on_random_ladder_and_degenerate_hamiltonians(tmp_path):
+    # A random d = 8 H, with and without --rho0, starts at C_K = 0 and keeps the
+    # bound. The rotated d = 12 ladder's Krylov norm is 2d - 2 = 22, so
+    # bound_lhs = arcsin(C_K / 44). H = 1 never moves its start: C_K = 0, SFF = 1.
+    rng = philox(93)
+    h8 = _write_matrix(tmp_path, "h8.json", rand_hermitian(rng, 8))
+    ladder = np.random.default_rng(3)
+    u = np.linalg.qr(ladder.normal(size=(12, 12)) + 1j * ladder.normal(size=(12, 12)))[0]
+    runs = {
+        "h8": ["--h", h8, "--beta", "0.5"],
+        "h8-rho0": ["--h", h8, "--rho0", _write_matrix(tmp_path, "rho8.json", rand_rho(rng, 8)),
+                    "--beta", "0.5"],
+        "ladder": ["--h", _write_matrix(tmp_path, "ladder.json",
+                                        u @ np.diag(0.37 * np.arange(12)) @ u.conj().T),
+                   "--beta", "0.3"],
+        "one": ["--h", _write_matrix(tmp_path, "one.json", np.eye(2)), "--beta", "0.5"],
+        "tied": ["--h", _write_matrix(tmp_path, "tied.json", np.diag([0.5, 0.5, 1.5])),
+                 "--beta", "0.5"],
+    }
+    columns = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(["krylov", *argv, "--t-max", "5", "--points", "301", "--out", str(out)]) == 0
+        _, rows = _read_csv(out / "krylov.csv")
+        assert rows.shape == (301, 5), name
+        columns[name] = rows.T
+        _, c_k, _, lhs, rhs = rows.T
+        assert np.all(lhs <= rhs + 1e-8) and abs(c_k[0]) < 1e-12, name
+    _, c_k, _, lhs, _ = columns["ladder"]
+    assert np.abs(lhs - np.arcsin(c_k / (2 * 22))).max() <= 1e-12
+    _, c_k, sff, _, _ = columns["one"]
+    assert not c_k.any() and np.abs(sff - 1.0).max() <= 1e-15
 
 
 def test_cli_validation_failures(ad_spec_path, tmp_path, capsys):
@@ -471,6 +584,7 @@ def test_cli_validation_failures(ad_spec_path, tmp_path, capsys):
         ["evolve", "--spec", ad_spec_path, "--alpha", "nan"],
         ["evolve", "--spec", ad_spec_path, "--alpha", "inf"],
         ["krylov", "--h", h_path, "--beta", "nan", "--points", "21"],
+        ["krylov", "--h", h_path, "--beta", "inf"],
         ["mpemba", "--alphas", "0.5,nan", "--points", "21"],
     ):
         assert main(argv + ["--out", out]) == 1, argv
@@ -496,6 +610,17 @@ def test_cli_validation_failures(ad_spec_path, tmp_path, capsys):
         assert main(argv + ["--out", out]) == 1, argv
         err = capsys.readouterr().err
         assert f"liouqsl: command={argv[0]} error=validation detail=" in err, argv
+    # validate and spectral read no time grid, so they take no grid options.
+    for argv in (["validate", "--spec", ad_spec_path, "--points", "5"],
+                 ["spectral", "--spec", ad_spec_path, "--t-max", "0"]):
+        assert main(argv + ["--out", out]) == 1, argv
+        assert f"unrecognized arguments: {' '.join(argv[3:])}" in capsys.readouterr().err
+    # A unit-trace qubit state with eigenvalues 1.001 and -0.001: the closed-form
+    # positivity test does not certify it, and eigvalsh names its eigenvalue.
+    negative = _write_matrix(tmp_path, "negative.json", [[0.5, 0.501], [0.501, 0.5]])
+    assert main(["qsl-report", "--spec", ad_spec_path, "--rho0", negative, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "liouqsl: command=qsl-report error=validation detail=negative eigenvalue -1.000e-03\n")
     for argv in (["no-such-command"], []):
         assert main(argv) == 1
         assert "command=None error=validation" in capsys.readouterr().err
@@ -640,9 +765,10 @@ def test_one_command_parser_parses_like_the_full_parser():
     assert _choices(_parser()) == list(_HELP)
     # Building the other six subparsers is the cost the one-command parser saves.
     assert _choices(_parser("qsl-report")) == ["qsl-report"]
-    common = ["--out", "o", "--jobs", "2", "--points", "5", "--t-max", "3"]
+    common = ["--out", "o", "--jobs", "2"]
     for command, options in _FULL_ARGV.items():
-        for argv in ([command] + options + common, [command] + options):
+        grid = [] if command in ("validate", "spectral") else ["--points", "5", "--t-max", "3"]
+        for argv in ([command] + options + grid + common, [command] + options):
             args = _parser(command).parse_args(argv)
             assert args == _parser().parse_args(argv), argv
         # An option not given takes its one default.
@@ -709,9 +835,9 @@ def test_a_hamiltonian_skewed_within_tolerance_runs_every_command(tmp_path):
     path = tmp_path / "skewed.json"
     lq.dump_json(doc, path)
     rho0 = _write_matrix(tmp_path, "rho0.json", rand_rho(rng, 3))
-    common = ["--spec", str(path), "--points", "101", "--out", str(tmp_path / "out")]
+    common = ["--spec", str(path), "--out", str(tmp_path / "out")]
     for command in ("validate", "spectral", "evolve", "qsl-report"):
-        extra = [] if command in ("validate", "spectral") else ["--rho0", rho0]
+        extra = [] if command in ("validate", "spectral") else ["--rho0", rho0, "--points", "101"]
         assert main([command] + common + extra) == 0, command
 
 
@@ -774,14 +900,20 @@ def test_validate_prints_the_slowest_decaying_mode(tmp_path, capsys):
 
 
 _NO_SCIPY_SESSION = """
+import runpy
 import sys
-import liouqsl.cli
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+
+out = sys.argv[1]
+sys.argv = ["liouqsl", "--help"]
+try:  # python -m liouqsl.cli --help
+    runpy.run_module("liouqsl.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print("scipy:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 import numpy as np
 import liouqsl as lq
 from liouqsl.cli import main
 
-out = sys.argv[1]
 spec = out + "/spec.json"
 h = out + "/h.json"
 r0 = out + "/r0.json"
@@ -791,33 +923,41 @@ lq.dump_json(lq.matrix_to_json(np.diag([0.0, 0.5, 1.3]) + 0.2 * np.eye(3, k=1)
                                + 0.2 * np.eye(3, k=-1)), h)
 lq.dump_json(lq.matrix_to_json(np.diag([1.0, 0.0])), r0)
 lq.dump_json(lq.matrix_to_json(np.diag([0.0, 1.0])), rp)
-common = ["--points", "101", "--out", out]
 runs = [
     ["validate", "--spec", spec],
     ["evolve", "--spec", spec, "--alpha", "0.7", "--t-max", "40", "--dump-states"],
     ["spectral", "--spec", spec],
     ["qsl-report", "--spec", spec, "--alpha", "0.7", "--t-max", "40"],
-    ["mpemba", "--alphas", "0.3,0.8", "--t-max", "100"],
-    ["krylov", "--h", h, "--beta", "0.5", "--t-max", "5"],
-    ["optimal", "--rho0", r0, "--rho-perp", rp, "--gamma", "0.5", "--t-max", "5"],
+    ["mpemba", "--alphas", "0.3,0.8", "--t-max", "100", "--points", "301"],
+    ["krylov", "--h", h, "--beta", "0.5", "--t-max", "5", "--points", "301"],
+    ["optimal", "--rho0", r0, "--rho-perp", rp, "--gamma", "0.5", "--t-max", "5",
+     "--points", "201"],
 ]
 for argv in runs:
-    assert main(argv + common) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    assert main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
+print("scipy:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_cli_commands_load_no_scipy(tmp_path):
+    # A fresh interpreter with warnings as errors runs python -m liouqsl.cli
+    # --help, then each command once, on the grids a user would give.
     src = os.path.dirname(os.path.dirname(os.path.abspath(lq.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SESSION, str(tmp_path)],
+        [sys.executable, "-W", "error", "-c", _NO_SCIPY_SESSION, str(tmp_path)],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    # none after `import liouqsl.cli` alone, and none after every command ran
+    # A warning raised in a finalizer prints "Exception ignored" and exits 0.
+    assert "Exception ignored" not in proc.stderr, proc.stderr
+    assert proc.stdout.startswith("usage: liouqsl [-h]")
+    # none after the cli module alone, and none after every command ran
     lines = proc.stdout.splitlines()
-    assert lines[0] == lines[-1] == "[]"
+    assert [line for line in lines if line.startswith("scipy:")] == ["scipy: []"] * 2
+    for artifact, rows in (("evolve/trace.csv", 2001), ("mpemba/mpemba.csv", 602),
+                           ("krylov/krylov.csv", 301)):
+        assert len((tmp_path / artifact).read_text().splitlines()) == rows + 1, artifact

@@ -1,5 +1,6 @@
 """The public surface: package exports, the names the benchmark traces, the
-README's library examples, and the rule that every public function has a user."""
+README's library examples, the rule that every public function has a user,
+and the oldest Python the code must parse under."""
 
 import ast
 import importlib
@@ -106,3 +107,13 @@ def test_every_public_function_is_reached_outside_the_unit_tests():
                 unreached.add(n)
     assert set(PENDING) <= unreached, "a pending name is reached now: drop it"
     assert not unreached - set(PENDING), sorted(unreached - set(PENDING))
+
+
+def test_every_source_and_test_file_parses_as_python_3_10():
+    """The package supports Python 3.10: parsing with feature_version=(3, 10)
+    refuses syntax that is newer, such as except* and PEP 695 generics. It
+    cannot catch a call to a library function that is new in 3.11."""
+    paths = [p for top in ("src/liouqsl", "tests") for p in sorted((ROOT / top).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
