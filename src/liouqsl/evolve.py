@@ -40,6 +40,7 @@ from .exceptions import (
     ValidationError,
 )
 from .liouville import (
+    _BLOCK_BYTES,
     _dot,
     _gather,
     _hermitian_matrices,
@@ -108,14 +109,18 @@ def _check_grid(times):
     return t
 
 
-def _check_states(t, rhos, hermitian=False):
-    """Validate (..., T, d, d) states, trace within 1e-12; an error names the time."""
+def _check_states(t, rhos, hermitian=False, start=0, stacked=False):
+    """Validate (..., T, d, d) states, trace within 1e-12; an error names the time.
+
+    rhos may be a block, from flat index start, of the states flattened
+    trajectory-major (stacked: of A trajectories); the first failing state in
+    trajectory-major order is reported, for a stack with its initial state."""
     try:
         validate_density_matrix(rhos, trace_tol=1e-12, _hermitian=hermitian)
     except ValidationError as exc:
-        a, k = divmod(exc.index, t.size)
+        a, k = divmod(start + exc.index, t.size)
         where = f"state at t={t[k]:g}"
-        if rhos.ndim == 4:
+        if stacked or rhos.ndim == 4:
             where = f"initial state {a}: {where}"
         raise ValidationError(f"{where}: {exc}") from exc
 
@@ -188,7 +193,10 @@ def propagate_expm(liouvillian, rho0, times):
     exceeds 1e-13, as near an exceptional point, _expm_steps steps x with
     scipy's expm of B^+ L B, two exponentials on a uniform grid and one per
     point on any other; only that fallback imports scipy. The trace keeps x_k
-    as coordinates; their exactly Hermitian states are validated as a temporary.
+    as coordinates; their exactly Hermitian states are validated as temporaries,
+    in blocks of _BLOCK_BYTES // (16 d^2) states along the trajectory-major flat
+    state axis (one call if the stack fits), and the first failing state in that
+    order is reported, as for one whole-stack call.
     """
     t = _check_grid(times)
     if abs(t[0]) > 1e-12:
@@ -227,5 +235,8 @@ def propagate_expm(liouvillian, rho0, times):
         first = t[np.argmin(bounded.reshape(t.size, -1).all(axis=1))]
         raise NumericalConsistencyError(f"state norm overflow at t={first:g}")
     xs = np.ascontiguousarray(np.moveaxis(xs, 0, -2))  # (..., T, n)
-    _check_states(t, _hermitian_matrices(xs), hermitian=True)
+    flat, size = xs.reshape(-1, n), max(1, _BLOCK_BYTES // (16 * n))
+    blocks = [xs] if len(flat) <= size else np.split(flat, range(size, len(flat), size))
+    for i, block in enumerate(blocks):
+        _check_states(t, _hermitian_matrices(block), True, i * size, xs.ndim == 3)
     return EvolutionTrace(t, xs, modes)

@@ -35,6 +35,8 @@ __all__ = [
     "superop_expectation",
 ]
 
+_BLOCK_BYTES = 1 << 19  # temporaries per block: the split's rows, a trace's validation
+
 
 def vectorize(operator):
     """Column-stack a square operator (or a stack of them) into Liouville vectors."""

@@ -36,8 +36,9 @@ from .exceptions import (
     QuadratureError,
     ValidationError,
 )
-from .liouville import _apply, _dot, _gather, _hermitian_matrices, _operands
-from .liouville import _real_form, _real_part, _unit_angle, _variance, normalize_state
+from .liouville import _BLOCK_BYTES, _apply, _dot, _gather, _hermitian_matrices
+from .liouville import _operands, _real_form, _real_part, _unit_angle, _variance
+from .liouville import normalize_state
 from .spectral import _slot
 
 __all__ = [
@@ -57,7 +58,6 @@ __all__ = [
 ]
 
 _POP_FLOOR = 1e-14
-_BLOCK_BYTES = 1 << 19  # temporaries per row block of the classical split
 _ANGLE_FLOOR = 1e-12
 
 

@@ -103,8 +103,7 @@ def load_spec(path):
 def dump_json(doc, path):
     """Write a JSON document with sorted keys and a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 _FLOAT_FORMAT = "%.17g"

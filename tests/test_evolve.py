@@ -646,6 +646,49 @@ def test_propagate_expm_stack_validates_in_one_pass(monkeypatch):
     assert trace.states.shape == (5, 101, 2, 2)
 
 
+def test_propagated_states_are_validated_in_blocks_in_trajectory_order(monkeypatch):
+    # Under the time-reversed generator -L, mixed starts leave the state space,
+    # each at its own time; at d = 3 a block holds 3640 of a trajectory's 4001
+    # states, so a stack of two trajectories takes three blocks
+    rng = philox(7)
+    L = -lq.build_liouvillian(rand_spec(rng, 3)).full
+    times = np.linspace(0.0, 5.0, 4001)
+    starts = np.array([0.5 * np.eye(3) / 3 + 0.5 * rand_rho(rng, 3) for _ in range(4)])
+    for start, exit in zip(starts, ("3.07125", "3.99", "2.29375")):
+        with pytest.raises(ValidationError, match=rf"^state at t={exit}: negative eig"):
+            propagate_expm(L, start, times)
+    calls = []
+    original = evolve.validate_density_matrix
+
+    def counted(rho, **kwargs):
+        calls.append(np.shape(rho))
+        return original(rho, **kwargs)
+
+    monkeypatch.setattr(evolve, "validate_density_matrix", counted)
+    assert propagate_expm(L, starts[[3, 3]], times).coordinates.shape == (2, 4001, 9)
+    assert calls == [(2, 3, 3), (3640, 3, 3), (3640, 3, 3), (722, 3, 3)]
+
+    def message(stack):
+        with pytest.raises(ValidationError) as info:
+            propagate_expm(L, stack, times)
+        return str(info.value)
+
+    # blocks checked, message: the failure of start 0 lies in the second block;
+    # trajectory 0 of [1, 0] fails later in time than trajectory 1 and is named
+    cases = {
+        (3, 0): (2, "initial state 1: state at t=3.07125: negative eigenvalue -4.145e-05"),
+        (1, 0): (1, "initial state 0: state at t=3.99: negative eigenvalue -4.812e-05"),
+        (3, 3, 2): (3, "initial state 2: state at t=2.29375: negative eigenvalue -6.225e-05"),
+    }
+    for order, (blocks, want) in cases.items():
+        calls.clear()
+        assert message(starts[list(order)]) == want
+        assert calls == [(len(order), 3, 3)] + [(3640, 3, 3)] * blocks
+        with monkeypatch.context() as whole:  # one block: the whole-stack message
+            whole.setattr(evolve, "_BLOCK_BYTES", 1 << 40)
+            assert message(starts[list(order)]) == want
+
+
 def test_build_trace_stack_names_state_and_time():
     rho = np.eye(2) / 2.0
     bad = np.diag([0.7, 0.7])

@@ -575,6 +575,22 @@ def test_exact_qsl_peak_memory_d16(d16):
     assert peak < 8e6
 
 
+def test_propagate_expm_peak_memory_d16(d16):
+    # the coordinates alone take 2001 x 256 x 8 bytes = 4.1 MB; validating the
+    # states as one (2001, 16, 16) complex stack peaked at 28.7 MB. The
+    # eigensystem is decomposed first, so only propagation is measured.
+    L, trace, _ = d16
+    rho0 = trace.states[0]
+    lq.spectral_decompose(L)
+    tracemalloc.start()
+    try:
+        lq.propagate_expm(L, rho0, trace.times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
 def test_randomized_split_invariants():
     # Seeded draws: d = 2-6, pure and mixed starts, horizons 1e-3 ... 1e1.
     rng = philox(137)
