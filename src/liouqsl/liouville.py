@@ -112,7 +112,7 @@ def _real_part(a):
 
 def _real_form(superop):
     """Real B^+ S B if S acts on d x d operators and preserves Hermiticity."""
-    if _hermitian_index(superop.shape[-1]) is not None:
+    if superop.shape == (n := superop.shape[-1], n) and _hermitian_index(n) is not None:
         return _real_part(_gather(_gather(superop, 1).T).T)
 
 
@@ -268,15 +268,16 @@ def _apply(superop, state):
 
 
 def _variance(v, ov):
-    """|O v|^2 - |(v|O v)|^2 per unit vector v; the squared speed for O = L.
+    """|O v|^2 - |(v|O v)|^2 per unit vector v; the squared speed for O = L."""
+    return _floored(_dot(ov, ov).real - np.abs(_dot(v, ov)) ** 2)
 
-    Round-off down to -1e-10 is clamped to zero; anything lower raises.
-    """
-    value = _dot(ov, ov).real - np.abs(_dot(v, ov)) ** 2
-    low = np.min(value)
+
+def _floored(variance):
+    """Round-off down to -1e-10 is clamped to zero; anything lower raises."""
+    low = np.min(variance)
     if low < -1e-10:
         raise NumericalConsistencyError(f"variance {low:.3e} below floor -1e-10")
-    return np.maximum(value, 0.0)
+    return np.maximum(variance, 0.0)
 
 
 def superop_expectation(superop, state):

@@ -10,15 +10,16 @@ non-classical remainder, a Wootters-style length of the basis amplitude
 moduli, and the exact-time relation length / averaged non-classical
 speed. The basis, anchored at the initial state and never re-derived along
 the trajectory, is Gram-Schmidt over the initial unit vector and then the
-unit vectors e_j in index order, dropping the first within 1e-8 of the span.
+unit vectors e_j in index order, dropping the first within 1e-8 of the span,
+in closed form: orthonormal by construction, so it skips BasisSet's Gram check.
 
 The length integrates the rate of change of the amplitude moduli, taken
 from the generator on the same basis amplitudes as the non-classical
 speed. The two integrands agree point by point, so the exact time
-recovers the horizon to rounding, not only to quadrature error. Both come
-from one pass over the states in row blocks of about 512 KB of
-temporaries, in real Hermitian coordinates where generator and states allow.
-On a trace they are u = x/sqrt(p) under B^+ L B, L Hermiticity-preserving.
+recovers the horizon to rounding, not only to quadrature error. One pass
+over blocks of states of about 512 KB of temporaries gives both: one
+product with the fused [M | L_r^T M] gives the amplitudes of u and L u in
+amplitude-major slabs, Parseval the speed. On a trace u = x/sqrt(p), L_r = B^+ L B.
 
 The per-state functionals (speed, non-classical speed, classical part, exact
 uncertainty) take any superoperator and a single NormalizedState or a stacked
@@ -38,7 +39,7 @@ from .exceptions import (
 )
 from .liouville import _BLOCK_BYTES, _apply, _dot, _gather, _hermitian_matrices
 from .liouville import _operands, _real_form, _real_part, _unit_angle, _variance
-from .liouville import normalize_state
+from .liouville import _floored, normalize_state
 from .spectral import _slot
 
 __all__ = [
@@ -251,8 +252,10 @@ def average_speed(trace, liouvillian):
 
 
 def operator_norm(superop):
-    """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(superop), 2))
+    """Largest singular value, sqrt(max eig A^+ A); a complex A on its real form."""
+    a = np.atleast_2d(superop)
+    a = real if np.iscomplexobj(a) and (real := _real_form(a)) is not None else a
+    return float(np.sqrt(np.linalg.eigvalsh(a.conj().T @ a)[-1]))
 
 
 def complete_basis(state):
@@ -270,9 +273,11 @@ def complete_basis(state):
     r = np.sqrt(s2 + p[skip] * (np.arange(n + 1) > skip))
     below = np.tri(n, k=-1, dtype=bool)
     below[skip, skip + 1 :] = True
-    q = np.where(below, -np.outer(v, v.conj() / (r[:-1] * r[1:])), 0.0)
+    q = np.where(below, -np.outer(v, v.conj() / (r[:-1] * r[1:])), 0j)
     q[np.diag_indices(n)] = r[1:] / r[:-1]
-    return BasisSet(vectors=np.column_stack([v, np.delete(q, skip, axis=1)]))
+    basis = BasisSet.__new__(BasisSet)  # orthonormal by construction: no Gram check
+    basis.vectors = np.column_stack([v, np.delete(q, skip, axis=1)])
+    return basis
 
 
 class _ClassicalSplit:
@@ -280,57 +285,61 @@ class _ClassicalSplit:
 
     With c_i = (a_i|v), c'_i = (a_i|O v) and p_i = |c_i|², directions with
     p_i < 1e-14 are dropped; beta_i = Im(c'_i c_i*)/p_i, 0 where dropped, and
-    g_i = Re(c'_i c_i*) - Re(v|O v) p_i = |c_i| d|c_i|/dt. Columns: var (squared
-    speed), nc, wootters = sqrt(sum_i (d|c_i|/dt)²), fisher = 4 sum_kept g_i²/p_i,
-    scale = |O v|², and beta on request. One pass fills them in row blocks of
-    about _BLOCK_BYTES of temporaries. With the real form O_r = B^+ O B (real_form,
-    or built here) and Hermitian v, the stack takes x = B^+ v, else complex
-    coordinates; a block takes O v = x O_r^T and both amplitude sets from one real
-    product with M = B^T conj(A). Given purity, state holds raw coordinates
+    g_i = Re(c'_i c_i*) - mean p_i = |c_i| d|c_i|/dt. Columns: var (squared speed),
+    nc, wootters = sqrt(sum_i (d|c_i|/dt)²), fisher = 4 sum_kept g_i²/p_i, scale =
+    |O v|², mean = Re(v|O v), and beta on request. With the real form B^+ O B = O_r
+    (real_form, or built here) and Hermitian v, the stack takes x = B^+ v, else
+    complex coordinates. Each block of about _BLOCK_BYTES takes c and c' from one
+    product with [M | O_r^T M], M = B^T conj(A) (complex: [conj A | O^T conj A]), as
+    amplitude-major (n, b) slabs Re c, Re c', Im c, Im c'. mean, scale and var =
+    scale - |sum_i c'_i c_i*|² follow by Parseval: for a unit v, a basis with Gram
+    defect delta = ||A^+ A - 1||_2 moves them by at most delta |O v|, delta |O v|²
+    and (3 delta + delta²) |O v|². Given purity, state holds raw coordinates
     B^+ vec(rho) instead, real_form is required, and x is each over sqrt(purity).
     """
 
     def __init__(self, superop, basis, state, beta=False, real_form=None, purity=None):
         v, o = _operands(superop, state, complex if purity is None else float)
         lead, n = v.shape[:-1], v.shape[-1]
-        v, op, m = v.reshape(-1, n), o, basis.vectors.conj()
+        v, m = v.reshape(-1, n), basis.vectors.conj().T
         self.real_form = _real_form(o) if real_form is None else real_form
         root = None if purity is None else np.sqrt(purity).reshape(-1, 1)
         if root is None and self.real_form is not None:
             v = x if (x := _real_part(_gather(v))) is not None else v
         self.real = not np.iscomplexobj(v)
         if self.real:
-            op, m = self.real_form, _gather(m.T, 1).T
+            o, m = self.real_form, _gather(m, 1)
             m = np.stack([m.real, m.imag])
+        fused = np.stack([m, m @ o], axis=-3).reshape(-1, n)
         self.beta = np.zeros(lead + (n,)) if beta else None
-        self.columns, rows = np.empty((5, len(v))), max(1, _BLOCK_BYTES // (32 * n))
+        self.columns, rows = np.empty((6, len(v))), max(1, _BLOCK_BYTES // (32 * n))
         for s in range(0, len(v), rows):
             x = v[s : s + rows]
             x = x if root is None else x / root[s : s + rows]
-            b, ox = len(x), x @ op.T
-            amps = np.concatenate([x, ox]) @ m
+            b, amps = len(x), fused @ x.T
             if not self.real:
                 amps = np.stack([amps.real, amps.imag])
-            (cr, dr), (ci, di) = amps.reshape(2, 2, b, n)
-            mean, var = np.real(_dot(x, ox)), _variance(x, ox)
+            cr, dr, ci, di = amps = amps.reshape(4, n, b)
+            re, im = dr * cr + di * ci, di * cr - dr * ci
+            mean, scale = re.sum(0), np.einsum("kij,kij->j", amps[1::2], amps[1::2])
+            var = _floored(scale - mean * mean - im.sum(0) ** 2)
             pops = cr * cr + ci * ci
             keep = pops >= _POP_FLOOR
             inv = keep / np.maximum(pops, _POP_FLOOR)
-            beta = (di * cr - dr * ci) * inv
-            g = dr * cr + di * ci - mean[:, None] * pops
-            kept = np.einsum("ij,ij->i", g * inv, g)
-            bp = np.einsum("ij,ij->i", beta, pops)
-            var_cl = np.einsum("ij,ij->i", beta * beta, pops) - bp * bp
+            beta, g = im * inv, re - mean * pops
+            kept = np.einsum("ij,ij->j", g * inv, g)
+            bp = np.einsum("ij,ij->j", beta, pops)
+            var_cl = np.einsum("ij,ij->j", beta * beta, pops) - bp * bp
             # a dropped direction takes the one-sided limit |c'_i - Re(v|O v) c_i|²
-            i, j = np.divmod(np.flatnonzero(~keep), n)
-            rate = dr[i, j] + 1j * di[i, j] - mean[i] * (cr[i, j] + 1j * ci[i, j])
-            dropped = np.bincount(i, np.abs(rate) ** 2, minlength=b)
+            i, j = np.divmod(np.flatnonzero(~keep), b)
+            rate = dr[i, j] + 1j * di[i, j] - mean[j] * (cr[i, j] + 1j * ci[i, j])
+            dropped = np.bincount(j, np.abs(rate) ** 2, minlength=b)
             nc = np.sqrt(np.maximum(var - var_cl, 0.0))
-            cols = var, nc, np.sqrt(kept + dropped), 4.0 * kept, np.real(_dot(ox, ox))
+            cols = var, nc, np.sqrt(kept + dropped), 4.0 * kept, scale, mean
             self.columns[:, s : s + b] = cols
             if self.beta is not None:
-                self.beta.reshape(-1, n)[s : s + b] = beta
-        self.var, self.nc, self.wootters, self.fisher, self.scale = (
+                self.beta.reshape(-1, n)[s : s + b] = beta.T
+        self.var, self.nc, self.wootters, self.fisher, self.scale, self.mean = (
             c.reshape(lead)[()] for c in self.columns
         )
 

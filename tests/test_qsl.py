@@ -12,6 +12,7 @@ from liouqsl.exceptions import (
     QuadratureError,
     ValidationError,
 )
+from liouqsl.liouville import _real_form
 from liouqsl.qsl import _BLOCK_BYTES, BasisSet, _ClassicalSplit
 
 from conftest import (
@@ -283,6 +284,23 @@ def test_operator_norm_and_norm_bounds():
         _bound_ratio(0.7, lq.operator_norm(np.zeros((4, 4))))
 
 
+def test_operator_norm_is_the_largest_singular_value():
+    # sqrt of the top eigenvalue of A^+ A: on real forms, on complex generators
+    # (taken through their real form), on complex superoperators without one
+    # and on a complex non-square matrix
+    rng = philox(61)
+    worst = 0.0
+    for d in (2, 3, 4, 8, 12, 16):
+        n = d * d
+        L = lq.build_liouvillian(rand_spec(rng, d)).full
+        skew = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        wide = skew[: n // 2 + 1]
+        for a in (L, _real_form(L), skew, wide):
+            want = np.linalg.norm(a, 2)
+            worst = max(worst, abs(lq.operator_norm(a) - want) / want)
+    assert worst <= 1e-14
+
+
 def test_bound_ratio_is_elementwise():
     from liouqsl.qsl import _bound_ratio
 
@@ -298,16 +316,26 @@ def test_bound_ratio_is_elementwise():
 
 
 def test_complete_basis_orthonormal():
+    # complete_basis skips BasisSet's Gram check, so its closed form is held to
+    # it here: random, pure, basis-vector, dropped-direction and near-pure starts
     rng = philox(54)
-    for d in (2, 3):
-        s = lq.normalize_state(rand_rho(rng, d))
+    states = [np.diag([1.0 - e, e]).astype(complex) for e in (1e-17, 1e-20, 1e-30)]
+    states += [np.array([[1.0 - 1e-17, 3e-9], [3e-9, 1e-17]], dtype=complex)]
+    for d in range(2, 17):
+        states += [rand_rho(rng, d), rand_pure(rng, d), np.diag(np.eye(d)[0])]
+        states += [_near_pure(d)]
+    for rho in states:
+        s = lq.normalize_state(rho)
         basis = lq.complete_basis(s)
-        assert basis.size == d * d
+        n = s.vector.size
+        assert basis.size == n and basis.vectors.dtype == complex
         gram = basis.vectors.conj().T @ basis.vectors
-        assert np.abs(gram - np.eye(d * d)).max() < 1e-12
-        assert np.abs(basis.vectors[:, 0] - s.vector).max() < 1e-12
+        assert np.abs(gram - np.eye(n)).max() <= 1e-12
+        assert np.abs(basis.vectors[:, 0] - s.vector).max() <= 1e-12
     ground = lq.normalize_state(np.diag([1.0, 0.0]).astype(complex))
     assert np.array_equal(lq.complete_basis(ground).vectors, np.eye(4))
+    real = lq.NormalizedState(vector=np.array([0.6, 0.0, 0.0, 0.8]), purity=1.0)
+    assert lq.complete_basis(real).vectors.dtype == complex
 
 
 def _gram_schmidt_oracle(v0):
@@ -457,6 +485,51 @@ def test_split_agrees_with_the_complex_formula_on_both_routes():
             nc, delta = oracle["nc"], oracle["fisher"] ** -0.5
             assert_allclose(lq.nonclassical_speed(superop, basis, state), nc, rtol=1e-12)
             assert_allclose(lq.exact_uncertainty(superop, basis, state), (delta, nc), rtol=1e-12)
+
+
+def test_split_keeps_the_variance_floor():
+    # Parseval gives var = |O v|² - |(v|O v)|² = 4 - 16 for a bare array of
+    # norm 2 under the identity, on the real route and on the complex one
+    rng = philox(62)
+    basis = lq.complete_basis(lq.normalize_state(rand_rho(rng, 3)))
+    hermitian = 2.0 * lq.normalize_state(rand_rho(rng, 3)).vector
+    v = rng.normal(size=9) + 1j * rng.normal(size=9)
+    for state in (hermitian, 2.0 * v / np.linalg.norm(v)):
+        with pytest.raises(NumericalConsistencyError, match="below floor -1e-10"):
+            lq.nonclassical_speed(np.eye(9), basis, state)
+
+
+def test_split_within_the_gram_defect_bound_of_the_direct_forms():
+    # A user's basis with Gram defect delta = ||A^+ A - 1||_2 moves the Parseval
+    # mean, scale and var of a unit v from the direct forms by at most
+    # delta |O v|, delta |O v|² and (3 delta + delta²) |O v|², as documented
+    rng = philox(63)
+    d, n = 4, 16
+    L = lq.build_liouvillian(rand_spec(rng, d)).full
+    trace = lq.propagate_expm(L, rand_rho(rng, d), np.linspace(0.0, 2.0, 101))
+    unit = lq.normalize_state(trace.states)
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h += h.conj().T
+    a = lq.complete_basis(unit[0]).vectors @ (np.eye(n) + 5e-12 * h / np.linalg.norm(h, 2))
+    basis = BasisSet(a)
+    delta = np.linalg.norm(a.conj().T @ a - np.eye(n), 2)
+    assert 5e-12 < delta < 2e-11
+    v = rng.normal(size=(101, n)) + 1j * rng.normal(size=(101, n))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    skew = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for superop, state, real in ((L, unit.vector, True), (skew, v, False)):
+        split = _ClassicalSplit(superop, basis, state)
+        assert split.real == real
+        ov = state @ superop.T
+        scale = np.sum(np.abs(ov) ** 2, axis=1)
+        z = np.sum(state.conj() * ov, axis=1)
+        rounding = 1e-14 * scale
+        assert np.all(np.abs(split.mean - z.real) <= delta * np.sqrt(scale) + rounding)
+        assert np.all(np.abs(split.scale - scale) <= delta * scale + rounding)
+        var = scale - np.abs(z) ** 2
+        assert np.all(np.abs(split.var - var) <= (3 * delta + delta**2) * scale + rounding)
+        # the defect shows above rounding, so the bound is not met by rounding alone
+        assert np.abs(split.scale - scale).max() > 100 * rounding.max()
 
 
 @pytest.fixture(scope="module")
