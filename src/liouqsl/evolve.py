@@ -236,7 +236,6 @@ def propagate_expm(liouvillian, rho0, times):
         raise NumericalConsistencyError(f"state norm overflow at t={first:g}")
     xs = np.ascontiguousarray(np.moveaxis(xs, 0, -2))  # (..., T, n)
     flat, size = xs.reshape(-1, n), max(1, _BLOCK_BYTES // (16 * n))
-    blocks = [xs] if len(flat) <= size else np.split(flat, range(size, len(flat), size))
-    for i, block in enumerate(blocks):
+    for i, block in enumerate(np.split(flat, range(size, len(flat), size))):
         _check_states(t, _hermitian_matrices(block), True, i * size, xs.ndim == 3)
     return EvolutionTrace(t, xs, modes)

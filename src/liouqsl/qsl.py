@@ -228,13 +228,16 @@ def speed_decomposition(parts, state):
     return _variance(v, hv), _variance(v, dv), cross
 
 
+def _stored_real_form(superop):
+    """B^+ O B of a complex O: spectral's slot's real_form if it holds O's bits,
+    else built, None when O has no real form."""
+    return hit.real_form if (hit := _slot(superop)) is not None else _real_form(superop)
+
+
 def _trace_real_form(trace, liouvillian):
-    """B^+ L B, from trace.modes or spectral's slot if either holds L, else built."""
-    if getattr(trace.modes, "generator", None) is liouvillian:
-        return trace.modes.real_form
+    """B^+ L B of the trace's generator by _stored_real_form; L must have one."""
     _, o = _operands(liouvillian, trace.coordinates, float)
-    real = hit.real_form if (hit := _slot(o)) is not None else _real_form(o)
-    if real is None:
+    if (real := _stored_real_form(o)) is None:
         raise ValidationError("generator does not preserve Hermiticity")
     return real
 
@@ -252,9 +255,10 @@ def average_speed(trace, liouvillian):
 
 
 def operator_norm(superop):
-    """Largest singular value, sqrt(max eig A^+ A); a complex A on its real form."""
+    """Largest singular value, sqrt(max eig A^+ A); a complex A on its real form,
+    read by _stored_real_form."""
     a = np.atleast_2d(superop)
-    a = real if np.iscomplexobj(a) and (real := _real_form(a)) is not None else a
+    a = real if np.iscomplexobj(a) and (real := _stored_real_form(a)) is not None else a
     return float(np.sqrt(np.linalg.eigvalsh(a.conj().T @ a)[-1]))
 
 
@@ -412,7 +416,7 @@ def wootters_length(trace, liouvillian, basis):
 
 
 def exact_qsl(trace, liouvillian, basis=None):
-    """Bound-and-equality report; takes B^+ L B from trace.modes or spectral's slot."""
+    """Bound-and-equality report; takes B^+ L B from spectral's slot when it holds L."""
     _one_trajectory(trace.coordinates)
     theta = float(_unit_angle(trace.coordinates[0], trace.coordinates[-1]))
     _odd_grid(len(trace))

@@ -5,9 +5,10 @@ with biorthonormal left/right eigenvectors. spectral_decompose is the one
 eigendecomposition of the package and takes only generators that preserve
 Hermiticity; it keeps the real pair matrix W of B^+ L B with its real
 inverse, from the d x d eigh of H for a commutator -i[H, .] and from eig of
-B^+ L B otherwise, and forms complex vectors only when they are read;
-steady_state reads the stationary column of W and forms none. A slot keeps
-the last generator decomposed, so a process decomposes each one once.
+B^+ L B otherwise; every package path reads W and W^-1 in that real layout,
+and complex vectors are formed only when a caller reads them. A slot keeps
+the last generator decomposed and its SpectralData, the one object every
+call on those bits returns, so a process decomposes each generator once.
 The mode sums sum_i exp(lambda_i t) c_i |r_i)), c_i = (l_i|rho0), of
 propagate_expm and of the mode route's speed and angle run on one real
 kernel, propagate_real, for the coordinates x_t = B^+ rho_t. On a grid of
@@ -19,7 +20,7 @@ over unitary rotations of the initial state can suppress chosen decay modes.
 """
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +34,12 @@ from .exceptions import (
 from .lindblad import commutator_superop
 from .liouville import (
     _gather,
+    _kron,
     _real_form,
     _scatter,
     _unit_angle,
     _variance,
     devectorize,
-    rehermitize,
     vectorize,
 )
 
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 _GAP_TOL = 1e-10
-_last = None  # last SpectralData, on a copy of its generator
+_last = None  # the last SpectralData returned, keyed by its generator's bits
 
 
 def _blocks(t):
@@ -89,6 +90,14 @@ def _phased(w, c, t):
     return phases.reshape(t.shape + shape) * c
 
 
+def _frozen(*arrays):
+    """Make the arrays read-only and return the last: the slot hands its one
+    SpectralData to every caller, so no caller may change what the next gets."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[-1]
+
+
 @dataclass
 class SpectralData:
     """Sorted eigensystem of a Hermiticity-preserving generator, in one layout.
@@ -96,9 +105,10 @@ class SpectralData:
     eigenvalues ascend in |Re lambda|, ties by Im lambda (a real array when all are
     real, as from numpy's eig). vectors and inverse are the real pair matrix W of
     real_form = B^+ L B and W^-1 on both routes, partner[i] the mode conjugate to
-    mode i (i itself for a real mode); right_vectors and left_vectors hold |r_i))
-    and |l_i)), (l_i|r_j) = delta_ij, formed when first read; propagate_real, the
-    one mode sum, reads neither. condition and biorthogonality are
+    mode i (i itself for a real mode), generator a read-only copy of L. Package
+    paths read modes off W and W^-1 through _pair_index; right_vectors and
+    left_vectors hold |r_i)) and |l_i)), (l_i|r_j) = delta_ij, formed, read-only,
+    only when a caller reads them. condition and biorthogonality are
     spectral_decompose's defects.
     """
 
@@ -120,10 +130,8 @@ class SpectralData:
 
     @functools.cached_property
     def right_vectors(self):
-        re, im, s = self._pair_index
-        r, pair = self.vectors[:, re].astype(complex), s != 0
-        r.imag[:, pair] = s[pair] * self.vectors[:, im[pair]]
-        return _scatter(r.T).T
+        (re, im, s), w = self._pair_index, self.vectors
+        return _frozen(_scatter((w[:, re] + 1j * s * w[:, im]).T).T)
 
     @functools.cached_property
     def _left_coordinates(self):
@@ -133,7 +141,7 @@ class SpectralData:
 
     @functools.cached_property
     def left_vectors(self):
-        return _scatter(self._left_coordinates.T, -1).conj().T
+        return _frozen(_scatter(self._left_coordinates.T, -1).conj().T)
 
     @property
     def size(self):
@@ -143,7 +151,7 @@ class SpectralData:
     def stationary(self):
         """Mask of the modes that do not decay: |Re lambda| <= _GAP_TOL max(1, |L|)."""
         scale = max(1.0, float(np.abs(self.generator).max()))
-        return np.abs(self.eigenvalues.real) <= _GAP_TOL * scale
+        return _frozen(np.abs(self.eigenvalues.real) <= _GAP_TOL * scale)
 
     def overlaps(self, vector):
         """Coefficients (l_i|v) of a Liouville vector, or of each row of a block."""
@@ -185,10 +193,11 @@ def spectral_decompose(liouvillian):
     defective when the first plus the second over max(1, max|L_ij|) exceeds
     1e-4, so a rescaled generator is judged alike.
 
-    The last eigensystem computed is kept, with a copy of L, in one
-    module-level slot, its arrays read-only; a call on a generator of the
-    same shape and bits (-0.0 is not 0.0) returns it on the new L without
-    an eigensolver. A miss empties the slot; a call that raises keeps nothing.
+    The SpectralData returned is the one kept in a module-level slot, its
+    arrays read-only and its generator a copy of L; a call on a generator of
+    the same shape and bits (-0.0 is not 0.0) returns that same object
+    without an eigensolver. A miss empties the slot; a call that raises keeps
+    nothing.
     """
     L = np.asarray(liouvillian, dtype=complex)
     if L.ndim != 2 or L.shape[0] != L.shape[1] or not L.size:
@@ -197,7 +206,7 @@ def spectral_decompose(liouvillian):
         raise ValidationError("generator has a nan or infinite entry")
     global _last
     if (hit := _slot(L)) is not None:
-        return replace(hit, generator=L)
+        return hit
     _last = None  # free the old eigensystem before computing the new one
     real = _real_form(L)
     if real is None:
@@ -210,7 +219,7 @@ def spectral_decompose(liouvillian):
     if coherent and np.abs(commutator_superop(h) - 1j * L).max() <= tol:
         route, (energies, v) = "hermitian", np.linalg.eigh(h)
         gap = energies - energies[:, None]  # mode d j + i is |v_i><v_j|, E_i - E_j
-        w, r = -1j * gap.ravel(), _gather(np.kron(v.conj(), v).T).T
+        w, r = -1j * gap.ravel(), _gather(_kron(v.conj(), v).T).T
         above = np.arange(d) > np.arange(d)[:, None]  # i > j, so Im lambda <= 0
         vectors = np.where(above.ravel(), -r.imag, r.real)
         tied = ((gap == 0) & (above | above.T)).ravel()  # lambda = 0 twice: real modes
@@ -240,17 +249,16 @@ def spectral_decompose(liouvillian):
     partner = np.argsort(order)[partner[order]]
     sd = SpectralData(
         w[order], vectors[:, order], inverse[order], biorth + recon, biorth, route,
-        generator=L, real_form=real, partner=partner,
+        generator=L.copy(), real_form=real, partner=partner,
     )
-    for a in (sd.eigenvalues, sd.vectors, sd.inverse, real, partner):
-        a.flags.writeable = False
-    _last = replace(sd, generator=L.copy())
+    _frozen(sd.eigenvalues, sd.vectors, sd.inverse, sd.generator, real, partner)
+    _last = sd
     return sd
 
 
 def _slot(L):
-    """The slot's SpectralData if it holds a generator of complex L's shape and bits."""
-    bits = np.ascontiguousarray(L).view(np.uint64)
+    """The slot's SpectralData if it holds a generator of L's shape and complex bits."""
+    bits = np.ascontiguousarray(L, dtype=complex).view(np.uint64)
     if _last is not None and np.array_equal(_last.generator.view(np.uint64), bits):
         return _last
 
@@ -269,7 +277,7 @@ def steady_state(sd):
         raise NonUniqueSteadyStateError(
             "stationary subspace is degenerate; no unique steady state"
         )
-    rho = rehermitize(devectorize(_scatter(sd.vectors[:, 0])))
+    rho = devectorize(_scatter(sd.vectors[:, 0]))
     tr = float(np.trace(rho).real)
     if abs(tr) < 1e-12:
         raise NonUniqueSteadyStateError("stationary mode is traceless")
@@ -298,10 +306,13 @@ def mode_overlaps(sd, rho0):
 
 
 def _mode_sum(sd, c, t):
-    """B^+ sum_i exp(lambda_i t) c_i |r_i)) by propagate_real, c over the last axis."""
+    """B^+ sum_i exp(lambda_i t) c_i |r_i)) by propagate_real, c over the last axis.
+
+    Its start x_0 = Re B^+ R c = sum_i Re c_i Re B^+ r_i - Im c_i Im B^+ r_i, off W."""
     if not np.isfinite(t := np.asarray(t, dtype=float)).all():
         raise ValidationError("times must be finite")
-    return sd.propagate_real(_gather(_checked(sd, c, "c") @ sd.right_vectors.T).real, t)
+    (re, im, s), c, w = sd._pair_index, _checked(sd, c, "c"), sd.vectors
+    return sd.propagate_real(c.real @ w[:, re].T - s * c.imag @ w[:, im].T, t)
 
 
 def speed_from_modes(sd, c, t):
@@ -346,11 +357,10 @@ def mode_elimination_search(sd, rho0, kill_set, seed=0, restarts=8):
     from scipy.linalg import expm
     from scipy.optimize import minimize
 
-    rows = sd.left_vectors[:, kill].conj().T
+    rows = _scatter(sd._left_coordinates[:, kill].T, -1)  # (l_k| as rows
 
     def residual(u):
-        v = vectorize(u @ r0 @ u.conj().T)
-        return float(np.sum(np.abs(rows @ v) ** 2))
+        return float(np.sum(np.abs(rows @ vectorize(u @ r0 @ u.conj().T)) ** 2))
 
     def objective(x):
         return residual(expm(1j * devectorize(_scatter(x))))

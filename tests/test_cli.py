@@ -336,6 +336,66 @@ def test_qsl_report_builds_the_real_form_once(ad_spec_path, tmp_path, monkeypatc
     assert calls == [(4, 4)]
 
 
+def test_every_command_builds_the_real_form_once(tmp_path, monkeypatch):
+    # From an empty slot each command misses the slot once and builds B^+ L B
+    # once, in spectral_decompose; every later reader (trace speed, classical
+    # split, operator norm, Gibbs column) finds the slot's by the generator's
+    # bits. Neither a command nor the mode route forms the complex eigenvectors.
+    rng = philox(44)
+    spec = _write_spec(tmp_path, "spec.json", rand_spec(rng, 3))
+    rho0 = _write_matrix(tmp_path, "rho0.json", rand_rho(rng, 3))
+    h = _write_matrix(tmp_path, "h.json", rand_hermitian(rng, 3))
+    up, down = (_write_matrix(tmp_path, f"{k}.json", np.diag(p).astype(complex))
+                for k, p in (("up", [1.0, 0.0]), ("down", [0.0, 1.0])))
+    grid = ["--t-max", "2", "--points", "101"]
+    commands = (
+        ((9, 9), ["validate", "--spec", spec]),
+        ((9, 9), ["spectral", "--spec", spec]),
+        ((9, 9), ["evolve", "--spec", spec, "--rho0", rho0] + grid),
+        ((9, 9), ["qsl-report", "--spec", spec, "--rho0", rho0] + grid),
+        ((4, 4), ["optimal", "--rho0", up, "--rho-perp", down, "--gamma", "0.3"] + grid),
+        ((4, 4), ["mpemba", "--alphas", "0.3,0.8"] + grid),
+        ((9, 9), ["krylov", "--h", h] + grid),
+        ((9, 9), ["krylov", "--h", h, "--rho0", rho0] + grid),
+    )
+    builds, misses = [], []
+    real_form, slot = liouville._real_form, spectral._slot
+
+    def counted_build(superop):
+        builds.append(superop.shape)
+        return real_form(superop)
+
+    def counted_slot(superop):
+        if (hit := slot(superop)) is None:
+            misses.append(superop.shape)
+        return hit
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        for attr, counted in (("_real_form", counted_build), ("_slot", counted_slot)):
+            if name.startswith("liouqsl.") and hasattr(module, attr):
+                monkeypatch.setattr(module, attr, counted)
+                patched.add((name, attr))
+    assert {("liouqsl.evolve", "_real_form"), ("liouqsl.qsl", "_slot")} <= patched
+    formed = {"right_vectors", "left_vectors"}
+    for shape, argv in commands:
+        monkeypatch.setattr(spectral, "_last", None)
+        builds.clear()
+        misses.clear()
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert (builds, misses) == ([shape], [shape]), argv[0]
+        assert not formed & set(vars(spectral._last)), argv[0]
+
+    L = lq.build_liouvillian(lq.amplitude_damping_spec(0.01, 0.0)).full
+    sd, times = lq.spectral_decompose(L), np.linspace(0.0, 2.0, 11)
+    start = lq.superposition_state(1.0 / np.sqrt(2.0))
+    c = lq.mode_overlaps(sd, start)
+    lq.speed_from_modes(sd, c, times)
+    lq.angle_from_modes(sd, c, start, times)
+    assert lq.mode_elimination_search(sd, start, [1, 2])[1] < 1e-10
+    assert not formed & set(vars(sd))
+
+
 def test_spectral_command(ad_spec_path, tmp_path):
     out = tmp_path / "out"
     assert main(["spectral", "--spec", ad_spec_path, "--out", str(out)]) == 0

@@ -199,8 +199,8 @@ def _counted_eigensolvers(monkeypatch):
 
 
 def test_a_repeated_generator_is_decomposed_once(monkeypatch):
-    # The same bits in a new array hit the slot: the stored eigensystem comes
-    # back bit for bit, on the caller's own array, with no eigensolver run.
+    # The same bits in a new array hit the slot: the stored eigensystem itself
+    # comes back, its generator a read-only copy, with no eigensolver run.
     calls = _counted_eigensolvers(monkeypatch)
     rng = philox(31)
     h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -213,7 +213,7 @@ def test_a_repeated_generator_is_decomposed_once(monkeypatch):
         again = L.copy()
         hit = lq.spectral_decompose(again)
         assert hit.route == first.route == route
-        assert hit.generator is again and first.generator is L
+        assert hit is first
         for name in ("condition", "biorthogonality"):
             assert getattr(hit, name) == getattr(first, name)
         for name in _STORED:
@@ -232,6 +232,27 @@ def test_stored_arrays_are_read_only(monkeypatch):
                 getattr(sd, name)[0] = 0
 
 
+def test_every_call_on_the_bits_gets_the_one_stored_eigensystem(monkeypatch):
+    # spectral_decompose and propagate_expm hand on the slot's SpectralData
+    # itself; its generator is a read-only copy of L, and the vectors and mask it
+    # forms when a caller reads them are read-only too, so no caller changes what
+    # the next gets.
+    monkeypatch.setattr(spectral, "_last", None)
+    rng = philox(34)
+    h = rand_hermitian(rng, 3)
+    for L in (lq.build_liouvillian(rand_spec(rng, 3)).full,
+              -1j * lq.commutator_superop(h)):
+        sd = lq.spectral_decompose(L)
+        assert lq.spectral_decompose(L.copy()) is sd
+        trace = lq.propagate_expm(L, rand_rho(rng, 3), np.linspace(0.0, 1.0, 11))
+        assert trace.modes is sd
+        assert sd.generator is not L and np.array_equal(sd.generator, L)
+        derived = ("generator", "right_vectors", "left_vectors", "stationary")
+        for a in (getattr(sd, name) for name in derived):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+
 def test_negative_zero_and_a_changed_generator_miss(monkeypatch):
     # The key is the bits of L: -0.0 differs from 0.0, and an array the
     # caller scales in place after a call is decomposed again.
@@ -246,7 +267,8 @@ def test_negative_zero_and_a_changed_generator_miss(monkeypatch):
     zero = np.flatnonzero((flipped == 0) & ~np.signbit(flipped.real))[0]
     flipped.ravel()[zero] = complex(-0.0, 0.0)
     assert np.array_equal(flipped, L)
-    assert lq.spectral_decompose(flipped).generator is flipped
+    stored = lq.spectral_decompose(flipped).generator  # the slot's read-only copy
+    assert np.array_equal(stored.view(np.uint64), flipped.view(np.uint64))
     assert len(calls) == 3
 
 
