@@ -21,12 +21,15 @@ over blocks of states of about 512 KB of temporaries gives both: one
 product with the fused [M | L_r^T M] gives the amplitudes of u and L u in
 amplitude-major slabs, Parseval the speed. On a trace u = x/sqrt(p), L_r = B^+ L B.
 
-The per-state functionals (speed, non-classical speed, classical part, exact
-uncertainty) take any superoperator and a single NormalizedState or a stacked
-one, such as normalize_state(trace.states), and return one value per state.
+The per-state functionals take a single NormalizedState or a stacked one,
+such as normalize_state(trace.states), and return one value per state. The
+speed takes any superoperator. The split (non-classical speed, classical part,
+exact uncertainty) takes a generator that preserves Hermiticity and Hermitian
+states, read as Re B^+ v; it refuses any other input with ValidationError.
 """
 
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +41,7 @@ from .exceptions import (
     ValidationError,
 )
 from .liouville import _BLOCK_BYTES, _apply, _dot, _gather, _hermitian_matrices
-from .liouville import _operands, _real_form, _real_part, _unit_angle, _variance
+from .liouville import _operands, _real_form, _unit_angle, _variance
 from .liouville import _floored, normalize_state
 from .spectral import _slot
 
@@ -230,14 +233,9 @@ def speed_decomposition(parts, state):
 
 def _stored_real_form(superop):
     """B^+ O B of a complex O: spectral's slot's real_form if it holds O's bits,
-    else built, None when O has no real form."""
-    return hit.real_form if (hit := _slot(superop)) is not None else _real_form(superop)
-
-
-def _trace_real_form(trace, liouvillian):
-    """B^+ L B of the trace's generator by _stored_real_form; L must have one."""
-    _, o = _operands(liouvillian, trace.coordinates, float)
-    if (real := _stored_real_form(o)) is None:
+    else built; ValidationError when O does not preserve Hermiticity."""
+    real = hit.real_form if (hit := _slot(superop)) is not None else _real_form(superop)
+    if real is None:
         raise ValidationError("generator does not preserve Hermiticity")
     return real
 
@@ -245,20 +243,22 @@ def _trace_real_form(trace, liouvillian):
 def _trace_speed(trace, liouvillian):
     """Speed column of a trace: that of u = x/sqrt(p) under B^+ L B."""
     u = trace.coordinates / np.sqrt(trace.purity)[..., None]
-    return np.sqrt(_variance(u, u @ _trace_real_form(trace, liouvillian).T))
+    _, o = _operands(liouvillian, u, float)
+    return np.sqrt(_variance(u, u @ _stored_real_form(o).T))
 
 
 def average_speed(trace, liouvillian):
     """Simpson time average of the speed along the trace, per trajectory of a stack."""
-    _odd_grid(len(trace))
     return _time_average(_trace_speed(trace, liouvillian), trace.times)
 
 
 def operator_norm(superop):
     """Largest singular value, sqrt(max eig A^+ A); a complex A on its real form,
-    read by _stored_real_form."""
+    read by _stored_real_form, if it has one."""
     a = np.atleast_2d(superop)
-    a = real if np.iscomplexobj(a) and (real := _stored_real_form(a)) is not None else a
+    if np.iscomplexobj(a):
+        with suppress(ValidationError):  # without a real form: A itself
+            a = _stored_real_form(a)
     return float(np.sqrt(np.linalg.eigvalsh(a.conj().T @ a)[-1]))
 
 
@@ -285,44 +285,43 @@ def complete_basis(state):
 
 
 class _ClassicalSplit:
-    """Per-state columns of the split of a superoperator O in a fixed basis.
+    """Per-state columns of the split of a Hermiticity-preserving O in a fixed basis.
 
     With c_i = (a_i|v), c'_i = (a_i|O v) and p_i = |c_i|², directions with
     p_i < 1e-14 are dropped; beta_i = Im(c'_i c_i*)/p_i, 0 where dropped, and
     g_i = Re(c'_i c_i*) - mean p_i = |c_i| d|c_i|/dt. Columns: var (squared speed),
     nc, wootters = sqrt(sum_i (d|c_i|/dt)²), fisher = 4 sum_kept g_i²/p_i, scale =
-    |O v|², mean = Re(v|O v), and beta on request. With the real form B^+ O B = O_r
-    (real_form, or built here) and Hermitian v, the stack takes x = B^+ v, else
-    complex coordinates. Each block of about _BLOCK_BYTES takes c and c' from one
-    product with [M | O_r^T M], M = B^T conj(A) (complex: [conj A | O^T conj A]), as
-    amplitude-major (n, b) slabs Re c, Re c', Im c, Im c'. mean, scale and var =
-    scale - |sum_i c'_i c_i*|² follow by Parseval: for a unit v, a basis with Gram
-    defect delta = ||A^+ A - 1||_2 moves them by at most delta |O v|, delta |O v|²
-    and (3 delta + delta²) |O v|². Given purity, state holds raw coordinates
-    B^+ vec(rho) instead, real_form is required, and x is each over sqrt(purity).
+    |O v|², mean = Re(v|O v), and beta on request. The stack takes the Hermitian
+    coordinates x = Re B^+ v under O_r = B^+ O B, read by _stored_real_form; a v
+    whose B^+ v has an imaginary part above 1e-10 of its largest entry is refused.
+    Each block of about _BLOCK_BYTES takes c and c' from one product with
+    [M | O_r^T M], M = B^T conj(A), as amplitude-major (n, b) slabs Re c, Re c',
+    Im c, Im c'. mean, scale and var = scale - |sum_i c'_i c_i*|² follow by
+    Parseval: for a unit v, a basis with Gram defect delta = ||A^+ A - 1||_2 moves
+    them by at most delta |O v|, delta |O v|² and (3 delta + delta²) |O v|². Given
+    purity, state holds raw coordinates B^+ vec(rho) instead, each over sqrt(purity).
     """
 
-    def __init__(self, superop, basis, state, beta=False, real_form=None, purity=None):
+    def __init__(self, superop, basis, state, beta=False, purity=None):
         v, o = _operands(superop, state, complex if purity is None else float)
+        self.real_form = _stored_real_form(o)
         lead, n = v.shape[:-1], v.shape[-1]
-        v, m = v.reshape(-1, n), basis.vectors.conj().T
-        self.real_form = _real_form(o) if real_form is None else real_form
+        v, m = v.reshape(-1, n), _gather(basis.vectors.conj().T, 1)
         root = None if purity is None else np.sqrt(purity).reshape(-1, 1)
-        if root is None and self.real_form is not None:
-            v = x if (x := _real_part(_gather(v))) is not None else v
-        self.real = not np.iscomplexobj(v)
-        if self.real:
-            o, m = self.real_form, _gather(m, 1)
-            m = np.stack([m.real, m.imag])
-        fused = np.stack([m, m @ o], axis=-3).reshape(-1, n)
+        if root is None:
+            x = _gather(v)
+            skew = np.abs(x.imag).max(-1)
+            if np.any(skew > 1e-10 * np.abs(x).max(-1)):
+                raise ValidationError(f"state is not Hermitian: skew {skew.max():.3e}")
+            v = np.ascontiguousarray(x.real)
+        m = np.stack([m.real, m.imag])
+        fused = np.stack([m, m @ self.real_form], axis=-3).reshape(-1, n)
         self.beta = np.zeros(lead + (n,)) if beta else None
         self.columns, rows = np.empty((6, len(v))), max(1, _BLOCK_BYTES // (32 * n))
         for s in range(0, len(v), rows):
             x = v[s : s + rows]
             x = x if root is None else x / root[s : s + rows]
             b, amps = len(x), fused @ x.T
-            if not self.real:
-                amps = np.stack([amps.real, amps.imag])
             cr, dr, ci, di = amps = amps.reshape(4, n, b)
             re, im = dr * cr + di * ci, di * cr - dr * ci
             mean, scale = re.sum(0), np.einsum("kij,kij->j", amps[1::2], amps[1::2])
@@ -354,7 +353,8 @@ def classical_part(liouvillian, basis, state):
     Sum of |a_i)((a_i| (a_i|C|a_i)/(a_i|P|a_i) with C = (L P - P L†)/2
     and P the projector onto the state vector; basis directions with
     population below 1e-14 are dropped. The result is anti-Hermitian by
-    construction; a detectable defect is reported, not assumed away.
+    construction; a detectable defect is reported, not assumed away. L must
+    preserve Hermiticity and the states be Hermitian, as for nonclassical_speed.
     """
     beta = _ClassicalSplit(liouvillian, basis, state, beta=True).beta
     cols = basis.vectors
@@ -368,7 +368,12 @@ def classical_part(liouvillian, basis, state):
 
 
 def nonclassical_speed(liouvillian, basis, state):
-    """Speed of the non-diagonal remainder: sqrt(max(var - var_cl, 0))."""
+    """Speed of the non-diagonal remainder: sqrt(max(var - var_cl, 0)).
+
+    The generator must preserve Hermiticity and each state vector v be
+    Hermitian: v enters as Re B^+ v, and an imaginary part of B^+ v above
+    1e-10 of its largest entry is a ValidationError.
+    """
     return _ClassicalSplit(liouvillian, basis, state).nc
 
 
@@ -382,7 +387,8 @@ def exact_uncertainty(superop, basis, state):
     Fisher sum but not the deviation. On draw 1 of philox(137) in the tests
     (d = 3, mixed start, horizon 1e-3, 201 points) the first point after
     t = 0 has a smallest population of 7.0e-15 and the product is off by
-    4.7e-5.
+    4.7e-5. The superoperator must preserve Hermiticity and the states be
+    Hermitian, as for nonclassical_speed.
     """
     split = _ClassicalSplit(superop, basis, state)
     if np.any(split.fisher <= 1e-24 * np.maximum(split.scale, 1e-300)):
@@ -393,13 +399,11 @@ def exact_uncertainty(superop, basis, state):
 
 
 def _trace_split(trace, liouvillian, basis=None):
-    """_ClassicalSplit of x under _trace_real_form; basis defaults to one at rho_0."""
+    """_ClassicalSplit of the trace's coordinates; basis defaults to one at rho_0."""
     if basis is None:
         start = _hermitian_matrices(trace.coordinates[0])  # the bits of trace.states[0]
         basis = complete_basis(normalize_state(start))
-    real = _trace_real_form(trace, liouvillian)
-    x = trace.coordinates
-    return _ClassicalSplit(liouvillian, basis, x, real_form=real, purity=trace.purity)
+    return _ClassicalSplit(liouvillian, basis, trace.coordinates, purity=trace.purity)
 
 
 def wootters_length(trace, liouvillian, basis):
@@ -411,7 +415,6 @@ def wootters_length(trace, liouvillian, basis):
     is that of the quadrature, the same as for the averaged non-classical
     speed.
     """
-    _odd_grid(len(trace))
     return _simpson(_trace_split(trace, liouvillian, basis).wootters, trace.times)
 
 
@@ -419,7 +422,6 @@ def exact_qsl(trace, liouvillian, basis=None):
     """Bound-and-equality report; takes B^+ L B from spectral's slot when it holds L."""
     _one_trajectory(trace.coordinates)
     theta = float(_unit_angle(trace.coordinates[0], trace.coordinates[-1]))
-    _odd_grid(len(trace))
     split = _trace_split(trace, liouvillian, basis)
     T = float(trace.times[-1] - trace.times[0])
     rows = np.stack([np.sqrt(split.var), split.nc, split.wootters])

@@ -85,13 +85,16 @@ def spec_from_json(doc):
 
 
 def _read_json(path, what):
-    """Parse a JSON file; unreadable, non-UTF-8 or bad JSON is a ValidationError."""
+    """Parse a JSON file; unreadable, non-UTF-8 or bad JSON is a ValidationError.
+
+    Bad JSON includes nesting past the recursion limit and an integer literal
+    past Python's int-string digit limit (a plain ValueError)."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {what} file: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -699,35 +699,26 @@ def test_unusable_out_is_a_validation_error(ad_spec_path, tmp_path, capsys):
         assert str(out) in err and "Traceback" not in err
 
 
-def test_input_files_that_are_not_utf8_are_validation_errors(ad_spec_path, tmp_path, capsys):
-    binary = tmp_path / "bin.json"
-    binary.write_bytes(b"\xff\xfe")
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe", b"[" * 200000, b'{"dim": ' + b"9" * 5000 + b"}"],
+    ids=["not-utf8", "deeply-nested", "5000-digit-integer"],
+)
+def test_unparsable_input_files_are_validation_errors(ad_spec_path, tmp_path, capsys, content):
+    # json raises RecursionError past its nesting limit and a plain ValueError
+    # past Python's int-string digit limit, not JSONDecodeError
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
     out = str(tmp_path / "out")
     for argv in (
-        ["validate", "--spec", str(binary)],
-        ["krylov", "--h", str(binary), "--points", "21"],
-        ["qsl-report", "--spec", ad_spec_path, "--rho0", str(binary), "--points", "21"],
+        ["validate", "--spec", str(bad)],
+        ["krylov", "--h", str(bad), "--points", "21"],
+        ["qsl-report", "--spec", ad_spec_path, "--rho0", str(bad), "--points", "21"],
     ):
         assert main(argv + ["--out", out]) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith(f"liouqsl: command={argv[0]} error=validation detail="), err
-        assert str(binary) in err and "Traceback" not in err
-
-
-def test_deeply_nested_input_files_are_validation_errors(ad_spec_path, tmp_path, capsys):
-    # json raises RecursionError, not JSONDecodeError, past its nesting limit
-    nested = tmp_path / "nested.json"
-    nested.write_text("[" * 200000)
-    out = str(tmp_path / "out")
-    for argv in (
-        ["validate", "--spec", str(nested)],
-        ["krylov", "--h", str(nested), "--points", "21"],
-        ["qsl-report", "--spec", ad_spec_path, "--rho0", str(nested), "--points", "21"],
-    ):
-        assert main(argv + ["--out", out]) == 1, argv
-        err = capsys.readouterr().err
-        assert err.startswith(f"liouqsl: command={argv[0]} error=validation detail="), err
-        assert str(nested) in err and "Traceback" not in err
+        assert str(bad) in err and "Traceback" not in err
 
 
 def test_optimal_endpoints_of_different_dimension_exit_1(tmp_path, capsys):

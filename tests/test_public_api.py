@@ -117,3 +117,24 @@ def test_every_source_and_test_file_parses_as_python_3_10():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_every_imported_name_is_used():
+    """A name an import binds in a src/liouqsl module (the package's __init__
+    aside) is read in that module or listed in its __all__, so code that a
+    change deletes leaves no import behind."""
+    for path in sorted((ROOT / "src" / "liouqsl").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound, read, listed = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and "__all__" in {
+                getattr(t, "id", None) for t in node.targets
+            }:
+                listed.update(ast.literal_eval(node.value))
+        assert not bound - read - listed, f"{path.name}: {sorted(bound - read - listed)}"

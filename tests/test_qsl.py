@@ -12,7 +12,7 @@ from liouqsl.exceptions import (
     QuadratureError,
     ValidationError,
 )
-from liouqsl.liouville import _real_form
+from liouqsl.liouville import _gather, _real_form
 from liouqsl.qsl import _BLOCK_BYTES, BasisSet, _ClassicalSplit
 
 from conftest import (
@@ -463,40 +463,56 @@ def _complex_split(superop, basis, v):
     }
 
 
-def test_split_agrees_with_the_complex_formula_on_both_routes():
-    # Hermitian states under a Lindblad generator take real Hermitian
-    # coordinates; a non-Hermitian state vector, or a superoperator that does
-    # not preserve Hermiticity, keeps complex Liouville coordinates.
+def test_split_matches_the_complex_formula_and_refuses_non_hermitian_inputs():
+    # Hermitian states under a Lindblad generator match the complex-coordinate
+    # formula, and so does a density matrix skewed by 1e-11, which validation
+    # accepts, through its Hermitian part. A non-Hermitian state vector, or a
+    # superoperator that does not preserve Hermiticity, is refused.
     rng = philox(60)
+    functionals = (lq.nonclassical_speed, lq.exact_uncertainty, lq.classical_part)
     for d in (2, 3, 4):
         n = d * d
         L = lq.build_liouvillian(rand_spec(rng, d)).full
         skew = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         basis = lq.complete_basis(lq.normalize_state(rand_rho(rng, d)))
-        hermitian = lq.normalize_state(rand_rho(rng, d)).vector
+        rho = rand_rho(rng, d)
+        hermitian = lq.normalize_state(rho).vector
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v /= np.linalg.norm(v)
-        cases = ((L, hermitian, True), (L, v, False), (skew, hermitian, False))
-        for superop, state, real in cases:
-            split = _ClassicalSplit(superop, basis, state)
-            assert split.real == real
-            assert (split.real_form is None) == (superop is skew)
-            oracle = _complex_split(superop, basis, state)
-            nc, delta = oracle["nc"], oracle["fisher"] ** -0.5
-            assert_allclose(lq.nonclassical_speed(superop, basis, state), nc, rtol=1e-12)
-            assert_allclose(lq.exact_uncertainty(superop, basis, state), (delta, nc), rtol=1e-12)
+        oracle = _complex_split(L, basis, hermitian)
+        nc, delta = oracle["nc"], oracle["fisher"] ** -0.5
+        assert_allclose(lq.nonclassical_speed(L, basis, hermitian), nc, rtol=1e-12)
+        assert_allclose(lq.exact_uncertainty(L, basis, hermitian), (delta, nc), rtol=1e-12)
+        refusals = ((L, v, "state is not Hermitian"), (skew, hermitian, "preserve Hermiticity"))
+        for superop, state, match in refusals:
+            for functional in functionals:
+                with pytest.raises(ValidationError, match=match):
+                    functional(superop, basis, state)
+        # the bound: Im B^+ v at 0.9e-10 of max |B^+ v| passes, at 1.1e-10 not
+        e0 = np.eye(n)[0] * np.abs(_gather(hermitian)).max()  # (0, 0): a coordinate
+        lq.nonclassical_speed(L, basis, hermitian + 0.9e-10j * e0)
+        with pytest.raises(ValidationError, match="state is not Hermitian"):
+            lq.nonclassical_speed(L, basis, hermitian + 1.1e-10j * e0)
+        k = np.triu(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), 1)
+        k -= k.conj().T
+        skewed = rho + 0.5e-11 * k / np.abs(k).max()
+        assert np.abs(skewed - skewed.conj().T).max() == pytest.approx(1e-11, rel=1e-6)
+        lq.validate_density_matrix(skewed)
+        state = lq.normalize_state(skewed)
+        for functional in functionals:
+            want = np.asarray(functional(L, basis, hermitian))
+            got = functional(L, basis, state)
+            assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_split_keeps_the_variance_floor():
     # Parseval gives var = |O v|² - |(v|O v)|² = 4 - 16 for a bare array of
-    # norm 2 under the identity, on the real route and on the complex one
+    # norm 2 under the identity
     rng = philox(62)
     basis = lq.complete_basis(lq.normalize_state(rand_rho(rng, 3)))
     hermitian = 2.0 * lq.normalize_state(rand_rho(rng, 3)).vector
-    v = rng.normal(size=9) + 1j * rng.normal(size=9)
-    for state in (hermitian, 2.0 * v / np.linalg.norm(v)):
-        with pytest.raises(NumericalConsistencyError, match="below floor -1e-10"):
-            lq.nonclassical_speed(np.eye(9), basis, state)
+    with pytest.raises(NumericalConsistencyError, match="below floor -1e-10"):
+        lq.nonclassical_speed(np.eye(9), basis, hermitian)
 
 
 def test_split_within_the_gram_defect_bound_of_the_direct_forms():
@@ -514,22 +530,17 @@ def test_split_within_the_gram_defect_bound_of_the_direct_forms():
     basis = BasisSet(a)
     delta = np.linalg.norm(a.conj().T @ a - np.eye(n), 2)
     assert 5e-12 < delta < 2e-11
-    v = rng.normal(size=(101, n)) + 1j * rng.normal(size=(101, n))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    skew = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    for superop, state, real in ((L, unit.vector, True), (skew, v, False)):
-        split = _ClassicalSplit(superop, basis, state)
-        assert split.real == real
-        ov = state @ superop.T
-        scale = np.sum(np.abs(ov) ** 2, axis=1)
-        z = np.sum(state.conj() * ov, axis=1)
-        rounding = 1e-14 * scale
-        assert np.all(np.abs(split.mean - z.real) <= delta * np.sqrt(scale) + rounding)
-        assert np.all(np.abs(split.scale - scale) <= delta * scale + rounding)
-        var = scale - np.abs(z) ** 2
-        assert np.all(np.abs(split.var - var) <= (3 * delta + delta**2) * scale + rounding)
-        # the defect shows above rounding, so the bound is not met by rounding alone
-        assert np.abs(split.scale - scale).max() > 100 * rounding.max()
+    split = _ClassicalSplit(L, basis, unit)
+    ov = unit.vector @ L.T
+    scale = np.sum(np.abs(ov) ** 2, axis=1)
+    z = np.sum(unit.vector.conj() * ov, axis=1)
+    rounding = 1e-14 * scale
+    assert np.all(np.abs(split.mean - z.real) <= delta * np.sqrt(scale) + rounding)
+    assert np.all(np.abs(split.scale - scale) <= delta * scale + rounding)
+    var = scale - np.abs(z) ** 2
+    assert np.all(np.abs(split.var - var) <= (3 * delta + delta**2) * scale + rounding)
+    # the defect shows above rounding, so the bound is not met by rounding alone
+    assert np.abs(split.scale - scale).max() > 100 * rounding.max()
 
 
 @pytest.fixture(scope="module")
@@ -540,9 +551,8 @@ def d16():
     return L, trace, lq.complete_basis(lq.normalize_state(trace.states[0]))
 
 
-def _assert_split_matches_oracle(superop, basis, v, real):
+def _assert_split_matches_oracle(superop, basis, v):
     split = _ClassicalSplit(superop, basis, v, beta=True)
-    assert split.real == real
     oracle = _complex_split(superop, basis, v)
     # beta_i is ill-conditioned where p_i is small, beta_i p_i = Im(c'_i c_i*) is not
     pops = np.abs(basis.amplitudes(v)) ** 2
@@ -573,7 +583,7 @@ def test_blocked_split_matches_the_whole_array_oracle(d16):
     assert len(v16) % _block_rows(256) != 0
     cases += [(L16, basis16, v16[: 2 * _block_rows(256) + 1]), (L16, basis16, v16)]
     for superop, basis, v in cases:
-        _assert_split_matches_oracle(superop, basis, v, True)
+        _assert_split_matches_oracle(superop, basis, v)
 
 
 def test_blocked_split_drops_directions_across_a_block_boundary():
@@ -588,19 +598,21 @@ def test_blocked_split_drops_directions_across_a_block_boundary():
     dropped = np.abs(v @ basis.vectors.conj()) ** 2 < 1e-14
     assert dropped[rows - 1].sum() == dropped[rows].sum() == 63
     assert not dropped[rows + 2 :].any()
-    _assert_split_matches_oracle(L, basis, v, True)
+    _assert_split_matches_oracle(L, basis, v)
 
 
-def test_blocked_split_takes_the_complex_route_for_the_whole_stack(d16):
+def test_blocked_split_refuses_a_skew_superoperator_or_one_non_hermitian_state(d16):
     rng = philox(136)
     L, trace, basis = d16
     v = lq.normalize_state(trace.states[: 2 * _block_rows(256) + 1]).vector
     skew = rng.normal(size=L.shape) + 1j * rng.normal(size=L.shape)
-    _assert_split_matches_oracle(skew, basis, v, False)
-    # one non-Hermitian state in the last block sends every block to the complex route
+    with pytest.raises(ValidationError, match="does not preserve Hermiticity"):
+        _ClassicalSplit(skew, basis, v, beta=True)
+    # one non-Hermitian state in the last block refuses the whole stack
     v[-1] = rng.normal(size=v.shape[1]) + 1j * rng.normal(size=v.shape[1])
     v[-1] /= np.linalg.norm(v[-1])
-    _assert_split_matches_oracle(L, basis, v, False)
+    with pytest.raises(ValidationError, match="state is not Hermitian"):
+        _ClassicalSplit(L, basis, v, beta=True)
 
 
 def test_split_reads_the_coordinates_of_a_propagated_trace(monkeypatch):
